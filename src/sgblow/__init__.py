@@ -7,6 +7,7 @@ integer set arithmetic.
 """
 
 from .blowup import (
+    Analysis,
     BlowupReport,
     ConditionsReport,
     HPolynomial,
@@ -67,7 +68,6 @@ from .parsing import (
 )
 from .report import analysis_document, dumps_document, loads_document
 from .statements import (
-    Analysis,
     TheoremVerdict,
     catalog_ids,
     expand_statement_ids,

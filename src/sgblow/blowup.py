@@ -9,12 +9,16 @@ colon quotients nE - nE, which stabilizes at n = nu.
 Lambda is computed twice: by iterating nE - nE, and independently as the
 semigroup generated by S together with E shifted down by its minimum.  Both
 routes must agree; disagreement raises InvariantViolation.
+
+Analysis is the one object per (semigroup, ideal) pair.  It starts from the
+cached kernel of _blowup_data and derives every other quantity lazily, each
+at most once; its constructor runs the pair's cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import NumericalSemigroup, ValueIdeal, length_between
 from .errors import (
@@ -24,17 +28,21 @@ from .errors import (
     NotProper,
     PrincipalIdeal,
 )
-from .invariants import canonical_ideal, type_sequence
+from .invariants import canonical_ideal, classify, dual, is_reflexive, type_sequence
+
+
+def _power_at(powers: list[ValueIdeal], e: ValueIdeal, k: int) -> ValueIdeal:
+    """powers[k], extending the list [S, E, 2E, ...] as far as needed."""
+    while len(powers) <= k:
+        powers.append(powers[-1] + e)
+    return powers[k]
 
 
 def power(e: ValueIdeal, k: int) -> ValueIdeal:
     """k-fold sumset; k = 0 gives the carrier itself."""
     if k < 0:
         raise ValueError("power wants k >= 0")
-    result = e.carrier.as_ideal()
-    for _ in range(k):
-        result = result + e
-    return result
+    return _power_at([e.carrier.as_ideal(), e], e, k)
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,14 @@ class HPolynomial:
     nu: int
     rho: int
 
+    @classmethod
+    def of(cls, kernel) -> "HPolynomial":
+        """From anything carrying the kernel fields ideal, hilbert, nu and rho."""
+        hs = kernel.hilbert
+        coeffs = (hs[0],) + tuple(hs[i] - hs[i - 1] for i in range(1, kernel.nu + 1))
+        return cls(coefficients=coeffs, hilbert=hs, e=kernel.ideal.min_element,
+                   nu=kernel.nu, rho=kernel.rho)
+
     @property
     def symmetric(self) -> bool:
         c = self.coefficients
@@ -59,6 +75,7 @@ class HPolynomial:
 
 @dataclass(frozen=True)
 class _BlowupData:
+    ideal: ValueIdeal
     powers: tuple[ValueIdeal, ...]
     hilbert: tuple[int, ...]
     nu: int
@@ -84,7 +101,8 @@ def _blowup_data(e_ideal: ValueIdeal) -> _BlowupData:
     powers = [s_ideal, e_ideal]
     hseq: list[int] = []
     while True:
-        h = length_between(powers[-2], powers[-1])
+        n = len(hseq)
+        h = length_between(powers[n], _power_at(powers, e_ideal, n + 1))
         if h > a:
             raise InvariantViolation("Hilbert value exceeded the multiplicity")
         hseq.append(h)
@@ -92,22 +110,16 @@ def _blowup_data(e_ideal: ValueIdeal) -> _BlowupData:
             break
         if len(hseq) > a + 1:
             raise InvariantViolation("Hilbert function failed to reach the multiplicity")
-        powers.append(powers[-1] + e_ideal)
     nu = len(hseq) - 1
     if nu < 1:
         raise InvariantViolation("reduction exponent 0 would mean a principal ideal")
     rho = sum(a - h for h in hseq)
 
-    def power_at(n: int) -> ValueIdeal:
-        while n >= len(powers):
-            powers.append(powers[-1] + e_ideal)
-        return powers[n]
-
     quotients: dict[int, ValueIdeal] = {}
 
     def stage(n: int) -> ValueIdeal:
         if n not in quotients:
-            p = power_at(n)
+            p = _power_at(powers, e_ideal, n)
             quotients[n] = p.colon(p)
         return quotients[n]
 
@@ -126,7 +138,7 @@ def _blowup_data(e_ideal: ValueIdeal) -> _BlowupData:
     first_stage = next(k for k in range(1, n + 1) if stage(k) == lam)
     if first_stage != nu:
         raise InvariantViolation(f"stages reached the blow-up at {first_stage}, expected {nu}")
-    first_invariant = next(k for k in range(1, nu + 1) if (power_at(k) + lam) == power_at(k))
+    first_invariant = next(k for k in range(1, nu + 1) if (powers[k] + lam) == powers[k])
     if first_invariant != nu:
         raise InvariantViolation(
             f"powers absorb the blow-up from {first_invariant}, expected {nu}")
@@ -142,7 +154,7 @@ def _blowup_data(e_ideal: ValueIdeal) -> _BlowupData:
     if lam != lam_by_generation:
         raise InvariantViolation("blow-up routes disagree")
 
-    return _BlowupData(powers=tuple(powers[:nu + 2]), hilbert=tuple(hseq),
+    return _BlowupData(ideal=e_ideal, powers=tuple(powers[:nu + 2]), hilbert=tuple(hseq),
                        nu=nu, rho=rho, lam=lam)
 
 
@@ -154,11 +166,7 @@ def hilbert_function(e: ValueIdeal, n_max: int) -> tuple[int, ...]:
 
 
 def h_polynomial(e: ValueIdeal) -> HPolynomial:
-    data = _blowup_data(e)
-    hs = data.hilbert
-    coeffs = (hs[0],) + tuple(hs[i] - hs[i - 1] for i in range(1, data.nu + 1))
-    return HPolynomial(coefficients=coeffs, hilbert=hs, e=e.min_element,
-                       nu=data.nu, rho=data.rho)
+    return HPolynomial.of(_blowup_data(e))
 
 
 def blowup_lambda(e: ValueIdeal) -> ValueIdeal:
@@ -194,151 +202,299 @@ class ConditionsReport:
         return self.b1
 
 
-def check_conditions_a_b(e: ValueIdeal) -> ConditionsReport:
-    """Evaluate every member of both groups independently and assert coherence."""
-    data = _blowup_data(e)
-    s = e.carrier
-    s_ideal = s.as_ideal()
-    k = canonical_ideal(s)
-    lam = data.lam
-    r_colon_lam = s_ideal.colon(lam)
+class Analysis:
+    """Every quantity of one (semigroup, ideal) pair, each computed at most once.
 
-    a1 = lam.contains(k)
-    a2 = (k + lam) == lam
-    a3 = k.colon(lam) == r_colon_lam
-    a5 = (k + data.powers[data.nu]) == data.powers[data.nu]
-    a6 = any((k + data.powers[n]) == data.powers[n] for n in range(1, data.nu + 1))
+    The constructor reads only the kernel fields ideal, powers, hilbert, nu,
+    rho and lam, which both _blowup_data's result and an Analysis carry, and
+    then runs cross_check.
+    """
 
-    # A4 quantifies over all n >= nu; once the product minimum passes the
-    # conductor the condition is translation-stable, so the scan is finite.
-    a4 = True
-    p = data.powers[data.nu]
-    guard = 0
-    while True:
-        closed = (p + k).intersect(s_ideal) == p
-        if not closed:
-            a4 = False
-            break
-        if p.min_element >= s.conductor:
-            break
-        p = p + e
-        guard += 1
-        if guard > s.conductor + 2:
-            raise InvariantViolation("A4 scan failed to terminate")
+    def __init__(self, kernel):
+        self.ideal = kernel.ideal
+        self.s = kernel.ideal.carrier
+        self.powers = list(kernel.powers)
+        self.hilbert = kernel.hilbert
+        self.nu = kernel.nu
+        self.rho = kernel.rho
+        self.lam = kernel.lam
+        self.cross_check()
 
-    lam_bidual = s_ideal.colon(r_colon_lam)
-    b1 = lam == lam_bidual
-    b2 = k.colon(lam) == (k + r_colon_lam)
+    @classmethod
+    def of(cls, e: ValueIdeal) -> "Analysis":
+        return cls(_blowup_data(e))
 
-    r_colon_omega = s_ideal.colon(k)
-    bridge = r_colon_omega.contains(r_colon_lam)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Analysis):
+            return NotImplemented
+        return self.ideal == other.ideal
 
-    if not (a1 == a2 == a3 == a4 == a5 == a6):
-        raise EquivalenceViolation(
-            f"group A disagrees: {a1},{a2},{a3},{a4},{a5},{a6}")
-    if b1 != b2:
-        raise EquivalenceViolation(f"group B disagrees: {b1},{b2}")
-    if a1 != (b1 and bridge):
-        raise EquivalenceViolation("bridge rule between the groups failed")
-    return ConditionsReport(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, a6=a6,
-                            b1=b1, b2=b2, colon_inside_omega_dual=bridge)
+    def __hash__(self) -> int:
+        return hash(self.ideal)
 
+    def cross_check(self) -> None:
+        """The pair's internal checks: the degenerate-blow-up guard, the window
+        bookkeeping and the coherence of the condition groups."""
+        if self.lam == self.s_ideal:
+            raise DegenerateBlowup("the blow-up equals the semigroup itself")
+        if self.rho != self.delta - self.delta_lambda:
+            raise InvariantViolation("rho must equal genus minus the blow-up genus")
+        # window bookkeeping: R:Lambda below the conductor is exactly {s_(i-1) : i in Gamma}
+        if len(self.gamma_set) != length_between(self.r_colon_lambda, self.s.conductor_ideal()):
+            raise InvariantViolation("Gamma size disagrees with l(R:Lambda/gamma_R)")
+        if self.len_r_over_rcolon != self.n - len(self.gamma_set):
+            raise InvariantViolation("l(R/R:Lambda) must count small elements outside Gamma")
+        c = self.conditions
+        if not (c.a1 == c.a2 == c.a3 == c.a4 == c.a5 == c.a6):
+            raise EquivalenceViolation(
+                f"group A disagrees: {c.a1},{c.a2},{c.a3},{c.a4},{c.a5},{c.a6}")
+        if c.b1 != c.b2:
+            raise EquivalenceViolation(f"group B disagrees: {c.b1},{c.b2}")
+        if c.a1 != (c.b1 and c.colon_inside_omega_dual):
+            raise EquivalenceViolation("bridge rule between the groups failed")
 
-@dataclass(frozen=True)
-class BlowupReport:
-    """Full invariant bundle for one (semigroup, ideal) pair."""
+    def power(self, k: int) -> ValueIdeal:
+        """kE, kept in the pair's one list of powers."""
+        return _power_at(self.powers, self.ideal, k)
 
-    semigroup: NumericalSemigroup
-    ideal: ValueIdeal
-    h: HPolynomial
-    powers: tuple[ValueIdeal, ...]
-    lam: ValueIdeal
-    lam_bidual: ValueIdeal
-    omega_lambda: ValueIdeal
-    r_colon_lambda: ValueIdeal
-    c_lambda: int
-    delta_lambda: int
-    gamma_set: tuple[int, ...]
-    d: int
-    i0: int
-    h_symmetric: bool
-    conditions_a: bool
-    conditions_b: bool
-    r_colon_is_power: bool
-    conductor_in_power: bool
+    # ring-level data
+
+    @cached_property
+    def s_ideal(self) -> ValueIdeal:
+        return self.s.as_ideal()
+
+    @cached_property
+    def m_ideal(self) -> ValueIdeal:
+        return self.s.maximal_ideal()
+
+    @cached_property
+    def normalization(self) -> ValueIdeal:
+        return self.s.normalization()
+
+    @cached_property
+    def k(self) -> ValueIdeal:
+        return canonical_ideal(self.s)
+
+    @cached_property
+    def ts(self):
+        return type_sequence(self.s)
+
+    @cached_property
+    def ring_class(self):
+        return classify(self.s)
+
+    @property
+    def c(self) -> int:
+        return self.s.conductor
+
+    @property
+    def delta(self) -> int:
+        return self.s.genus
+
+    @property
+    def n(self) -> int:
+        return len(self.s.small_elements) - 1
+
+    @property
+    def r(self) -> int:
+        return self.ts.cm_type
+
+    @property
+    def mu(self) -> int:
+        return self.s.embedding_dimension
+
+    @cached_property
+    def dual_m(self) -> ValueIdeal:
+        return dual(self.m_ideal)
+
+    @cached_property
+    def r_colon_omega(self) -> ValueIdeal:
+        return dual(self.k)
+
+    # pair-level data
 
     @property
     def e(self) -> int:
-        return self.h.e
+        return self.ideal.min_element
+
+    @cached_property
+    def h(self) -> HPolynomial:
+        return HPolynomial.of(self)
+
+    @cached_property
+    def r_colon_lambda(self) -> ValueIdeal:
+        return self.s_ideal.colon(self.lam)
+
+    @cached_property
+    def lam_bidual(self) -> ValueIdeal:
+        return self.s_ideal.colon(self.r_colon_lambda)
+
+    @cached_property
+    def omega_lambda(self) -> ValueIdeal:
+        return self.k + self.lam
+
+    @cached_property
+    def k_colon_lambda(self) -> ValueIdeal:
+        return self.k.colon(self.lam)
 
     @property
-    def nu(self) -> int:
-        return self.h.nu
+    def c_lambda(self) -> int:
+        return self.lam.frontier
+
+    @cached_property
+    def delta_lambda(self) -> int:
+        return length_between(self.normalization, self.lam)
+
+    @cached_property
+    def gamma_set(self) -> tuple[int, ...]:
+        small = self.s.small_elements
+        return tuple(i for i in range(1, self.n + 1) if small[i - 1] in self.r_colon_lambda)
+
+    @cached_property
+    def d(self) -> int:
+        return self.len_rbar_over_bidual - self.sum_gamma
+
+    @cached_property
+    def i0(self) -> int:
+        return self.s.small_elements.index(self.r_colon_lambda.min_element)
+
+    @cached_property
+    def power_nu(self) -> ValueIdeal:
+        return self.power(self.nu)
+
+    @cached_property
+    def r_colon_is_power(self) -> bool:
+        return self.r_colon_lambda == self.power_nu
 
     @property
-    def rho(self) -> int:
-        return self.h.rho
+    def conductor_in_power(self) -> bool:
+        return self.power_nu.frontier <= self.c
 
-    def power(self, k: int) -> ValueIdeal:
-        if k < len(self.powers):
-            return self.powers[k]
-        result = self.powers[-1]
-        for _ in range(k - len(self.powers) + 1):
-            result = result + self.ideal
-        return result
+    @cached_property
+    def ideal_reflexive(self) -> bool:
+        return is_reflexive(self.ideal)
+
+    @property
+    def is_max_ideal(self) -> bool:
+        return self.ideal == self.m_ideal
+
+    @cached_property
+    def conditions(self) -> ConditionsReport:
+        """Every member of both groups, each evaluated on its own; cross_check
+        asserts that they cohere."""
+        k, lam, nu = self.k, self.lam, self.nu
+        return ConditionsReport(
+            a1=lam.contains(k),
+            a2=self.omega_lambda == lam,
+            a3=self.k_colon_lambda == self.r_colon_lambda,
+            a4=self._holds_a4(),
+            a5=(k + self.power_nu) == self.power_nu,
+            a6=any((k + self.power(n)) == self.power(n) for n in range(1, nu + 1)),
+            b1=lam == self.lam_bidual,
+            b2=self.k_colon_lambda == (k + self.r_colon_lambda),
+            colon_inside_omega_dual=self.r_colon_omega.contains(self.r_colon_lambda),
+        )
+
+    def _holds_a4(self) -> bool:
+        # A4 quantifies over all n >= nu; once the product minimum passes the
+        # conductor the condition is translation-stable, so the scan is finite.
+        for n in range(self.nu, self.nu + self.c + 3):
+            p = self.power(n)
+            if (p + self.k).intersect(self.s_ideal) != p:
+                return False
+            if p.min_element >= self.c:
+                return True
+        raise InvariantViolation("A4 scan failed to terminate")
+
+    @cached_property
+    def n_lambda(self) -> int:
+        return self.c_lambda - self.delta_lambda
+
+    @cached_property
+    def lambda_gorenstein(self) -> bool:
+        # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
+        return 2 * self.delta_lambda == self.c_lambda
+
+    @cached_property
+    def lam_is_normalization(self) -> bool:
+        return self.lam == self.normalization
+
+    @cached_property
+    def r_filter_i0(self) -> ValueIdeal:
+        small = self.s.small_elements
+        lo = small[self.i0]
+        return ValueIdeal(self.s, [x for x in small if lo <= x < self.c],
+                          self.c, validate=False)
+
+    @cached_property
+    def r_star_i0(self) -> ValueIdeal:
+        return dual(self.r_filter_i0)
+
+    # lengths, all validated for nesting by length_between
+
+    @cached_property
+    def len_rcolon_over_power_nu(self) -> int:
+        return length_between(self.r_colon_lambda, self.power_nu)
+
+    @cached_property
+    def len_bidual_over_lambda(self) -> int:
+        return length_between(self.lam_bidual, self.lam)
+
+    @cached_property
+    def len_omega_over_lambda(self) -> int:
+        return length_between(self.omega_lambda, self.lam)
+
+    @cached_property
+    def len_omega_over_bidual(self) -> int:
+        return length_between(self.omega_lambda, self.lam_bidual)
+
+    @cached_property
+    def len_r_over_rcolon(self) -> int:
+        return length_between(self.s_ideal, self.r_colon_lambda)
+
+    @cached_property
+    def len_r_over_power_nu(self) -> int:
+        return length_between(self.s_ideal, self.power_nu)
+
+    @cached_property
+    def len_rbar_over_omega(self) -> int:
+        return length_between(self.normalization, self.omega_lambda)
+
+    @cached_property
+    def len_rbar_over_bidual(self) -> int:
+        return length_between(self.normalization, self.lam_bidual)
+
+    @cached_property
+    def len_bidual_over_rstar(self) -> int:
+        return length_between(self.lam_bidual, self.r_star_i0)
+
+    @cached_property
+    def len_gammar_over_conductor_power(self) -> int:
+        hi = ValueIdeal(self.s, [], self.nu * self.e + self.c_lambda, validate=False)
+        return length_between(self.s.conductor_ideal(), hi)
+
+    @cached_property
+    def sum_gamma(self) -> int:
+        return sum(self.ts.entries[i - 1] for i in self.gamma_set)
+
+    @cached_property
+    def sum_not_gamma(self) -> int:
+        return self.delta - self.sum_gamma
+
+    @cached_property
+    def sum_not_gamma_excess(self) -> int:
+        """Sum of r_i - 1 over indices outside Gamma."""
+        return self.sum_not_gamma - (self.n - len(self.gamma_set))
 
 
-def analyze(e: ValueIdeal) -> BlowupReport:
-    """Compute the full blow-up bundle; raises DegenerateBlowup if Lambda = S."""
-    data = _blowup_data(e)
-    s = e.carrier
-    s_ideal = s.as_ideal()
-    if data.lam == s_ideal:
-        raise DegenerateBlowup("the blow-up equals the semigroup itself")
-    k = canonical_ideal(s)
-    ts = type_sequence(s)
-    lam = data.lam
-    r_colon_lam = s_ideal.colon(lam)
-    lam_bidual = s_ideal.colon(r_colon_lam)
-    omega_lam = k + lam
-    nn = s.normalization()
-    c_lambda = lam.frontier
-    delta_lambda = length_between(nn, lam)
-    if data.rho != s.genus - delta_lambda:
-        raise InvariantViolation("rho must equal genus minus the blow-up genus")
+BlowupReport = Analysis
 
-    small = s.small_elements
-    n = len(small) - 1
-    gamma = tuple(i for i in range(1, n + 1) if small[i - 1] in r_colon_lam)
-    d = length_between(nn, lam_bidual) - sum(ts.entries[i - 1] for i in gamma)
-    i0 = small.index(r_colon_lam.min_element)
 
-    # window bookkeeping: R:Lambda below the conductor is exactly {s_(i-1) : i in Gamma}
-    if len(gamma) != length_between(r_colon_lam, s.conductor_ideal()):
-        raise InvariantViolation("Gamma size disagrees with l(R:Lambda/gamma_R)")
-    if length_between(s_ideal, r_colon_lam) != n - len(gamma):
-        raise InvariantViolation("l(R/R:Lambda) must count small elements outside Gamma")
+def analyze(e: ValueIdeal) -> Analysis:
+    """The analysis of the pair; raises DegenerateBlowup if Lambda = S."""
+    return Analysis.of(e)
 
-    conds = check_conditions_a_b(e)
-    h = h_polynomial(e)
-    power_nu = data.powers[data.nu]
-    return BlowupReport(
-        semigroup=s,
-        ideal=e,
-        h=h,
-        powers=data.powers,
-        lam=lam,
-        lam_bidual=lam_bidual,
-        omega_lambda=omega_lam,
-        r_colon_lambda=r_colon_lam,
-        c_lambda=c_lambda,
-        delta_lambda=delta_lambda,
-        gamma_set=gamma,
-        d=d,
-        i0=i0,
-        h_symmetric=h.symmetric,
-        conditions_a=conds.holds_a,
-        conditions_b=conds.holds_b,
-        r_colon_is_power=(r_colon_lam == power_nu),
-        conductor_in_power=(power_nu.frontier <= s.conductor),
-    )
+
+def check_conditions_a_b(e: ValueIdeal) -> ConditionsReport:
+    """Both condition groups and the bridge; their coherence is asserted."""
+    return analyze(e).conditions

@@ -4,7 +4,7 @@ Verbs: analyze one (semigroup, ideal) pair, verify the statement catalog
 over an enumerated universe, enumerate semigroups by genus, or replay the
 stored worked examples.  Output is text or canonical JSON; both carry the
 same numbers.  Exit codes: 0 clean, 1 input grammar, 2 domain precondition,
-3 at least one failed check.
+3 at least one failed check or internal cross-check.
 """
 
 from __future__ import annotations
@@ -12,7 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import GrammarError, SgblowError, UnknownStatement
+from .blowup import Analysis
+from .errors import (
+    EquivalenceViolation,
+    GrammarError,
+    InvariantViolation,
+    SgblowError,
+    UnknownStatement,
+)
 from .fixtures import FIXTURES, evaluate_fixture
 from .invariants import classify, type_sequence
 from .parsing import (
@@ -22,12 +29,8 @@ from .parsing import (
     parse_semigroup,
 )
 from .report import analysis_document, dumps_document
-from .statements import Analysis, expand_statement_ids
+from .statements import expand_statement_ids
 from .suite import SuiteConfig, SuiteReport, run_suite
-
-
-def _class_label(doc_class: dict) -> str:
-    return doc_class["label"]
 
 
 def _fmt_set(elements: list, cofinite_from: int) -> str:
@@ -44,7 +47,7 @@ def _render_analysis_text(doc: dict) -> str:
         f"semigroup  {_fmt_set(s['small_elements'][:-1], s['c'])}"
         f"  = <{','.join(map(str, s['generators']))}>",
         f"  c = {s['c']}  delta = {s['delta']}"
-        f"  class = {_class_label(s['class'])} (type {s['class']['cm_type']})",
+        f"  class = {s['class']['label']} (type {s['class']['cm_type']})",
         f"  type sequence = {list(s['type_sequence'])}",
         f"ideal  {doc['input']['ideal'] or 'ideal'}"
         f"  generators = {list(ideal['generators'])}"
@@ -98,10 +101,6 @@ def _enumerate_rows(max_genus: int) -> list[dict]:
             ts_entries: list[int] = []
         else:
             ts_entries = list(type_sequence(s).entries)
-        label = ("gorenstein" if rc.gorenstein
-                 else "kunz" if rc.kunz
-                 else "almost_gorenstein" if rc.almost_gorenstein
-                 else "general")
         rows.append({
             "semigroup": format_semigroup(s),
             "generators": list(s.min_generators),
@@ -110,7 +109,7 @@ def _enumerate_rows(max_genus: int) -> list[dict]:
             "e": s.multiplicity,
             "mu": s.embedding_dimension,
             "cm_type": rc.cm_type,
-            "class": label,
+            "class": rc.label,
             "type_sequence": ts_entries,
         })
     return rows
@@ -281,6 +280,10 @@ def main(argv=None) -> int:
     except (GrammarError, UnknownStatement) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (InvariantViolation, EquivalenceViolation) as exc:
+        print(f"internal check failed (a bug): {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
     except SgblowError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

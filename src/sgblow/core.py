@@ -253,10 +253,6 @@ class ValueIdeal:
                     return (x, s)
         return (self.min_element, self.carrier.conductor)
 
-    def check_closure(self) -> bool:
-        """True iff E + S is contained in E (exact, finite check)."""
-        return self._closed_under_carrier()
-
     # -- construction helpers ----------------------------------------------
 
     @classmethod

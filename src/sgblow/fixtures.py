@@ -14,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .blowup import Analysis
 from .core import ValueIdeal
-from .invariants import dual, is_reflexive
+from .invariants import dual
 from .parsing import format_cofinite_set, parse_ideal, parse_semigroup
-from .statements import Analysis
 
 
 def _gamma_lambda_ideal(a: Analysis) -> ValueIdeal:
-    return ValueIdeal(a.s, [], a.report.c_lambda, validate=False)
+    return ValueIdeal(a.s, [], a.c_lambda, validate=False)
 
 
 def _fmt(e: ValueIdeal) -> str:
@@ -38,35 +38,35 @@ CHECKS: dict[str, Callable[[Analysis], object]] = {
     "ideal_genus": lambda a: a.rho,
     "e_nu": lambda a: a.e * a.nu,
     "blowup_set": lambda a: _fmt(a.lam),
-    "blowup_conductor": lambda a: a.report.c_lambda,
-    "blowup_genus": lambda a: a.report.delta_lambda,
-    "conductor_gap": lambda a: a.c - a.report.c_lambda,
+    "blowup_conductor": lambda a: a.c_lambda,
+    "blowup_genus": lambda a: a.delta_lambda,
+    "conductor_gap": lambda a: a.c - a.c_lambda,
     "small_gap_drop": lambda a: a.n - a.n_lambda,
-    "h_coefficients": lambda a: a.report.h.coefficients,
-    "h_symmetric": lambda a: a.report.h_symmetric,
+    "h_coefficients": lambda a: a.h.coefficients,
+    "h_symmetric": lambda a: a.h.symmetric,
     "type_sequence": lambda a: a.ts.entries,
     "almost_gorenstein": lambda a: a.ring_class.almost_gorenstein,
     "gorenstein": lambda a: a.ring_class.gorenstein,
     "lambda_gorenstein": lambda a: a.lambda_gorenstein,
     "lambda_reflexive": lambda a: a.conditions.b1,
-    "ideal_reflexive": lambda a: is_reflexive(a.ideal),
+    "ideal_reflexive": lambda a: a.ideal_reflexive,
     "blowup_is_normalization": lambda a: a.lam_is_normalization,
     "power_nu_set": lambda a: _fmt(a.power_nu),
     "power_colon_set": lambda a: _fmt(dual(a.power_nu)),
-    "colon_lambda_set": lambda a: _fmt(a.report.r_colon_lambda),
-    "colon_is_conductor": lambda a: a.report.r_colon_lambda == a.s.conductor_ideal(),
-    "colon_equals_power": lambda a: a.report.r_colon_is_power,
-    "colon_equals_square": lambda a: a.report.r_colon_lambda == a.report.power(2),
+    "colon_lambda_set": lambda a: _fmt(a.r_colon_lambda),
+    "colon_is_conductor": lambda a: a.r_colon_lambda == a.s.conductor_ideal(),
+    "colon_equals_power": lambda a: a.r_colon_is_power,
+    "colon_equals_square": lambda a: a.r_colon_lambda == a.power(2),
     "square_strictly_inside_colon":
-        lambda a: (a.report.r_colon_lambda.contains(a.report.power(2))
-                   and a.report.r_colon_lambda != a.report.power(2)),
+        lambda a: (a.r_colon_lambda.contains(a.power(2))
+                   and a.r_colon_lambda != a.power(2)),
     "blowup_from_square":
-        lambda a: a.lam == a.report.power(2).colon(a.report.power(2)),
+        lambda a: a.lam == a.power(2).colon(a.power(2)),
     "conductor_transitivity":
         lambda a: a.s.conductor_ideal()
-        == a.report.r_colon_lambda + _gamma_lambda_ideal(a),
+        == a.r_colon_lambda + _gamma_lambda_ideal(a),
     "colon_power_gap": lambda a: a.len_rcolon_over_power_nu,
-    "gamma_indices": lambda a: a.gamma,
+    "gamma_indices": lambda a: a.gamma_set,
     "gamma_sum": lambda a: a.sum_gamma,
     "defect": lambda a: a.d,
 }
@@ -286,34 +286,34 @@ NON_IMPLICATIONS: tuple[NonImplication, ...] = (
     NonImplication(
         "normalization_bound_without_extremal_gap", "f02", 0,
         lambda a: dual(a.power_nu).min_element >= 0,
-        lambda a: a.c - a.report.c_lambda != a.e * a.nu),
+        lambda a: a.c - a.c_lambda != a.e * a.nu),
     NonImplication(
         "conductor_transitivity_without_extremal_gap", "f03", 0,
         lambda a: a.s.conductor_ideal()
-        == a.report.r_colon_lambda + _gamma_lambda_ideal(a),
-        lambda a: a.c - a.report.c_lambda != a.e * a.nu),
+        == a.r_colon_lambda + _gamma_lambda_ideal(a),
+        lambda a: a.c - a.c_lambda != a.e * a.nu),
     NonImplication(
         "extremal_gap_without_colon_power", "f04", 0,
-        lambda a: a.c - a.report.c_lambda == a.e * a.nu,
-        lambda a: a.report.r_colon_lambda != a.power_nu),
+        lambda a: a.c - a.c_lambda == a.e * a.nu,
+        lambda a: not a.r_colon_is_power),
     NonImplication(
         "colon_power_without_zero_defect", "f05", 0,
-        lambda a: a.report.r_colon_lambda == a.power_nu,
+        lambda a: a.r_colon_is_power,
         lambda a: a.d != 0),
     NonImplication(
         "colon_gap_extremal_without_symmetric_h_gorenstein", "f06", 0,
         lambda a: a.len_rcolon_over_power_nu == a.r - 1,
-        lambda a: not a.report.h_symmetric),
+        lambda a: not a.h.symmetric),
     NonImplication(
         "colon_gap_extremal_without_symmetric_h_almost", "f07", 0,
         lambda a: a.len_rcolon_over_power_nu == a.r - 1,
-        lambda a: not a.report.h_symmetric),
+        lambda a: not a.h.symmetric),
     NonImplication(
         "halved_type_excess_without_nu_two", "f03", 0,
         lambda a: (a.ring_class.almost_gorenstein
                    and 2 * (a.e - a.mu - 1) == a.r - 1),
         lambda a: a.nu != 2
-        and a.report.r_colon_lambda != a.report.power(2)),
+        and a.r_colon_lambda != a.power(2)),
 )
 
 

@@ -109,6 +109,14 @@ class RingClass:
     kunz: bool
     cm_type: int
 
+    @property
+    def label(self) -> str:
+        """The most specific class: gorenstein, kunz, almost_gorenstein or general."""
+        return ("gorenstein" if self.gorenstein
+                else "kunz" if self.kunz
+                else "almost_gorenstein" if self.almost_gorenstein
+                else "general")
+
 
 @lru_cache(maxsize=4096)
 def classify(s: NumericalSemigroup) -> RingClass:

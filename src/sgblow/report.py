@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 
+from .blowup import Analysis
 from .core import NumericalSemigroup, ValueIdeal
-from .statements import Analysis, TheoremVerdict
+from .statements import TheoremVerdict
 
 
 def set_document(e: ValueIdeal) -> dict:
@@ -58,10 +59,6 @@ def analysis_document(a: Analysis,
                       ideal_text: str = "") -> dict:
     s = a.s
     rc = a.ring_class
-    label = ("gorenstein" if rc.gorenstein
-             else "kunz" if rc.kunz
-             else "almost_gorenstein" if rc.almost_gorenstein
-             else "general")
     doc = {
         "input": {"semigroup": semigroup_text, "ideal": ideal_text},
         "semigroup": {
@@ -71,7 +68,7 @@ def analysis_document(a: Analysis,
             "generators": list(s.min_generators),
             "type_sequence": list(a.ts.entries),
             "class": {
-                "label": label,
+                "label": rc.label,
                 "gorenstein": rc.gorenstein,
                 "almost_gorenstein": rc.almost_gorenstein,
                 "kunz": rc.kunz,
@@ -83,18 +80,18 @@ def analysis_document(a: Analysis,
             **set_document(a.ideal),
         },
         "hilbert": {
-            "H": list(a.report.h.hilbert),
-            "h": list(a.report.h.coefficients),
+            "H": list(a.hilbert),
+            "h": list(a.h.coefficients),
             "e": a.e,
             "nu": a.nu,
             "rho": a.rho,
         },
         "blowup": {
             "lambda_small_elements": list(a.lam.members),
-            "c_lambda": a.report.c_lambda,
-            "delta_lambda": a.report.delta_lambda,
-            "r_colon_lambda": set_document(a.report.r_colon_lambda),
-            "gamma_set": list(a.gamma),
+            "c_lambda": a.c_lambda,
+            "delta_lambda": a.delta_lambda,
+            "r_colon_lambda": set_document(a.r_colon_lambda),
+            "gamma_set": list(a.gamma_set),
             "d": a.d,
         },
         "verdicts": [verdict_document(v) for v in (verdicts or [])],

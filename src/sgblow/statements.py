@@ -12,211 +12,11 @@ A bare group id like "Thm4.7" expands to all of its parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .blowup import BlowupReport, analyze, check_conditions_a_b
-from .core import NumericalSemigroup, ValueIdeal, length_between
+from .blowup import Analysis
+from .core import ValueIdeal, length_between
 from .errors import InvariantViolation, UnknownStatement
-from .invariants import (
-    bidual,
-    canonical_ideal,
-    classify,
-    dual,
-    integral_closure,
-    is_reflexive,
-    omega_product,
-    type_sequence,
-)
-
-
-class Analysis:
-    """All quantities the catalog needs for one (semigroup, ideal) pair."""
-
-    def __init__(self, report: BlowupReport):
-        self.report = report
-        self.s = report.semigroup
-        self.ideal = report.ideal
-
-    @classmethod
-    def of(cls, e: ValueIdeal) -> "Analysis":
-        return cls(analyze(e))
-
-    # ring-level data
-
-    @cached_property
-    def s_ideal(self) -> ValueIdeal:
-        return self.s.as_ideal()
-
-    @cached_property
-    def m_ideal(self) -> ValueIdeal:
-        return self.s.maximal_ideal()
-
-    @cached_property
-    def normalization(self) -> ValueIdeal:
-        return self.s.normalization()
-
-    @cached_property
-    def k(self) -> ValueIdeal:
-        return canonical_ideal(self.s)
-
-    @cached_property
-    def ts(self):
-        return type_sequence(self.s)
-
-    @cached_property
-    def ring_class(self):
-        return classify(self.s)
-
-    @property
-    def c(self) -> int:
-        return self.s.conductor
-
-    @property
-    def delta(self) -> int:
-        return self.s.genus
-
-    @property
-    def n(self) -> int:
-        return len(self.s.small_elements) - 1
-
-    @property
-    def r(self) -> int:
-        return self.ts.cm_type
-
-    @property
-    def mu(self) -> int:
-        return self.s.embedding_dimension
-
-    @cached_property
-    def dual_m(self) -> ValueIdeal:
-        return dual(self.m_ideal)
-
-    @cached_property
-    def r_colon_omega(self) -> ValueIdeal:
-        return dual(self.k)
-
-    # pair-level data
-
-    @property
-    def e(self) -> int:
-        return self.report.e
-
-    @property
-    def nu(self) -> int:
-        return self.report.nu
-
-    @property
-    def rho(self) -> int:
-        return self.report.rho
-
-    @property
-    def lam(self) -> ValueIdeal:
-        return self.report.lam
-
-    @property
-    def d(self) -> int:
-        return self.report.d
-
-    @property
-    def i0(self) -> int:
-        return self.report.i0
-
-    @property
-    def gamma(self) -> tuple[int, ...]:
-        return self.report.gamma_set
-
-    @property
-    def is_max_ideal(self) -> bool:
-        return self.ideal == self.m_ideal
-
-    @cached_property
-    def conditions(self):
-        return check_conditions_a_b(self.ideal)
-
-    @cached_property
-    def power_nu(self) -> ValueIdeal:
-        return self.report.powers[self.nu]
-
-    @cached_property
-    def n_lambda(self) -> int:
-        return self.report.c_lambda - self.report.delta_lambda
-
-    @cached_property
-    def lambda_gorenstein(self) -> bool:
-        # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
-        return 2 * self.report.delta_lambda == self.report.c_lambda
-
-    @cached_property
-    def lam_is_normalization(self) -> bool:
-        return self.lam == self.normalization
-
-    @cached_property
-    def r_filter_i0(self) -> ValueIdeal:
-        small = self.s.small_elements
-        lo = small[self.i0]
-        return ValueIdeal(self.s, [x for x in small if lo <= x < self.c],
-                          self.c, validate=False)
-
-    @cached_property
-    def r_star_i0(self) -> ValueIdeal:
-        return dual(self.r_filter_i0)
-
-    # lengths, all validated for nesting by length_between
-
-    @cached_property
-    def len_rcolon_over_power_nu(self) -> int:
-        return length_between(self.report.r_colon_lambda, self.power_nu)
-
-    @cached_property
-    def len_bidual_over_lambda(self) -> int:
-        return length_between(self.report.lam_bidual, self.lam)
-
-    @cached_property
-    def len_omega_over_lambda(self) -> int:
-        return length_between(self.report.omega_lambda, self.lam)
-
-    @cached_property
-    def len_omega_over_bidual(self) -> int:
-        return length_between(self.report.omega_lambda, self.report.lam_bidual)
-
-    @cached_property
-    def len_r_over_rcolon(self) -> int:
-        return length_between(self.s_ideal, self.report.r_colon_lambda)
-
-    @cached_property
-    def len_r_over_power_nu(self) -> int:
-        return length_between(self.s_ideal, self.power_nu)
-
-    @cached_property
-    def len_rbar_over_omega(self) -> int:
-        return length_between(self.normalization, self.report.omega_lambda)
-
-    @cached_property
-    def len_rbar_over_bidual(self) -> int:
-        return length_between(self.normalization, self.report.lam_bidual)
-
-    @cached_property
-    def len_bidual_over_rstar(self) -> int:
-        return length_between(self.report.lam_bidual, self.r_star_i0)
-
-    @cached_property
-    def len_gammar_over_conductor_power(self) -> int:
-        hi = ValueIdeal(self.s, [], self.nu * self.e + self.report.c_lambda,
-                        validate=False)
-        return length_between(self.s.conductor_ideal(), hi)
-
-    @cached_property
-    def sum_gamma(self) -> int:
-        return sum(self.ts.entries[i - 1] for i in self.gamma)
-
-    @cached_property
-    def sum_not_gamma(self) -> int:
-        return self.delta - self.sum_gamma
-
-    @cached_property
-    def sum_not_gamma_excess(self) -> int:
-        """Sum of r_i - 1 over indices outside Gamma."""
-        return self.sum_not_gamma - (self.n - len(self.gamma))
+from .invariants import bidual, integral_closure, is_reflexive, omega_product
 
 
 @dataclass(frozen=True)
@@ -262,14 +62,14 @@ def _prop2_9(a: Analysis) -> TheoremVerdict:
 
 
 def _prop3_2_1(a: Analysis) -> TheoremVerdict:
-    return _verdict("Prop3.2.1", True, a.c - a.report.c_lambda <= a.e * a.nu,
-                    lhs=a.c - a.report.c_lambda, rhs=a.e * a.nu)
+    return _verdict("Prop3.2.1", True, a.c - a.c_lambda <= a.e * a.nu,
+                    lhs=a.c - a.c_lambda, rhs=a.e * a.nu)
 
 
 def _prop3_2_2(a: Analysis) -> TheoremVerdict:
     gap = a.n - a.n_lambda
-    mid = a.c - a.report.c_lambda - a.rho
-    diagram = a.power_nu.frontier == a.nu * a.e + a.report.c_lambda
+    mid = a.c - a.c_lambda - a.rho
+    diagram = a.power_nu.frontier == a.nu * a.e + a.c_lambda
     third = a.e * a.nu - a.rho - a.len_gammar_over_conductor_power
     ok = diagram and gap == mid and mid == third and gap <= a.len_r_over_power_nu
     return _verdict("Prop3.2.2", True, ok, lhs=gap, rhs=mid,
@@ -278,8 +78,8 @@ def _prop3_2_2(a: Analysis) -> TheoremVerdict:
 
 
 def _prop3_2_3(a: Analysis) -> TheoremVerdict:
-    p1 = a.c - a.report.c_lambda == a.e * a.nu
-    p2 = a.c == a.nu * a.e + a.report.c_lambda
+    p1 = a.c - a.c_lambda == a.e * a.nu
+    p2 = a.c == a.nu * a.e + a.c_lambda
     p3 = a.power_nu.frontier <= a.c
     p4 = a.n - a.n_lambda == a.len_r_over_power_nu
     ok = p1 == p2 == p3 == p4
@@ -295,12 +95,12 @@ def _rmk3_3_1(a: Analysis) -> TheoremVerdict:
 
 
 def _lemma3_4(a: Analysis) -> TheoremVerdict:
-    hyp = a.report.r_colon_lambda == a.power_nu
+    hyp = a.r_colon_is_power
     if not hyp:
         return _verdict("Lemma3.4", False)
-    ok = (a.c - a.report.c_lambda == a.e * a.nu) and a.conditions.b1
+    ok = (a.c - a.c_lambda == a.e * a.nu) and a.conditions.b1
     return _verdict("Lemma3.4", True, ok,
-                    lhs=a.c - a.report.c_lambda, rhs=a.e * a.nu,
+                    lhs=a.c - a.c_lambda, rhs=a.e * a.nu,
                     notes="colon equal to the power forces the extremal gap "
                           "and reflexivity of the blow-up")
 
@@ -314,10 +114,9 @@ def _prop3_5_1(a: Analysis) -> TheoremVerdict:
 
 def _prop3_5_2(a: Analysis) -> TheoremVerdict:
     p1 = 2 * a.rho == a.e * a.nu + (2 * a.delta - a.c)
-    p2 = a.lambda_gorenstein and a.c - a.report.c_lambda == a.e * a.nu
-    colon_is_power = a.report.r_colon_lambda == a.power_nu
-    p3 = colon_is_power and a.report.omega_lambda == a.lam
-    p4 = colon_is_power and a.r_colon_omega.contains(a.report.r_colon_lambda)
+    p2 = a.lambda_gorenstein and a.c - a.c_lambda == a.e * a.nu
+    p3 = a.r_colon_is_power and a.omega_lambda == a.lam
+    p4 = a.r_colon_is_power and a.r_colon_omega.contains(a.r_colon_lambda)
     ok = p1 == p2 == p3 == p4
     return _verdict("Prop3.5.2", True, ok, lhs=(p1, p2, p3, p4))
 
@@ -327,7 +126,7 @@ def _prop3_5_2(a: Analysis) -> TheoremVerdict:
 
 def _prop4_2(a: Analysis) -> TheoremVerdict:
     ok = (a.len_rbar_over_omega <= a.sum_gamma <= a.len_rbar_over_bidual
-          and len(a.gamma) == a.len_rbar_over_omega)
+          and len(a.gamma_set) == a.len_rbar_over_omega)
     return _verdict("Prop4.2", True, ok,
                     lhs=(a.len_rbar_over_omega, a.sum_gamma,
                          a.len_rbar_over_bidual),
@@ -336,13 +135,13 @@ def _prop4_2(a: Analysis) -> TheoremVerdict:
 
 
 def _prop4_3_1(a: Analysis) -> TheoremVerdict:
-    rhs = a.len_omega_over_bidual - (a.sum_gamma - len(a.gamma))
+    rhs = a.len_omega_over_bidual - (a.sum_gamma - len(a.gamma_set))
     return _verdict("Prop4.3.1", True, a.d == rhs, lhs=a.d, rhs=rhs)
 
 
 def _prop4_3_2(a: Analysis) -> TheoremVerdict:
-    hyp = a.report.lam_bidual.contains(a.k)
-    alt = a.r_colon_omega.contains(a.report.r_colon_lambda)
+    hyp = a.lam_bidual.contains(a.k)
+    alt = a.r_colon_omega.contains(a.r_colon_lambda)
     if hyp != alt:
         raise InvariantViolation("the two hypothesis forms must agree")
     if not hyp:
@@ -352,14 +151,14 @@ def _prop4_3_2(a: Analysis) -> TheoremVerdict:
 
 def _prop4_3_3(a: Analysis) -> TheoremVerdict:
     tail = sum(a.ts.entries[i - 1] for i in range(a.i0 + 1, a.n + 1)
-               if i not in a.gamma)
+               if i not in a.gamma_set)
     rhs = tail - a.len_bidual_over_rstar
     return _verdict("Prop4.3.3", True, a.d == rhs, lhs=a.d, rhs=rhs)
 
 
 def _prop4_3_4(a: Analysis) -> TheoremVerdict:
-    closed = integral_closure(a.report.r_colon_lambda) == a.report.r_colon_lambda
-    if closed != (a.report.r_colon_lambda == a.r_filter_i0):
+    closed = integral_closure(a.r_colon_lambda) == a.r_colon_lambda
+    if closed != (a.r_colon_lambda == a.r_filter_i0):
         raise InvariantViolation("integral closedness of the colon must mean "
                                  "it is a full value filter")
     if not closed:
@@ -384,7 +183,7 @@ def _thm4_4_2(a: Analysis) -> TheoremVerdict:
 def _rmk4_5(a: Analysis) -> TheoremVerdict:
     extremal = a.rho == a.r * a.len_r_over_rcolon
     flat = all(a.ts.entries[i - 1] == a.r for i in range(1, a.n + 1)
-               if i not in a.gamma)
+               if i not in a.gamma_set)
     rhs = flat and a.conditions.b1 and a.d == 0
     return _verdict("Rmk4.5", True, extremal == rhs, lhs=extremal, rhs=rhs)
 
@@ -396,7 +195,7 @@ def _cor4_6_1(a: Analysis) -> TheoremVerdict:
 
 
 def _cor4_6_2(a: Analysis) -> TheoremVerdict:
-    if not a.report.h_symmetric:
+    if not a.h.symmetric:
         return _verdict("Cor4.6.2", False)
     lhs = 2 * a.r * a.len_rcolon_over_power_nu
     rhs = (a.r - 1) * a.e * a.nu
@@ -412,7 +211,7 @@ def _thm4_7_1(a: Analysis) -> TheoremVerdict:
 
 def _thm4_7_2(a: Analysis) -> TheoremVerdict:
     flat = 2 * a.rho == a.e * a.nu + a.sum_not_gamma_excess
-    tight = a.report.r_colon_lambda == a.power_nu and a.d == 0
+    tight = a.r_colon_is_power and a.d == 0
     return _verdict("Thm4.7.2", True, flat == tight, lhs=flat, rhs=tight)
 
 
@@ -432,7 +231,7 @@ def _prop5_1(a: Analysis) -> TheoremVerdict:
 def _cor5_2(a: Analysis) -> TheoremVerdict:
     if not a.ring_class.almost_gorenstein:
         return _verdict("Cor5.2", False)
-    first = a.report.lam_bidual == a.report.omega_lambda and a.d == 0
+    first = a.lam_bidual == a.omega_lambda and a.d == 0
     rhs = a.r - 1 + a.len_r_over_rcolon - a.len_bidual_over_lambda
     ok = first and a.rho == rhs
     return _verdict("Cor5.2", True, ok, lhs=a.rho, rhs=rhs)
@@ -451,9 +250,9 @@ def _thm5_3_2(a: Analysis) -> TheoremVerdict:
     if not a.ring_class.almost_gorenstein:
         return _verdict("Thm5.3.2", False)
     p1 = 2 * a.rho == a.e * a.nu + a.r - 1
-    p2 = a.lambda_gorenstein and a.c - a.report.c_lambda == a.e * a.nu
-    p3 = a.report.r_colon_lambda == a.power_nu
-    p4 = a.k.colon(a.lam) == a.power_nu
+    p2 = a.lambda_gorenstein and a.c - a.c_lambda == a.e * a.nu
+    p3 = a.r_colon_is_power
+    p4 = a.k_colon_lambda == a.power_nu
     ok = (p1 == p2 == p3 == p4) and (not p1 or a.conditions.a1)
     return _verdict("Thm5.3.2", True, ok, lhs=(p1, p2, p3, p4),
                     notes="when the conditions hold, the canonical ideal "
@@ -461,7 +260,7 @@ def _thm5_3_2(a: Analysis) -> TheoremVerdict:
 
 
 def _cor5_4(a: Analysis) -> TheoremVerdict:
-    hyp = a.ring_class.almost_gorenstein and a.report.h_symmetric
+    hyp = a.ring_class.almost_gorenstein and a.h.symmetric
     if not hyp:
         return _verdict("Cor5.4", False)
     gap = a.len_rcolon_over_power_nu
@@ -470,11 +269,11 @@ def _cor5_4(a: Analysis) -> TheoremVerdict:
 
 
 def _cor5_5(a: Analysis) -> TheoremVerdict:
-    hyp = a.ring_class.gorenstein and a.report.h_symmetric
+    hyp = a.ring_class.gorenstein and a.h.symmetric
     if not hyp:
         return _verdict("Cor5.5", False)
     ok = (2 * a.rho == a.e * a.nu + a.r - 1
-          and a.report.r_colon_lambda == a.power_nu)
+          and a.r_colon_is_power)
     return _verdict("Cor5.5", True, ok, lhs=2 * a.rho,
                     rhs=a.e * a.nu + a.r - 1)
 
@@ -493,7 +292,7 @@ def _cor5_6(a: Analysis) -> TheoremVerdict:
 def _rmk5_8(a: Analysis) -> TheoremVerdict:
     if not a.ring_class.almost_gorenstein:
         return _verdict("Rmk5.8", False)
-    refl = is_reflexive(a.ideal)
+    refl = a.ideal_reflexive
     rhs = a.ideal.colon(a.ideal).contains(a.dual_m)
     return _verdict("Rmk5.8", True, refl == rhs, lhs=refl, rhs=rhs)
 
@@ -502,7 +301,7 @@ def _thm5_9_1(a: Analysis) -> TheoremVerdict:
     if not a.ring_class.almost_gorenstein:
         return _verdict("Thm5.9.1", False)
     c1 = a.lam.contains(a.dual_m)
-    window = [is_reflexive(a.report.power(n)) for n in range(a.nu, a.nu + 3)]
+    window = [is_reflexive(a.power(n)) for n in range(a.nu, a.nu + 3)]
     c2 = window[0]
     c3 = all(window)
     c4 = any(window)
@@ -514,7 +313,7 @@ def _thm5_9_1(a: Analysis) -> TheoremVerdict:
 
 
 def _thm5_9_2(a: Analysis) -> TheoremVerdict:
-    hyp = a.ring_class.almost_gorenstein and is_reflexive(a.ideal)
+    hyp = a.ring_class.almost_gorenstein and a.ideal_reflexive
     if not hyp:
         return _verdict("Thm5.9.2", False)
     ok = (a.conditions.a1 and a.conditions.b1
@@ -529,7 +328,7 @@ def _rmk6_1(a: Analysis) -> TheoremVerdict:
     if not a.is_max_ideal:
         return _verdict("Rmk6.1", False)
     shifted_dual = a.dual_m.shift(a.e)
-    rhs = (length_between(shifted_dual, a.report.r_colon_lambda)
+    rhs = (length_between(shifted_dual, a.r_colon_lambda)
            + (a.e - a.r))
     ok = a.len_r_over_rcolon == rhs
     if a.ring_class.almost_gorenstein:
@@ -560,7 +359,7 @@ def _lemma6_4_3(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.r == a.e - 2
     if not hyp:
         return _verdict("Lemma6.4.3", False)
-    cube = a.report.power(3)
+    cube = a.power(3)
     ok = a.m_ideal.shift(a.e).contains(cube)
     return _verdict("Lemma6.4.3", True, ok,
                     notes="the cube of the maximal ideal falls into its "
@@ -578,7 +377,7 @@ def _prop6_5_2(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.e == a.mu + 1
     if not hyp:
         return _verdict("Prop6.5.2", False)
-    gap = length_between(a.dual_m.shift(a.e), a.report.r_colon_lambda)
+    gap = length_between(a.dual_m.shift(a.e), a.r_colon_lambda)
     return _verdict("Prop6.5.2", True, gap == 1, lhs=gap, rhs=1)
 
 
@@ -595,7 +394,7 @@ def _cor6_7_1(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.e == a.mu + 1
     if not hyp:
         return _verdict("Cor6.7.1", False)
-    lhs = a.report.r_colon_lambda == a.power_nu
+    lhs = a.r_colon_is_power
     rhs = a.ring_class.gorenstein and a.nu == 2
     return _verdict("Cor6.7.1", True, lhs == rhs, lhs=lhs, rhs=rhs)
 
@@ -605,7 +404,7 @@ def _cor6_7_2(a: Analysis) -> TheoremVerdict:
     if not hyp:
         return _verdict("Cor6.7.2", False)
     lhs = sum(a.ts.entries[i - 1] - 1 for i in range(2, a.n + 1)
-              if i not in a.gamma)
+              if i not in a.gamma_set)
     rhs = a.d + a.len_bidual_over_lambda + (a.nu - 2)
     return _verdict("Cor6.7.2", True, lhs == rhs, lhs=lhs, rhs=rhs)
 
@@ -614,7 +413,7 @@ def _cor6_7_3(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.e == a.mu + 1
     if not hyp:
         return _verdict("Cor6.7.3", False)
-    rhs = a.nu == 2 and a.report.omega_lambda == a.lam
+    rhs = a.nu == 2 and a.omega_lambda == a.lam
     return _verdict("Cor6.7.3", True,
                     a.ring_class.almost_gorenstein == rhs,
                     lhs=a.ring_class.almost_gorenstein, rhs=rhs)
@@ -623,7 +422,7 @@ def _cor6_7_3(a: Analysis) -> TheoremVerdict:
 def _cor6_7u(a: Analysis) -> TheoremVerdict:
     if not a.is_max_ideal:
         return _verdict("Cor6.7u", False)
-    lhs = a.r == a.e - 2 and a.report.r_colon_lambda == a.power_nu
+    lhs = a.r == a.e - 2 and a.r_colon_is_power
     rhs = a.ring_class.gorenstein and a.e == 3
     return _verdict("Cor6.7u", True, lhs == rhs, lhs=lhs, rhs=rhs)
 
@@ -654,7 +453,7 @@ def _prop6_9_2(a: Analysis) -> TheoremVerdict:
     rhs = (a.r - 1) - a.len_rcolon_over_power_nu
     ok = lhs == rhs
     if a.ring_class.gorenstein:
-        ok = ok and a.e == a.mu + 1 and a.report.r_colon_is_power
+        ok = ok and a.e == a.mu + 1 and a.r_colon_is_power
     if a.ring_class.kunz:
         ok = ok and a.e == a.mu + 1 and a.len_rcolon_over_power_nu == 1
     return _verdict("Prop6.9.2", True, ok, lhs=lhs, rhs=rhs,
@@ -666,8 +465,8 @@ def _cor6_10(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.ring_class.gorenstein
     if not hyp:
         return _verdict("Cor6.10", False)
-    square = a.report.power(2)
-    forms = (a.e == a.mu + 1, a.nu == 2, a.report.r_colon_lambda == square)
+    square = a.power(2)
+    forms = (a.e == a.mu + 1, a.nu == 2, a.r_colon_lambda == square)
     ok = len(set(forms)) == 1
     return _verdict("Cor6.10", True, ok, lhs=forms,
                     notes="the colon is compared against the literal square, "
@@ -677,7 +476,7 @@ def _cor6_10(a: Analysis) -> TheoremVerdict:
 def _prop6_11(a: Analysis) -> TheoremVerdict:
     if not a.is_max_ideal:
         return _verdict("Prop6.11", False)
-    square = a.report.power(2)
+    square = a.power(2)
     lhs = a.s.conductor_ideal() == square
     rhs = (a.lam_is_normalization
            and 2 * (a.e - a.mu - 1) == 2 * a.delta - a.c
@@ -689,7 +488,7 @@ def _prop6_13_1(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.nu == 3 and a.r == 2
     if not hyp:
         return _verdict("Prop6.13.1", False)
-    hilbert2 = length_between(a.report.power(2), a.report.power(3))
+    hilbert2 = length_between(a.power(2), a.power(3))
     lhs = 3 * (a.e - a.mu - 1) + 2 * a.len_rcolon_over_power_nu
     rhs = 3 * hilbert2
     return _verdict("Prop6.13.1", True, lhs <= rhs, lhs=lhs, rhs=rhs,
@@ -698,7 +497,7 @@ def _prop6_13_1(a: Analysis) -> TheoremVerdict:
 
 
 def _prop6_13_2(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.nu == 3 and a.report.h_symmetric
+    hyp = a.is_max_ideal and a.nu == 3 and a.h.symmetric
     if not hyp:
         return _verdict("Prop6.13.2", False)
     lhs = a.r * a.len_rcolon_over_power_nu
@@ -712,8 +511,8 @@ def _prop6_13_3(a: Analysis) -> TheoremVerdict:
     if not hyp:
         return _verdict("Prop6.13.3", False)
     rhs = (a.len_rcolon_over_power_nu == a.r - 1 and a.e == 2 * a.mu)
-    return _verdict("Prop6.13.3", True, a.report.h_symmetric == rhs,
-                    lhs=a.report.h_symmetric, rhs=rhs)
+    return _verdict("Prop6.13.3", True, a.h.symmetric == rhs,
+                    lhs=a.h.symmetric, rhs=rhs)
 
 
 def _cor6_14(a: Analysis) -> TheoremVerdict:
@@ -721,7 +520,7 @@ def _cor6_14(a: Analysis) -> TheoremVerdict:
            and a.e == 2 * a.mu)
     if not hyp:
         return _verdict("Cor6.14", False)
-    lhs = a.report.r_colon_is_power
+    lhs = a.r_colon_is_power
     rhs = 2 * a.rho == 2 * a.nu * a.mu + a.r - 1
     return _verdict("Cor6.14", True, lhs == rhs, lhs=lhs, rhs=rhs)
 

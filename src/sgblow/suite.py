@@ -20,7 +20,12 @@ from .enumeration import (
     enumerate_semigroups,
     sample_ideals,
 )
-from .errors import DegenerateBlowup
+from .errors import (
+    DegenerateBlowup,
+    EquivalenceViolation,
+    InvariantViolation,
+    SgblowError,
+)
 from .parsing import format_ideal, format_semigroup, parse_semigroup
 from .report import jsonable
 from .statements import catalog_ids, expand_statement_ids, verify_many
@@ -41,7 +46,11 @@ class SuiteConfig:
     def resolved_jobs(self) -> int:
         if self.jobs > 0:
             return self.jobs
-        return max(1, int(os.environ.get("SGBLOW_JOBS", "1")))
+        raw = os.environ.get("SGBLOW_JOBS", "1")
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise SgblowError(f"SGBLOW_JOBS must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -134,6 +143,15 @@ def _suite_task(args: tuple[str, SuiteConfig, tuple[str, ...]]) -> dict:
             verdicts = verify_many(ideal, ids)
         except DegenerateBlowup:
             out["degenerate"].append({"semigroup": text, "ideal": ideal_text})
+            continue
+        except (InvariantViolation, EquivalenceViolation) as exc:
+            # a failed internal check is a bug on this pair; record it and go on
+            out["failed"] += 1
+            out["failures"].append({
+                "semigroup": text, "ideal": ideal_text,
+                "statement_id": type(exc).__name__,
+                "lhs": None, "rhs": None, "witness": None, "notes": str(exc),
+            })
             continue
         out["pairs"] += 1
         for v in verdicts:

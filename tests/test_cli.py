@@ -6,7 +6,9 @@ import re
 import pytest
 
 import sgblow.fixtures as fixtures
+from sgblow.blowup import Analysis
 from sgblow.cli import main
+from sgblow.errors import EquivalenceViolation, InvariantViolation
 from sgblow.report import loads_document
 
 GENS = "<10,12,95,97>"
@@ -127,3 +129,52 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert code == code2 == 0
     assert out2 == ""
     assert target.read_text() == out
+
+
+def test_non_integer_jobs_variable_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("SGBLOW_JOBS", "two")
+    code, out, err = run(capsys, "verify", "--max-genus", "2")
+    assert code == 2
+    assert out == ""
+    assert "SGBLOW_JOBS" in err and "'two'" in err
+
+
+def plant(monkeypatch, error, genus):
+    """Make the pair cross-check raise `error` on every semigroup of a genus."""
+    original = Analysis.cross_check
+
+    def planted(self):
+        if self.s.genus == genus:
+            raise error("planted")
+        original(self)
+
+    monkeypatch.setattr(Analysis, "cross_check", planted)
+
+
+def test_internal_check_failure_is_recorded_on_its_pair(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "--max-genus", "3", "--jobs", "1",
+                       "--format", "json")
+    clean = json.loads(out)["totals"]
+    plant(monkeypatch, InvariantViolation, 2)
+    code, out, _ = run(capsys, "verify", "--max-genus", "3", "--jobs", "1",
+                       "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["failures"] == [
+        {"semigroup": text, "ideal": "m", "statement_id": "InvariantViolation",
+         "lhs": None, "rhs": None, "witness": None, "notes": "planted"}
+        for text in ("{0,3->}", "{0,2,4->}")]
+    # the run went on past the planted pairs
+    assert doc["totals"]["failed"] == 2
+    assert doc["totals"]["pairs"] == clean["pairs"] - 2
+    assert doc["totals"]["checked"] == clean["checked"] - 100
+
+
+def test_internal_check_failure_on_analyze_exits_three(capsys, monkeypatch):
+    plant(monkeypatch, EquivalenceViolation, 3)
+    code, out, err = run(capsys, "analyze", "<3,4,5>")
+    assert code == 0
+    code, out, err = run(capsys, "analyze", "<3,4>")
+    assert code == 3
+    assert out == ""
+    assert "EquivalenceViolation: planted" in err

@@ -38,7 +38,7 @@ def test_single_fixture_rows_carry_both_sides():
 def test_blowup_can_reach_the_normalization():
     a = analysis_for("f03")
     assert a.lam_is_normalization
-    assert a.report.nu == 4
+    assert a.nu == 4
 
 
 def test_non_implications_cover_their_witnesses():

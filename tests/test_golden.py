@@ -1,0 +1,35 @@
+"""Canonical CLI output pinned by SHA-256 digest.
+
+The canonical text and JSON forms are a stable contract, so any change to
+a report's bytes fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from sgblow.cli import main
+from sgblow.statements import catalog_ids
+
+ALL_IDS = ",".join(catalog_ids())
+
+GOLDEN = [
+    (["verify", "--max-genus", "8", "--format", "json"],
+     "0c724dcd56593b5aaf647855f6470b6d6395e583ae379536d83be1016f14db7e"),
+    (["verify", "--max-genus", "4", "--ideals", "all", "--format", "json"],
+     "8e8427c32b0ff4d05783f508008b949cb8a4a703fb0642434707541c505ed0f5"),
+    (["analyze", "<10,23,55,58,82>", "--statements", ALL_IDS, "--format", "json"],
+     "b1eef8a18f7523492b8c3470c64eb73e74173943b507aeb34bac077a22fae33d"),
+    (["analyze", "{0,7,8,12-16,18->}", "--ideal", "ideal(12,13)",
+      "--statements", ALL_IDS, "--format", "json"],
+     "f211f5955510041a1d82c323f204945a61960f9e89ffab0b1f2b3aa5be5bfacf"),
+    (["examples", "--format", "json"],
+     "5f8d12774f417ace0cd30d9d4579643e1ab22a95d20af60f596e1fba12d87c56"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
+def test_canonical_output_is_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sgblow.blowup import Analysis, ConditionsReport, analyze
 from sgblow.core import NumericalSemigroup
 from sgblow.enumeration import enumerate_semigroups
 from sgblow.errors import UnknownStatement
@@ -14,6 +15,8 @@ from sgblow.statements import (
     verify_many,
     verify_statement,
 )
+
+from test_blowup import IDEAL_ZOO, pair
 
 
 def test_catalog_is_complete_and_ordered():
@@ -65,7 +68,7 @@ def test_vacuous_statements_report_cleanly():
 
 def test_defect_identity_on_a_positive_defect_case():
     a = analysis_for("f05")
-    assert a.report.d == 2
+    assert a.d == 2
     v = verify_statement("Thm4.7.1", a.ideal)
     assert v.status == "held"
     assert v.lhs == v.rhs
@@ -106,3 +109,30 @@ def test_no_failures_on_a_small_exhaustive_sweep():
         for v in verify_many(s.maximal_ideal()):
             assert v.status in ("held", "vacuous"), \
                 f"{v.statement_id} failed on {s.small_elements}"
+
+
+def test_one_pair_builds_its_conditions_once(monkeypatch):
+    built = []
+    original = ConditionsReport.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConditionsReport, "__init__", counting)
+    m = NumericalSemigroup.from_generators([10, 23, 55, 58, 82]).maximal_ideal()
+    verify_many(m)
+    assert len(built) == 1
+
+
+def test_an_analysis_rebuilt_from_an_analysis_agrees():
+    def verdicts(a):
+        return [(v.statement_id, v.status, v.lhs, v.rhs)
+                for v in (STATEMENTS[sid](a) for sid in catalog_ids())]
+
+    for gens, ideal_gens in IDEAL_ZOO:
+        _, e = pair(gens, ideal_gens)
+        fresh = Analysis.of(e)
+        rebuilt = Analysis(analyze(e))
+        assert rebuilt == fresh
+        assert verdicts(rebuilt) == verdicts(fresh), (gens, ideal_gens)
