@@ -11,14 +11,14 @@ semigroup generated by S together with E shifted down by its minimum.  Both
 routes must agree; disagreement raises InvariantViolation.
 
 Analysis is the one object per (semigroup, ideal) pair.  It starts from the
-cached kernel of _blowup_data and derives every other quantity lazily, each
-at most once; its constructor runs the pair's cross-checks.
+kernel that _blowup_data computes and derives every other quantity lazily,
+each at most once; its constructor runs the pair's cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .core import NumericalSemigroup, ValueIdeal, length_between
 from .errors import (
@@ -91,7 +91,6 @@ def _check_proper(e: ValueIdeal) -> None:
         raise PrincipalIdeal(f"ideal generated by {e.min_element} alone is principal")
 
 
-@lru_cache(maxsize=2048)
 def _blowup_data(e_ideal: ValueIdeal) -> _BlowupData:
     _check_proper(e_ideal)
     s = e_ideal.carrier

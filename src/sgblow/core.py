@@ -3,10 +3,14 @@
 A numerical semigroup S is a subset of the natural numbers containing 0,
 closed under addition, with finite complement.  A relative ideal over S
 (ValueIdeal) is a set E of integers with E + S contained in E, bounded below
-and cofinite above.  Both are stored canonically as the finite window below
-a frontier plus "everything from the frontier on", so membership, sums,
-colon quotients, intersections and lengths are all exact and cost
-O(window**2) at worst.
+and cofinite above.  Both are stored canonically as one Python int bitmask
+over the finite window below a frontier plus "everything from the frontier
+on": bit i of a semigroup's mask is the member i below the conductor, and
+bit i of an ideal's mask is the member min_element + i below its frontier.
+A sum is an OR of shifted masks, a colon quotient an AND of shifted masks
+(computed as the complement of an OR of shifted gap masks), intersection,
+containment and equality are single mask operations, and a length is a bit
+count, so an operation costs O(window * set bits / word size) at worst.
 
 Lengths of quotients of monomial modules equal gap counts between value
 sets, which is why plain counting on windows computes true module lengths.
@@ -27,49 +31,78 @@ from .errors import (
 )
 
 
-def _minimal_generators(member_set: frozenset[int], conductor: int, multiplicity: int) -> tuple[int, ...]:
-    """Positive elements that are not sums of two positive elements.
+def _ones(n: int) -> int:
+    """The mask of bits 0..n-1."""
+    return (1 << n) - 1 if n > 0 else 0
 
-    Every minimal generator is < conductor + multiplicity, so the scan window
-    is finite.  The semigroup N is handled by the caller.
+
+def _positions(bits: int, base: int = 0) -> tuple[int, ...]:
+    """base + i for every set bit i of a non-negative mask, ascending."""
+    # bin() reversed and cut before its "0b" prefix lists bit 0 first
+    return tuple(base + i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1")
+
+
+def _mask(values: Iterable[int], base: int) -> int:
+    bits = 0
+    for x in values:
+        bits |= 1 << (x - base)
+    return bits
+
+
+def _canonical(base: int, bits: int, frontier: int) -> tuple[int, int, int]:
+    """The canonical (min_element, bits, frontier) of the set that holds
+    base + i for the set bits i of bits below frontier, and all from frontier on.
+
+    The run of members just below the frontier joins the tail, and the zeros
+    below the least member are dropped.
     """
-
-    def mem(x: int) -> bool:
-        return x >= conductor or x in member_set
-
-    gens = []
-    for x in range(1, conductor + multiplicity):
-        if not mem(x):
-            continue
-        decomposable = any(mem(y) and mem(x - y) for y in range(multiplicity, x - multiplicity + 1))
-        if not decomposable:
-            gens.append(x)
-    return tuple(gens)
+    width = frontier - base
+    if width <= 0:
+        return frontier, 0, frontier
+    width = (~bits & _ones(width)).bit_length()
+    bits &= _ones(width)
+    frontier = base + width
+    if not bits:
+        return frontier, 0, frontier
+    low = (bits & -bits).bit_length() - 1
+    return base + low, bits >> low, frontier
 
 
 class NumericalSemigroup:
     """A numerical semigroup in canonical form.
 
-    small_elements lists S up to and including the conductor c; everything
-    from c on is a member.  Instances are immutable and hashable.
+    bits holds the members below the conductor c; everything from c on is a
+    member.  small_elements lists S up to and including c.  Instances are
+    immutable and hashable.
     """
+
+    __slots__ = ("bits", "conductor", "genus", "min_generators")
 
     def __init__(self, small_elements: tuple[int, ...], conductor: int, genus: int,
                  min_generators: tuple[int, ...]):
-        self.small_elements = small_elements
+        self.bits = _mask((x for x in small_elements if x < conductor), 0)
         self.conductor = conductor
         self.genus = genus
         self.min_generators = min_generators
-        self._member_set = frozenset(small_elements)
         # canonical form sanity: conductor is the least element with a full tail
-        if conductor > 0 and (conductor - 1) in self._member_set:
+        if conductor > 0 and (conductor - 1) in self:
             raise AssertionError("non-canonical conductor")
 
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _of_mask(cls, bits: int, conductor: int) -> "NumericalSemigroup":
+        """The semigroup with members bits below a canonical conductor."""
+        s = cls.__new__(cls)
+        s.bits = bits
+        s.conductor = conductor
+        s.genus = conductor - bits.bit_count()
+        s.min_generators = s.maximal_ideal().minimal_generators()
+        return s
+
+    @classmethod
     def natural_numbers(cls) -> "NumericalSemigroup":
-        return cls((0,), 0, 0, (1,))
+        return cls._of_mask(0, 0)
 
     @classmethod
     def from_generators(cls, generators: Iterable[int]) -> "NumericalSemigroup":
@@ -81,38 +114,18 @@ class NumericalSemigroup:
             raise EmptyGenerators(f"generators must be positive, got {gens[0]}")
         if math.gcd(*gens) != 1:
             raise NotCofinite(f"gcd of generators is {math.gcd(*gens)}, complement is infinite")
-        if gens[0] == 1:
-            return cls.natural_numbers()
-        e = gens[0]
-        bound = gens[0] * gens[-1] + 1
-        while True:
-            member = bytearray(bound + 1)
-            member[0] = 1
-            for x in range(bound + 1):
-                if member[x]:
-                    for g in gens:
-                        if x + g <= bound:
-                            member[x + g] = 1
-            # a run of e consecutive members proves the tail is full from there
-            run = 0
-            tail_start = None
-            for x in range(bound + 1):
-                run = run + 1 if member[x] else 0
-                if run == e:
-                    tail_start = x - e + 1
-                    break
-            if tail_start is not None:
-                break
-            bound *= 2
-        conductor = 0
-        for x in range(tail_start - 1, -1, -1):
-            if not member[x]:
-                conductor = x + 1
-                break
-        small = tuple(x for x in range(conductor + 1) if member[x] or x == conductor)
-        genus = conductor - (len(small) - 1)
-        mingens = _minimal_generators(frozenset(small), conductor, e)
-        return cls(small, conductor, genus, mingens)
+        # Schur's bound c <= (min - 1)(max - 1) keeps the conductor inside the window
+        bound = gens[0] * gens[-1]
+        window = _ones(bound)
+        member = 1
+        for g in gens:
+            # adding g, 2g, 4g, ... closes the members under multiples of g
+            step = g
+            while step < bound:
+                member = (member | (member << step)) & window
+                step *= 2
+        conductor = (~member & window).bit_length()
+        return cls._of_mask(member & _ones(conductor), conductor)
 
     @classmethod
     def from_explicit(cls, members: Iterable[int], arrow_from: int) -> "NumericalSemigroup":
@@ -125,38 +138,30 @@ class NumericalSemigroup:
             raise ZeroMissing("0 must be a member")
         if mem and max(mem) > arrow:
             raise NotCofinite(f"member {max(mem)} lies beyond the tail start {arrow}")
-
-        def in_s(x: int) -> bool:
-            return x >= arrow or x in mem
-
-        ordered = sorted(x for x in mem if x > 0)
-        for i, a in enumerate(ordered):
-            for b in ordered[i:]:
-                # sums landing in the tail need no check
-                if a + b < arrow and not in_s(a + b):
-                    raise NotClosed(a, b)
-        conductor = arrow
-        while conductor > 0 and (conductor - 1) in mem:
-            conductor -= 1
-        small = tuple(x for x in sorted(mem) if x < conductor) + (conductor,)
-        genus = conductor - (len(small) - 1)
-        if conductor == 0:
-            return cls.natural_numbers()
-        e = small[1] if len(small) > 1 else conductor
-        mingens = _minimal_generators(frozenset(small), conductor, e)
-        return cls(small, conductor, genus, mingens)
+        below = _mask((x for x in mem if x < arrow), 0)
+        for a in _positions(below >> 1, 1):
+            # members b >= a with a + b below the arrow but missing;
+            # sums landing in the tail need no check
+            missing = below & ~(below >> a) & _ones(arrow - a) & ~_ones(a)
+            if missing:
+                raise NotClosed(a, (missing & -missing).bit_length() - 1)
+        conductor = (~below & _ones(arrow)).bit_length()
+        return cls._of_mask(below & _ones(conductor), conductor)
 
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, x: int) -> bool:
-        return x >= self.conductor or x in self._member_set
+        return x >= self.conductor or (x >= 0 and (self.bits >> x) & 1 == 1)
+
+    @property
+    def small_elements(self) -> tuple[int, ...]:
+        return _positions(self.bits) + (self.conductor,)
 
     @property
     def multiplicity(self) -> int:
         """Least positive element."""
-        if len(self.small_elements) > 1:
-            return self.small_elements[1]
-        return 1 if self.conductor == 0 else self.conductor
+        positive = self.bits & ~1
+        return (positive & -positive).bit_length() - 1 if positive else max(self.conductor, 1)
 
     @property
     def embedding_dimension(self) -> int:
@@ -171,44 +176,40 @@ class NumericalSemigroup:
         return self.conductor == 0
 
     def gaps(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.conductor) if x not in self._member_set)
+        return _positions(~self.bits & _ones(self.conductor))
 
     def elements_up_to(self, bound: int) -> Iterator[int]:
         """All members x with x <= bound, ascending."""
-        for x in self.small_elements:
-            if x > bound:
-                return
-            if x < self.conductor:
-                yield x
+        yield from _positions(self.bits & _ones(bound + 1))
         yield from range(self.conductor, bound + 1)
 
     # -- ideals ------------------------------------------------------------
 
     def as_ideal(self) -> "ValueIdeal":
-        return ValueIdeal(self, [x for x in self.small_elements if x < self.conductor],
-                          self.conductor, validate=False)
+        return ValueIdeal._of(self, 0, self.bits, self.conductor)
 
     def maximal_ideal(self) -> "ValueIdeal":
-        members = [x for x in self.small_elements if 0 < x < self.conductor]
-        return ValueIdeal(self, members, max(self.conductor, 1), validate=False)
+        return ValueIdeal._of(self, 0, self.bits & ~1, max(self.conductor, 1))
 
     def normalization(self) -> "ValueIdeal":
         """All of N, viewed as a relative ideal over S."""
-        return ValueIdeal(self, [], 0, validate=False)
+        return ValueIdeal._of(self, 0, 0, 0)
 
     def conductor_ideal(self) -> "ValueIdeal":
         """The largest translate of N inside S: conductor + N."""
-        return ValueIdeal(self, [], self.conductor, validate=False)
+        return ValueIdeal._of(self, 0, 0, self.conductor)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
-        return self.small_elements == other.small_elements
+        return self.conductor == other.conductor and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash(self.small_elements)
+        return hash((self.conductor, self.bits))
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup(<{','.join(map(str, self.min_generators))}>)"
@@ -217,34 +218,38 @@ class NumericalSemigroup:
 class ValueIdeal:
     """A relative ideal over a fixed numerical semigroup, in canonical form.
 
-    The canonical triple is (min_element, members below the frontier,
-    frontier): the frontier is the least integer from which on every integer
-    is a member.  Construction canonicalizes arbitrary window descriptions.
+    The canonical quadruple is (carrier, min_element, bits, frontier): bit i
+    of bits means min_element + i is a member below the frontier, and the
+    frontier is the least integer from which on every integer is a member.
+    Construction canonicalizes arbitrary window descriptions.
     """
+
+    __slots__ = ("carrier", "min_element", "bits", "frontier", "_mingens")
 
     def __init__(self, carrier: NumericalSemigroup, members: Iterable[int],
                  cofinite_from: int, *, validate: bool = True):
-        mem_set = {int(x) for x in members}
+        mem = [int(x) for x in members]
         frontier = int(cofinite_from)
-        while (frontier - 1) in mem_set:
-            frontier -= 1
-        below = tuple(sorted(x for x in mem_set if x < frontier))
+        base = min(mem, default=frontier)
         self.carrier = carrier
-        self.members = below
-        self.frontier = frontier
-        self.min_element = below[0] if below else frontier
-        self._member_set = frozenset(below)
+        self.min_element, self.bits, self.frontier = _canonical(base, _mask(mem, base), frontier)
         self._mingens: tuple[int, ...] | None = None
         if validate and not self._closed_under_carrier():
             raise NotClosed(*self._closure_witness())
 
+    @classmethod
+    def _of(cls, carrier: NumericalSemigroup, base: int, bits: int, frontier: int) -> "ValueIdeal":
+        """The ideal with members base + i (i a set bit) below frontier, canonicalized."""
+        e = cls.__new__(cls)
+        e.carrier = carrier
+        e.min_element, e.bits, e.frontier = _canonical(base, bits, frontier)
+        e._mingens = None
+        return e
+
     # -- canonical-form bookkeeping ----------------------------------------
 
     def _closed_under_carrier(self) -> bool:
-        if self.frontier > self.min_element + self.carrier.conductor:
-            return False
-        return all((x + s) in self for x in self.members
-                   for s in self.carrier.small_elements)
+        return self + self.carrier.as_ideal() == self
 
     def _closure_witness(self) -> tuple[int, int]:
         for x in self.members:
@@ -252,6 +257,10 @@ class ValueIdeal:
                 if (x + s) not in self:
                     return (x, s)
         return (self.min_element, self.carrier.conductor)
+
+    def _window(self, base: int, hi: int) -> int:
+        """The members in [base, hi) as a mask from base; base <= min_element, hi >= frontier."""
+        return (self.bits << (self.min_element - base)) | (_ones(hi - base) & ~_ones(self.frontier - base))
 
     # -- construction helpers ----------------------------------------------
 
@@ -261,24 +270,25 @@ class ValueIdeal:
         vals = sorted({int(v) for v in values})
         if not vals:
             raise EmptyGenerators("an ideal needs at least one generator")
-        bound = vals[0] + carrier.conductor
-        mem = set()
+        bits = 0
         for v in vals:
-            for s in carrier.elements_up_to(bound - v - 1):
-                mem.add(v + s)
-        return cls(carrier, mem, bound, validate=False)
+            bits |= carrier.bits << (v - vals[0])
+        return cls._of(carrier, vals[0], bits, vals[0] + carrier.conductor)
 
     # -- membership and iteration ------------------------------------------
 
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The members below the frontier, ascending."""
+        return _positions(self.bits, self.min_element)
+
     def __contains__(self, x: int) -> bool:
-        return x >= self.frontier or x in self._member_set
+        return x >= self.frontier or (x >= self.min_element
+                                      and (self.bits >> (x - self.min_element)) & 1 == 1)
 
     def elements_below(self, hi: int) -> Iterator[int]:
         """All members x with x < hi, ascending."""
-        for x in self.members:
-            if x >= hi:
-                return
-            yield x
+        yield from _positions(self.bits & _ones(hi - self.min_element), self.min_element)
         yield from range(self.frontier, hi)
 
     # -- arithmetic ---------------------------------------------------------
@@ -288,74 +298,64 @@ class ValueIdeal:
             raise CarrierMismatch("ideals live over different semigroups")
 
     def __add__(self, other: "ValueIdeal") -> "ValueIdeal":
-        """Sumset {e + f}.  Frontier bound: sum of frontiers."""
+        """Sumset {e + f}: the OR of one window shifted by each member of the other.
+
+        All from min E + frontier F and from frontier E + min F on are sums.
+        """
         self._same_carrier(other)
-        hi = self.frontier + other.frontier
-        rhs = list(other.elements_below(hi - self.min_element))
-        mem = set()
-        for e in self.elements_below(hi - other.min_element):
-            for f in rhs:
-                s = e + f
-                if s >= hi:
-                    break
-                mem.add(s)
-        return ValueIdeal(self.carrier, mem, hi, validate=False)
+        width = min(self.frontier - self.min_element, other.frontier - other.min_element)
+        shifts, shifted = self.bits & _ones(width), other.bits & _ones(width)
+        if shifts.bit_count() > shifted.bit_count():
+            shifts, shifted = shifted, shifts
+        bits = 0
+        for i in _positions(shifts):
+            bits |= shifted << i
+        base = self.min_element + other.min_element
+        return ValueIdeal._of(self.carrier, base, bits, base + width)
 
     def colon(self, other: "ValueIdeal") -> "ValueIdeal":
-        """Exact colon quotient {z : z + other is contained in self}."""
+        """Exact colon quotient {z : z + other is contained in self}.
+
+        z is rejected when z + f is a gap of self for a member f of other's
+        window, or when z + frontier of other < frontier of self.
+        """
         self._same_carrier(other)
-        lo = self.min_element - other.min_element
-        hi = self.frontier - other.min_element
-        need = list(other.elements_below(max(other.frontier, self.frontier - lo)))
-        mem = []
-        for z in range(lo, hi):
-            ok = True
-            for f in need:
-                if z + f >= self.frontier:
-                    break
-                if (z + f) not in self:
-                    ok = False
-                    break
-            if ok:
-                mem.append(z)
-        return ValueIdeal(self.carrier, mem, hi, validate=False)
+        width = self.frontier - self.min_element
+        gaps = _ones(width) & ~self.bits
+        rejected = _ones(width - (other.frontier - other.min_element))
+        for i in _positions(other.bits & _ones(width)):
+            rejected |= gaps >> i
+        base = self.min_element - other.min_element
+        return ValueIdeal._of(self.carrier, base, ~rejected, base + width)
+
+    def _common(self, other: "ValueIdeal") -> tuple[int, int, int, int]:
+        """(base, hi, own mask, other's mask) over the union of both windows."""
+        self._same_carrier(other)
+        base = min(self.min_element, other.min_element)
+        hi = max(self.frontier, other.frontier)
+        return base, hi, self._window(base, hi), other._window(base, hi)
 
     def intersect(self, other: "ValueIdeal") -> "ValueIdeal":
-        self._same_carrier(other)
-        hi = max(self.frontier, other.frontier)
-        mem = [x for x in self.elements_below(hi) if x in other]
-        return ValueIdeal(self.carrier, mem, hi, validate=False)
+        base, hi, own, theirs = self._common(other)
+        return ValueIdeal._of(self.carrier, base, own & theirs, hi)
 
     def shift(self, z: int) -> "ValueIdeal":
         """Translate by z; canonical form is preserved."""
-        return ValueIdeal(self.carrier, [x + z for x in self.members],
-                          self.frontier + z, validate=False)
+        return ValueIdeal._of(self.carrier, self.min_element + z, self.bits, self.frontier + z)
 
     def contains(self, other: "ValueIdeal") -> bool:
-        self._same_carrier(other)
-        hi = max(self.frontier, other.frontier)
-        return all(x in self for x in other.elements_below(hi))
+        _, _, own, theirs = self._common(other)
+        return not theirs & ~own
 
     # -- derived data --------------------------------------------------------
 
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique minimal generating set E minus (E + M)."""
         if self._mingens is None:
-            e = self.carrier.multiplicity
-            hi = self.frontier + e
-            window = list(self.elements_below(hi))
-            gens = []
-            for x in window:
-                decomposable = False
-                for y in window:
-                    if y >= x:
-                        break
-                    if (x - y) in self.carrier and (x - y) > 0:
-                        decomposable = True
-                        break
-                if not decomposable:
-                    gens.append(x)
-            self._mingens = tuple(gens)
+            reached = self + self.carrier.maximal_ideal()
+            hi = self.frontier + self.carrier.multiplicity
+            gens = self._window(self.min_element, hi) & ~reached._window(self.min_element, hi)
+            self._mingens = _positions(gens, self.min_element)
         return self._mingens
 
     def is_principal(self) -> bool:
@@ -366,11 +366,11 @@ class ValueIdeal:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ValueIdeal):
             return NotImplemented
-        return (self.carrier == other.carrier and self.members == other.members
-                and self.frontier == other.frontier)
+        return (self.min_element == other.min_element and self.bits == other.bits
+                and self.frontier == other.frontier and self.carrier == other.carrier)
 
     def __hash__(self) -> int:
-        return hash((self.carrier, self.members, self.frontier))
+        return hash((self.carrier, self.min_element, self.bits, self.frontier))
 
     def __repr__(self) -> str:
         body = ",".join(map(str, self.members))
@@ -380,9 +380,8 @@ class ValueIdeal:
 
 def length_between(larger: ValueIdeal, smaller: ValueIdeal) -> int:
     """Length l(E/F) = #(E minus F); raises NotNested with a witness if F is not in E."""
-    larger._same_carrier(smaller)
-    hi = max(larger.frontier, smaller.frontier)
-    for x in smaller.elements_below(hi):
-        if x not in larger:
-            raise NotNested(x)
-    return sum(1 for x in larger.elements_below(hi) if x not in smaller)
+    base, _, big, small = larger._common(smaller)
+    stray = small & ~big
+    if stray:
+        raise NotNested(base + (stray & -stray).bit_length() - 1)
+    return (big ^ small).bit_count()

@@ -585,22 +585,15 @@ def catalog_ids() -> tuple[str, ...]:
 
 def expand_statement_ids(requested) -> tuple[str, ...]:
     """Resolve exact ids and group prefixes like "Thm4.7" to catalog ids."""
-    out: list[str] = []
+    names: list[str] = []
     for raw in requested:
         sid = raw.strip()
-        if sid in STATEMENTS:
-            if sid not in out:
-                out.append(sid)
-            continue
-        hits = [name for name in STATEMENTS
-                if name.startswith(sid + ".")
-                or (name.startswith(sid) and name[len(sid):] == "u")]
+        hits = [sid] if sid in STATEMENTS else [
+            name for name in STATEMENTS if name.startswith(sid + ".") or name == sid + "u"]
         if not hits:
             raise UnknownStatement(f"no statement matches {sid!r}")
-        for name in hits:
-            if name not in out:
-                out.append(name)
-    return tuple(out)
+        names.extend(hits)
+    return tuple(dict.fromkeys(names))
 
 
 def verify_statement(statement_id: str, e: ValueIdeal) -> TheoremVerdict:

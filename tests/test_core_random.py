@@ -1,0 +1,133 @@
+"""Randomized differential test of the core against the plain-set oracles.
+
+Seeded semigroups with conductors up to about 300 and ideals with negative
+and positive minima give windows far wider than one machine word.  Every
+ideal over S with least member m is full from m + c on, so each check
+compares memberships over a finite window that covers everything below the
+point where both sides are full, and asserts that the library's result is
+full from there on as well.
+"""
+
+import math
+import random
+
+import pytest
+
+from sgblow.core import NumericalSemigroup, ValueIdeal, length_between
+from sgblow.errors import NotNested
+
+from oracles import (
+    closure_from_generators,
+    colon,
+    gap_length,
+    ideal_members,
+    minimal_generators_of_ideal,
+    sumset,
+)
+
+CASES = 200
+MAX_CONDUCTOR = 300
+
+
+def random_semigroup(rng: random.Random) -> tuple[list[int], tuple[int, ...], int]:
+    """Generators, small elements and conductor, all from the closure oracle."""
+    while True:
+        gens = sorted(rng.sample(range(3, 45), rng.randint(2, 4)))
+        if math.gcd(*gens) != 1:
+            continue
+        bound = gens[0] * gens[-1]
+        members = closure_from_generators(gens, bound)
+        conductor = max(set(range(bound)) - members) + 1
+        if conductor <= MAX_CONDUCTOR:
+            small = tuple(sorted(x for x in members if x < conductor)) + (conductor,)
+            return gens, small, conductor
+
+
+def window(e: ValueIdeal, lo: int, hi: int) -> set[int]:
+    """The library's members in [lo, hi), checked to be full from hi on."""
+    assert e.frontier <= hi
+    assert e.min_element >= lo
+    return {x for x in range(lo, hi) if x in e}
+
+
+def ideal_set(small, c, gens, hi) -> set[int]:
+    """The ideal generated by gens below hi; the oracle wants generators >= 0."""
+    m = min(gens)
+    return {x + m for x in ideal_members(small, c, [g - m for g in gens], hi - m)}
+
+
+def cut(values: set[int], lo: int, hi: int) -> set[int]:
+    return {x for x in values if lo <= x < hi}
+
+
+def make_cases():
+    rng = random.Random(0)
+    cases = []
+    for _ in range(CASES):
+        sgens, small, c = random_semigroup(rng)
+        e = small[1]
+        ideals = []
+        for _ in range(2):
+            gens = rng.sample(range(c + 2 * e), rng.randint(1, 4))
+            ideals.append(gens)
+            shift = rng.choice([-1, 1]) * rng.randint(1, c + e)
+            ideals.append([g + shift for g in gens])
+        cases.append((sgens, small, c, ideals, rng.randint(-c, c)))
+    return cases
+
+
+CASE_LIST = make_cases()
+
+
+@pytest.mark.parametrize("case", range(0, CASES, 20), ids=lambda i: f"block{i}")
+def test_core_against_oracles(case):
+    for sgens, small, c, ideal_gens, z in CASE_LIST[case:case + 20]:
+        check_case(sgens, small, c, ideal_gens, z)
+
+
+def check_case(sgens, small, c, ideal_gens, z):
+    s = NumericalSemigroup.from_generators(sgens)
+    assert s.small_elements == small
+    assert s.conductor == c
+    e = small[1]
+    nonzero = cut(ideal_set(small, c, [0], c + 2 * e), 1, c + 2 * e)
+    mingens = minimal_generators_of_ideal(nonzero, nonzero)
+    assert set(s.min_generators) == mingens
+
+    checked = []
+    for gens in ideal_gens + [sorted(mingens)]:
+        ideal, m = ValueIdeal.generated_by(s, gens), min(gens)
+        full = ideal_set(small, c, gens, m + 3 * c + 3 * e)
+        assert window(ideal, m, m + c + 1) == cut(full, m, m + c + 1)
+        gens_ref = minimal_generators_of_ideal(cut(full, m, m + c + e), nonzero)
+        assert set(ideal.minimal_generators()) == gens_ref
+        shifted = ideal_set(small, c, [g + z for g in gens], m + z + c + 1)
+        assert window(ideal.shift(z), m + z, m + z + c + 1) == shifted
+        checked.append((ideal, m, full))
+    assert checked[-1][0] == s.maximal_ideal()
+
+    # each ideal against the next in the cycle E, E shifted, F, F shifted, M
+    for a, b in zip(checked, checked[1:] + checked[:1]):
+        check_pair(*a, *b, c)
+
+
+def check_pair(a, ma, ra, b, mb, rb, c):
+    # the sum is full from ma + mb + c on and needs each window only up to c past its minimum
+    lo, hi = ma + mb, ma + mb + c + 1
+    assert window(a + b, lo, hi) == sumset(cut(ra, ma, ma + c + 1), cut(rb, mb, mb + c + 1), hi)
+
+    # z in A:B has z >= ma - mb, and z + f lies in A for every f >= mb + c once z >= ma - mb
+    lo, hi = ma - mb, ma - mb + c + 1
+    assert window(a.colon(b), lo, hi) == colon(ra, rb, lo, hi, mb + c)
+
+    lo, hi = min(ma, mb), max(ma, mb) + c + 1
+    wa, wb = cut(ra, lo, hi), cut(rb, lo, hi)
+    assert window(a.intersect(b), lo, hi) == wa & wb
+    assert a.contains(b) == (wb <= wa)
+    if wb <= wa:
+        assert length_between(a, b) == gap_length(wa, wb, hi)
+    else:
+        with pytest.raises(NotNested) as err:
+            length_between(a, b)
+        assert err.value.witness in wb
+        assert err.value.witness not in wa

@@ -23,6 +23,11 @@ GOLDEN = [
     (["analyze", "{0,7,8,12-16,18->}", "--ideal", "ideal(12,13)",
       "--statements", ALL_IDS, "--format", "json"],
      "f211f5955510041a1d82c323f204945a61960f9e89ffab0b1f2b3aa5be5bfacf"),
+    (["analyze", "<17,26>", "--statements", ALL_IDS, "--format", "json"],
+     "f7ee64338e34f92c92c4f3a9bc531da6c55a4a55a818c1378da1f82ba87d7819"),
+    (["analyze", "<17,26>", "--ideal", "ideal(26,34)",
+      "--statements", ALL_IDS, "--format", "json"],
+     "53e7eb0421b904175988fdaac288602a70577a83412815578dfca512c9b25881"),
     (["examples", "--format", "json"],
      "5f8d12774f417ace0cd30d9d4579643e1ab22a95d20af60f596e1fba12d87c56"),
 ]
