@@ -12,7 +12,9 @@ routes must agree; disagreement raises InvariantViolation.
 
 Analysis is the one object per (semigroup, ideal) pair.  It starts from the
 kernel that _blowup_data computes and derives every other quantity lazily,
-each at most once; its constructor runs the pair's cross-checks.
+each at most once; its constructor runs the pair's cross-checks.  The
+ring-level quantities (K, the type sequence, the class, S:M, S:K) are read
+from the semigroup's one Ring, a.ring, which all pairs over S share.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     NotProper,
     PrincipalIdeal,
 )
-from .invariants import canonical_ideal, classify, dual, is_reflexive, type_sequence
+from .invariants import bidual, dual, ring
 
 
 def _power_at(powers: list[ValueIdeal], e: ValueIdeal, k: int) -> ValueIdeal:
@@ -206,7 +208,7 @@ class Analysis:
 
     The constructor reads only the kernel fields ideal, powers, hilbert, nu,
     rho and lam, which both _blowup_data's result and an Analysis carry, and
-    then runs cross_check.
+    then runs cross_check.  Ring-level quantities live on self.ring.
     """
 
     def __init__(self, kernel):
@@ -217,6 +219,7 @@ class Analysis:
         self.nu = kernel.nu
         self.rho = kernel.rho
         self.lam = kernel.lam
+        self.ring = ring(self.s)
         self.cross_check()
 
     @classmethod
@@ -234,14 +237,14 @@ class Analysis:
     def cross_check(self) -> None:
         """The pair's internal checks: the degenerate-blow-up guard, the window
         bookkeeping and the coherence of the condition groups."""
-        if self.lam == self.s_ideal:
+        if self.lam == self.ring.s_ideal:
             raise DegenerateBlowup("the blow-up equals the semigroup itself")
         if self.rho != self.delta - self.delta_lambda:
             raise InvariantViolation("rho must equal genus minus the blow-up genus")
         # window bookkeeping: R:Lambda below the conductor is exactly {s_(i-1) : i in Gamma}
-        if len(self.gamma_set) != length_between(self.r_colon_lambda, self.s.conductor_ideal()):
+        if len(self.gamma_set) != length_between(self.r_colon_lambda, self.ring.conductor_ideal):
             raise InvariantViolation("Gamma size disagrees with l(R:Lambda/gamma_R)")
-        if self.len_r_over_rcolon != self.n - len(self.gamma_set):
+        if self.len_r_over_rcolon != self.ring.n - len(self.gamma_set):
             raise InvariantViolation("l(R/R:Lambda) must count small elements outside Gamma")
         c = self.conditions
         if not (c.a1 == c.a2 == c.a3 == c.a4 == c.a5 == c.a6):
@@ -256,31 +259,7 @@ class Analysis:
         """kE, kept in the pair's one list of powers."""
         return _power_at(self.powers, self.ideal, k)
 
-    # ring-level data
-
-    @cached_property
-    def s_ideal(self) -> ValueIdeal:
-        return self.s.as_ideal()
-
-    @cached_property
-    def m_ideal(self) -> ValueIdeal:
-        return self.s.maximal_ideal()
-
-    @cached_property
-    def normalization(self) -> ValueIdeal:
-        return self.s.normalization()
-
-    @cached_property
-    def k(self) -> ValueIdeal:
-        return canonical_ideal(self.s)
-
-    @cached_property
-    def ts(self):
-        return type_sequence(self.s)
-
-    @cached_property
-    def ring_class(self):
-        return classify(self.s)
+    # notation
 
     @property
     def c(self) -> int:
@@ -291,24 +270,12 @@ class Analysis:
         return self.s.genus
 
     @property
-    def n(self) -> int:
-        return len(self.s.small_elements) - 1
-
-    @property
     def r(self) -> int:
-        return self.ts.cm_type
+        return self.ring.ts.cm_type
 
     @property
     def mu(self) -> int:
         return self.s.embedding_dimension
-
-    @cached_property
-    def dual_m(self) -> ValueIdeal:
-        return dual(self.m_ideal)
-
-    @cached_property
-    def r_colon_omega(self) -> ValueIdeal:
-        return dual(self.k)
 
     # pair-level data
 
@@ -322,19 +289,19 @@ class Analysis:
 
     @cached_property
     def r_colon_lambda(self) -> ValueIdeal:
-        return self.s_ideal.colon(self.lam)
+        return self.ring.s_ideal.colon(self.lam)
 
     @cached_property
     def lam_bidual(self) -> ValueIdeal:
-        return self.s_ideal.colon(self.r_colon_lambda)
+        return self.ring.s_ideal.colon(self.r_colon_lambda)
 
     @cached_property
     def omega_lambda(self) -> ValueIdeal:
-        return self.k + self.lam
+        return self.ring.k + self.lam
 
     @cached_property
     def k_colon_lambda(self) -> ValueIdeal:
-        return self.k.colon(self.lam)
+        return self.ring.k.colon(self.lam)
 
     @property
     def c_lambda(self) -> int:
@@ -342,12 +309,12 @@ class Analysis:
 
     @cached_property
     def delta_lambda(self) -> int:
-        return length_between(self.normalization, self.lam)
+        return length_between(self.ring.normalization, self.lam)
 
     @cached_property
     def gamma_set(self) -> tuple[int, ...]:
-        small = self.s.small_elements
-        return tuple(i for i in range(1, self.n + 1) if small[i - 1] in self.r_colon_lambda)
+        small = self.ring.small_elements
+        return tuple(i for i in range(1, self.ring.n + 1) if small[i - 1] in self.r_colon_lambda)
 
     @cached_property
     def d(self) -> int:
@@ -355,7 +322,7 @@ class Analysis:
 
     @cached_property
     def i0(self) -> int:
-        return self.s.small_elements.index(self.r_colon_lambda.min_element)
+        return self.ring.small_elements.index(self.r_colon_lambda.min_element)
 
     @cached_property
     def power_nu(self) -> ValueIdeal:
@@ -370,18 +337,22 @@ class Analysis:
         return self.power_nu.frontier <= self.c
 
     @cached_property
+    def ideal_bidual(self) -> ValueIdeal:
+        return bidual(self.ideal)
+
+    @cached_property
     def ideal_reflexive(self) -> bool:
-        return is_reflexive(self.ideal)
+        return self.ideal_bidual == self.ideal
 
     @property
     def is_max_ideal(self) -> bool:
-        return self.ideal == self.m_ideal
+        return self.ideal == self.ring.m_ideal
 
     @cached_property
     def conditions(self) -> ConditionsReport:
         """Every member of both groups, each evaluated on its own; cross_check
         asserts that they cohere."""
-        k, lam, nu = self.k, self.lam, self.nu
+        k, lam, nu = self.ring.k, self.lam, self.nu
         return ConditionsReport(
             a1=lam.contains(k),
             a2=self.omega_lambda == lam,
@@ -391,7 +362,7 @@ class Analysis:
             a6=any((k + self.power(n)) == self.power(n) for n in range(1, nu + 1)),
             b1=lam == self.lam_bidual,
             b2=self.k_colon_lambda == (k + self.r_colon_lambda),
-            colon_inside_omega_dual=self.r_colon_omega.contains(self.r_colon_lambda),
+            colon_inside_omega_dual=self.ring.r_colon_omega.contains(self.r_colon_lambda),
         )
 
     def _holds_a4(self) -> bool:
@@ -399,7 +370,7 @@ class Analysis:
         # conductor the condition is translation-stable, so the scan is finite.
         for n in range(self.nu, self.nu + self.c + 3):
             p = self.power(n)
-            if (p + self.k).intersect(self.s_ideal) != p:
+            if (p + self.ring.k).intersect(self.ring.s_ideal) != p:
                 return False
             if p.min_element >= self.c:
                 return True
@@ -416,11 +387,11 @@ class Analysis:
 
     @cached_property
     def lam_is_normalization(self) -> bool:
-        return self.lam == self.normalization
+        return self.lam == self.ring.normalization
 
     @cached_property
     def r_filter_i0(self) -> ValueIdeal:
-        small = self.s.small_elements
+        small = self.ring.small_elements
         lo = small[self.i0]
         return ValueIdeal(self.s, [x for x in small if lo <= x < self.c],
                           self.c, validate=False)
@@ -449,19 +420,19 @@ class Analysis:
 
     @cached_property
     def len_r_over_rcolon(self) -> int:
-        return length_between(self.s_ideal, self.r_colon_lambda)
+        return length_between(self.ring.s_ideal, self.r_colon_lambda)
 
     @cached_property
     def len_r_over_power_nu(self) -> int:
-        return length_between(self.s_ideal, self.power_nu)
+        return length_between(self.ring.s_ideal, self.power_nu)
 
     @cached_property
     def len_rbar_over_omega(self) -> int:
-        return length_between(self.normalization, self.omega_lambda)
+        return length_between(self.ring.normalization, self.omega_lambda)
 
     @cached_property
     def len_rbar_over_bidual(self) -> int:
-        return length_between(self.normalization, self.lam_bidual)
+        return length_between(self.ring.normalization, self.lam_bidual)
 
     @cached_property
     def len_bidual_over_rstar(self) -> int:
@@ -470,11 +441,11 @@ class Analysis:
     @cached_property
     def len_gammar_over_conductor_power(self) -> int:
         hi = ValueIdeal(self.s, [], self.nu * self.e + self.c_lambda, validate=False)
-        return length_between(self.s.conductor_ideal(), hi)
+        return length_between(self.ring.conductor_ideal, hi)
 
     @cached_property
     def sum_gamma(self) -> int:
-        return sum(self.ts.entries[i - 1] for i in self.gamma_set)
+        return sum(self.ring.ts.entries[i - 1] for i in self.gamma_set)
 
     @cached_property
     def sum_not_gamma(self) -> int:
@@ -483,7 +454,7 @@ class Analysis:
     @cached_property
     def sum_not_gamma_excess(self) -> int:
         """Sum of r_i - 1 over indices outside Gamma."""
-        return self.sum_not_gamma - (self.n - len(self.gamma_set))
+        return self.sum_not_gamma - (self.ring.n - len(self.gamma_set))
 
 
 BlowupReport = Analysis

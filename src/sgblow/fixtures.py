@@ -41,12 +41,12 @@ CHECKS: dict[str, Callable[[Analysis], object]] = {
     "blowup_conductor": lambda a: a.c_lambda,
     "blowup_genus": lambda a: a.delta_lambda,
     "conductor_gap": lambda a: a.c - a.c_lambda,
-    "small_gap_drop": lambda a: a.n - a.n_lambda,
+    "small_gap_drop": lambda a: a.ring.n - a.n_lambda,
     "h_coefficients": lambda a: a.h.coefficients,
     "h_symmetric": lambda a: a.h.symmetric,
-    "type_sequence": lambda a: a.ts.entries,
-    "almost_gorenstein": lambda a: a.ring_class.almost_gorenstein,
-    "gorenstein": lambda a: a.ring_class.gorenstein,
+    "type_sequence": lambda a: a.ring.ts.entries,
+    "almost_gorenstein": lambda a: a.ring.ring_class.almost_gorenstein,
+    "gorenstein": lambda a: a.ring.ring_class.gorenstein,
     "lambda_gorenstein": lambda a: a.lambda_gorenstein,
     "lambda_reflexive": lambda a: a.conditions.b1,
     "ideal_reflexive": lambda a: a.ideal_reflexive,
@@ -310,7 +310,7 @@ NON_IMPLICATIONS: tuple[NonImplication, ...] = (
         lambda a: not a.h.symmetric),
     NonImplication(
         "halved_type_excess_without_nu_two", "f03", 0,
-        lambda a: (a.ring_class.almost_gorenstein
+        lambda a: (a.ring.ring_class.almost_gorenstein
                    and 2 * (a.e - a.mu - 1) == a.r - 1),
         lambda a: a.nu != 2
         and a.r_colon_lambda != a.power(2)),

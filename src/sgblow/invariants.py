@@ -4,57 +4,22 @@ The canonical ideal K = {j : c-1-j not in S} drives a duality on relative
 ideals: l(E/F) = l((K-F)/(K-E)) whenever F lies in E.  The type sequence
 refines the Cohen-Macaulay type r = l((S-M)/S); its entries are computed by
 two independent routes (colon duals and K-products) and must agree.
+
+Every ring-level quantity lives on one Ring per semigroup, behind the cached
+ring(s), and is computed at most once.  K is the gap mask read backwards.
+Both type-sequence routes walk the filtration R_i = {x in S : x >= s_i} from
+R_n = c + N down to R_0 = S over the window [0, c), one small element per
+step: the dual route ANDs in a shifted copy of S's mask, the product route
+ORs in a shifted copy of K's, so the sequence costs O(n * c / word size).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .core import NumericalSemigroup, ValueIdeal, length_between
+from .core import NumericalSemigroup, ValueIdeal, _ones
 from .errors import InvariantViolation, NotIntegral, RegularRing
-
-
-@lru_cache(maxsize=4096)
-def canonical_ideal(s: NumericalSemigroup) -> ValueIdeal:
-    """K = {j : c-1-j is a gap}; normalized so min K = 0 and K sits inside N."""
-    c = s.conductor
-    members = [j for j in range(c) if (c - 1 - j) not in s]
-    return ValueIdeal(s, members, c, validate=False)
-
-
-def dual(e: ValueIdeal) -> ValueIdeal:
-    """S - E, the colon of the semigroup by E."""
-    return e.carrier.as_ideal().colon(e)
-
-
-def bidual(e: ValueIdeal) -> ValueIdeal:
-    return dual(dual(e))
-
-
-def is_reflexive(e: ValueIdeal) -> bool:
-    return bidual(e) == e
-
-
-def omega_product(e: ValueIdeal) -> ValueIdeal:
-    """E + K, the product with the canonical ideal."""
-    return e + canonical_ideal(e.carrier)
-
-
-def canonical_closure(e: ValueIdeal) -> ValueIdeal:
-    """(E + K) intersected with S; needs E inside S."""
-    s_ideal = e.carrier.as_ideal()
-    if not s_ideal.contains(e):
-        raise NotIntegral("canonical closure needs an ideal contained in the semigroup")
-    return omega_product(e).intersect(s_ideal)
-
-
-def integral_closure(e: ValueIdeal) -> ValueIdeal:
-    """(min E + N) intersected with S; needs E inside S."""
-    s_ideal = e.carrier.as_ideal()
-    if not s_ideal.contains(e):
-        raise NotIntegral("integral closure needs an ideal contained in the semigroup")
-    return e.carrier.normalization().shift(e.min_element).intersect(s_ideal)
 
 
 @dataclass(frozen=True)
@@ -75,31 +40,6 @@ class TypeSequence:
         return sum(self.entries)
 
 
-def _small_element_filter(s: NumericalSemigroup, i: int) -> ValueIdeal:
-    """R_i: the members of S that are >= the i-th small element."""
-    members = [x for x in s.small_elements[i:] if x < s.conductor]
-    return ValueIdeal(s, members, s.conductor, validate=False)
-
-
-@lru_cache(maxsize=4096)
-def type_sequence(s: NumericalSemigroup) -> TypeSequence:
-    """Compute r_i by colon duals and by K-products; the routes must agree."""
-    if s.is_natural_numbers:
-        raise RegularRing("the type sequence of N is empty")
-    n = len(s.small_elements) - 1
-    k = canonical_ideal(s)
-    s_ideal = s.as_ideal()
-    filters = [_small_element_filter(s, i) for i in range(n + 1)]
-    duals = [s_ideal.colon(f) for f in filters]
-    via_duals = [length_between(duals[i], duals[i - 1]) for i in range(1, n + 1)]
-    products = [k + f for f in filters]
-    via_products = [length_between(products[i - 1], products[i]) for i in range(1, n + 1)]
-    if via_duals != via_products:
-        raise InvariantViolation(
-            f"type sequence routes disagree: {via_duals} vs {via_products}")
-    return TypeSequence(tuple(via_duals))
-
-
 @dataclass(frozen=True)
 class RingClass:
     """Classification flags of the semigroup ring."""
@@ -118,29 +58,169 @@ class RingClass:
                 else "general")
 
 
-@lru_cache(maxsize=4096)
-def classify(s: NumericalSemigroup) -> RingClass:
-    """Gorenstein / almost Gorenstein / Kunz, with the CM type.
+class Ring:
+    """Every ring-level quantity of one semigroup, each computed at most once."""
 
-    Almost Gorenstein is decided three equivalent ways (M + K = M, the gap
-    count identity r - 1 = 2*genus - c, and the shape of the type sequence);
-    any disagreement is a bug.
+    def __init__(self, s: NumericalSemigroup):
+        self.s = s
+
+    @cached_property
+    def s_ideal(self) -> ValueIdeal:
+        return self.s.as_ideal()
+
+    @cached_property
+    def m_ideal(self) -> ValueIdeal:
+        return self.s.maximal_ideal()
+
+    @cached_property
+    def normalization(self) -> ValueIdeal:
+        return self.s.normalization()
+
+    @cached_property
+    def conductor_ideal(self) -> ValueIdeal:
+        return self.s.conductor_ideal()
+
+    @cached_property
+    def small_elements(self) -> tuple[int, ...]:
+        """s_0 = 0 < s_1 < ... < s_n = c."""
+        return self.s.small_elements
+
+    @property
+    def n(self) -> int:
+        """The number of members below the conductor."""
+        return self.s.bits.bit_count()
+
+    @cached_property
+    def k(self) -> ValueIdeal:
+        """K = {j : c-1-j is a gap}: min K = 0 and K is full from c on."""
+        c = self.s.conductor
+        gaps = _ones(c) & ~self.s.bits
+        return ValueIdeal._of(self.s, 0, int(format(gaps, f"0{c}b")[::-1], 2), c)
+
+    @cached_property
+    def ts(self) -> TypeSequence:
+        """r_i = l((S:R_i)/(S:R_(i-1))) = l((K+R_(i-1))/(K+R_i)); the routes must agree.
+
+        R_(i-1) = R_i plus s_(i-1), so S:R_(i-1) = (S:R_i) meet (S - s_(i-1))
+        and K + R_(i-1) = (K + R_i) join (K + s_(i-1)).  Both sides are full
+        from c on, so each step works on the window [0, c) only.
+        """
+        s = self.s
+        if s.is_natural_numbers:
+            raise RegularRing("the type sequence of N is empty")
+        c = s.conductor
+        window = _ones(c)
+        s_wide = s.bits | (window << c)  # S on [0, 2c)
+        k_mask = self.k._window(0, c)
+        s_colon, k_sum = window, 0  # S:R_n = N and K + R_n = c + N
+        via_duals, via_products = [], []
+        for x in reversed(self.small_elements[:-1]):
+            narrowed = s_colon & (s_wide >> x)
+            via_duals.append((s_colon ^ narrowed).bit_count())
+            widened = k_sum | ((k_mask << x) & window)
+            via_products.append((widened ^ k_sum).bit_count())
+            s_colon, k_sum = narrowed, widened
+        if via_duals != via_products:
+            raise InvariantViolation(
+                f"type sequence routes disagree: {via_duals[::-1]} vs {via_products[::-1]}")
+        if s_colon != s.bits or k_sum != k_mask:
+            raise InvariantViolation("type sequence routes must end at S:S = S and K + S = K")
+        return TypeSequence(tuple(reversed(via_duals)))
+
+    @cached_property
+    def ring_class(self) -> RingClass:
+        """Gorenstein / almost Gorenstein / Kunz, with the CM type.
+
+        Almost Gorenstein is decided three equivalent ways (M + K = M, the gap
+        count identity r - 1 = 2*genus - c, and the shape of the type sequence);
+        any disagreement is a bug.
+        """
+        s = self.s
+        if s.is_natural_numbers:
+            return RingClass(gorenstein=True, almost_gorenstein=True, kunz=False, cm_type=1)
+        k, ts, m = self.k, self.ts, self.m_ideal
+        r = ts.cm_type
+        by_product = (m + k) == m
+        by_counts = (r - 1) == 2 * s.genus - s.conductor
+        by_shape = all(x == 1 for x in ts.entries[1:])
+        if not (by_product == by_counts == by_shape):
+            raise InvariantViolation(
+                f"almost Gorenstein criteria disagree: {by_product}/{by_counts}/{by_shape}")
+        gorenstein = k == self.s_ideal
+        almost = by_product
+        if gorenstein and not almost:
+            raise InvariantViolation("Gorenstein must imply almost Gorenstein")
+        return RingClass(gorenstein=gorenstein, almost_gorenstein=almost,
+                         kunz=almost and r == 2, cm_type=r)
+
+    @cached_property
+    def dual_m(self) -> ValueIdeal:
+        return self.s_ideal.colon(self.m_ideal)
+
+    @cached_property
+    def r_colon_omega(self) -> ValueIdeal:
+        return self.s_ideal.colon(self.k)
+
+    @cached_property
+    def maximal_probe(self) -> bool:
+        """M + K == M**, the maximal-ideal half of the probe in Prop5.1."""
+        return (self.m_ideal + self.k) == self.s_ideal.colon(self.dual_m)
+
+
+@lru_cache(maxsize=256)
+def ring(s: NumericalSemigroup) -> Ring:
+    """The one Ring of s.
+
+    Runs take the pairs of one semigroup together, so a small cache catches
+    every repeat without holding a whole universe of rings.
     """
-    if s.is_natural_numbers:
-        return RingClass(gorenstein=True, almost_gorenstein=True, kunz=False, cm_type=1)
-    k = canonical_ideal(s)
-    ts = type_sequence(s)
-    r = ts.cm_type
-    m = s.maximal_ideal()
-    by_product = (m + k) == m
-    by_counts = (r - 1) == 2 * s.genus - s.conductor
-    by_shape = all(x == 1 for x in ts.entries[1:])
-    if not (by_product == by_counts == by_shape):
-        raise InvariantViolation(
-            f"almost Gorenstein criteria disagree: {by_product}/{by_counts}/{by_shape}")
-    gorenstein = k == s.as_ideal()
-    almost = by_product
-    if gorenstein and not almost:
-        raise InvariantViolation("Gorenstein must imply almost Gorenstein")
-    return RingClass(gorenstein=gorenstein, almost_gorenstein=almost,
-                     kunz=almost and r == 2, cm_type=r)
+    return Ring(s)
+
+
+def canonical_ideal(s: NumericalSemigroup) -> ValueIdeal:
+    """K = {j : c-1-j is a gap}; normalized so min K = 0 and K sits inside N."""
+    return ring(s).k
+
+
+def dual(e: ValueIdeal) -> ValueIdeal:
+    """S - E, the colon of the semigroup by E."""
+    return ring(e.carrier).s_ideal.colon(e)
+
+
+def bidual(e: ValueIdeal) -> ValueIdeal:
+    return dual(dual(e))
+
+
+def is_reflexive(e: ValueIdeal) -> bool:
+    return bidual(e) == e
+
+
+def omega_product(e: ValueIdeal) -> ValueIdeal:
+    """E + K, the product with the canonical ideal."""
+    return e + canonical_ideal(e.carrier)
+
+
+def canonical_closure(e: ValueIdeal) -> ValueIdeal:
+    """(E + K) intersected with S; needs E inside S."""
+    s_ideal = ring(e.carrier).s_ideal
+    if not s_ideal.contains(e):
+        raise NotIntegral("canonical closure needs an ideal contained in the semigroup")
+    return omega_product(e).intersect(s_ideal)
+
+
+def integral_closure(e: ValueIdeal) -> ValueIdeal:
+    """(min E + N) intersected with S; needs E inside S."""
+    r = ring(e.carrier)
+    if not r.s_ideal.contains(e):
+        raise NotIntegral("integral closure needs an ideal contained in the semigroup")
+    return r.normalization.shift(e.min_element).intersect(r.s_ideal)
+
+
+def type_sequence(s: NumericalSemigroup) -> TypeSequence:
+    """Compute r_i by colon duals and by K-products; the routes must agree."""
+    return ring(s).ts
+
+
+def classify(s: NumericalSemigroup) -> RingClass:
+    """Gorenstein / almost Gorenstein / Kunz, with the CM type."""
+    return ring(s).ring_class

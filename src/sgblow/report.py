@@ -58,7 +58,7 @@ def analysis_document(a: Analysis,
                       semigroup_text: str = "",
                       ideal_text: str = "") -> dict:
     s = a.s
-    rc = a.ring_class
+    rc = a.ring.ring_class
     doc = {
         "input": {"semigroup": semigroup_text, "ideal": ideal_text},
         "semigroup": {
@@ -66,7 +66,7 @@ def analysis_document(a: Analysis,
             "c": s.conductor,
             "delta": s.genus,
             "generators": list(s.min_generators),
-            "type_sequence": list(a.ts.entries),
+            "type_sequence": list(a.ring.ts.entries),
             "class": {
                 "label": rc.label,
                 "gorenstein": rc.gorenstein,

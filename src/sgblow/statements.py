@@ -1,7 +1,8 @@
 """Catalog of checkable identities tying type sequences to blow-up data.
 
-Every statement is a function of a shared Analysis bundle and returns a
-TheoremVerdict: held, failed, or vacuous when its hypotheses are not met.
+Every statement is a function of a shared Analysis bundle (ring-level
+quantities on its a.ring) and returns a TheoremVerdict: held, failed, or
+vacuous when its hypotheses are not met.
 Inequalities and identities are evaluated in exact integer arithmetic;
 fractional forms are cross-multiplied so nothing ever rounds.
 
@@ -12,11 +13,12 @@ A bare group id like "Thm4.7" expands to all of its parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .blowup import Analysis
 from .core import ValueIdeal, length_between
 from .errors import InvariantViolation, UnknownStatement
-from .invariants import bidual, integral_closure, is_reflexive, omega_product
+from .invariants import integral_closure, is_reflexive
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ def _prop3_2_1(a: Analysis) -> TheoremVerdict:
 
 
 def _prop3_2_2(a: Analysis) -> TheoremVerdict:
-    gap = a.n - a.n_lambda
+    gap = a.ring.n - a.n_lambda
     mid = a.c - a.c_lambda - a.rho
     diagram = a.power_nu.frontier == a.nu * a.e + a.c_lambda
     third = a.e * a.nu - a.rho - a.len_gammar_over_conductor_power
@@ -81,14 +83,14 @@ def _prop3_2_3(a: Analysis) -> TheoremVerdict:
     p1 = a.c - a.c_lambda == a.e * a.nu
     p2 = a.c == a.nu * a.e + a.c_lambda
     p3 = a.power_nu.frontier <= a.c
-    p4 = a.n - a.n_lambda == a.len_r_over_power_nu
+    p4 = a.ring.n - a.n_lambda == a.len_r_over_power_nu
     ok = p1 == p2 == p3 == p4
     return _verdict("Prop3.2.3", True, ok, lhs=(p1, p2, p3, p4),
                     notes="four equivalent forms of the extremal conductor gap")
 
 
 def _rmk3_3_1(a: Analysis) -> TheoremVerdict:
-    gap = a.n - a.n_lambda
+    gap = a.ring.n - a.n_lambda
     ok = gap >= -a.rho and (not a.is_max_ideal or gap >= a.e - a.rho)
     return _verdict("Rmk3.3.1", True, ok, lhs=gap,
                     rhs=(a.e - a.rho if a.is_max_ideal else -a.rho))
@@ -116,7 +118,7 @@ def _prop3_5_2(a: Analysis) -> TheoremVerdict:
     p1 = 2 * a.rho == a.e * a.nu + (2 * a.delta - a.c)
     p2 = a.lambda_gorenstein and a.c - a.c_lambda == a.e * a.nu
     p3 = a.r_colon_is_power and a.omega_lambda == a.lam
-    p4 = a.r_colon_is_power and a.r_colon_omega.contains(a.r_colon_lambda)
+    p4 = a.r_colon_is_power and a.ring.r_colon_omega.contains(a.r_colon_lambda)
     ok = p1 == p2 == p3 == p4
     return _verdict("Prop3.5.2", True, ok, lhs=(p1, p2, p3, p4))
 
@@ -140,8 +142,8 @@ def _prop4_3_1(a: Analysis) -> TheoremVerdict:
 
 
 def _prop4_3_2(a: Analysis) -> TheoremVerdict:
-    hyp = a.lam_bidual.contains(a.k)
-    alt = a.r_colon_omega.contains(a.r_colon_lambda)
+    hyp = a.lam_bidual.contains(a.ring.k)
+    alt = a.ring.r_colon_omega.contains(a.r_colon_lambda)
     if hyp != alt:
         raise InvariantViolation("the two hypothesis forms must agree")
     if not hyp:
@@ -150,7 +152,7 @@ def _prop4_3_2(a: Analysis) -> TheoremVerdict:
 
 
 def _prop4_3_3(a: Analysis) -> TheoremVerdict:
-    tail = sum(a.ts.entries[i - 1] for i in range(a.i0 + 1, a.n + 1)
+    tail = sum(a.ring.ts.entries[i - 1] for i in range(a.i0 + 1, a.ring.n + 1)
                if i not in a.gamma_set)
     rhs = tail - a.len_bidual_over_rstar
     return _verdict("Prop4.3.3", True, a.d == rhs, lhs=a.d, rhs=rhs)
@@ -175,14 +177,14 @@ def _thm4_4_1(a: Analysis) -> TheoremVerdict:
 
 
 def _thm4_4_2(a: Analysis) -> TheoremVerdict:
-    head = sum(a.ts.entries[i - 1] for i in range(1, a.i0 + 1))
+    head = sum(a.ring.ts.entries[i - 1] for i in range(1, a.i0 + 1))
     rhs = head - a.len_bidual_over_lambda + a.len_bidual_over_rstar
     return _verdict("Thm4.4.2", True, a.rho == rhs, lhs=a.rho, rhs=rhs)
 
 
 def _rmk4_5(a: Analysis) -> TheoremVerdict:
     extremal = a.rho == a.r * a.len_r_over_rcolon
-    flat = all(a.ts.entries[i - 1] == a.r for i in range(1, a.n + 1)
+    flat = all(a.ring.ts.entries[i - 1] == a.r for i in range(1, a.ring.n + 1)
                if i not in a.gamma_set)
     rhs = flat and a.conditions.b1 and a.d == 0
     return _verdict("Rmk4.5", True, extremal == rhs, lhs=extremal, rhs=rhs)
@@ -219,17 +221,16 @@ def _thm4_7_2(a: Analysis) -> TheoremVerdict:
 
 
 def _prop5_1(a: Analysis) -> TheoremVerdict:
-    probes = [a.ideal, a.m_ideal]
-    matches = all(omega_product(j) == bidual(j) for j in probes)
-    ok = a.ring_class.almost_gorenstein == matches
+    matches = (a.ideal + a.ring.k) == a.ideal_bidual and a.ring.maximal_probe
+    ok = a.ring.ring_class.almost_gorenstein == matches
     return _verdict("Prop5.1", True, ok,
-                    lhs=a.ring_class.almost_gorenstein, rhs=matches,
+                    lhs=a.ring.ring_class.almost_gorenstein, rhs=matches,
                     notes="probed on the tested ideal and the maximal ideal; "
                           "the maximal ideal alone decides the converse")
 
 
 def _cor5_2(a: Analysis) -> TheoremVerdict:
-    if not a.ring_class.almost_gorenstein:
+    if not a.ring.ring_class.almost_gorenstein:
         return _verdict("Cor5.2", False)
     first = a.lam_bidual == a.omega_lambda and a.d == 0
     rhs = a.r - 1 + a.len_r_over_rcolon - a.len_bidual_over_lambda
@@ -238,7 +239,7 @@ def _cor5_2(a: Analysis) -> TheoremVerdict:
 
 
 def _thm5_3_1(a: Analysis) -> TheoremVerdict:
-    if not a.ring_class.almost_gorenstein:
+    if not a.ring.ring_class.almost_gorenstein:
         return _verdict("Thm5.3.1", False)
     lhs = 2 * a.rho
     rhs = (a.e * a.nu + a.r - 1
@@ -247,7 +248,7 @@ def _thm5_3_1(a: Analysis) -> TheoremVerdict:
 
 
 def _thm5_3_2(a: Analysis) -> TheoremVerdict:
-    if not a.ring_class.almost_gorenstein:
+    if not a.ring.ring_class.almost_gorenstein:
         return _verdict("Thm5.3.2", False)
     p1 = 2 * a.rho == a.e * a.nu + a.r - 1
     p2 = a.lambda_gorenstein and a.c - a.c_lambda == a.e * a.nu
@@ -260,7 +261,7 @@ def _thm5_3_2(a: Analysis) -> TheoremVerdict:
 
 
 def _cor5_4(a: Analysis) -> TheoremVerdict:
-    hyp = a.ring_class.almost_gorenstein and a.h.symmetric
+    hyp = a.ring.ring_class.almost_gorenstein and a.h.symmetric
     if not hyp:
         return _verdict("Cor5.4", False)
     gap = a.len_rcolon_over_power_nu
@@ -269,7 +270,7 @@ def _cor5_4(a: Analysis) -> TheoremVerdict:
 
 
 def _cor5_5(a: Analysis) -> TheoremVerdict:
-    hyp = a.ring_class.gorenstein and a.h.symmetric
+    hyp = a.ring.ring_class.gorenstein and a.h.symmetric
     if not hyp:
         return _verdict("Cor5.5", False)
     ok = (2 * a.rho == a.e * a.nu + a.r - 1
@@ -279,9 +280,9 @@ def _cor5_5(a: Analysis) -> TheoremVerdict:
 
 
 def _cor5_6(a: Analysis) -> TheoremVerdict:
-    if not a.ring_class.almost_gorenstein:
+    if not a.ring.ring_class.almost_gorenstein:
         return _verdict("Cor5.6", False)
-    conductor_is_power = a.s.conductor_ideal() == a.power_nu
+    conductor_is_power = a.ring.conductor_ideal == a.power_nu
     rhs = a.lam_is_normalization and 2 * a.delta == a.e * a.nu + a.r - 1
     return _verdict("Cor5.6", True, conductor_is_power == rhs,
                     lhs=conductor_is_power, rhs=rhs,
@@ -290,17 +291,17 @@ def _cor5_6(a: Analysis) -> TheoremVerdict:
 
 
 def _rmk5_8(a: Analysis) -> TheoremVerdict:
-    if not a.ring_class.almost_gorenstein:
+    if not a.ring.ring_class.almost_gorenstein:
         return _verdict("Rmk5.8", False)
     refl = a.ideal_reflexive
-    rhs = a.ideal.colon(a.ideal).contains(a.dual_m)
+    rhs = a.ideal.colon(a.ideal).contains(a.ring.dual_m)
     return _verdict("Rmk5.8", True, refl == rhs, lhs=refl, rhs=rhs)
 
 
 def _thm5_9_1(a: Analysis) -> TheoremVerdict:
-    if not a.ring_class.almost_gorenstein:
+    if not a.ring.ring_class.almost_gorenstein:
         return _verdict("Thm5.9.1", False)
-    c1 = a.lam.contains(a.dual_m)
+    c1 = a.lam.contains(a.ring.dual_m)
     window = [is_reflexive(a.power(n)) for n in range(a.nu, a.nu + 3)]
     c2 = window[0]
     c3 = all(window)
@@ -313,11 +314,11 @@ def _thm5_9_1(a: Analysis) -> TheoremVerdict:
 
 
 def _thm5_9_2(a: Analysis) -> TheoremVerdict:
-    hyp = a.ring_class.almost_gorenstein and a.ideal_reflexive
+    hyp = a.ring.ring_class.almost_gorenstein and a.ideal_reflexive
     if not hyp:
         return _verdict("Thm5.9.2", False)
     ok = (a.conditions.a1 and a.conditions.b1
-          and a.lam.contains(a.dual_m))
+          and a.lam.contains(a.ring.dual_m))
     return _verdict("Thm5.9.2", True, ok, lhs=ok)
 
 
@@ -327,11 +328,11 @@ def _thm5_9_2(a: Analysis) -> TheoremVerdict:
 def _rmk6_1(a: Analysis) -> TheoremVerdict:
     if not a.is_max_ideal:
         return _verdict("Rmk6.1", False)
-    shifted_dual = a.dual_m.shift(a.e)
+    shifted_dual = a.ring.dual_m.shift(a.e)
     rhs = (length_between(shifted_dual, a.r_colon_lambda)
            + (a.e - a.r))
     ok = a.len_r_over_rcolon == rhs
-    if a.ring_class.almost_gorenstein:
+    if a.ring.ring_class.almost_gorenstein:
         ok = ok and a.conditions.b1
     return _verdict("Rmk6.1", True, ok, lhs=a.len_r_over_rcolon, rhs=rhs)
 
@@ -339,7 +340,7 @@ def _rmk6_1(a: Analysis) -> TheoremVerdict:
 def _rmk6_2(a: Analysis) -> TheoremVerdict:
     if not a.is_max_ideal:
         return _verdict("Rmk6.2", False)
-    stable = a.lam == a.m_ideal.colon(a.m_ideal)
+    stable = a.lam == a.ring.m_ideal.colon(a.ring.m_ideal)
     forms = (stable, a.e == a.mu, a.rho == a.e - 1, a.r == a.e - 1)
     ok = len(set(forms)) == 1
     return _verdict("Rmk6.2", True, ok, lhs=forms)
@@ -349,9 +350,9 @@ def _prop6_3(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.e == a.mu
     if not hyp:
         return _verdict("Prop6.3", False)
-    ok = a.ring_class.almost_gorenstein == a.lambda_gorenstein
+    ok = a.ring.ring_class.almost_gorenstein == a.lambda_gorenstein
     return _verdict("Prop6.3", True, ok,
-                    lhs=a.ring_class.almost_gorenstein,
+                    lhs=a.ring.ring_class.almost_gorenstein,
                     rhs=a.lambda_gorenstein)
 
 
@@ -360,7 +361,7 @@ def _lemma6_4_3(a: Analysis) -> TheoremVerdict:
     if not hyp:
         return _verdict("Lemma6.4.3", False)
     cube = a.power(3)
-    ok = a.m_ideal.shift(a.e).contains(cube)
+    ok = a.ring.m_ideal.shift(a.e).contains(cube)
     return _verdict("Lemma6.4.3", True, ok,
                     notes="the cube of the maximal ideal falls into its "
                           "multiplicity translate")
@@ -377,7 +378,7 @@ def _prop6_5_2(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.e == a.mu + 1
     if not hyp:
         return _verdict("Prop6.5.2", False)
-    gap = length_between(a.dual_m.shift(a.e), a.r_colon_lambda)
+    gap = length_between(a.ring.dual_m.shift(a.e), a.r_colon_lambda)
     return _verdict("Prop6.5.2", True, gap == 1, lhs=gap, rhs=1)
 
 
@@ -395,7 +396,7 @@ def _cor6_7_1(a: Analysis) -> TheoremVerdict:
     if not hyp:
         return _verdict("Cor6.7.1", False)
     lhs = a.r_colon_is_power
-    rhs = a.ring_class.gorenstein and a.nu == 2
+    rhs = a.ring.ring_class.gorenstein and a.nu == 2
     return _verdict("Cor6.7.1", True, lhs == rhs, lhs=lhs, rhs=rhs)
 
 
@@ -403,7 +404,7 @@ def _cor6_7_2(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.e == a.mu + 1
     if not hyp:
         return _verdict("Cor6.7.2", False)
-    lhs = sum(a.ts.entries[i - 1] - 1 for i in range(2, a.n + 1)
+    lhs = sum(a.ring.ts.entries[i - 1] - 1 for i in range(2, a.ring.n + 1)
               if i not in a.gamma_set)
     rhs = a.d + a.len_bidual_over_lambda + (a.nu - 2)
     return _verdict("Cor6.7.2", True, lhs == rhs, lhs=lhs, rhs=rhs)
@@ -415,15 +416,15 @@ def _cor6_7_3(a: Analysis) -> TheoremVerdict:
         return _verdict("Cor6.7.3", False)
     rhs = a.nu == 2 and a.omega_lambda == a.lam
     return _verdict("Cor6.7.3", True,
-                    a.ring_class.almost_gorenstein == rhs,
-                    lhs=a.ring_class.almost_gorenstein, rhs=rhs)
+                    a.ring.ring_class.almost_gorenstein == rhs,
+                    lhs=a.ring.ring_class.almost_gorenstein, rhs=rhs)
 
 
 def _cor6_7u(a: Analysis) -> TheoremVerdict:
     if not a.is_max_ideal:
         return _verdict("Cor6.7u", False)
     lhs = a.r == a.e - 2 and a.r_colon_is_power
-    rhs = a.ring_class.gorenstein and a.e == 3
+    rhs = a.ring.ring_class.gorenstein and a.e == 3
     return _verdict("Cor6.7u", True, lhs == rhs, lhs=lhs, rhs=rhs)
 
 
@@ -446,15 +447,15 @@ def _prop6_9_1(a: Analysis) -> TheoremVerdict:
 
 def _prop6_9_2(a: Analysis) -> TheoremVerdict:
     hyp = (a.is_max_ideal and a.nu == 2
-           and a.ring_class.almost_gorenstein)
+           and a.ring.ring_class.almost_gorenstein)
     if not hyp:
         return _verdict("Prop6.9.2", False)
     lhs = 2 * (a.e - a.mu - 1)
     rhs = (a.r - 1) - a.len_rcolon_over_power_nu
     ok = lhs == rhs
-    if a.ring_class.gorenstein:
+    if a.ring.ring_class.gorenstein:
         ok = ok and a.e == a.mu + 1 and a.r_colon_is_power
-    if a.ring_class.kunz:
+    if a.ring.ring_class.kunz:
         ok = ok and a.e == a.mu + 1 and a.len_rcolon_over_power_nu == 1
     return _verdict("Prop6.9.2", True, ok, lhs=lhs, rhs=rhs,
                     notes="with the Gorenstein and Kunz specializations "
@@ -462,7 +463,7 @@ def _prop6_9_2(a: Analysis) -> TheoremVerdict:
 
 
 def _cor6_10(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.ring_class.gorenstein
+    hyp = a.is_max_ideal and a.ring.ring_class.gorenstein
     if not hyp:
         return _verdict("Cor6.10", False)
     square = a.power(2)
@@ -477,7 +478,7 @@ def _prop6_11(a: Analysis) -> TheoremVerdict:
     if not a.is_max_ideal:
         return _verdict("Prop6.11", False)
     square = a.power(2)
-    lhs = a.s.conductor_ideal() == square
+    lhs = a.ring.conductor_ideal == square
     rhs = (a.lam_is_normalization
            and 2 * (a.e - a.mu - 1) == 2 * a.delta - a.c
            and a.nu == 2)
@@ -507,7 +508,7 @@ def _prop6_13_2(a: Analysis) -> TheoremVerdict:
 
 def _prop6_13_3(a: Analysis) -> TheoremVerdict:
     hyp = (a.is_max_ideal and a.nu == 3
-           and a.ring_class.almost_gorenstein)
+           and a.ring.ring_class.almost_gorenstein)
     if not hyp:
         return _verdict("Prop6.13.3", False)
     rhs = (a.len_rcolon_over_power_nu == a.r - 1 and a.e == 2 * a.mu)
@@ -516,7 +517,7 @@ def _prop6_13_3(a: Analysis) -> TheoremVerdict:
 
 
 def _cor6_14(a: Analysis) -> TheoremVerdict:
-    hyp = (a.is_max_ideal and a.ring_class.almost_gorenstein
+    hyp = (a.is_max_ideal and a.ring.ring_class.almost_gorenstein
            and a.e == 2 * a.mu)
     if not hyp:
         return _verdict("Cor6.14", False)
@@ -596,6 +597,12 @@ def expand_statement_ids(requested) -> tuple[str, ...]:
     return tuple(dict.fromkeys(names))
 
 
+@lru_cache(maxsize=64)
+def _resolved_ids(requested: tuple[str, ...]) -> tuple[str, ...]:
+    """expand_statement_ids, once per distinct request."""
+    return expand_statement_ids(requested)
+
+
 def verify_statement(statement_id: str, e: ValueIdeal) -> TheoremVerdict:
     if statement_id not in STATEMENTS:
         raise UnknownStatement(f"no statement named {statement_id!r}")
@@ -604,9 +611,6 @@ def verify_statement(statement_id: str, e: ValueIdeal) -> TheoremVerdict:
 
 def verify_many(e: ValueIdeal, statement_ids=None) -> list[TheoremVerdict]:
     """Run several statements against one shared analysis."""
-    if statement_ids is None:
-        names = catalog_ids()
-    else:
-        names = expand_statement_ids(statement_ids)
+    names = catalog_ids() if statement_ids is None else _resolved_ids(tuple(statement_ids))
     shared = Analysis.of(e)
     return [STATEMENTS[name](shared) for name in names]

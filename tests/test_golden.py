@@ -28,6 +28,8 @@ GOLDEN = [
     (["analyze", "<17,26>", "--ideal", "ideal(26,34)",
       "--statements", ALL_IDS, "--format", "json"],
      "53e7eb0421b904175988fdaac288602a70577a83412815578dfca512c9b25881"),
+    (["analyze", "<40,41>", "--statements", ALL_IDS, "--format", "json"],
+     "b024a8b737af2284b365c7b9aacef420df39b97997c2188012ea35fcdbbfa33d"),
     (["examples", "--format", "json"],
      "5f8d12774f417ace0cd30d9d4579643e1ab22a95d20af60f596e1fba12d87c56"),
 ]
