@@ -3,18 +3,21 @@
 For a non-principal ideal E inside the maximal ideal, the multiplicity is
 e = min E (a monomial minimal reduction always exists in this model), the
 Hilbert function H(n) counts nE minus (n+1)E, the reduction exponent nu is
-the first n with H(n) = e, and the blow-up Lambda is the union of the
-colon quotients nE - nE, which stabilizes at n = nu.
+the first n with H(n) = e, and the blow-up Lambda is the colon quotient
+nuE - nuE, where the stages nE - nE stabilize.  From nu on the powers are
+translates: (n+1)E = e + nE, so only the powers up to nu+1 are sums and
+every later one is nuE shifted.
 
-Lambda is computed twice: by iterating nE - nE, and independently as the
+Lambda is computed twice: as the stage nuE - nuE, and independently as the
 semigroup generated by S together with E shifted down by its minimum.  Both
 routes must agree; disagreement raises InvariantViolation.
 
-Analysis is the one object per (semigroup, ideal) pair.  It starts from the
-kernel that _blowup_data computes and derives every other quantity lazily,
-each at most once; its constructor runs the pair's cross-checks.  The
-ring-level quantities (K, the type sequence, the class, S:M, S:K) are read
-from the semigroup's one Ring, a.ring, which all pairs over S share.
+Analysis is the one object per (semigroup, ideal) pair and the one place
+the filtration is built.  Its constructor computes the powers, H, nu, rho
+and Lambda with their checks, then runs the pair's cross-checks; every
+other quantity is derived lazily, each at most once.  The ring-level
+quantities (K, the type sequence, the class, S:M, S:K) are read from the
+semigroup's one Ring, a.ring, which all pairs over S share.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from functools import cached_property
 
 from .core import NumericalSemigroup, ValueIdeal, length_between
 from .errors import (
-    DegenerateBlowup,
     EquivalenceViolation,
     InvariantViolation,
     NotProper,
@@ -33,18 +35,18 @@ from .errors import (
 from .invariants import bidual, dual, ring
 
 
-def _power_at(powers: list[ValueIdeal], e: ValueIdeal, k: int) -> ValueIdeal:
-    """powers[k], extending the list [S, E, 2E, ...] as far as needed."""
-    while len(powers) <= k:
-        powers.append(powers[-1] + e)
-    return powers[k]
-
-
 def power(e: ValueIdeal, k: int) -> ValueIdeal:
-    """k-fold sumset; k = 0 gives the carrier itself."""
+    """k-fold sumset; k = 0 gives the carrier itself.
+
+    A plain loop of sums, kept as a reference that does not use the shift
+    rule Analysis.power relies on past nu.
+    """
     if k < 0:
         raise ValueError("power wants k >= 0")
-    return _power_at([e.carrier.as_ideal(), e], e, k)
+    p = e.carrier.as_ideal()
+    for _ in range(k):
+        p = p + e
+    return p
 
 
 @dataclass(frozen=True)
@@ -62,27 +64,16 @@ class HPolynomial:
     rho: int
 
     @classmethod
-    def of(cls, kernel) -> "HPolynomial":
-        """From anything carrying the kernel fields ideal, hilbert, nu and rho."""
-        hs = kernel.hilbert
-        coeffs = (hs[0],) + tuple(hs[i] - hs[i - 1] for i in range(1, kernel.nu + 1))
-        return cls(coefficients=coeffs, hilbert=hs, e=kernel.ideal.min_element,
-                   nu=kernel.nu, rho=kernel.rho)
+    def of(cls, a: "Analysis") -> "HPolynomial":
+        """From the Hilbert function, nu and rho of a pair's analysis."""
+        hs = a.hilbert
+        coeffs = (hs[0],) + tuple(hs[i] - hs[i - 1] for i in range(1, a.nu + 1))
+        return cls(coefficients=coeffs, hilbert=hs, e=a.e, nu=a.nu, rho=a.rho)
 
     @property
     def symmetric(self) -> bool:
         c = self.coefficients
         return all(c[i] == c[self.nu - i] for i in range(self.nu + 1))
-
-
-@dataclass(frozen=True)
-class _BlowupData:
-    ideal: ValueIdeal
-    powers: tuple[ValueIdeal, ...]
-    hilbert: tuple[int, ...]
-    nu: int
-    rho: int
-    lam: ValueIdeal
 
 
 def _check_proper(e: ValueIdeal) -> None:
@@ -93,86 +84,19 @@ def _check_proper(e: ValueIdeal) -> None:
         raise PrincipalIdeal(f"ideal generated by {e.min_element} alone is principal")
 
 
-def _blowup_data(e_ideal: ValueIdeal) -> _BlowupData:
-    _check_proper(e_ideal)
-    s = e_ideal.carrier
-    s_ideal = s.as_ideal()
-    a = e_ideal.min_element
-
-    powers = [s_ideal, e_ideal]
-    hseq: list[int] = []
-    while True:
-        n = len(hseq)
-        h = length_between(powers[n], _power_at(powers, e_ideal, n + 1))
-        if h > a:
-            raise InvariantViolation("Hilbert value exceeded the multiplicity")
-        hseq.append(h)
-        if h == a:
-            break
-        if len(hseq) > a + 1:
-            raise InvariantViolation("Hilbert function failed to reach the multiplicity")
-    nu = len(hseq) - 1
-    if nu < 1:
-        raise InvariantViolation("reduction exponent 0 would mean a principal ideal")
-    rho = sum(a - h for h in hseq)
-
-    quotients: dict[int, ValueIdeal] = {}
-
-    def stage(n: int) -> ValueIdeal:
-        if n not in quotients:
-            p = _power_at(powers, e_ideal, n)
-            quotients[n] = p.colon(p)
-        return quotients[n]
-
-    lam = None
-    cap = max(a, nu) + 1
-    n = nu
-    while n <= cap:
-        if stage(n) == stage(n + 1):
-            lam = stage(n)
-            break
-        n += 1
-    if lam is None:
-        raise InvariantViolation("blow-up iteration failed to stabilize within the cap")
-
-    # the stages must first hit Lambda exactly at nu, and so must nE + Lambda = nE
-    first_stage = next(k for k in range(1, n + 1) if stage(k) == lam)
-    if first_stage != nu:
-        raise InvariantViolation(f"stages reached the blow-up at {first_stage}, expected {nu}")
-    first_invariant = next(k for k in range(1, nu + 1) if (powers[k] + lam) == powers[k])
-    if first_invariant != nu:
-        raise InvariantViolation(
-            f"powers absorb the blow-up from {first_invariant}, expected {nu}")
-    if rho != length_between(lam, s_ideal):
-        raise InvariantViolation("rho disagrees with l(Lambda/R)")
-
-    # independent route: the semigroup generated by S and E - min(E)
-    shifted = [g - a for g in e_ideal.minimal_generators() if g != a]
-    generated = NumericalSemigroup.from_generators(sorted(set(s.min_generators) | set(shifted)))
-    lam_by_generation = ValueIdeal(
-        s, [x for x in generated.small_elements if x < generated.conductor],
-        generated.conductor, validate=False)
-    if lam != lam_by_generation:
-        raise InvariantViolation("blow-up routes disagree")
-
-    return _BlowupData(ideal=e_ideal, powers=tuple(powers[:nu + 2]), hilbert=tuple(hseq),
-                       nu=nu, rho=rho, lam=lam)
-
-
 def hilbert_function(e: ValueIdeal, n_max: int) -> tuple[int, ...]:
     """H(0..n_max); constant e from nu on."""
-    data = _blowup_data(e)
-    mult = e.min_element
-    return tuple(data.hilbert[n] if n <= data.nu else mult for n in range(n_max + 1))
+    hs = analyze(e).hilbert
+    return tuple(hs[min(n, len(hs) - 1)] for n in range(n_max + 1))
 
 
 def h_polynomial(e: ValueIdeal) -> HPolynomial:
-    return HPolynomial.of(_blowup_data(e))
+    return analyze(e).h
 
 
 def blowup_lambda(e: ValueIdeal) -> ValueIdeal:
     """The blow-up of E: union of the stages nE - nE."""
-    return _blowup_data(e).lam
+    return analyze(e).lam
 
 
 @dataclass(frozen=True)
@@ -206,25 +130,74 @@ class ConditionsReport:
 class Analysis:
     """Every quantity of one (semigroup, ideal) pair, each computed at most once.
 
-    The constructor reads only the kernel fields ideal, powers, hilbert, nu,
-    rho and lam, which both _blowup_data's result and an Analysis carry, and
-    then runs cross_check.  Ring-level quantities live on self.ring.
+    The constructor builds the filtration of E: the powers S, E, ..., (nu+1)E
+    by sums, the Hilbert function, nu, rho and Lambda = nuE - nuE, checking
+    each against an independent route, and then runs cross_check.  Past
+    nu+1 a power is nuE shifted (power); self.powers never grows.  An
+    Analysis passed in place of the ideal is rebuilt from its ideal.
+    Ring-level quantities live on self.ring.
     """
 
-    def __init__(self, kernel):
-        self.ideal = kernel.ideal
-        self.s = kernel.ideal.carrier
-        self.powers = list(kernel.powers)
-        self.hilbert = kernel.hilbert
-        self.nu = kernel.nu
-        self.rho = kernel.rho
-        self.lam = kernel.lam
-        self.ring = ring(self.s)
+    def __init__(self, e: ValueIdeal):
+        if isinstance(e, Analysis):
+            e = e.ideal
+        _check_proper(e)
+        s = e.carrier
+        a = e.min_element
+        self.ideal, self.s, self.ring = e, s, ring(s)
+        s_ideal = self.ring.s_ideal
+
+        powers = [s_ideal, e]
+        hseq: list[int] = []
+        while True:
+            h = length_between(powers[-2], powers[-1])
+            if h > a:
+                raise InvariantViolation("Hilbert value exceeded the multiplicity")
+            hseq.append(h)
+            if h == a:
+                break
+            if len(hseq) > a + 1:
+                raise InvariantViolation("Hilbert function failed to reach the multiplicity")
+            powers.append(powers[-1] + e)
+        nu = len(hseq) - 1
+        if nu < 1:
+            raise InvariantViolation("reduction exponent 0 would mean a principal ideal")
+        # H(nu) = e says the sum adds nothing beyond a translate; every power
+        # past nu is built on this
+        if powers[nu + 1] != powers[nu].shift(a):
+            raise InvariantViolation("(nu+1)E differs from e + nuE")
+        rho = sum(a - h for h in hseq)
+
+        # the stages nE - nE must first hit Lambda exactly at nu, and so must
+        # nE + Lambda = nE; past nu every stage equals stage nu, because
+        # (n+1)E is a translate of nE
+        lam = powers[nu].colon(powers[nu])
+        first_stage = next((k for k in range(1, nu) if powers[k].colon(powers[k]) == lam), nu)
+        if first_stage != nu:
+            raise InvariantViolation(f"stages reached the blow-up at {first_stage}, expected {nu}")
+        first_invariant = next(k for k in range(1, nu + 1) if (powers[k] + lam) == powers[k])
+        if first_invariant != nu:
+            raise InvariantViolation(
+                f"powers absorb the blow-up from {first_invariant}, expected {nu}")
+        if rho != length_between(lam, s_ideal):
+            raise InvariantViolation("rho disagrees with l(Lambda/R)")
+
+        # independent route: the semigroup generated by S and E - min(E)
+        shifted = [g - a for g in e.minimal_generators() if g != a]
+        generated = NumericalSemigroup.from_generators(sorted(set(s.min_generators) | set(shifted)))
+        if lam != ValueIdeal._of(s, 0, generated.bits, generated.conductor):
+            raise InvariantViolation("blow-up routes disagree")
+
+        self.powers = powers
+        self.hilbert = tuple(hseq)
+        self.nu = nu
+        self.rho = rho
+        self.lam = lam
         self.cross_check()
 
     @classmethod
     def of(cls, e: ValueIdeal) -> "Analysis":
-        return cls(_blowup_data(e))
+        return cls(e)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Analysis):
@@ -235,10 +208,11 @@ class Analysis:
         return hash(self.ideal)
 
     def cross_check(self) -> None:
-        """The pair's internal checks: the degenerate-blow-up guard, the window
+        """The pair's internal checks: the blow-up is not S, the window
         bookkeeping and the coherence of the condition groups."""
+        # Lambda contains E - e, so Lambda = S would make E = e + S principal
         if self.lam == self.ring.s_ideal:
-            raise DegenerateBlowup("the blow-up equals the semigroup itself")
+            raise InvariantViolation("the blow-up equals the semigroup itself")
         if self.rho != self.delta - self.delta_lambda:
             raise InvariantViolation("rho must equal genus minus the blow-up genus")
         # window bookkeeping: R:Lambda below the conductor is exactly {s_(i-1) : i in Gamma}
@@ -256,8 +230,10 @@ class Analysis:
             raise EquivalenceViolation("bridge rule between the groups failed")
 
     def power(self, k: int) -> ValueIdeal:
-        """kE, kept in the pair's one list of powers."""
-        return _power_at(self.powers, self.ideal, k)
+        """kE: a kept sum up to nu+1, and nuE shifted by (k - nu)e past that."""
+        if k <= self.nu + 1:
+            return self.powers[k]
+        return self.powers[self.nu].shift((k - self.nu) * self.e)
 
     # notation
 
@@ -368,11 +344,14 @@ class Analysis:
     def _holds_a4(self) -> bool:
         # A4 quantifies over all n >= nu; once the product minimum passes the
         # conductor the condition is translation-stable, so the scan is finite.
-        for n in range(self.nu, self.nu + self.c + 3):
-            p = self.power(n)
-            if (p + self.ring.k).intersect(self.ring.s_ideal) != p:
+        # Past nu, nE + K is nuE + K shifted by (n - nu)e.
+        p = self.power_nu
+        q = p + self.ring.k
+        for t in range(self.c + 3):
+            z = t * self.e
+            if q.shift(z).intersect(self.ring.s_ideal) != p.shift(z):
                 return False
-            if p.min_element >= self.c:
+            if p.min_element + z >= self.c:
                 return True
         raise InvariantViolation("A4 scan failed to terminate")
 
@@ -391,10 +370,8 @@ class Analysis:
 
     @cached_property
     def r_filter_i0(self) -> ValueIdeal:
-        small = self.ring.small_elements
-        lo = small[self.i0]
-        return ValueIdeal(self.s, [x for x in small if lo <= x < self.c],
-                          self.c, validate=False)
+        lo = self.ring.small_elements[self.i0]
+        return ValueIdeal._of(self.s, lo, self.s.bits >> lo, self.c)
 
     @cached_property
     def r_star_i0(self) -> ValueIdeal:
@@ -440,7 +417,7 @@ class Analysis:
 
     @cached_property
     def len_gammar_over_conductor_power(self) -> int:
-        hi = ValueIdeal(self.s, [], self.nu * self.e + self.c_lambda, validate=False)
+        hi = ValueIdeal._of(self.s, 0, 0, self.nu * self.e + self.c_lambda)
         return length_between(self.ring.conductor_ideal, hi)
 
     @cached_property
@@ -461,8 +438,8 @@ BlowupReport = Analysis
 
 
 def analyze(e: ValueIdeal) -> Analysis:
-    """The analysis of the pair; raises DegenerateBlowup if Lambda = S."""
-    return Analysis.of(e)
+    """The analysis of the pair, built and cross-checked by Analysis(e)."""
+    return Analysis(e)
 
 
 def check_conditions_a_b(e: ValueIdeal) -> ConditionsReport:

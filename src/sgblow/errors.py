@@ -66,7 +66,12 @@ class NotProper(SgblowError):
 
 
 class DegenerateBlowup(SgblowError):
-    """The blow-up equals the semigroup itself; index bookkeeping is undefined."""
+    """The blow-up equals the semigroup itself.
+
+    No longer raised: Lambda contains E - e, so Lambda = S would make E = e + S
+    principal, and the analysis reports that case as an InvariantViolation.
+    Kept so that code importing it still runs.
+    """
 
 
 class EquivalenceViolation(SgblowError):

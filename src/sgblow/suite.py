@@ -20,12 +20,7 @@ from .enumeration import (
     enumerate_semigroups,
     sample_ideals,
 )
-from .errors import (
-    DegenerateBlowup,
-    EquivalenceViolation,
-    InvariantViolation,
-    SgblowError,
-)
+from .errors import EquivalenceViolation, InvariantViolation, SgblowError
 from .parsing import format_ideal, format_semigroup, parse_semigroup
 from .report import jsonable
 from .statements import catalog_ids, expand_statement_ids, verify_many
@@ -136,14 +131,11 @@ def _suite_task(args: tuple[str, SuiteConfig, tuple[str, ...]]) -> dict:
     text, config, ids = args
     s = parse_semigroup(text)
     out = {"semigroup": text, "pairs": 0, "checked": 0, "held": 0,
-           "vacuous": 0, "failed": 0, "degenerate": [], "failures": []}
+           "vacuous": 0, "failed": 0, "failures": []}
     for ideal in _ideals_for(s, config):
         ideal_text = format_ideal(ideal)
         try:
             verdicts = verify_many(ideal, ids)
-        except DegenerateBlowup:
-            out["degenerate"].append({"semigroup": text, "ideal": ideal_text})
-            continue
         except (InvariantViolation, EquivalenceViolation) as exc:
             # a failed internal check is a bug on this pair; record it and go on
             out["failed"] += 1
@@ -192,7 +184,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         partials = [_suite_task(t) for t in tasks]
 
     pairs = checked = held = vacuous = failed = 0
-    degenerate: list[dict] = []
     failures: list[dict] = []
     for part in partials:
         pairs += part["pairs"]
@@ -200,7 +191,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         held += part["held"]
         vacuous += part["vacuous"]
         failed += part["failed"]
-        degenerate.extend(part["degenerate"])
         failures.extend(part["failures"])
     return SuiteReport(
         config=config,
@@ -211,6 +201,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         held=held,
         vacuous=vacuous,
         failed=failed,
-        degenerate=tuple(degenerate),
+        degenerate=(),
         failures=tuple(failures),
     )

@@ -11,13 +11,14 @@ from sgblow.blowup import (
     power,
 )
 from sgblow.core import NumericalSemigroup, ValueIdeal, length_between
-from sgblow.errors import NotProper, PrincipalIdeal
+from sgblow.errors import InvariantViolation, NotProper, PrincipalIdeal
 from sgblow.invariants import (
     bidual,
     canonical_closure,
     classify,
     integral_closure,
 )
+from sgblow.statements import verify_many
 
 from oracles import gap_length, ideal_members, iterated_blowup, sumset
 
@@ -78,10 +79,11 @@ def test_rho_is_the_genus_drop(gens, ideal_gens):
 def test_powers_match_brute_sums(gens, ideal_gens):
     s, e = pair(gens, ideal_gens)
     rep = analyze(e)
-    hi = 4 * (max(ideal_gens) + 1) + 2 * s.conductor
+    # past nu + 1 the powers are shifts of nuE; the oracle sums them
+    hi = (rep.nu + 4) * (max(ideal_gens) + 1) + 2 * s.conductor
     brute = {0} | ideal_members(s.small_elements, s.conductor, [0], hi)
     single = ideal_members(s.small_elements, s.conductor, ideal_gens, hi)
-    for k in range(4):
+    for k in range(rep.nu + 4):
         got = set(rep.power(k).elements_below(hi))
         assert got == brute
         brute = sumset(brute, single, hi)
@@ -147,6 +149,38 @@ def test_condition_groups_are_coherent():
         assert conds.b1 == conds.b2 == conds.holds_b
         assert conds.holds_a == (conds.holds_b
                                  and conds.colon_inside_omega_dual)
+
+
+def _a4_by_sums(a):
+    """A4 scanned over powers built by the public k-fold sums."""
+    k, s_ideal = a.ring.k, a.ring.s_ideal
+    p = power(a.ideal, a.nu)
+    while True:
+        if (p + k).intersect(s_ideal) != p:
+            return False
+        if p.min_element >= a.c:
+            return True
+        p = p + a.ideal
+
+
+@pytest.mark.parametrize("gens", [(3, 101), (5, 103), (7, 50)])
+def test_a4_scan_matches_sums_at_large_windows(gens):
+    a = analyze(NumericalSemigroup.from_generators(gens).maximal_ideal())
+    assert a.c >= 200
+    assert a.conditions.a4 == _a4_by_sums(a)
+
+
+def test_verify_many_at_a_large_conductor():
+    m = NumericalSemigroup.from_generators([3, 4001]).maximal_ideal()
+    assert m.carrier.conductor == 8000
+    assert not [v for v in verify_many(m) if v.status == "failed"]
+
+
+def test_a_blowup_equal_to_s_is_an_internal_error():
+    a = analyze(NumericalSemigroup.from_generators([3, 4, 5]).maximal_ideal())
+    a.lam = a.ring.s_ideal
+    with pytest.raises(InvariantViolation):
+        a.cross_check()
 
 
 def test_almost_gorenstein_forces_the_bridge():

@@ -15,7 +15,6 @@ import pytest
 from sgblow import invariants
 from sgblow.core import NumericalSemigroup
 from sgblow.enumeration import enumerate_ideals
-from sgblow.errors import DegenerateBlowup
 from sgblow.invariants import canonical_ideal, classify, ring, type_sequence
 from sgblow.statements import verify_many
 
@@ -101,12 +100,6 @@ def test_verify_many_over_every_ideal_builds_one_ring(monkeypatch):
     s = NumericalSemigroup.from_generators([5, 7, 9])
     ideals = list(enumerate_ideals(s))
     assert len(ideals) > 20
-    analyzed = 0
     for e in ideals:
-        try:
-            verify_many(e)
-        except DegenerateBlowup:
-            continue
-        analyzed += 1
-    assert analyzed > 20
+        verify_many(e)
     assert built == [s]
