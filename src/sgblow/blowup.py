@@ -14,16 +14,17 @@ routes must agree; disagreement raises InvariantViolation.
 
 Analysis is the one object per (semigroup, ideal) pair and the one place
 the filtration is built.  Its constructor computes the powers, H, nu, rho
-and Lambda with their checks, then runs the pair's cross-checks; every
-other quantity is derived lazily, each at most once.  The ring-level
-quantities (K, the type sequence, the class, S:M, S:K) are read from the
-semigroup's one Ring, a.ring, which all pairs over S share.
+and Lambda with their checks, then every other pair quantity once, as a
+plain attribute, running the pair's cross-checks as soon as what they read
+is in place.  The ring-level quantities (K, the type sequence, the class,
+S:M, S:K) are read from the semigroup's one Ring, a.ring, which all pairs
+over S share.  Ring stays lazy: dual, canonical_ideal and integral_closure
+each read one of its fields, and need not pay for the type sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import NumericalSemigroup, ValueIdeal, length_between
 from .errors import (
@@ -126,16 +127,27 @@ class ConditionsReport:
     def holds_b(self) -> bool:
         return self.b1
 
+    @property
+    def coherent(self) -> bool:
+        """Group A agrees within itself, so does group B, and A holds iff B
+        and the bridge do."""
+        return (self.a1 == self.a2 == self.a3 == self.a4 == self.a5 == self.a6
+                and self.b1 == self.b2
+                and self.a1 == (self.b1 and self.colon_inside_omega_dual))
+
 
 class Analysis:
-    """Every quantity of one (semigroup, ideal) pair, each computed at most once.
+    """Every quantity of one (semigroup, ideal) pair, each computed once.
 
-    The constructor builds the filtration of E: the powers S, E, ..., (nu+1)E
-    by sums, the Hilbert function, nu, rho and Lambda = nuE - nuE, checking
-    each against an independent route, and then runs cross_check.  Past
-    nu+1 a power is nuE shifted (power); self.powers never grows.  An
-    Analysis passed in place of the ideal is rebuilt from its ideal.
-    Ring-level quantities live on self.ring.
+    The constructor is the one place a pair is built, in dependency order.
+    It builds the filtration of E: the powers S, E, ..., (nu+1)E by sums,
+    the Hilbert function, nu, rho and Lambda = nuE - nuE, checking each
+    against an independent route.  It then assigns the quantities
+    cross_check reads, runs cross_check, and assigns the rest, which only
+    the catalog and the document read; every timed path reads them all, so
+    each is a plain attribute.  Past nu+1 a power is nuE shifted (power);
+    self.powers never grows.  An Analysis passed in place of the ideal is
+    rebuilt from its ideal.  Ring-level quantities live on self.ring.
     """
 
     def __init__(self, e: ValueIdeal):
@@ -144,8 +156,9 @@ class Analysis:
         _check_proper(e)
         s = e.carrier
         a = e.min_element
-        self.ideal, self.s, self.ring = e, s, ring(s)
-        s_ideal = self.ring.s_ideal
+        rg = ring(s)
+        self.ideal, self.s, self.ring = e, s, rg
+        s_ideal = rg.s_ideal
 
         powers = [s_ideal, e]
         hseq: list[int] = []
@@ -193,7 +206,77 @@ class Analysis:
         self.nu = nu
         self.rho = rho
         self.lam = lam
+
+        # notation
+        self.e = a
+        self.c = c = s.conductor
+        self.delta = s.genus
+        self.mu = s.embedding_dimension
+        self.c_lambda = lam.frontier
+        self.h = HPolynomial.of(self)
+        self.is_max_ideal = e == rg.m_ideal
+        self.power_nu = p_nu = powers[nu]
+        self.conductor_in_power = p_nu.frontier <= c
+
+        # what cross_check reads
+        k = rg.k
+        self.r_colon_lambda = r_colon = s_ideal.colon(lam)
+        self.lam_bidual = s_ideal.colon(r_colon)
+        self.omega_lambda = k + lam
+        self.k_colon_lambda = k.colon(lam)
+        self.delta_lambda = length_between(rg.normalization, lam)
+        # Gamma holds the i in 1..n with s_(i-1) in R:Lambda; outside_gamma the rest
+        inside = [x in r_colon for x in rg.small_elements[:-1]]
+        self.gamma_set = tuple(i for i, hit in enumerate(inside, 1) if hit)
+        self.outside_gamma = tuple(i for i, hit in enumerate(inside, 1) if not hit)
+        self.len_r_over_rcolon = length_between(s_ideal, r_colon)
+        # every member of both groups, each evaluated on its own
+        self.conditions = ConditionsReport(
+            a1=lam.contains(k),
+            a2=self.omega_lambda == lam,
+            a3=self.k_colon_lambda == r_colon,
+            a4=self._holds_a4(),
+            a5=(k + p_nu) == p_nu,
+            a6=any((k + self.power(n)) == self.power(n) for n in range(1, nu + 1)),
+            b1=lam == self.lam_bidual,
+            b2=self.k_colon_lambda == (k + r_colon),
+            colon_inside_omega_dual=rg.r_colon_omega.contains(r_colon),
+        )
         self.cross_check()
+
+        # what only the catalog and the document read
+        ts = rg.ts
+        self.r = ts.cm_type
+        # R_i0 is S from s_i0 = min R:Lambda on
+        lo = r_colon.min_element
+        self.i0 = rg.small_elements.index(lo)
+        self.r_filter_i0 = ValueIdeal._of(s, lo, s.bits >> lo, c)
+        self.r_star_i0 = dual(self.r_filter_i0)
+        self.ideal_bidual = bidual(e)
+        self.ideal_reflexive = self.ideal_bidual == e
+        self.r_colon_is_power = r_colon == p_nu
+        self.n_lambda = self.c_lambda - self.delta_lambda
+        # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
+        self.lambda_gorenstein = 2 * self.delta_lambda == self.c_lambda
+        self.lam_is_normalization = lam == rg.normalization
+
+        # lengths, all validated for nesting by length_between
+        self.len_rcolon_over_power_nu = length_between(r_colon, p_nu)
+        self.len_bidual_over_lambda = length_between(self.lam_bidual, lam)
+        self.len_omega_over_lambda = length_between(self.omega_lambda, lam)
+        self.len_omega_over_bidual = length_between(self.omega_lambda, self.lam_bidual)
+        self.len_r_over_power_nu = length_between(s_ideal, p_nu)
+        self.len_rbar_over_omega = length_between(rg.normalization, self.omega_lambda)
+        self.len_rbar_over_bidual = length_between(rg.normalization, self.lam_bidual)
+        self.len_bidual_over_rstar = length_between(self.lam_bidual, self.r_star_i0)
+        self.len_gammar_over_conductor_power = length_between(
+            rg.conductor_ideal, ValueIdeal._of(s, 0, 0, nu * a + self.c_lambda))
+
+        self.sum_gamma = sum(ts.entries[i - 1] for i in self.gamma_set)
+        self.sum_not_gamma = self.delta - self.sum_gamma
+        # the sum of r_i - 1 over the indices outside Gamma
+        self.sum_not_gamma_excess = self.sum_not_gamma - len(self.outside_gamma)
+        self.d = self.len_rbar_over_bidual - self.sum_gamma
 
     @classmethod
     def of(cls, e: ValueIdeal) -> "Analysis":
@@ -220,126 +303,14 @@ class Analysis:
             raise InvariantViolation("Gamma size disagrees with l(R:Lambda/gamma_R)")
         if self.len_r_over_rcolon != self.ring.n - len(self.gamma_set):
             raise InvariantViolation("l(R/R:Lambda) must count small elements outside Gamma")
-        c = self.conditions
-        if not (c.a1 == c.a2 == c.a3 == c.a4 == c.a5 == c.a6):
-            raise EquivalenceViolation(
-                f"group A disagrees: {c.a1},{c.a2},{c.a3},{c.a4},{c.a5},{c.a6}")
-        if c.b1 != c.b2:
-            raise EquivalenceViolation(f"group B disagrees: {c.b1},{c.b2}")
-        if c.a1 != (c.b1 and c.colon_inside_omega_dual):
-            raise EquivalenceViolation("bridge rule between the groups failed")
+        if not self.conditions.coherent:
+            raise EquivalenceViolation(f"condition groups do not cohere: {self.conditions}")
 
     def power(self, k: int) -> ValueIdeal:
         """kE: a kept sum up to nu+1, and nuE shifted by (k - nu)e past that."""
         if k <= self.nu + 1:
             return self.powers[k]
         return self.powers[self.nu].shift((k - self.nu) * self.e)
-
-    # notation
-
-    @property
-    def c(self) -> int:
-        return self.s.conductor
-
-    @property
-    def delta(self) -> int:
-        return self.s.genus
-
-    @property
-    def r(self) -> int:
-        return self.ring.ts.cm_type
-
-    @property
-    def mu(self) -> int:
-        return self.s.embedding_dimension
-
-    # pair-level data
-
-    @property
-    def e(self) -> int:
-        return self.ideal.min_element
-
-    @cached_property
-    def h(self) -> HPolynomial:
-        return HPolynomial.of(self)
-
-    @cached_property
-    def r_colon_lambda(self) -> ValueIdeal:
-        return self.ring.s_ideal.colon(self.lam)
-
-    @cached_property
-    def lam_bidual(self) -> ValueIdeal:
-        return self.ring.s_ideal.colon(self.r_colon_lambda)
-
-    @cached_property
-    def omega_lambda(self) -> ValueIdeal:
-        return self.ring.k + self.lam
-
-    @cached_property
-    def k_colon_lambda(self) -> ValueIdeal:
-        return self.ring.k.colon(self.lam)
-
-    @property
-    def c_lambda(self) -> int:
-        return self.lam.frontier
-
-    @cached_property
-    def delta_lambda(self) -> int:
-        return length_between(self.ring.normalization, self.lam)
-
-    @cached_property
-    def gamma_set(self) -> tuple[int, ...]:
-        small = self.ring.small_elements
-        return tuple(i for i in range(1, self.ring.n + 1) if small[i - 1] in self.r_colon_lambda)
-
-    @cached_property
-    def d(self) -> int:
-        return self.len_rbar_over_bidual - self.sum_gamma
-
-    @cached_property
-    def i0(self) -> int:
-        return self.ring.small_elements.index(self.r_colon_lambda.min_element)
-
-    @cached_property
-    def power_nu(self) -> ValueIdeal:
-        return self.power(self.nu)
-
-    @cached_property
-    def r_colon_is_power(self) -> bool:
-        return self.r_colon_lambda == self.power_nu
-
-    @property
-    def conductor_in_power(self) -> bool:
-        return self.power_nu.frontier <= self.c
-
-    @cached_property
-    def ideal_bidual(self) -> ValueIdeal:
-        return bidual(self.ideal)
-
-    @cached_property
-    def ideal_reflexive(self) -> bool:
-        return self.ideal_bidual == self.ideal
-
-    @property
-    def is_max_ideal(self) -> bool:
-        return self.ideal == self.ring.m_ideal
-
-    @cached_property
-    def conditions(self) -> ConditionsReport:
-        """Every member of both groups, each evaluated on its own; cross_check
-        asserts that they cohere."""
-        k, lam, nu = self.ring.k, self.lam, self.nu
-        return ConditionsReport(
-            a1=lam.contains(k),
-            a2=self.omega_lambda == lam,
-            a3=self.k_colon_lambda == self.r_colon_lambda,
-            a4=self._holds_a4(),
-            a5=(k + self.power_nu) == self.power_nu,
-            a6=any((k + self.power(n)) == self.power(n) for n in range(1, nu + 1)),
-            b1=lam == self.lam_bidual,
-            b2=self.k_colon_lambda == (k + self.r_colon_lambda),
-            colon_inside_omega_dual=self.ring.r_colon_omega.contains(self.r_colon_lambda),
-        )
 
     def _holds_a4(self) -> bool:
         # A4 quantifies over all n >= nu; once the product minimum passes the
@@ -354,84 +325,6 @@ class Analysis:
             if p.min_element + z >= self.c:
                 return True
         raise InvariantViolation("A4 scan failed to terminate")
-
-    @cached_property
-    def n_lambda(self) -> int:
-        return self.c_lambda - self.delta_lambda
-
-    @cached_property
-    def lambda_gorenstein(self) -> bool:
-        # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
-        return 2 * self.delta_lambda == self.c_lambda
-
-    @cached_property
-    def lam_is_normalization(self) -> bool:
-        return self.lam == self.ring.normalization
-
-    @cached_property
-    def r_filter_i0(self) -> ValueIdeal:
-        lo = self.ring.small_elements[self.i0]
-        return ValueIdeal._of(self.s, lo, self.s.bits >> lo, self.c)
-
-    @cached_property
-    def r_star_i0(self) -> ValueIdeal:
-        return dual(self.r_filter_i0)
-
-    # lengths, all validated for nesting by length_between
-
-    @cached_property
-    def len_rcolon_over_power_nu(self) -> int:
-        return length_between(self.r_colon_lambda, self.power_nu)
-
-    @cached_property
-    def len_bidual_over_lambda(self) -> int:
-        return length_between(self.lam_bidual, self.lam)
-
-    @cached_property
-    def len_omega_over_lambda(self) -> int:
-        return length_between(self.omega_lambda, self.lam)
-
-    @cached_property
-    def len_omega_over_bidual(self) -> int:
-        return length_between(self.omega_lambda, self.lam_bidual)
-
-    @cached_property
-    def len_r_over_rcolon(self) -> int:
-        return length_between(self.ring.s_ideal, self.r_colon_lambda)
-
-    @cached_property
-    def len_r_over_power_nu(self) -> int:
-        return length_between(self.ring.s_ideal, self.power_nu)
-
-    @cached_property
-    def len_rbar_over_omega(self) -> int:
-        return length_between(self.ring.normalization, self.omega_lambda)
-
-    @cached_property
-    def len_rbar_over_bidual(self) -> int:
-        return length_between(self.ring.normalization, self.lam_bidual)
-
-    @cached_property
-    def len_bidual_over_rstar(self) -> int:
-        return length_between(self.lam_bidual, self.r_star_i0)
-
-    @cached_property
-    def len_gammar_over_conductor_power(self) -> int:
-        hi = ValueIdeal._of(self.s, 0, 0, self.nu * self.e + self.c_lambda)
-        return length_between(self.ring.conductor_ideal, hi)
-
-    @cached_property
-    def sum_gamma(self) -> int:
-        return sum(self.ring.ts.entries[i - 1] for i in self.gamma_set)
-
-    @cached_property
-    def sum_not_gamma(self) -> int:
-        return self.delta - self.sum_gamma
-
-    @cached_property
-    def sum_not_gamma_excess(self) -> int:
-        """Sum of r_i - 1 over indices outside Gamma."""
-        return self.sum_not_gamma - (self.ring.n - len(self.gamma_set))
 
 
 BlowupReport = Analysis

@@ -73,20 +73,11 @@ class NumericalSemigroup:
 
     bits holds the members below the conductor c; everything from c on is a
     member.  small_elements lists S up to and including c.  Instances are
-    immutable and hashable.
+    immutable and hashable, and built by from_generators, from_explicit or
+    natural_numbers, which all end in _of_mask.
     """
 
     __slots__ = ("bits", "conductor", "genus", "min_generators")
-
-    def __init__(self, small_elements: tuple[int, ...], conductor: int, genus: int,
-                 min_generators: tuple[int, ...]):
-        self.bits = _mask((x for x in small_elements if x < conductor), 0)
-        self.conductor = conductor
-        self.genus = genus
-        self.min_generators = min_generators
-        # canonical form sanity: conductor is the least element with a full tail
-        if conductor > 0 and (conductor - 1) in self:
-            raise AssertionError("non-canonical conductor")
 
     # -- construction ------------------------------------------------------
 

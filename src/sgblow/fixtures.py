@@ -21,7 +21,7 @@ from .parsing import format_cofinite_set, parse_ideal, parse_semigroup
 
 
 def _gamma_lambda_ideal(a: Analysis) -> ValueIdeal:
-    return ValueIdeal(a.s, [], a.c_lambda, validate=False)
+    return ValueIdeal._of(a.s, a.c_lambda, 0, a.c_lambda)
 
 
 def _fmt(e: ValueIdeal) -> str:
@@ -54,7 +54,7 @@ CHECKS: dict[str, Callable[[Analysis], object]] = {
     "power_nu_set": lambda a: _fmt(a.power_nu),
     "power_colon_set": lambda a: _fmt(dual(a.power_nu)),
     "colon_lambda_set": lambda a: _fmt(a.r_colon_lambda),
-    "colon_is_conductor": lambda a: a.r_colon_lambda == a.s.conductor_ideal(),
+    "colon_is_conductor": lambda a: a.r_colon_lambda == a.ring.conductor_ideal,
     "colon_equals_power": lambda a: a.r_colon_is_power,
     "colon_equals_square": lambda a: a.r_colon_lambda == a.power(2),
     "square_strictly_inside_colon":
@@ -63,7 +63,7 @@ CHECKS: dict[str, Callable[[Analysis], object]] = {
     "blowup_from_square":
         lambda a: a.lam == a.power(2).colon(a.power(2)),
     "conductor_transitivity":
-        lambda a: a.s.conductor_ideal()
+        lambda a: a.ring.conductor_ideal
         == a.r_colon_lambda + _gamma_lambda_ideal(a),
     "colon_power_gap": lambda a: a.len_rcolon_over_power_nu,
     "gamma_indices": lambda a: a.gamma_set,
@@ -289,7 +289,7 @@ NON_IMPLICATIONS: tuple[NonImplication, ...] = (
         lambda a: a.c - a.c_lambda != a.e * a.nu),
     NonImplication(
         "conductor_transitivity_without_extremal_gap", "f03", 0,
-        lambda a: a.s.conductor_ideal()
+        lambda a: a.ring.conductor_ideal
         == a.r_colon_lambda + _gamma_lambda_ideal(a),
         lambda a: a.c - a.c_lambda != a.e * a.nu),
     NonImplication(

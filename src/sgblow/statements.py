@@ -52,10 +52,7 @@ def _prop2_9(a: Analysis) -> TheoremVerdict:
     c = a.conditions
     values = (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.b1, c.b2,
               c.colon_inside_omega_dual)
-    ok = (c.a1 == c.a2 == c.a3 == c.a4 == c.a5 == c.a6
-          and c.b1 == c.b2
-          and c.a1 == (c.b1 and c.colon_inside_omega_dual))
-    return _verdict("Prop2.9", True, ok, lhs=values,
+    return _verdict("Prop2.9", True, c.coherent, lhs=values,
                     notes="closure conditions: both groups agree internally "
                           "and across the bridge")
 
@@ -82,7 +79,7 @@ def _prop3_2_2(a: Analysis) -> TheoremVerdict:
 def _prop3_2_3(a: Analysis) -> TheoremVerdict:
     p1 = a.c - a.c_lambda == a.e * a.nu
     p2 = a.c == a.nu * a.e + a.c_lambda
-    p3 = a.power_nu.frontier <= a.c
+    p3 = a.conductor_in_power
     p4 = a.ring.n - a.n_lambda == a.len_r_over_power_nu
     ok = p1 == p2 == p3 == p4
     return _verdict("Prop3.2.3", True, ok, lhs=(p1, p2, p3, p4),
@@ -152,8 +149,7 @@ def _prop4_3_2(a: Analysis) -> TheoremVerdict:
 
 
 def _prop4_3_3(a: Analysis) -> TheoremVerdict:
-    tail = sum(a.ring.ts.entries[i - 1] for i in range(a.i0 + 1, a.ring.n + 1)
-               if i not in a.gamma_set)
+    tail = sum(a.ring.ts.entries[i - 1] for i in a.outside_gamma if i > a.i0)
     rhs = tail - a.len_bidual_over_rstar
     return _verdict("Prop4.3.3", True, a.d == rhs, lhs=a.d, rhs=rhs)
 
@@ -184,8 +180,7 @@ def _thm4_4_2(a: Analysis) -> TheoremVerdict:
 
 def _rmk4_5(a: Analysis) -> TheoremVerdict:
     extremal = a.rho == a.r * a.len_r_over_rcolon
-    flat = all(a.ring.ts.entries[i - 1] == a.r for i in range(1, a.ring.n + 1)
-               if i not in a.gamma_set)
+    flat = all(a.ring.ts.entries[i - 1] == a.r for i in a.outside_gamma)
     rhs = flat and a.conditions.b1 and a.d == 0
     return _verdict("Rmk4.5", True, extremal == rhs, lhs=extremal, rhs=rhs)
 
@@ -404,8 +399,7 @@ def _cor6_7_2(a: Analysis) -> TheoremVerdict:
     hyp = a.is_max_ideal and a.e == a.mu + 1
     if not hyp:
         return _verdict("Cor6.7.2", False)
-    lhs = sum(a.ring.ts.entries[i - 1] - 1 for i in range(2, a.ring.n + 1)
-              if i not in a.gamma_set)
+    lhs = sum(a.ring.ts.entries[i - 1] - 1 for i in a.outside_gamma if i >= 2)
     rhs = a.d + a.len_bidual_over_lambda + (a.nu - 2)
     return _verdict("Cor6.7.2", True, lhs == rhs, lhs=lhs, rhs=rhs)
 

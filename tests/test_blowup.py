@@ -3,6 +3,8 @@
 import pytest
 
 from sgblow.blowup import (
+    Analysis,
+    ConditionsReport,
     analyze,
     blowup_lambda,
     check_conditions_a_b,
@@ -11,14 +13,20 @@ from sgblow.blowup import (
     power,
 )
 from sgblow.core import NumericalSemigroup, ValueIdeal, length_between
-from sgblow.errors import InvariantViolation, NotProper, PrincipalIdeal
+from sgblow.errors import (
+    EquivalenceViolation,
+    InvariantViolation,
+    NotProper,
+    PrincipalIdeal,
+)
 from sgblow.invariants import (
     bidual,
     canonical_closure,
     classify,
     integral_closure,
+    type_sequence,
 )
-from sgblow.statements import verify_many
+from sgblow.statements import STATEMENTS, verify_many
 
 from oracles import gap_length, ideal_members, iterated_blowup, sumset
 
@@ -120,6 +128,20 @@ def test_colon_of_blowup_contains_top_power(gens, ideal_gens):
 
 
 @pytest.mark.parametrize("gens,ideal_gens", IDEAL_ZOO)
+def test_gamma_and_its_complement_split_the_small_elements(gens, ideal_gens):
+    s, e = pair(gens, ideal_gens)
+    rep = analyze(e)
+    n = len(s.small_elements) - 1
+    assert sorted(rep.gamma_set + rep.outside_gamma) == list(range(1, n + 1))
+    assert rep.gamma_set == tuple(i for i in range(1, n + 1)
+                                  if s.small_elements[i - 1] in rep.r_colon_lambda)
+    entries = type_sequence(s).entries
+    assert rep.sum_gamma == sum(entries[i - 1] for i in rep.gamma_set)
+    assert rep.sum_not_gamma == sum(entries[i - 1] for i in rep.outside_gamma)
+    assert rep.sum_not_gamma_excess == sum(entries[i - 1] - 1 for i in rep.outside_gamma)
+
+
+@pytest.mark.parametrize("gens,ideal_gens", IDEAL_ZOO)
 def test_closure_chain(gens, ideal_gens):
     s, e = pair(gens, ideal_gens)
     refl = bidual(e)
@@ -181,6 +203,36 @@ def test_a_blowup_equal_to_s_is_an_internal_error():
     a.lam = a.ring.s_ideal
     with pytest.raises(InvariantViolation):
         a.cross_check()
+
+
+COHERENT = dict(a1=True, a2=True, a3=True, a4=True, a5=True, a6=True,
+                b1=True, b2=True, colon_inside_omega_dual=True)
+
+
+@pytest.mark.parametrize("broken", [{"a3": False}, {"b2": False},
+                                    {"colon_inside_omega_dual": False}])
+def test_an_incoherent_report_is_an_equivalence_violation(broken):
+    assert ConditionsReport(**COHERENT).coherent
+    values = {**COHERENT, **broken}
+    report = ConditionsReport(**values)
+    assert not report.coherent
+    a = analyze(NumericalSemigroup.from_generators([3, 4, 5]).maximal_ideal())
+    a.conditions = report
+    assert STATEMENTS["Prop2.9"](a).status == "failed"
+    with pytest.raises(EquivalenceViolation) as info:
+        a.cross_check()
+    assert all(f"{name}={value}" in str(info.value) for name, value in values.items())
+
+
+def test_cross_check_runs_before_the_catalog_only_quantities(monkeypatch):
+    seen = {}
+    monkeypatch.setattr(Analysis, "cross_check", lambda self: seen.update(vars(self)))
+    a = analyze(NumericalSemigroup.from_generators([5, 21, 32, 48]).maximal_ideal())
+    catalog_only = {"r", "i0", "r_star_i0", "ideal_bidual", "len_bidual_over_rstar",
+                    "sum_gamma", "d"}
+    assert {"conditions", "gamma_set", "len_r_over_rcolon"} <= seen.keys()
+    assert not catalog_only & seen.keys()
+    assert catalog_only <= vars(a).keys()
 
 
 def test_almost_gorenstein_forces_the_bridge():
