@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import NumericalSemigroup, ValueIdeal, length_between
+from .core import ValueIdeal, _closure, length_between
 from .errors import (
     EquivalenceViolation,
     InvariantViolation,
@@ -197,8 +197,10 @@ class Analysis:
 
         # independent route: the semigroup generated by S and E - min(E)
         shifted = [g - a for g in e.minimal_generators() if g != a]
-        generated = NumericalSemigroup.from_generators(sorted(set(s.min_generators) | set(shifted)))
-        if lam != ValueIdeal._of(s, 0, generated.bits, generated.conductor):
+        # only the closure mask and conductor: no semigroup object, whose
+        # minimal generators nothing here reads
+        generated = _closure(sorted(set(s.min_generators) | set(shifted)))
+        if lam != ValueIdeal._of(s, 0, *generated):
             raise InvariantViolation("blow-up routes disagree")
 
         self.powers = powers
@@ -313,18 +315,22 @@ class Analysis:
         return self.powers[self.nu].shift((k - self.nu) * self.e)
 
     def _holds_a4(self) -> bool:
-        # A4 quantifies over all n >= nu; once the product minimum passes the
-        # conductor the condition is translation-stable, so the scan is finite.
-        # Past nu, nE + K is nuE + K shifted by (n - nu)e.
+        # A4 quantifies over all n >= nu: nE + K meets S in nE.  Past nu, nE
+        # is nuE shifted by z = (n - nu)e, so shifting back the condition is
+        # (nuE + K) meet (S - z) = nuE.  Once min nuE + z passes the conductor,
+        # S - z holds all of nuE + K, so the scan is finite.  nuE lies in S,
+        # so hi >= c: from hi on all three sets are full for every z >= 0.
+        # min K = 0, so lo = min nuE > 0.
         p = self.power_nu
-        q = p + self.ring.k
-        for t in range(self.c + 3):
-            z = t * self.e
-            if q.shift(z).intersect(self.ring.s_ideal) != p.shift(z):
+        lo, hi, own, summed = p._common(p + self.ring.k)
+        c, step = self.c, self.e
+        last = max(0, -(-(c - lo) // step)) * step
+        # bit i is lo + i of S, for lo + i < hi + last
+        s_bits = (self.s.bits | ((1 << (hi + last)) - (1 << c))) >> lo
+        for z in range(0, last + 1, step):
+            if summed & (s_bits >> z) != own:
                 return False
-            if p.min_element + z >= self.c:
-                return True
-        raise InvariantViolation("A4 scan failed to terminate")
+        return True
 
 
 BlowupReport = Analysis

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .core import NumericalSemigroup, ValueIdeal, _ones
+from .core import NumericalSemigroup, ValueIdeal
 from .errors import InvariantViolation, NotIntegral, RegularRing
 
 
@@ -94,7 +94,7 @@ class Ring:
     def k(self) -> ValueIdeal:
         """K = {j : c-1-j is a gap}: min K = 0 and K is full from c on."""
         c = self.s.conductor
-        gaps = _ones(c) & ~self.s.bits
+        gaps = ((1 << c) - 1) & ~self.s.bits
         return ValueIdeal._of(self.s, 0, int(format(gaps, f"0{c}b")[::-1], 2), c)
 
     @cached_property
@@ -109,9 +109,10 @@ class Ring:
         if s.is_natural_numbers:
             raise RegularRing("the type sequence of N is empty")
         c = s.conductor
-        window = _ones(c)
+        window = (1 << c) - 1
         s_wide = s.bits | (window << c)  # S on [0, 2c)
-        k_mask = self.k._window(0, c)
+        k = self.k
+        k_mask = (k.bits << k.min_element) | ((1 << c) - (1 << k.frontier))  # K on [0, c)
         s_colon, k_sum = window, 0  # S:R_n = N and K + R_n = c + N
         via_duals, via_products = [], []
         for x in reversed(self.small_elements[:-1]):

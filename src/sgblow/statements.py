@@ -33,10 +33,17 @@ class TheoremVerdict:
     notes: str = ""
 
 
+@lru_cache(maxsize=None)
+def _vacuous(sid: str, notes: str) -> TheoremVerdict:
+    """The one vacuous verdict of a statement; verdicts are immutable, so
+    every pair that misses the hypotheses shares it."""
+    return TheoremVerdict(sid, False, True, "vacuous", None, None, None, notes)
+
+
 def _verdict(sid: str, hyp: bool, ok: bool = True, *, lhs=None, rhs=None,
              witness: dict | None = None, notes: str = "") -> TheoremVerdict:
     if not hyp:
-        return TheoremVerdict(sid, False, True, "vacuous", None, None, None, notes)
+        return _vacuous(sid, notes)
     status = "held" if ok else "failed"
     if ok:
         witness = None

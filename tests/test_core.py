@@ -233,6 +233,29 @@ def test_operations_reject_carrier_mismatch():
         s.maximal_ideal().colon(t.maximal_ideal())
 
 
+def test_equal_carriers_built_apart_combine():
+    # two equal but distinct semigroup objects: every binary operation must
+    # accept ideals over either, not only over the very same object
+    s = NumericalSemigroup.from_generators([5, 11, 12, 19])
+    t = NumericalSemigroup.from_explicit((0, 5, 10, 11, 12, 15, 16, 17), 19)
+    assert s == t and s is not t
+    e, f = ValueIdeal.generated_by(s, [5, 11]), ValueIdeal.generated_by(t, [5, 11])
+    m_s, m_t = s.maximal_ideal(), t.maximal_ideal()
+    assert e == f and e is not f
+    assert e + m_t == f + m_s == e + m_s
+    assert m_s.colon(f) == m_t.colon(e) == m_s.colon(e)
+    assert e.intersect(m_t) == f.intersect(m_s) == e
+    assert m_s.contains(f) and m_t.contains(e) and not e.contains(m_t)
+    assert length_between(m_s, f) == length_between(m_t, e) == length_between(m_s, e)
+    other = NumericalSemigroup.from_generators([5, 11, 12, 18])
+    g = ValueIdeal.generated_by(other, [5, 11])
+    assert e != g
+    for op in (lambda x, y: x + y, ValueIdeal.colon, ValueIdeal.intersect,
+               ValueIdeal.contains, length_between):
+        with pytest.raises(CarrierMismatch):
+            op(e, g)
+
+
 def test_ideal_minimal_generators_and_principal():
     s = NumericalSemigroup.from_generators([5, 21, 32, 48])
     e = ValueIdeal.generated_by(s, [31, 32, 40, 52])  # 52 = 31 + 21 redundant

@@ -66,6 +66,20 @@ def test_vacuous_statements_report_cleanly():
     assert v.lhs is None and v.rhs is None and v.witness is None
 
 
+def test_shared_vacuous_verdicts_equal_fresh_ones():
+    seen = 0
+    for gens, ideal_gens in IDEAL_ZOO:
+        _, e = pair(gens, ideal_gens)
+        for v in verify_many(e):
+            if v.status != "vacuous":
+                continue
+            seen += 1
+            fresh = TheoremVerdict(v.statement_id, False, True, "vacuous",
+                                   None, None, None, v.notes)
+            assert v == fresh and hash(v) == hash(fresh)
+    assert seen
+
+
 def test_defect_identity_on_a_positive_defect_case():
     a = analysis_for("f05")
     assert a.d == 2
