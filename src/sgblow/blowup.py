@@ -77,8 +77,8 @@ class HPolynomial:
         return all(c[i] == c[self.nu - i] for i in range(self.nu + 1))
 
 
-def _check_proper(e: ValueIdeal) -> None:
-    s_ideal = e.carrier.as_ideal()
+def _check_proper(e: ValueIdeal, s_ideal: ValueIdeal) -> None:
+    """E must sit inside the maximal ideal of its carrier S (given as s_ideal)."""
     if not s_ideal.contains(e) or 0 in e:
         raise NotProper("blow-up analysis wants an ideal inside the maximal ideal")
     if e.is_principal():
@@ -153,12 +153,12 @@ class Analysis:
     def __init__(self, e: ValueIdeal):
         if isinstance(e, Analysis):
             e = e.ideal
-        _check_proper(e)
         s = e.carrier
         a = e.min_element
         rg = ring(s)
-        self.ideal, self.s, self.ring = e, s, rg
         s_ideal = rg.s_ideal
+        _check_proper(e, s_ideal)
+        self.ideal, self.s, self.ring = e, s, rg
 
         powers = [s_ideal, e]
         hseq: list[int] = []

@@ -2,7 +2,8 @@
 
 Every statement is a function of a shared Analysis bundle (ring-level
 quantities on its a.ring) and returns a TheoremVerdict: held, failed, or
-vacuous when its hypotheses are not met.
+vacuous when its hypotheses are not met.  A verdict is an immutable tuple
+record, and the vacuous verdict of a statement is one shared object.
 Inequalities and identities are evaluated in exact integer arithmetic;
 fractional forms are cross-multiplied so nothing ever rounds.
 
@@ -12,8 +13,8 @@ A bare group id like "Thm4.7" expands to all of its parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .blowup import Analysis
 from .core import ValueIdeal, length_between
@@ -21,8 +22,13 @@ from .errors import InvariantViolation, UnknownStatement
 from .invariants import integral_closure, is_reflexive
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
+    """One statement's verdict on one pair.
+
+    Equality is type-strict: a verdict equals only another verdict with the
+    same fields, never a plain tuple of them.  The hash is the field tuple's.
+    """
+
     statement_id: str
     hypotheses_met: bool
     holds: bool
@@ -31,6 +37,15 @@ class TheoremVerdict:
     rhs: object = None
     witness: dict | None = None
     notes: str = ""
+
+    def __eq__(self, other):
+        if other.__class__ is TheoremVerdict:
+            return tuple.__eq__(self, other)
+        # a plain tuple would otherwise fall back to tuple equality
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's own test
+    __hash__ = tuple.__hash__
 
 
 @lru_cache(maxsize=None)
@@ -41,15 +56,14 @@ def _vacuous(sid: str, notes: str) -> TheoremVerdict:
 
 
 def _verdict(sid: str, hyp: bool, ok: bool = True, *, lhs=None, rhs=None,
-             witness: dict | None = None, notes: str = "") -> TheoremVerdict:
+             notes: str = "") -> TheoremVerdict:
     if not hyp:
         return _vacuous(sid, notes)
-    status = "held" if ok else "failed"
+    # tuple.__new__ skips the argument handling of TheoremVerdict(...)
     if ok:
-        witness = None
-    elif witness is None:
-        witness = {"lhs": lhs, "rhs": rhs}
-    return TheoremVerdict(sid, True, bool(ok), status, lhs, rhs, witness, notes)
+        return tuple.__new__(TheoremVerdict, (sid, True, True, "held", lhs, rhs, None, notes))
+    return tuple.__new__(TheoremVerdict, (sid, True, False, "failed", lhs, rhs,
+                                          {"lhs": lhs, "rhs": rhs}, notes))
 
 
 # ---- groups of equivalent closure conditions ----

@@ -10,6 +10,7 @@ from sgblow.blowup import Analysis
 from sgblow.cli import main
 from sgblow.errors import EquivalenceViolation, InvariantViolation
 from sgblow.report import loads_document
+from sgblow.statements import STATEMENTS, _verdict
 
 GENS = "<10,12,95,97>"
 
@@ -92,6 +93,32 @@ def test_verify_exit_codes_and_json(capsys):
     code, text, _ = run(capsys, "verify", "--max-genus", "3")
     assert code == 0
     assert "failed = 0" in text
+
+
+def test_failed_statement_is_reported_with_its_witness(capsys, monkeypatch):
+    def failing(a):
+        return _verdict("Prop3.2.1", True, False, lhs=a.c, rhs=-1,
+                        notes="planted")
+
+    monkeypatch.setitem(STATEMENTS, "Prop3.2.1", failing)
+    code, out, _ = run(capsys, "verify", "--max-genus", "3", "--jobs", "1",
+                       "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["failures"]
+    assert doc["totals"]["failed"] == doc["totals"]["pairs"] == len(doc["failures"])
+    for f in doc["failures"]:
+        assert f["statement_id"] == "Prop3.2.1"
+        assert f["rhs"] == -1 and isinstance(f["lhs"], int)
+        assert f["witness"] == {"lhs": f["lhs"], "rhs": -1}
+        assert f["notes"] == "planted"
+    code, out, _ = run(capsys, "analyze", "<3,4>", "--statements",
+                       "Prop3.2.1", "--format", "json")
+    assert code == 3
+    [v] = loads_document(out)["verdicts"]
+    assert v["statement_id"] == "Prop3.2.1"
+    assert v["holds"] is False and v["status"] == "failed"
+    assert v["lhs"] == 6 and v["witness"] == {"lhs": 6, "rhs": -1}
 
 
 def test_enumerate_totals(capsys):

@@ -10,6 +10,7 @@ from sgblow.fixtures import analysis_for
 from sgblow.statements import (
     STATEMENTS,
     TheoremVerdict,
+    _verdict,
     catalog_ids,
     expand_statement_ids,
     verify_many,
@@ -78,6 +79,44 @@ def test_shared_vacuous_verdicts_equal_fresh_ones():
                                    None, None, None, v.notes)
             assert v == fresh and hash(v) == hash(fresh)
     assert seen
+
+
+def test_verdicts_keep_the_record_contract():
+    assert TheoremVerdict._fields == (
+        "statement_id", "hypotheses_met", "holds", "status",
+        "lhs", "rhs", "witness", "notes")
+    v = TheoremVerdict(statement_id="X", hypotheses_met=True, holds=False,
+                       status="failed")
+    assert (v.lhs, v.rhs, v.witness, v.notes) == (None, None, None, "")
+    assert v == TheoremVerdict("X", True, False, "failed", None, None, None, "")
+    assert repr(TheoremVerdict("X", True, True, "held", lhs=(1, 2), rhs=3)) == (
+        "TheoremVerdict(statement_id='X', hypotheses_met=True, holds=True, "
+        "status='held', lhs=(1, 2), rhs=3, witness=None, notes='')")
+    with pytest.raises(AttributeError):
+        v.holds = True
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    seen = 0
+    for gens, ideal_gens in IDEAL_ZOO:
+        _, e = pair(gens, ideal_gens)
+        for v in verify_many(e):
+            seen += 1
+            assert type(v.hypotheses_met) is bool and type(v.holds) is bool
+            fresh = TheoremVerdict(*v)
+            assert v == fresh and not v != fresh and hash(v) == hash(fresh)
+            plain = tuple(v)
+            assert v != plain and plain != v
+            assert not v == plain and not plain == v
+    assert seen == 50 * len(IDEAL_ZOO)
+
+
+def test_failed_verdict_carries_its_witness():
+    failed = _verdict("X", True, 0, lhs=1, rhs=2, notes="n")
+    assert failed == TheoremVerdict("X", True, False, "failed", 1, 2,
+                                    {"lhs": 1, "rhs": 2}, "n")
+    assert failed.holds is False
+    held = _verdict("X", True, 1, lhs=1, rhs=2)
+    assert held.holds is True and held.witness is None
 
 
 def test_defect_identity_on_a_positive_defect_case():
