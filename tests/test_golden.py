@@ -32,6 +32,8 @@ GOLDEN = [
      "b024a8b737af2284b365c7b9aacef420df39b97997c2188012ea35fcdbbfa33d"),
     (["examples", "--format", "json"],
      "5f8d12774f417ace0cd30d9d4579643e1ab22a95d20af60f596e1fba12d87c56"),
+    (["enumerate", "--max-genus", "7", "--format", "json"],
+     "90a4a54465f86b28cdb97dda9050670eb47b8833a6b43bacd8d631eca575b24e"),
 ]
 
 

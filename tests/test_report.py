@@ -1,9 +1,12 @@
 """Structured document rendering and its round-trip guarantees."""
 
+import enum
 import json
+import random
 
 import pytest
 
+from sgblow.cli import main
 from sgblow.core import NumericalSemigroup
 from sgblow.report import (
     analysis_document,
@@ -12,7 +15,8 @@ from sgblow.report import (
     loads_document,
     set_document,
 )
-from sgblow.statements import Analysis, verify_many
+from sgblow.statements import STATEMENTS, Analysis, _verdict, verify_many
+from sgblow.suite import SuiteConfig, run_suite
 
 
 def analysis_of(gens):
@@ -81,3 +85,107 @@ def test_serialization_is_canonical_and_invertible():
     # key order in the source dict must not leak into the bytes
     shuffled = dict(reversed(list(doc.items())))
     assert dumps_document(shuffled) == text
+
+
+def reference(value):
+    """The byte reference dumps_document is held to."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII, astral code points
+CHARS = 'ab Z09"\\/\x00\x07\b\t\n\x0c\r\x1f\x7f\xe9\u20ac\u2028\U0001d516\U0001f600'
+INTS = (0, 1, -1, 7, -42, 2**31, 2**63 - 1, 2**64, -(2**64) - 3, 10**30)
+
+
+def random_string(rng):
+    return "".join(rng.choice(CHARS) for _ in range(rng.randrange(6)))
+
+
+def random_int(rng):
+    return rng.choice(INTS) if rng.random() < 0.5 else rng.randrange(-1000, 1000)
+
+
+def random_value(rng, depth):
+    roll = rng.randrange(10 if depth else 4)
+    if roll == 0:
+        return rng.choice((None, True, False))
+    if roll == 1:
+        return random_string(rng)
+    if roll in (2, 3):
+        return random_int(rng)
+    if roll == 4:  # all-int lists, sometimes with a bool among them
+        ints = [random_int(rng) for _ in range(rng.randrange(6))]
+        if rng.random() < 0.5:
+            ints.insert(rng.randrange(len(ints) + 1), rng.choice((True, False)))
+        return ints
+    items = [random_value(rng, depth - 1) for _ in range(rng.randrange(5))]
+    if roll in (5, 6):
+        return items
+    if roll == 7:
+        return tuple(items)
+    pairs = [(random_string(rng), v) for v in items]
+    rng.shuffle(pairs)  # insertion order must not reach the bytes
+    return dict(pairs)
+
+
+def test_writer_matches_json_dumps_on_random_documents():
+    rng = random.Random(20061)
+    fixed = [{}, [], (), [[]], [{}], {"": []}, [1, True, 2], [False],
+             [0, -1, 2**64], (3, 4), {"b": 1, "a": {"d": (), "c": [None]}}]
+    for doc in fixed + [random_value(rng, 4) for _ in range(3000)]:
+        assert dumps_document(doc) == reference(doc)
+
+
+class Small(enum.IntEnum):
+    TWO = 2
+
+
+OUTSIDE_THE_DOMAIN = [
+    ("set", {"a": {1, 2}}, TypeError),
+    ("ideal", {"a": NumericalSemigroup.from_generators([3, 5]).maximal_ideal()},
+     TypeError),
+    ("float", {"a": [1.5, -0.0, 1e300, float("nan"), float("inf"),
+                     -float("inf")]}, str),
+    ("int keys", {10: "x", 2: "y", -1: "z"}, str),
+    ("float and bool keys", {1.5: 0, True: 1}, str),
+    ("None key", {None: 0}, str),
+    ("mixed keys", {1: 0, "a": 1}, TypeError),
+    ("tuple key", {(1, 2): 0}, TypeError),
+    ("int subclass", {"a": Small.TWO, "b": [Small.TWO, 3]}, str),
+]
+
+
+@pytest.mark.parametrize("value,outcome", [v[1:] for v in OUTSIDE_THE_DOMAIN],
+                         ids=[v[0] for v in OUTSIDE_THE_DOMAIN])
+def test_values_outside_the_domain_behave_as_in_json_dumps(value, outcome):
+    if outcome is str:
+        assert dumps_document(value) == reference(value)
+    else:
+        with pytest.raises(outcome):
+            reference(value)
+        with pytest.raises(outcome):
+            dumps_document(value)
+
+
+def test_a_cyclic_value_is_not_a_document():
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError):
+        reference(loop)
+    with pytest.raises(RecursionError):
+        dumps_document(loop)
+
+
+def test_failure_records_serialize_as_json_dumps(capsys, monkeypatch):
+    def failing(a):
+        return _verdict("Prop3.2.1", True, False, lhs=a.lam, rhs=[a.c, None],
+                        notes="planted \"quote\"")
+
+    monkeypatch.setitem(STATEMENTS, "Prop3.2.1", failing)
+    doc = run_suite(SuiteConfig(max_genus=3, jobs=1)).to_document()
+    assert doc["failures"]
+    assert all(isinstance(f["witness"]["lhs"], dict) for f in doc["failures"])
+    assert dumps_document(doc) == reference(doc)
+    assert main(["verify", "--max-genus", "3", "--jobs", "1",
+                 "--format", "json"]) == 3
+    assert capsys.readouterr().out == reference(doc)
