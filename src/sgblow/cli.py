@@ -33,10 +33,6 @@ from .statements import expand_statement_ids
 from .suite import SuiteConfig, SuiteReport, run_suite
 
 
-def _fmt_set(elements: list, cofinite_from: int) -> str:
-    return format_cofinite_set(tuple(elements), cofinite_from)
-
-
 def _render_analysis_text(doc: dict) -> str:
     s = doc["semigroup"]
     ideal = doc["ideal"]
@@ -44,22 +40,22 @@ def _render_analysis_text(doc: dict) -> str:
     blow = doc["blowup"]
     lam_gor = 2 * blow["delta_lambda"] == blow["c_lambda"]
     lines = [
-        f"semigroup  {_fmt_set(s['small_elements'][:-1], s['c'])}"
+        f"semigroup  {format_cofinite_set(s['small_elements'][:-1], s['c'])}"
         f"  = <{','.join(map(str, s['generators']))}>",
         f"  c = {s['c']}  delta = {s['delta']}"
         f"  class = {s['class']['label']} (type {s['class']['cm_type']})",
         f"  type sequence = {list(s['type_sequence'])}",
         f"ideal  {doc['input']['ideal'] or 'ideal'}"
         f"  generators = {list(ideal['generators'])}"
-        f"  set = {_fmt_set(ideal['elements'], ideal['cofinite_from'])}",
+        f"  set = {format_cofinite_set(ideal['elements'], ideal['cofinite_from'])}",
         f"hilbert  H = {list(hil['H'])}  h = {list(hil['h'])}",
         f"  e = {hil['e']}  nu = {hil['nu']}  rho = {hil['rho']}",
         f"blow-up  lambda = "
-        f"{_fmt_set(blow['lambda_small_elements'], blow['c_lambda'])}"
+        f"{format_cofinite_set(blow['lambda_small_elements'], blow['c_lambda'])}"
         f"  gorenstein = {lam_gor}",
         f"  c_lambda = {blow['c_lambda']}"
         f"  delta_lambda = {blow['delta_lambda']}",
-        f"  R:lambda = {_fmt_set(blow['r_colon_lambda']['elements'], blow['r_colon_lambda']['cofinite_from'])}",
+        f"  R:lambda = {format_cofinite_set(blow['r_colon_lambda']['elements'], blow['r_colon_lambda']['cofinite_from'])}",
         f"  gamma = {list(blow['gamma_set'])}  d = {blow['d']}",
     ]
     for v in doc["verdicts"]:

@@ -11,6 +11,9 @@ parse/format round-trip exactly on canonical text.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
+from .blowup import power
 from .core import NumericalSemigroup, ValueIdeal
 from .errors import GrammarError
 
@@ -113,15 +116,13 @@ def parse_ideal(text: str, carrier: NumericalSemigroup) -> ValueIdeal:
         sc.pos += 1
         if sc.peek() == "^":
             sc.expect("^")
+            sc.skip_ws()
+            start = sc.pos
             k = sc.integer()
             sc.require_end()
             if k < 1:
-                raise GrammarError("power must be at least 1", 2)
-            power = carrier.maximal_ideal()
-            result = power
-            for _ in range(k - 1):
-                result = result + power
-            return result
+                raise GrammarError("power must be at least 1", start)
+            return power(carrier.maximal_ideal(), k)
         sc.require_end()
         return carrier.maximal_ideal()
     if head == "i":
@@ -140,7 +141,7 @@ def parse_ideal(text: str, carrier: NumericalSemigroup) -> ValueIdeal:
     raise GrammarError("expected 'm', 'm^k' or 'ideal(...)'", sc.pos)
 
 
-def _run_items(values: list[int]) -> list[str]:
+def _run_items(values: Sequence[int]) -> list[str]:
     """Collapse runs of 3 or more consecutive values into 'a-b' items."""
     items: list[str] = []
     i = 0
@@ -158,18 +159,15 @@ def _run_items(values: list[int]) -> list[str]:
 
 def format_semigroup(s: NumericalSemigroup) -> str:
     """Canonical braces form: members below the conductor, then 'c->'."""
-    below = [x for x in s.small_elements if x < s.conductor]
-    items = _run_items(below)
-    items.append(f"{s.conductor}->")
-    return "{" + ",".join(items) + "}"
+    return format_cofinite_set(s.small_elements[:-1], s.conductor)
 
 
 def format_generators(s: NumericalSemigroup) -> str:
     return "<" + ",".join(map(str, s.min_generators)) + ">"
 
 
-def format_cofinite_set(members: tuple[int, ...], tail_from: int) -> str:
-    items = _run_items(list(members))
+def format_cofinite_set(members: Sequence[int], tail_from: int) -> str:
+    items = _run_items(members)
     items.append(f"{tail_from}->")
     return "{" + ",".join(items) + "}"
 

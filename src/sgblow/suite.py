@@ -3,8 +3,10 @@
 The universe is every numerical semigroup up to a genus bound, paired with
 ideals chosen by strategy: the maximal ideal only, every non-principal
 ideal up to a generator bound, or a seeded random sample.  Work is split
-by semigroup; results are aggregated in enumeration order, so the report
-is deterministic for a fixed config regardless of the worker count.
+by semigroup: each task receives the semigroup object itself, and texts
+are made only for failure records and the random strategy's seed.  Results
+are aggregated in enumeration order, so the report is deterministic for a
+fixed config regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 from dataclasses import dataclass
 from multiprocessing import Pool
 
+from .core import NumericalSemigroup
 from .enumeration import (
     default_generator_bound,
     enumerate_ideals,
@@ -21,7 +24,7 @@ from .enumeration import (
     sample_ideals,
 )
 from .errors import EquivalenceViolation, InvariantViolation, SgblowError
-from .parsing import format_ideal, format_semigroup, parse_semigroup
+from .parsing import format_ideal, format_semigroup
 from .report import jsonable
 from .statements import catalog_ids, expand_statement_ids, verify_many
 
@@ -126,39 +129,32 @@ def _ideals_for(s, config: SuiteConfig):
     return sample_ideals(s, config.sample_size, rng, bound=bound)
 
 
-def _suite_task(args: tuple[str, SuiteConfig, tuple[str, ...]]) -> dict:
+def _suite_task(args: tuple[NumericalSemigroup, SuiteConfig, tuple[str, ...]]) -> dict:
     """Verify all selected statements for one semigroup; JSON-native result."""
-    text, config, ids = args
-    s = parse_semigroup(text)
-    out = {"semigroup": text, "pairs": 0, "checked": 0, "held": 0,
-           "vacuous": 0, "failed": 0, "failures": []}
+    s, config, ids = args
+    out = {"pairs": 0, "checked": 0, "held": 0, "vacuous": 0, "failed": 0,
+           "failures": []}
+
+    def fail(ideal, statement_id, notes, lhs=None, rhs=None, witness=None):
+        out["failed"] += 1
+        out["failures"].append({
+            "semigroup": format_semigroup(s), "ideal": format_ideal(ideal),
+            "statement_id": statement_id, "lhs": jsonable(lhs),
+            "rhs": jsonable(rhs), "witness": jsonable(witness), "notes": notes,
+        })
+
     for ideal in _ideals_for(s, config):
-        ideal_text = format_ideal(ideal)
         try:
             verdicts = verify_many(ideal, ids)
         except (InvariantViolation, EquivalenceViolation) as exc:
             # a failed internal check is a bug on this pair; record it and go on
-            out["failed"] += 1
-            out["failures"].append({
-                "semigroup": text, "ideal": ideal_text,
-                "statement_id": type(exc).__name__,
-                "lhs": None, "rhs": None, "witness": None, "notes": str(exc),
-            })
+            fail(ideal, type(exc).__name__, str(exc))
             continue
         out["pairs"] += 1
         for v in verdicts:
             out["checked"] += 1
             if v.status == "failed":
-                out["failed"] += 1
-                out["failures"].append({
-                    "semigroup": text,
-                    "ideal": ideal_text,
-                    "statement_id": v.statement_id,
-                    "lhs": jsonable(v.lhs),
-                    "rhs": jsonable(v.rhs),
-                    "witness": jsonable(v.witness),
-                    "notes": v.notes,
-                })
+                fail(ideal, v.statement_id, v.notes, v.lhs, v.rhs, v.witness)
             elif v.status == "vacuous":
                 out["vacuous"] += 1
             else:
@@ -173,9 +169,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         ids = tuple(expand_statement_ids(config.statements))
     else:
         ids = tuple(catalog_ids())
-    texts = [format_semigroup(s)
-             for s in enumerate_semigroups(config.max_genus)]
-    tasks = [(t, config, ids) for t in texts]
+    tasks = [(s, config, ids) for s in enumerate_semigroups(config.max_genus)]
     jobs = config.resolved_jobs()
     if jobs > 1 and len(tasks) > 1:
         with Pool(jobs) as pool:
@@ -195,7 +189,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     return SuiteReport(
         config=config,
         statement_ids=ids,
-        semigroups=len(texts),
+        semigroups=len(tasks),
         pairs=pairs,
         checked=checked,
         held=held,

@@ -15,6 +15,7 @@ import pytest
 
 from sgblow.core import NumericalSemigroup, ValueIdeal, length_between
 from sgblow.errors import NotNested
+from sgblow.invariants import bidual
 
 from oracles import (
     closure_from_generators,
@@ -103,6 +104,8 @@ def check_case(sgens, small, c, ideal_gens, z):
         assert set(ideal.minimal_generators()) == gens_ref
         shifted = ideal_set(small, c, [g + z for g in gens], m + z + c + 1)
         assert window(ideal.shift(z), m + z, m + z + c + 1) == shifted
+        # (E+z)** = E** + z: Thm5.9.1 tests reflexivity of nuE alone on it
+        assert bidual(ideal.shift(z)) == bidual(ideal).shift(z)
         checked.append((ideal, m, full))
     assert checked[-1][0] == s.maximal_ideal()
 

@@ -34,6 +34,9 @@ GOLDEN = [
      "5f8d12774f417ace0cd30d9d4579643e1ab22a95d20af60f596e1fba12d87c56"),
     (["enumerate", "--max-genus", "7", "--format", "json"],
      "90a4a54465f86b28cdb97dda9050670eb47b8833a6b43bacd8d631eca575b24e"),
+    (["verify", "--max-genus", "6", "--ideals", "random", "--sample-size", "3",
+      "--seed", "1", "--format", "json"],
+     "cfa4dfb6897f46c8eee0bfad29828ddade0d359fffb45bd4c22894e4c384ea6b"),
 ]
 
 

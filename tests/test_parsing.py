@@ -91,8 +91,10 @@ def test_grammar_error_positions():
     s = parse_semigroup("<3,4>")
     with pytest.raises(GrammarError):
         parse_ideal("n", s)
-    with pytest.raises(GrammarError):
-        parse_ideal("m^0", s)
+    for text, position in (("m^0", 2), ("m ^ 0", 4), (" m^0", 3)):
+        with pytest.raises(GrammarError) as err:
+            parse_ideal(text, s)
+        assert err.value.position == position
     with pytest.raises(GrammarError):
         parse_ideal("ideal()", s)
     with pytest.raises(GrammarError):

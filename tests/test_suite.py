@@ -22,11 +22,12 @@ def test_small_exhaustive_run_is_clean():
 
 
 def test_parallel_run_is_byte_identical_to_serial():
-    base = SuiteConfig(max_genus=5, ideal_strategy="maximal")
-    serial = run_suite(base)
-    parallel = run_suite(SuiteConfig(max_genus=5, ideal_strategy="maximal",
-                                     jobs=3))
-    assert canon(serial) == canon(parallel)
+    # the pool carries semigroup objects to the workers, under every strategy
+    for genus, strategy in ((5, "maximal"), (4, "all"), (4, "random")):
+        serial = run_suite(SuiteConfig(max_genus=genus, ideal_strategy=strategy))
+        parallel = run_suite(SuiteConfig(max_genus=genus,
+                                         ideal_strategy=strategy, jobs=3))
+        assert canon(serial) == canon(parallel)
 
 
 def test_random_strategy_is_seed_deterministic():
