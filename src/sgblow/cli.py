@@ -28,7 +28,7 @@ from .parsing import (
     parse_ideal,
     parse_semigroup,
 )
-from .report import analysis_document, dumps_document
+from .report import analysis_document, dumps_document, jsonable
 from .statements import expand_statement_ids
 from .suite import SuiteConfig, SuiteReport, run_suite
 
@@ -135,10 +135,8 @@ def _examples_rows() -> tuple[list[dict], int, int]:
                 "fixture": r.fid,
                 "ideal": r.ideal,
                 "check": r.check,
-                "expected": r.expected if not isinstance(r.expected, tuple)
-                else list(r.expected),
-                "actual": r.actual if not isinstance(r.actual, tuple)
-                else list(r.actual),
+                "expected": jsonable(r.expected),
+                "actual": jsonable(r.actual),
                 "ok": r.ok,
             })
     return rows, fixtures_passed, len(FIXTURES)

@@ -302,11 +302,13 @@ NON_IMPLICATIONS: tuple[NonImplication, ...] = (
         lambda a: a.d != 0),
     NonImplication(
         "colon_gap_extremal_without_symmetric_h_gorenstein", "f06", 0,
-        lambda a: a.len_rcolon_over_power_nu == a.r - 1,
+        lambda a: (a.ring.ring_class.gorenstein
+                   and a.len_rcolon_over_power_nu == a.r - 1),
         lambda a: not a.h.symmetric),
     NonImplication(
         "colon_gap_extremal_without_symmetric_h_almost", "f07", 0,
-        lambda a: a.len_rcolon_over_power_nu == a.r - 1,
+        lambda a: (a.ring.ring_class.almost_gorenstein
+                   and a.len_rcolon_over_power_nu == a.r - 1),
         lambda a: not a.h.symmetric),
     NonImplication(
         "halved_type_excess_without_nu_two", "f03", 0,

@@ -43,11 +43,14 @@ class _Scanner:
         if allow_negative and self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             raise GrammarError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise GrammarError("integer has too many digits", start) from None
 
     def at_end(self) -> bool:
         self.skip_ws()

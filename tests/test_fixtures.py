@@ -57,3 +57,13 @@ def test_non_implications_cover_their_witnesses():
         assert row.premise_holds, row.name
         assert row.conclusion_fails, row.name
         assert row.confirmed
+
+
+def test_colon_gap_premises_carry_their_ring_class():
+    premise = {n.name: n.premise for n in NON_IMPLICATIONS}
+    gorenstein = premise["colon_gap_extremal_without_symmetric_h_gorenstein"]
+    almost = premise["colon_gap_extremal_without_symmetric_h_almost"]
+    # f07 is almost Gorenstein but not Gorenstein; f02 is neither
+    assert not gorenstein(analysis_for("f07"))
+    assert not almost(analysis_for("f02"))
+    assert all(row.confirmed for row in non_implication_rows())

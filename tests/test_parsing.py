@@ -1,5 +1,7 @@
 """Grammar round-trips and error positions."""
 
+import sys
+
 import pytest
 
 from sgblow.core import NumericalSemigroup
@@ -99,6 +101,20 @@ def test_grammar_error_positions():
         parse_ideal("ideal()", s)
     with pytest.raises(GrammarError):
         parse_ideal("ideal(3", s)
+
+
+def test_oversized_digit_runs_are_grammar_errors():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    s = parse_semigroup("<3,4>")
+    for parse, text, position in (
+            (parse_semigroup, f"<{digits},2>", 1),
+            (parse_semigroup, f"{{0,{digits}->}}", 3),
+            (lambda t: parse_ideal(t, s), f"ideal(-{digits})", 6)):
+        with pytest.raises(GrammarError, match="too many digits") as err:
+            parse(text)
+        assert err.value.position == position
+    with pytest.raises(GrammarError, match="expected an integer"):
+        parse_semigroup("<\u00b2,3>")  # a digit that is not decimal
 
 
 def test_reversed_range_rejected():

@@ -3,6 +3,7 @@
 import enum
 import json
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -152,6 +153,11 @@ OUTSIDE_THE_DOMAIN = [
     ("mixed keys", {1: 0, "a": 1}, TypeError),
     ("tuple key", {(1, 2): 0}, TypeError),
     ("int subclass", {"a": Small.TWO, "b": [Small.TWO, 3]}, str),
+    # json's own text re-indented below depth 2
+    ("int keys at depth", {"a": [{"b": {2: [1.5, {"c": None}]}}]}, str),
+    ("float among ints at depth", {"a": {"b": [1, 2, 3.5, 4]}}, str),
+    ("OrderedDict at depth",
+     {"a": [{"b": OrderedDict([("y", [1, {"z": 2}]), ("x", 3)])}]}, str),
 ]
 
 
