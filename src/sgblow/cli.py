@@ -29,7 +29,7 @@ from .parsing import (
     parse_semigroup,
 )
 from .report import analysis_document, dumps_document, jsonable
-from .statements import expand_statement_ids
+from .statements import STATEMENTS, expand_statement_ids
 from .suite import SuiteConfig, SuiteReport, run_suite
 
 
@@ -81,9 +81,6 @@ def _render_suite_text(doc: dict) -> str:
     for f in doc["failures"]:
         lines.append(f"FAIL {f['statement_id']}  S = {f['semigroup']}"
                      f"  I = {f['ideal']}  lhs={f['lhs']} rhs={f['rhs']}")
-    for dg in doc["degenerate"]:
-        lines.append(f"degenerate blow-up  S = {dg['semigroup']}"
-                     f"  I = {dg['ideal']}")
     return "\n".join(lines) + "\n"
 
 
@@ -161,16 +158,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _statement_list(text: str) -> tuple[str, ...]:
+    """The items of a comma-separated --statements value, empty ones dropped."""
+    return tuple(x for x in text.split(",") if x)
+
+
 def _cmd_analyze(args) -> int:
     s = parse_semigroup(args.semigroup)
     ideal = parse_ideal(args.ideal, s)
     a = Analysis.of(ideal)
-    verdicts = []
-    if args.statements:
-        from .statements import STATEMENTS
-
-        ids = expand_statement_ids(args.statements.split(","))
-        verdicts = [STATEMENTS[name](a) for name in ids]
+    ids = expand_statement_ids(_statement_list(args.statements))
+    verdicts = [STATEMENTS[name](a) for name in ids]
     doc = analysis_document(a, verdicts, semigroup_text=args.semigroup,
                             ideal_text=args.ideal)
     if args.format == "json":
@@ -181,16 +179,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    statements: tuple[str, ...] = ()
-    if args.statements:
-        statements = tuple(x for x in args.statements.split(",") if x)
     config = SuiteConfig(
         max_genus=args.max_genus,
         ideal_strategy=args.ideals,
         bound_offset=args.bound_offset,
         sample_size=args.sample_size,
         seed=args.seed,
-        statements=statements,
+        statements=_statement_list(args.statements),
         jobs=args.jobs,
     )
     report = run_suite(config)

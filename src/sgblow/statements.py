@@ -1,11 +1,15 @@
 """Catalog of checkable identities tying type sequences to blow-up data.
 
-Every statement is a function of a shared Analysis bundle (ring-level
-quantities on its a.ring) and returns a TheoremVerdict: held, failed, or
-vacuous when its hypotheses are not met.  A verdict is an immutable tuple
-record, and the vacuous verdict of a statement is one shared object.
-Inequalities and identities are evaluated in exact integer arithmetic;
-fractional forms are cross-multiplied so nothing ever rounds.
+Each statement is declared once, by one _statement registration that
+names its id, its hypothesis and its notes and wraps its conclusion.  The
+hypothesis and the conclusion are functions of a shared Analysis bundle
+(ring-level quantities on its a.ring); the conclusion returns (ok, lhs,
+rhs).  STATEMENTS maps each id, in catalog order, to a function of the
+bundle that returns a TheoremVerdict: held, failed, or vacuous when the
+hypothesis is not met.  A verdict is an immutable tuple record, and the
+vacuous verdict of a statement is one shared object, built at
+registration.  Inequalities and identities are evaluated in exact integer
+arithmetic; fractional forms are cross-multiplied so nothing ever rounds.
 
 Statement ids follow the external naming contract (Thm4.7.1, Prop6.9.2, ...).
 A bare group id like "Thm4.7" expands to all of its parts.
@@ -14,7 +18,7 @@ A bare group id like "Thm4.7" expands to all of its parts.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .blowup import Analysis
 from .core import ValueIdeal, length_between
@@ -48,421 +52,414 @@ class TheoremVerdict(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-@lru_cache(maxsize=None)
-def _vacuous(sid: str, notes: str) -> TheoremVerdict:
-    """The one vacuous verdict of a statement; verdicts are immutable, so
-    every pair that misses the hypotheses shares it."""
-    return TheoremVerdict(sid, False, True, "vacuous", None, None, None, notes)
+STATEMENTS: dict[str, Callable[[Analysis], TheoremVerdict]] = {}
 
 
-def _verdict(sid: str, hyp: bool, ok: bool = True, *, lhs=None, rhs=None,
-             notes: str = "") -> TheoremVerdict:
-    if not hyp:
-        return _vacuous(sid, notes)
-    # tuple.__new__ skips the argument handling of TheoremVerdict(...)
-    if ok:
-        return tuple.__new__(TheoremVerdict, (sid, True, True, "held", lhs, rhs, None, notes))
-    return tuple.__new__(TheoremVerdict, (sid, True, False, "failed", lhs, rhs,
-                                          {"lhs": lhs, "rhs": rhs}, notes))
+def _statement(sid: str, hypothesis: Callable[[Analysis], bool] | None = None,
+               notes: str | Callable[[Analysis], str] = ""):
+    """Register a conclusion a -> (ok, lhs, rhs) as the statement sid.
+
+    STATEMENTS[sid](a) is the statement's one vacuous verdict when
+    hypothesis(a) is false, and otherwise a held or failed verdict that
+    carries lhs, rhs and the notes, which may be a function of a.  No
+    hypothesis means the statement applies to every pair.
+    """
+    vacuous = TheoremVerdict(sid, False, True, "vacuous")
+
+    def register(conclusion):
+        def verdict(a: Analysis) -> TheoremVerdict:
+            if hypothesis is not None and not hypothesis(a):
+                return vacuous
+            ok, lhs, rhs = conclusion(a)
+            note = notes if notes.__class__ is str else notes(a)
+            # tuple.__new__ skips the argument handling of TheoremVerdict(...)
+            if ok:
+                return tuple.__new__(TheoremVerdict,
+                                     (sid, True, True, "held", lhs, rhs, None, note))
+            return tuple.__new__(TheoremVerdict, (sid, True, False, "failed", lhs, rhs,
+                                                  {"lhs": lhs, "rhs": rhs}, note))
+
+        STATEMENTS[sid] = verdict
+        return conclusion
+
+    return register
+
+
+# ---- hypotheses shared by several statements ----
+
+
+def _almost_gorenstein(a: Analysis) -> bool:
+    return a.ring.ring_class.almost_gorenstein
+
+
+def _maximal(a: Analysis) -> bool:
+    return a.is_max_ideal
+
+
+def _maximal_r_is_e_minus_2(a: Analysis) -> bool:
+    return a.is_max_ideal and a.r == a.e - 2
+
+
+def _maximal_e_is_mu_plus_1(a: Analysis) -> bool:
+    return a.is_max_ideal and a.e == a.mu + 1
+
+
+def _maximal_nu_is_2(a: Analysis) -> bool:
+    return a.is_max_ideal and a.nu == 2
 
 
 # ---- groups of equivalent closure conditions ----
 
 
-def _prop2_9(a: Analysis) -> TheoremVerdict:
+@_statement("Prop2.9", notes="closure conditions: both groups agree internally "
+                             "and across the bridge")
+def _(a):
     c = a.conditions
-    values = (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.b1, c.b2,
-              c.colon_inside_omega_dual)
-    return _verdict("Prop2.9", True, c.coherent, lhs=values,
-                    notes="closure conditions: both groups agree internally "
-                          "and across the bridge")
+    return c.coherent, (c.a1, c.a2, c.a3, c.a4, c.a5, c.a6, c.b1, c.b2,
+                        c.colon_inside_omega_dual), None
 
 
 # ---- conductor comparisons ----
 
 
-def _prop3_2_1(a: Analysis) -> TheoremVerdict:
-    return _verdict("Prop3.2.1", True, a.c - a.c_lambda <= a.e * a.nu,
-                    lhs=a.c - a.c_lambda, rhs=a.e * a.nu)
+@_statement("Prop3.2.1")
+def _(a):
+    return a.c - a.c_lambda <= a.e * a.nu, a.c - a.c_lambda, a.e * a.nu
 
 
-def _prop3_2_2(a: Analysis) -> TheoremVerdict:
+@_statement("Prop3.2.2", notes="two-sided chain; also pins the conductor of the "
+                               "nu-th power at nu*e + c_Lambda")
+def _(a):
     gap = a.ring.n - a.n_lambda
     mid = a.c - a.c_lambda - a.rho
     diagram = a.power_nu.frontier == a.nu * a.e + a.c_lambda
     third = a.e * a.nu - a.rho - a.len_gammar_over_conductor_power
     ok = diagram and gap == mid and mid == third and gap <= a.len_r_over_power_nu
-    return _verdict("Prop3.2.2", True, ok, lhs=gap, rhs=mid,
-                    notes="two-sided chain; also pins the conductor of the "
-                          "nu-th power at nu*e + c_Lambda")
+    return ok, gap, mid
 
 
-def _prop3_2_3(a: Analysis) -> TheoremVerdict:
+@_statement("Prop3.2.3", notes="four equivalent forms of the extremal conductor gap")
+def _(a):
     p1 = a.c - a.c_lambda == a.e * a.nu
     p2 = a.c == a.nu * a.e + a.c_lambda
     p3 = a.conductor_in_power
     p4 = a.ring.n - a.n_lambda == a.len_r_over_power_nu
-    ok = p1 == p2 == p3 == p4
-    return _verdict("Prop3.2.3", True, ok, lhs=(p1, p2, p3, p4),
-                    notes="four equivalent forms of the extremal conductor gap")
+    return p1 == p2 == p3 == p4, (p1, p2, p3, p4), None
 
 
-def _rmk3_3_1(a: Analysis) -> TheoremVerdict:
+@_statement("Rmk3.3.1")
+def _(a):
     gap = a.ring.n - a.n_lambda
     ok = gap >= -a.rho and (not a.is_max_ideal or gap >= a.e - a.rho)
-    return _verdict("Rmk3.3.1", True, ok, lhs=gap,
-                    rhs=(a.e - a.rho if a.is_max_ideal else -a.rho))
+    return ok, gap, (a.e - a.rho if a.is_max_ideal else -a.rho)
 
 
-def _lemma3_4(a: Analysis) -> TheoremVerdict:
-    hyp = a.r_colon_is_power
-    if not hyp:
-        return _verdict("Lemma3.4", False)
+@_statement("Lemma3.4", hypothesis=lambda a: a.r_colon_is_power,
+            notes="colon equal to the power forces the extremal gap "
+                  "and reflexivity of the blow-up")
+def _(a):
     ok = (a.c - a.c_lambda == a.e * a.nu) and a.conditions.b1
-    return _verdict("Lemma3.4", True, ok,
-                    lhs=a.c - a.c_lambda, rhs=a.e * a.nu,
-                    notes="colon equal to the power forces the extremal gap "
-                          "and reflexivity of the blow-up")
+    return ok, a.c - a.c_lambda, a.e * a.nu
 
 
-def _prop3_5_1(a: Analysis) -> TheoremVerdict:
+@_statement("Prop3.5.1")
+def _(a):
     lhs = 2 * a.rho
     rhs = (a.e * a.nu + (2 * a.delta - a.c)
            - a.len_rcolon_over_power_nu - a.len_omega_over_lambda)
-    return _verdict("Prop3.5.1", True, lhs == rhs, lhs=lhs, rhs=rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def _prop3_5_2(a: Analysis) -> TheoremVerdict:
+@_statement("Prop3.5.2")
+def _(a):
     p1 = 2 * a.rho == a.e * a.nu + (2 * a.delta - a.c)
     p2 = a.lambda_gorenstein and a.c - a.c_lambda == a.e * a.nu
     p3 = a.r_colon_is_power and a.omega_lambda == a.lam
     p4 = a.r_colon_is_power and a.ring.r_colon_omega.contains(a.r_colon_lambda)
-    ok = p1 == p2 == p3 == p4
-    return _verdict("Prop3.5.2", True, ok, lhs=(p1, p2, p3, p4))
+    return p1 == p2 == p3 == p4, (p1, p2, p3, p4), None
 
 
 # ---- the defect d and type-sequence sums ----
 
 
-def _prop4_2(a: Analysis) -> TheoremVerdict:
+@_statement("Prop4.2", notes="sandwich for the Gamma sum; Gamma size matches "
+                             "the covolume of omega Lambda")
+def _(a):
     ok = (a.len_rbar_over_omega <= a.sum_gamma <= a.len_rbar_over_bidual
           and len(a.gamma_set) == a.len_rbar_over_omega)
-    return _verdict("Prop4.2", True, ok,
-                    lhs=(a.len_rbar_over_omega, a.sum_gamma,
-                         a.len_rbar_over_bidual),
-                    notes="sandwich for the Gamma sum; Gamma size matches "
-                          "the covolume of omega Lambda")
+    return ok, (a.len_rbar_over_omega, a.sum_gamma, a.len_rbar_over_bidual), None
 
 
-def _prop4_3_1(a: Analysis) -> TheoremVerdict:
+@_statement("Prop4.3.1")
+def _(a):
     rhs = a.len_omega_over_bidual - (a.sum_gamma - len(a.gamma_set))
-    return _verdict("Prop4.3.1", True, a.d == rhs, lhs=a.d, rhs=rhs)
+    return a.d == rhs, a.d, rhs
 
 
-def _prop4_3_2(a: Analysis) -> TheoremVerdict:
+def _bidual_contains_k(a: Analysis) -> bool:
     hyp = a.lam_bidual.contains(a.ring.k)
-    alt = a.ring.r_colon_omega.contains(a.r_colon_lambda)
-    if hyp != alt:
+    if hyp != a.ring.r_colon_omega.contains(a.r_colon_lambda):
         raise InvariantViolation("the two hypothesis forms must agree")
-    if not hyp:
-        return _verdict("Prop4.3.2", False)
-    return _verdict("Prop4.3.2", True, a.d == 0, lhs=a.d, rhs=0)
+    return hyp
 
 
-def _prop4_3_3(a: Analysis) -> TheoremVerdict:
+@_statement("Prop4.3.2", hypothesis=_bidual_contains_k)
+def _(a):
+    return a.d == 0, a.d, 0
+
+
+@_statement("Prop4.3.3")
+def _(a):
     tail = sum(a.ring.ts.entries[i - 1] for i in a.outside_gamma if i > a.i0)
     rhs = tail - a.len_bidual_over_rstar
-    return _verdict("Prop4.3.3", True, a.d == rhs, lhs=a.d, rhs=rhs)
+    return a.d == rhs, a.d, rhs
 
 
-def _prop4_3_4(a: Analysis) -> TheoremVerdict:
+def _colon_integrally_closed(a: Analysis) -> bool:
     closed = integral_closure(a.r_colon_lambda) == a.r_colon_lambda
     if closed != (a.r_colon_lambda == a.r_filter_i0):
         raise InvariantViolation("integral closedness of the colon must mean "
                                  "it is a full value filter")
-    if not closed:
-        return _verdict("Prop4.3.4", False)
-    return _verdict("Prop4.3.4", True, a.d == 0, lhs=a.d, rhs=0)
+    return closed
 
 
-def _thm4_4_1(a: Analysis) -> TheoremVerdict:
+@_statement("Prop4.3.4", hypothesis=_colon_integrally_closed)
+def _(a):
+    return a.d == 0, a.d, 0
+
+
+@_statement("Thm4.4.1",
+            notes=lambda a: f"upper bound r*l(R/R:Lambda) = {a.r * a.len_r_over_rcolon}")
+def _(a):
     rhs = a.sum_not_gamma - a.len_bidual_over_lambda - a.d
-    bound = a.r * a.len_r_over_rcolon
-    ok = a.rho == rhs and a.rho <= bound
-    return _verdict("Thm4.4.1", True, ok, lhs=a.rho, rhs=rhs,
-                    notes=f"upper bound r*l(R/R:Lambda) = {bound}")
+    return a.rho == rhs and a.rho <= a.r * a.len_r_over_rcolon, a.rho, rhs
 
 
-def _thm4_4_2(a: Analysis) -> TheoremVerdict:
+@_statement("Thm4.4.2")
+def _(a):
     head = sum(a.ring.ts.entries[i - 1] for i in range(1, a.i0 + 1))
     rhs = head - a.len_bidual_over_lambda + a.len_bidual_over_rstar
-    return _verdict("Thm4.4.2", True, a.rho == rhs, lhs=a.rho, rhs=rhs)
+    return a.rho == rhs, a.rho, rhs
 
 
-def _rmk4_5(a: Analysis) -> TheoremVerdict:
+@_statement("Rmk4.5")
+def _(a):
     extremal = a.rho == a.r * a.len_r_over_rcolon
     flat = all(a.ring.ts.entries[i - 1] == a.r for i in a.outside_gamma)
     rhs = flat and a.conditions.b1 and a.d == 0
-    return _verdict("Rmk4.5", True, extremal == rhs, lhs=extremal, rhs=rhs)
+    return extremal == rhs, extremal, rhs
 
 
-def _cor4_6_1(a: Analysis) -> TheoremVerdict:
+@_statement("Cor4.6.1")
+def _(a):
     lhs = a.e * a.nu + a.r * a.len_rcolon_over_power_nu
     rhs = (a.r + 1) * a.len_r_over_power_nu
-    return _verdict("Cor4.6.1", True, lhs <= rhs, lhs=lhs, rhs=rhs)
+    return lhs <= rhs, lhs, rhs
 
 
-def _cor4_6_2(a: Analysis) -> TheoremVerdict:
-    if not a.h.symmetric:
-        return _verdict("Cor4.6.2", False)
+@_statement("Cor4.6.2", hypothesis=lambda a: a.h.symmetric)
+def _(a):
     lhs = 2 * a.r * a.len_rcolon_over_power_nu
     rhs = (a.r - 1) * a.e * a.nu
-    return _verdict("Cor4.6.2", True, lhs <= rhs, lhs=lhs, rhs=rhs)
+    return lhs <= rhs, lhs, rhs
 
 
-def _thm4_7_1(a: Analysis) -> TheoremVerdict:
+@_statement("Thm4.7.1")
+def _(a):
     lhs = 2 * a.rho
     rhs = (a.e * a.nu + a.sum_not_gamma_excess - a.d
            - a.len_bidual_over_lambda - a.len_rcolon_over_power_nu)
-    return _verdict("Thm4.7.1", True, lhs == rhs, lhs=lhs, rhs=rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def _thm4_7_2(a: Analysis) -> TheoremVerdict:
+@_statement("Thm4.7.2")
+def _(a):
     flat = 2 * a.rho == a.e * a.nu + a.sum_not_gamma_excess
     tight = a.r_colon_is_power and a.d == 0
-    return _verdict("Thm4.7.2", True, flat == tight, lhs=flat, rhs=tight)
+    return flat == tight, flat, tight
 
 
 # ---- almost Gorenstein refinements ----
 
 
-def _prop5_1(a: Analysis) -> TheoremVerdict:
+@_statement("Prop5.1", notes="probed on the tested ideal and the maximal ideal; "
+                             "the maximal ideal alone decides the converse")
+def _(a):
     matches = (a.ideal + a.ring.k) == a.ideal_bidual and a.ring.maximal_probe
-    ok = a.ring.ring_class.almost_gorenstein == matches
-    return _verdict("Prop5.1", True, ok,
-                    lhs=a.ring.ring_class.almost_gorenstein, rhs=matches,
-                    notes="probed on the tested ideal and the maximal ideal; "
-                          "the maximal ideal alone decides the converse")
+    almost = a.ring.ring_class.almost_gorenstein
+    return almost == matches, almost, matches
 
 
-def _cor5_2(a: Analysis) -> TheoremVerdict:
-    if not a.ring.ring_class.almost_gorenstein:
-        return _verdict("Cor5.2", False)
+@_statement("Cor5.2", hypothesis=_almost_gorenstein)
+def _(a):
     first = a.lam_bidual == a.omega_lambda and a.d == 0
     rhs = a.r - 1 + a.len_r_over_rcolon - a.len_bidual_over_lambda
-    ok = first and a.rho == rhs
-    return _verdict("Cor5.2", True, ok, lhs=a.rho, rhs=rhs)
+    return first and a.rho == rhs, a.rho, rhs
 
 
-def _thm5_3_1(a: Analysis) -> TheoremVerdict:
-    if not a.ring.ring_class.almost_gorenstein:
-        return _verdict("Thm5.3.1", False)
+@_statement("Thm5.3.1", hypothesis=_almost_gorenstein)
+def _(a):
     lhs = 2 * a.rho
     rhs = (a.e * a.nu + a.r - 1
            - a.len_rcolon_over_power_nu - a.len_bidual_over_lambda)
-    return _verdict("Thm5.3.1", True, lhs == rhs, lhs=lhs, rhs=rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def _thm5_3_2(a: Analysis) -> TheoremVerdict:
-    if not a.ring.ring_class.almost_gorenstein:
-        return _verdict("Thm5.3.2", False)
+@_statement("Thm5.3.2", hypothesis=_almost_gorenstein,
+            notes="when the conditions hold, the canonical ideal "
+                  "sits inside the blow-up")
+def _(a):
     p1 = 2 * a.rho == a.e * a.nu + a.r - 1
     p2 = a.lambda_gorenstein and a.c - a.c_lambda == a.e * a.nu
     p3 = a.r_colon_is_power
     p4 = a.k_colon_lambda == a.power_nu
     ok = (p1 == p2 == p3 == p4) and (not p1 or a.conditions.a1)
-    return _verdict("Thm5.3.2", True, ok, lhs=(p1, p2, p3, p4),
-                    notes="when the conditions hold, the canonical ideal "
-                          "sits inside the blow-up")
+    return ok, (p1, p2, p3, p4), None
 
 
-def _cor5_4(a: Analysis) -> TheoremVerdict:
-    hyp = a.ring.ring_class.almost_gorenstein and a.h.symmetric
-    if not hyp:
-        return _verdict("Cor5.4", False)
+@_statement("Cor5.4",
+            hypothesis=lambda a: a.ring.ring_class.almost_gorenstein and a.h.symmetric)
+def _(a):
     gap = a.len_rcolon_over_power_nu
     ok = gap <= a.r - 1 and ((gap == a.r - 1) == a.conditions.b1)
-    return _verdict("Cor5.4", True, ok, lhs=gap, rhs=a.r - 1)
+    return ok, gap, a.r - 1
 
 
-def _cor5_5(a: Analysis) -> TheoremVerdict:
-    hyp = a.ring.ring_class.gorenstein and a.h.symmetric
-    if not hyp:
-        return _verdict("Cor5.5", False)
-    ok = (2 * a.rho == a.e * a.nu + a.r - 1
-          and a.r_colon_is_power)
-    return _verdict("Cor5.5", True, ok, lhs=2 * a.rho,
-                    rhs=a.e * a.nu + a.r - 1)
+@_statement("Cor5.5", hypothesis=lambda a: a.ring.ring_class.gorenstein and a.h.symmetric)
+def _(a):
+    ok = 2 * a.rho == a.e * a.nu + a.r - 1 and a.r_colon_is_power
+    return ok, 2 * a.rho, a.e * a.nu + a.r - 1
 
 
-def _cor5_6(a: Analysis) -> TheoremVerdict:
-    if not a.ring.ring_class.almost_gorenstein:
-        return _verdict("Cor5.6", False)
+@_statement("Cor5.6", hypothesis=_almost_gorenstein,
+            notes="the conductor ideal of the ring is the one compared "
+                  "against the nu-th power")
+def _(a):
     conductor_is_power = a.ring.conductor_ideal == a.power_nu
     rhs = a.lam_is_normalization and 2 * a.delta == a.e * a.nu + a.r - 1
-    return _verdict("Cor5.6", True, conductor_is_power == rhs,
-                    lhs=conductor_is_power, rhs=rhs,
-                    notes="the conductor ideal of the ring is the one compared "
-                          "against the nu-th power")
+    return conductor_is_power == rhs, conductor_is_power, rhs
 
 
-def _rmk5_8(a: Analysis) -> TheoremVerdict:
-    if not a.ring.ring_class.almost_gorenstein:
-        return _verdict("Rmk5.8", False)
+@_statement("Rmk5.8", hypothesis=_almost_gorenstein)
+def _(a):
     refl = a.ideal_reflexive
     rhs = a.ideal.colon(a.ideal).contains(a.ring.dual_m)
-    return _verdict("Rmk5.8", True, refl == rhs, lhs=refl, rhs=rhs)
+    return refl == rhs, refl, rhs
 
 
-def _thm5_9_1(a: Analysis) -> TheoremVerdict:
-    if not a.ring.ring_class.almost_gorenstein:
-        return _verdict("Thm5.9.1", False)
+@_statement("Thm5.9.1", hypothesis=_almost_gorenstein,
+            notes="reflexivity of the powers; equivalent to both "
+                  "closure-condition groups")
+def _(a):
     c1 = a.lam.contains(a.ring.dual_m)
     # every power past nu is nuE translated and (E+z)** = E** + z, so the
     # powers from nu on are all reflexive or none is: one test reads all three
     c2 = is_reflexive(a.power_nu)
     ok = c1 == c2 == a.conditions.a1 == a.conditions.b1
-    return _verdict("Thm5.9.1", True, ok, lhs=(c1, c2, c2, c2),
-                    notes="reflexivity of the powers; equivalent to both "
-                          "closure-condition groups")
+    return ok, (c1, c2, c2, c2), None
 
 
-def _thm5_9_2(a: Analysis) -> TheoremVerdict:
-    hyp = a.ring.ring_class.almost_gorenstein and a.ideal_reflexive
-    if not hyp:
-        return _verdict("Thm5.9.2", False)
-    ok = (a.conditions.a1 and a.conditions.b1
-          and a.lam.contains(a.ring.dual_m))
-    return _verdict("Thm5.9.2", True, ok, lhs=ok)
+@_statement("Thm5.9.2",
+            hypothesis=lambda a: a.ring.ring_class.almost_gorenstein and a.ideal_reflexive)
+def _(a):
+    ok = a.conditions.a1 and a.conditions.b1 and a.lam.contains(a.ring.dual_m)
+    return ok, ok, None
 
 
 # ---- the maximal-ideal case ----
 
 
-def _rmk6_1(a: Analysis) -> TheoremVerdict:
-    if not a.is_max_ideal:
-        return _verdict("Rmk6.1", False)
-    shifted_dual = a.ring.dual_m.shift(a.e)
-    rhs = (length_between(shifted_dual, a.r_colon_lambda)
-           + (a.e - a.r))
+@_statement("Rmk6.1", hypothesis=_maximal)
+def _(a):
+    rhs = length_between(a.ring.dual_m.shift(a.e), a.r_colon_lambda) + (a.e - a.r)
     ok = a.len_r_over_rcolon == rhs
     if a.ring.ring_class.almost_gorenstein:
         ok = ok and a.conditions.b1
-    return _verdict("Rmk6.1", True, ok, lhs=a.len_r_over_rcolon, rhs=rhs)
+    return ok, a.len_r_over_rcolon, rhs
 
 
-def _rmk6_2(a: Analysis) -> TheoremVerdict:
-    if not a.is_max_ideal:
-        return _verdict("Rmk6.2", False)
+@_statement("Rmk6.2", hypothesis=_maximal)
+def _(a):
     stable = a.lam == a.ring.m_ideal.colon(a.ring.m_ideal)
     forms = (stable, a.e == a.mu, a.rho == a.e - 1, a.r == a.e - 1)
-    ok = len(set(forms)) == 1
-    return _verdict("Rmk6.2", True, ok, lhs=forms)
+    return len(set(forms)) == 1, forms, None
 
 
-def _prop6_3(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.e == a.mu
-    if not hyp:
-        return _verdict("Prop6.3", False)
-    ok = a.ring.ring_class.almost_gorenstein == a.lambda_gorenstein
-    return _verdict("Prop6.3", True, ok,
-                    lhs=a.ring.ring_class.almost_gorenstein,
-                    rhs=a.lambda_gorenstein)
+@_statement("Prop6.3", hypothesis=lambda a: a.is_max_ideal and a.e == a.mu)
+def _(a):
+    almost = a.ring.ring_class.almost_gorenstein
+    return almost == a.lambda_gorenstein, almost, a.lambda_gorenstein
 
 
-def _lemma6_4_3(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.r == a.e - 2
-    if not hyp:
-        return _verdict("Lemma6.4.3", False)
-    cube = a.power(3)
-    ok = a.ring.m_ideal.shift(a.e).contains(cube)
-    return _verdict("Lemma6.4.3", True, ok,
-                    notes="the cube of the maximal ideal falls into its "
-                          "multiplicity translate")
+@_statement("Lemma6.4.3", hypothesis=_maximal_r_is_e_minus_2,
+            notes="the cube of the maximal ideal falls into its "
+                  "multiplicity translate")
+def _(a):
+    return a.ring.m_ideal.shift(a.e).contains(a.power(3)), None, None
 
 
-def _prop6_5_1(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.r == a.e - 2
-    if not hyp:
-        return _verdict("Prop6.5.1", False)
-    return _verdict("Prop6.5.1", True, a.e == a.mu + 1, lhs=a.e, rhs=a.mu + 1)
+@_statement("Prop6.5.1", hypothesis=_maximal_r_is_e_minus_2)
+def _(a):
+    return a.e == a.mu + 1, a.e, a.mu + 1
 
 
-def _prop6_5_2(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.e == a.mu + 1
-    if not hyp:
-        return _verdict("Prop6.5.2", False)
+@_statement("Prop6.5.2", hypothesis=_maximal_e_is_mu_plus_1)
+def _(a):
     gap = length_between(a.ring.dual_m.shift(a.e), a.r_colon_lambda)
-    return _verdict("Prop6.5.2", True, gap == 1, lhs=gap, rhs=1)
+    return gap == 1, gap, 1
 
 
-def _thm6_6(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.e == a.mu + 1
-    if not hyp:
-        return _verdict("Thm6.6", False)
+@_statement("Thm6.6", hypothesis=_maximal_e_is_mu_plus_1)
+def _(a):
     rhs = a.r - 1 + (a.e - 1) * (a.nu - 2)
-    return _verdict("Thm6.6", True, a.len_rcolon_over_power_nu == rhs,
-                    lhs=a.len_rcolon_over_power_nu, rhs=rhs)
+    return a.len_rcolon_over_power_nu == rhs, a.len_rcolon_over_power_nu, rhs
 
 
-def _cor6_7_1(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.e == a.mu + 1
-    if not hyp:
-        return _verdict("Cor6.7.1", False)
+@_statement("Cor6.7.1", hypothesis=_maximal_e_is_mu_plus_1)
+def _(a):
     lhs = a.r_colon_is_power
     rhs = a.ring.ring_class.gorenstein and a.nu == 2
-    return _verdict("Cor6.7.1", True, lhs == rhs, lhs=lhs, rhs=rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def _cor6_7_2(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.e == a.mu + 1
-    if not hyp:
-        return _verdict("Cor6.7.2", False)
+@_statement("Cor6.7.2", hypothesis=_maximal_e_is_mu_plus_1)
+def _(a):
     lhs = sum(a.ring.ts.entries[i - 1] - 1 for i in a.outside_gamma if i >= 2)
     rhs = a.d + a.len_bidual_over_lambda + (a.nu - 2)
-    return _verdict("Cor6.7.2", True, lhs == rhs, lhs=lhs, rhs=rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def _cor6_7_3(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.e == a.mu + 1
-    if not hyp:
-        return _verdict("Cor6.7.3", False)
+@_statement("Cor6.7.3", hypothesis=_maximal_e_is_mu_plus_1)
+def _(a):
+    almost = a.ring.ring_class.almost_gorenstein
     rhs = a.nu == 2 and a.omega_lambda == a.lam
-    return _verdict("Cor6.7.3", True,
-                    a.ring.ring_class.almost_gorenstein == rhs,
-                    lhs=a.ring.ring_class.almost_gorenstein, rhs=rhs)
+    return almost == rhs, almost, rhs
 
 
-def _cor6_7u(a: Analysis) -> TheoremVerdict:
-    if not a.is_max_ideal:
-        return _verdict("Cor6.7u", False)
+@_statement("Cor6.7u", hypothesis=_maximal)
+def _(a):
     lhs = a.r == a.e - 2 and a.r_colon_is_power
     rhs = a.ring.ring_class.gorenstein and a.e == 3
-    return _verdict("Cor6.7u", True, lhs == rhs, lhs=lhs, rhs=rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def _rmk6_8(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.nu == 2
-    if not hyp:
-        return _verdict("Rmk6.8", False)
+@_statement("Rmk6.8", hypothesis=_maximal_nu_is_2)
+def _(a):
     rhs = 2 * a.e - a.mu - 1
-    return _verdict("Rmk6.8", True, a.rho == rhs, lhs=a.rho, rhs=rhs)
+    return a.rho == rhs, a.rho, rhs
 
 
-def _prop6_9_1(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.nu == 2
-    if not hyp:
-        return _verdict("Prop6.9.1", False)
+@_statement("Prop6.9.1", hypothesis=_maximal_nu_is_2)
+def _(a):
     lhs = 2 * a.e + a.r * a.len_rcolon_over_power_nu
     rhs = (a.r + 1) * (a.mu + 1)
-    return _verdict("Prop6.9.1", True, lhs <= rhs, lhs=lhs, rhs=rhs)
+    return lhs <= rhs, lhs, rhs
 
 
-def _prop6_9_2(a: Analysis) -> TheoremVerdict:
-    hyp = (a.is_max_ideal and a.nu == 2
-           and a.ring.ring_class.almost_gorenstein)
-    if not hyp:
-        return _verdict("Prop6.9.2", False)
+@_statement("Prop6.9.2", hypothesis=lambda a: (a.is_max_ideal and a.nu == 2
+                                               and a.ring.ring_class.almost_gorenstein),
+            notes="with the Gorenstein and Kunz specializations folded in")
+def _(a):
     lhs = 2 * (a.e - a.mu - 1)
     rhs = (a.r - 1) - a.len_rcolon_over_power_nu
     ok = lhs == rhs
@@ -470,127 +467,56 @@ def _prop6_9_2(a: Analysis) -> TheoremVerdict:
         ok = ok and a.e == a.mu + 1 and a.r_colon_is_power
     if a.ring.ring_class.kunz:
         ok = ok and a.e == a.mu + 1 and a.len_rcolon_over_power_nu == 1
-    return _verdict("Prop6.9.2", True, ok, lhs=lhs, rhs=rhs,
-                    notes="with the Gorenstein and Kunz specializations "
-                          "folded in")
+    return ok, lhs, rhs
 
 
-def _cor6_10(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.ring.ring_class.gorenstein
-    if not hyp:
-        return _verdict("Cor6.10", False)
-    square = a.power(2)
-    forms = (a.e == a.mu + 1, a.nu == 2, a.r_colon_lambda == square)
-    ok = len(set(forms)) == 1
-    return _verdict("Cor6.10", True, ok, lhs=forms,
-                    notes="the colon is compared against the literal square, "
-                          "not the nu-th power")
+@_statement("Cor6.10", hypothesis=lambda a: a.is_max_ideal and a.ring.ring_class.gorenstein,
+            notes="the colon is compared against the literal square, "
+                  "not the nu-th power")
+def _(a):
+    forms = (a.e == a.mu + 1, a.nu == 2, a.r_colon_lambda == a.power(2))
+    return len(set(forms)) == 1, forms, None
 
 
-def _prop6_11(a: Analysis) -> TheoremVerdict:
-    if not a.is_max_ideal:
-        return _verdict("Prop6.11", False)
-    square = a.power(2)
-    lhs = a.ring.conductor_ideal == square
+@_statement("Prop6.11", hypothesis=_maximal)
+def _(a):
+    lhs = a.ring.conductor_ideal == a.power(2)
     rhs = (a.lam_is_normalization
            and 2 * (a.e - a.mu - 1) == 2 * a.delta - a.c
            and a.nu == 2)
-    return _verdict("Prop6.11", True, lhs == rhs, lhs=lhs, rhs=rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def _prop6_13_1(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.nu == 3 and a.r == 2
-    if not hyp:
-        return _verdict("Prop6.13.1", False)
+@_statement("Prop6.13.1", hypothesis=lambda a: a.is_max_ideal and a.nu == 3 and a.r == 2,
+            notes="colon length taken over the cube, matching the "
+                  "derivation from the general power inequality")
+def _(a):
     hilbert2 = length_between(a.power(2), a.power(3))
     lhs = 3 * (a.e - a.mu - 1) + 2 * a.len_rcolon_over_power_nu
     rhs = 3 * hilbert2
-    return _verdict("Prop6.13.1", True, lhs <= rhs, lhs=lhs, rhs=rhs,
-                    notes="colon length taken over the cube, matching the "
-                          "derivation from the general power inequality")
+    return lhs <= rhs, lhs, rhs
 
 
-def _prop6_13_2(a: Analysis) -> TheoremVerdict:
-    hyp = a.is_max_ideal and a.nu == 3 and a.h.symmetric
-    if not hyp:
-        return _verdict("Prop6.13.2", False)
+@_statement("Prop6.13.2", hypothesis=lambda a: a.is_max_ideal and a.nu == 3 and a.h.symmetric)
+def _(a):
     lhs = a.r * a.len_rcolon_over_power_nu
     rhs = 3 * a.mu * (a.r - 1)
-    return _verdict("Prop6.13.2", True, lhs <= rhs, lhs=lhs, rhs=rhs)
+    return lhs <= rhs, lhs, rhs
 
 
-def _prop6_13_3(a: Analysis) -> TheoremVerdict:
-    hyp = (a.is_max_ideal and a.nu == 3
-           and a.ring.ring_class.almost_gorenstein)
-    if not hyp:
-        return _verdict("Prop6.13.3", False)
+@_statement("Prop6.13.3", hypothesis=lambda a: (a.is_max_ideal and a.nu == 3
+                                                and a.ring.ring_class.almost_gorenstein))
+def _(a):
     rhs = (a.len_rcolon_over_power_nu == a.r - 1 and a.e == 2 * a.mu)
-    return _verdict("Prop6.13.3", True, a.h.symmetric == rhs,
-                    lhs=a.h.symmetric, rhs=rhs)
+    return a.h.symmetric == rhs, a.h.symmetric, rhs
 
 
-def _cor6_14(a: Analysis) -> TheoremVerdict:
-    hyp = (a.is_max_ideal and a.ring.ring_class.almost_gorenstein
-           and a.e == 2 * a.mu)
-    if not hyp:
-        return _verdict("Cor6.14", False)
+@_statement("Cor6.14", hypothesis=lambda a: (a.is_max_ideal and a.ring.ring_class.almost_gorenstein
+                                             and a.e == 2 * a.mu))
+def _(a):
     lhs = a.r_colon_is_power
     rhs = 2 * a.rho == 2 * a.nu * a.mu + a.r - 1
-    return _verdict("Cor6.14", True, lhs == rhs, lhs=lhs, rhs=rhs)
-
-
-STATEMENTS = {
-    "Prop2.9": _prop2_9,
-    "Prop3.2.1": _prop3_2_1,
-    "Prop3.2.2": _prop3_2_2,
-    "Prop3.2.3": _prop3_2_3,
-    "Rmk3.3.1": _rmk3_3_1,
-    "Lemma3.4": _lemma3_4,
-    "Prop3.5.1": _prop3_5_1,
-    "Prop3.5.2": _prop3_5_2,
-    "Prop4.2": _prop4_2,
-    "Prop4.3.1": _prop4_3_1,
-    "Prop4.3.2": _prop4_3_2,
-    "Prop4.3.3": _prop4_3_3,
-    "Prop4.3.4": _prop4_3_4,
-    "Thm4.4.1": _thm4_4_1,
-    "Thm4.4.2": _thm4_4_2,
-    "Rmk4.5": _rmk4_5,
-    "Cor4.6.1": _cor4_6_1,
-    "Cor4.6.2": _cor4_6_2,
-    "Thm4.7.1": _thm4_7_1,
-    "Thm4.7.2": _thm4_7_2,
-    "Prop5.1": _prop5_1,
-    "Cor5.2": _cor5_2,
-    "Thm5.3.1": _thm5_3_1,
-    "Thm5.3.2": _thm5_3_2,
-    "Cor5.4": _cor5_4,
-    "Cor5.5": _cor5_5,
-    "Cor5.6": _cor5_6,
-    "Rmk5.8": _rmk5_8,
-    "Thm5.9.1": _thm5_9_1,
-    "Thm5.9.2": _thm5_9_2,
-    "Rmk6.1": _rmk6_1,
-    "Rmk6.2": _rmk6_2,
-    "Prop6.3": _prop6_3,
-    "Lemma6.4.3": _lemma6_4_3,
-    "Prop6.5.1": _prop6_5_1,
-    "Prop6.5.2": _prop6_5_2,
-    "Thm6.6": _thm6_6,
-    "Cor6.7.1": _cor6_7_1,
-    "Cor6.7.2": _cor6_7_2,
-    "Cor6.7.3": _cor6_7_3,
-    "Cor6.7u": _cor6_7u,
-    "Rmk6.8": _rmk6_8,
-    "Prop6.9.1": _prop6_9_1,
-    "Prop6.9.2": _prop6_9_2,
-    "Cor6.10": _cor6_10,
-    "Prop6.11": _prop6_11,
-    "Prop6.13.1": _prop6_13_1,
-    "Prop6.13.2": _prop6_13_2,
-    "Prop6.13.3": _prop6_13_3,
-    "Cor6.14": _cor6_14,
-}
+    return lhs == rhs, lhs, rhs
 
 
 def catalog_ids() -> tuple[str, ...]:

@@ -165,6 +165,8 @@ def _suite_task(args: tuple[NumericalSemigroup, SuiteConfig, tuple[str, ...]]) -
 def run_suite(config: SuiteConfig) -> SuiteReport:
     if config.ideal_strategy not in STRATEGIES:
         raise ValueError(f"unknown ideal strategy {config.ideal_strategy!r}")
+    if config.sample_size < 0:
+        raise SgblowError(f"sample size must be >= 0, got {config.sample_size}")
     if config.statements:
         ids = tuple(expand_statement_ids(config.statements))
     else:

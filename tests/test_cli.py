@@ -10,7 +10,7 @@ from sgblow.blowup import Analysis
 from sgblow.cli import main
 from sgblow.errors import EquivalenceViolation, InvariantViolation
 from sgblow.report import loads_document
-from sgblow.statements import STATEMENTS, _verdict
+from sgblow.statements import STATEMENTS, TheoremVerdict
 
 GENS = "<10,12,95,97>"
 
@@ -97,8 +97,8 @@ def test_verify_exit_codes_and_json(capsys):
 
 def test_failed_statement_is_reported_with_its_witness(capsys, monkeypatch):
     def failing(a):
-        return _verdict("Prop3.2.1", True, False, lhs=a.c, rhs=-1,
-                        notes="planted")
+        return TheoremVerdict("Prop3.2.1", True, False, "failed", a.c, -1,
+                              {"lhs": a.c, "rhs": -1}, "planted")
 
     monkeypatch.setitem(STATEMENTS, "Prop3.2.1", failing)
     code, out, _ = run(capsys, "verify", "--max-genus", "3", "--jobs", "1",
@@ -138,6 +138,35 @@ def test_grammar_errors_exit_one(capsys):
     assert "position" in err
     code, _, err = run(capsys, "analyze", "<3,4>", "--statements", "Nope")
     assert code == 1
+
+
+def test_statement_lists_drop_empty_items(capsys):
+    code, out, err = run(capsys, "analyze", "<3,4>", "--statements", "Thm4.7,",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert [v["statement_id"] for v in loads_document(out)["verdicts"]] \
+        == ["Thm4.7.1", "Thm4.7.2"]
+    code, out, err = run(capsys, "analyze", "<3,4>", "--statements", ",Thm4.7,,")
+    assert code == 0 and err == ""
+    assert out.count("\nverdict  ") == 2
+    code, out, err = run(capsys, "verify", "--max-genus", "3", "--statements",
+                         "Thm4.7,", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["statement_ids"] == ["Thm4.7.1", "Thm4.7.2"]
+
+
+def test_negative_sample_size_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "verify", "--max-genus", "3", "--ideals",
+                         "random", "--sample-size", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "-1" in err
+    code, out, err = run(capsys, "verify", "--max-genus", "3", "--ideals",
+                         "random", "--sample-size", "0", "--format", "json")
+    assert code == 0 and err == ""
+    totals = json.loads(out)["totals"]
+    assert totals["semigroups"] == 8 and totals["pairs"] == 0
 
 
 def test_domain_errors_exit_two(capsys):

@@ -37,10 +37,20 @@ GOLDEN = [
     (["verify", "--max-genus", "6", "--ideals", "random", "--sample-size", "3",
       "--seed", "1", "--format", "json"],
      "cfa4dfb6897f46c8eee0bfad29828ddade0d359fffb45bd4c22894e4c384ea6b"),
+    (["verify", "--max-genus", "5", "--ideals", "all"],
+     "963180f215164949c6201b33887071300d8c7c6c448c09023fe017d0b14919b4"),
+    (["analyze", "<10,23,55,58,82>", "--statements", ALL_IDS],
+     "011f24c15ba08a27757e14b9a8dde478f20f735c0cc36601fa448cb4e771da80"),
+    (["examples"],
+     "3766972feb14a5c3435f228921854613fb2a8a078b08609d2faeea83145a498c"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:2]) for a, _ in GOLDEN])
+def _test_id(argv):
+    return " ".join(argv[:2]) + ("" if "--format" in argv else " text")
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[_test_id(a) for a, _ in GOLDEN])
 def test_canonical_output_is_pinned(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -16,7 +16,7 @@ from sgblow.report import (
     loads_document,
     set_document,
 )
-from sgblow.statements import STATEMENTS, Analysis, _verdict, verify_many
+from sgblow.statements import STATEMENTS, Analysis, TheoremVerdict, verify_many
 from sgblow.suite import SuiteConfig, run_suite
 
 
@@ -184,8 +184,9 @@ def test_a_cyclic_value_is_not_a_document():
 
 def test_failure_records_serialize_as_json_dumps(capsys, monkeypatch):
     def failing(a):
-        return _verdict("Prop3.2.1", True, False, lhs=a.lam, rhs=[a.c, None],
-                        notes="planted \"quote\"")
+        lhs, rhs = a.lam, [a.c, None]
+        return TheoremVerdict("Prop3.2.1", True, False, "failed", lhs, rhs,
+                              {"lhs": lhs, "rhs": rhs}, "planted \"quote\"")
 
     monkeypatch.setitem(STATEMENTS, "Prop3.2.1", failing)
     doc = run_suite(SuiteConfig(max_genus=3, jobs=1)).to_document()

@@ -1,16 +1,18 @@
 """Statement catalog: expansion, verdict semantics, and a small sweep."""
 
+import hashlib
+
 import pytest
 
 from sgblow.blowup import Analysis, ConditionsReport, analyze
 from sgblow.core import NumericalSemigroup
-from sgblow.enumeration import enumerate_semigroups
-from sgblow.errors import UnknownStatement
-from sgblow.fixtures import analysis_for
+from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
+from sgblow.errors import InvariantViolation, UnknownStatement
+from sgblow.fixtures import FIXTURES, analysis_for
+from sgblow.parsing import parse_ideal, parse_semigroup
 from sgblow.statements import (
     STATEMENTS,
     TheoremVerdict,
-    _verdict,
     catalog_ids,
     expand_statement_ids,
     verify_many,
@@ -111,12 +113,16 @@ def test_verdicts_keep_the_record_contract():
 
 
 def test_failed_verdict_carries_its_witness():
-    failed = _verdict("X", True, 0, lhs=1, rhs=2, notes="n")
-    assert failed == TheoremVerdict("X", True, False, "failed", 1, 2,
-                                    {"lhs": 1, "rhs": 2}, "n")
-    assert failed.holds is False
-    held = _verdict("X", True, 1, lhs=1, rhs=2)
+    a = Analysis.of(NumericalSemigroup.from_generators([3, 4, 5]).maximal_ideal())
+    held = STATEMENTS["Thm4.4.1"](a)
     assert held.holds is True and held.witness is None
+    assert held.notes.startswith("upper bound")
+    a.d += 1  # breaks rho = sum - l(Lambda**/Lambda) - d, and nothing else
+    rhs = held.rhs - 1
+    failed = STATEMENTS["Thm4.4.1"](a)
+    assert failed == TheoremVerdict("Thm4.4.1", True, False, "failed", held.lhs,
+                                    rhs, {"lhs": held.lhs, "rhs": rhs}, held.notes)
+    assert failed.holds is False
 
 
 def test_defect_identity_on_a_positive_defect_case():
@@ -189,3 +195,45 @@ def test_an_analysis_rebuilt_from_an_analysis_agrees():
         rebuilt = Analysis(analyze(e))
         assert rebuilt == fresh
         assert verdicts(rebuilt) == verdicts(fresh), (gens, ideal_gens)
+
+
+def test_every_verdict_record_is_pinned():
+    # every field of every verdict, held and failed alike, over every ideal
+    # of genus <= 5, m over genus <= 10 and every stored example
+    pairs = [e for s in enumerate_semigroups(5) for e in enumerate_ideals(s)]
+    pairs += [s.maximal_ideal() for s in enumerate_semigroups(10)
+              if not s.is_natural_numbers]
+    for f in FIXTURES:
+        s = parse_semigroup(f.semigroup)
+        pairs += [parse_ideal(case.ideal, s) for case in f.cases]
+    records = [repr(tuple(v)) for e in pairs for v in verify_many(e)]
+    assert (len(pairs), len(records)) == (2322, 116100)
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() \
+        == "0d553cab2cc7fe4f1559638eeb8bd895668a1a856e9dae7f926464ccfb4528a9"
+
+
+CROSS_CHECK_PAIRS = ([3, 4], [3, 4, 5], [5, 21, 32, 48], [10, 23, 55, 58, 82])
+
+
+@pytest.mark.parametrize("gens", CROSS_CHECK_PAIRS)
+def test_prop4_3_2_requires_its_two_hypothesis_forms_to_agree(gens):
+    a = Analysis.of(NumericalSemigroup.from_generators(gens).maximal_ideal())
+    STATEMENTS["Prop4.3.2"](a)
+    # flip the bidual's side of the hypothesis; R:omega ⊇ R:Lambda is untouched
+    held = a.lam_bidual.contains(a.ring.k)
+    a.lam_bidual = a.ring.m_ideal if held else a.ring.normalization
+    assert a.lam_bidual.contains(a.ring.k) != held
+    with pytest.raises(InvariantViolation, match="two hypothesis forms"):
+        STATEMENTS["Prop4.3.2"](a)
+
+
+@pytest.mark.parametrize("gens", CROSS_CHECK_PAIRS)
+def test_prop4_3_4_requires_a_closed_colon_to_be_a_value_filter(gens):
+    a = Analysis.of(NumericalSemigroup.from_generators(gens).maximal_ideal())
+    STATEMENTS["Prop4.3.4"](a)
+    # flip the filter's side of the check; the closure test is untouched
+    is_filter = a.r_colon_lambda == a.r_filter_i0
+    a.r_filter_i0 = a.ring.normalization if is_filter else a.r_colon_lambda
+    assert (a.r_colon_lambda == a.r_filter_i0) != is_filter
+    with pytest.raises(InvariantViolation, match="full value filter"):
+        STATEMENTS["Prop4.3.4"](a)
