@@ -159,8 +159,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _statement_list(text: str) -> tuple[str, ...]:
-    """The items of a comma-separated --statements value, empty ones dropped."""
-    return tuple(x for x in text.split(",") if x)
+    """The items of a comma-separated --statements value, blanks stripped
+    and empty ones dropped."""
+    return tuple(x for x in map(str.strip, text.split(",")) if x)
 
 
 def _cmd_analyze(args) -> int:

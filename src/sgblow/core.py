@@ -30,6 +30,7 @@ sets, which is why plain counting on windows computes true module lengths.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -45,6 +46,8 @@ from .errors import (
 # the set bits of each byte value: + and colon walk a mask one byte at a
 # time, with no arithmetic per set bit beyond its one shift
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+# binary digits "0"/"1" as the bytes 0/1 that itertools.compress selects on
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _ones(n: int) -> int:
@@ -55,7 +58,8 @@ def _ones(n: int) -> int:
 def _positions(bits: int, base: int = 0) -> tuple[int, ...]:
     """base + i for every set bit i of a non-negative mask, ascending."""
     # bin() reversed and cut before its "0b" prefix lists bit 0 first
-    return tuple(base + i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1")
+    flags = bin(bits)[:1:-1].encode().translate(_DIGIT_FLAGS)
+    return tuple(compress(range(base, base + len(flags)), flags))
 
 
 def _mask(values: Iterable[int], base: int) -> int:

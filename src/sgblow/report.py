@@ -8,12 +8,19 @@ timestamps) so equal documents produce byte-identical text.
 
 `dumps_document` writes that text with a writer shaped for the document
 values: exact-type dispatch, strings through the C routine `json` itself
-uses, and each all-integer list in a single join.  Any other value, and
-any dict with a key that is not a str, is handed to `json.dumps` itself
-and its text re-indented in place, so the output (or the exception) is
-that of `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, the byte
-reference the tests hold it to.  Only a cycle through plain lists or
-dicts differs: it raises RecursionError where json raises ValueError.
+uses, each all-integer list in a single join, and for a dict its keys (not
+its items) sorted and its None, boolean and string values written in place.
+A value outside the document domain, and any dict with a key that is not a
+str, is handed to `json.dumps` itself and its text re-indented in place, so
+the output (or the exception) is that of
+`json.dumps(doc, sort_keys=True, indent=2) + "\n"`, the byte reference the
+tests hold it to.  Only a cycle through plain lists or dicts differs: it
+raises RecursionError where json raises ValueError.
+
+`verdict_document` builds each verdict record with its keys already in
+sorted order, which the writer's sort then finds in place, and keeps its
+None, bool, int and str values unconverted: only tuples, dicts and any
+other value go through `jsonable`.
 """
 
 from __future__ import annotations
@@ -46,16 +53,21 @@ def jsonable(value):
     raise TypeError(f"cannot place {type(value).__name__} in a document")
 
 
+# values a document holds as they are; jsonable converts only the rest
+_NATIVE = frozenset({type(None), bool, int, str})
+
+
 def verdict_document(v: TheoremVerdict) -> dict:
+    sid, met, holds, status, lhs, rhs, witness, notes = v
     return {
-        "statement_id": v.statement_id,
-        "hypotheses_met": v.hypotheses_met,
-        "holds": v.holds,
-        "status": v.status,
-        "lhs": jsonable(v.lhs),
-        "rhs": jsonable(v.rhs),
-        "witness": jsonable(v.witness),
-        "notes": v.notes,
+        "holds": holds,
+        "hypotheses_met": met,
+        "lhs": lhs if type(lhs) in _NATIVE else jsonable(lhs),
+        "notes": notes,
+        "rhs": rhs if type(rhs) in _NATIVE else jsonable(rhs),
+        "statement_id": sid,
+        "status": status,
+        "witness": witness if type(witness) in _NATIVE else jsonable(witness),
     }
 
 
@@ -123,14 +135,18 @@ def _encode(o, nl: str) -> str:
             return "{}" if t is dict else "[]"
         inner = nl + "  "
         if t is not dict:
-            if all(type(x) is int for x in o):
+            if set(map(type, o)) == {int}:
                 body = map(int.__repr__, o)
             else:
                 body = [_encode(x, inner) for x in o]
             return "[" + inner + ("," + inner).join(body) + nl + "]"
         try:
-            body = [_string(k) + ": " + _encode(v, inner)
-                    for k, v in sorted(o.items())]
+            body = [_string(k) + ": " + ("null" if (v := o[k]) is None
+                                         else "true" if v is True
+                                         else "false" if v is False
+                                         else _string(v) if type(v) is str
+                                         else _encode(v, inner))
+                    for k in sorted(o)]
         except TypeError:  # a key that is not a str, or a bad value below
             pass
         else:

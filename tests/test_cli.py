@@ -155,6 +155,22 @@ def test_statement_lists_drop_empty_items(capsys):
     assert json.loads(out)["statement_ids"] == ["Thm4.7.1", "Thm4.7.2"]
 
 
+def test_statement_lists_ignore_blanks_around_items(capsys):
+    code, out, err = run(capsys, "analyze", "<3,4>", "--statements", "Thm4.7, ",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert [v["statement_id"] for v in loads_document(out)["verdicts"]] \
+        == ["Thm4.7.1", "Thm4.7.2"]
+    outs = []
+    for ids in ("Thm4.7, Cor6.10", "Thm4.7,Cor6.10", " Thm4.7 ,\tCor6.10 "):
+        code, out, err = run(capsys, "verify", "--max-genus", "2",
+                             "--statements", ids, "--format", "json")
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert json.loads(outs[0])["config"]["statements"] == ["Thm4.7", "Cor6.10"]
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_negative_sample_size_is_a_domain_error(capsys):
     code, out, err = run(capsys, "verify", "--max-genus", "3", "--ideals",
                          "random", "--sample-size", "-1")

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from sgblow.core import NumericalSemigroup, ValueIdeal, length_between
+from sgblow.core import NumericalSemigroup, ValueIdeal, _positions, length_between
 from sgblow.errors import NotNested
 from sgblow.invariants import bidual
 
@@ -134,3 +134,14 @@ def check_pair(a, ma, ra, b, mb, rb, c):
             length_between(a, b)
         assert err.value.witness in wb
         assert err.value.witness not in wa
+
+
+def test_set_bit_positions_match_a_plain_bit_loop():
+    rng = random.Random(2006)
+    masks = [0, 1, 2, 3, 255, 256, (1 << 600) - 1, 1 << 599]
+    masks += [rng.getrandbits(rng.randrange(601)) for _ in range(500)]
+    for bits in masks:
+        for base in (-50, -1, 0, 1, 50, rng.randrange(-50, 51)):
+            expected = tuple(base + i for i in range(bits.bit_length()) if bits >> i & 1)
+            assert _positions(bits, base) == expected
+    assert _positions(0) == ()

@@ -8,13 +8,14 @@ from collections import OrderedDict
 import pytest
 
 from sgblow.cli import main
-from sgblow.core import NumericalSemigroup
+from sgblow.core import NumericalSemigroup, ValueIdeal
 from sgblow.report import (
     analysis_document,
     dumps_document,
     jsonable,
     loads_document,
     set_document,
+    verdict_document,
 )
 from sgblow.statements import STATEMENTS, Analysis, TheoremVerdict, verify_many
 from sgblow.suite import SuiteConfig, run_suite
@@ -86,6 +87,39 @@ def test_serialization_is_canonical_and_invertible():
     # key order in the source dict must not leak into the bytes
     shuffled = dict(reversed(list(doc.items())))
     assert dumps_document(shuffled) == text
+
+
+def test_verdict_records_equal_the_generic_conversion():
+    s = NumericalSemigroup.from_generators([13, 20, 22])
+    m = s.maximal_ideal()
+    e = ValueIdeal.generated_by(s, (13, 20))
+    verdicts = verify_many(m) + verify_many(e)
+    statuses = {v.status for v in verdicts}
+    assert {"vacuous", "held"} <= statuses
+    kinds = {type(x) for v in verdicts if v.status == "held"
+             for x in (v.lhs, v.rhs)}
+    assert {int, bool, tuple, type(None)} <= kinds
+    planted = [
+        TheoremVerdict("X", True, True, "held", (1, (2, 3)), None),
+        TheoremVerdict("X", True, True, "held", True, 7, None, "n"),
+        TheoremVerdict("X", True, False, "failed", m, (e, (m, None)),
+                       {"lhs": m, 3: (1, [e])}, "planted"),
+        TheoremVerdict("X", True, False, "failed", ((1, 2), (3,)), [4, (5,)],
+                       {"gap": -1, "sets": {"e": e}}),
+        TheoremVerdict("X", True, False, "failed", Small.TWO, "rhs", {}),
+    ]
+
+    def no_tuple(value):
+        assert type(value) is not tuple
+        for x in value.values() if isinstance(value, dict) else \
+                value if isinstance(value, list) else ():
+            no_tuple(x)
+
+    for v in verdicts + planted:
+        doc = verdict_document(v)
+        assert doc == {k: jsonable(x) for k, x in v._asdict().items()}
+        no_tuple(doc)
+        assert dumps_document(doc) == reference(doc)
 
 
 def reference(value):
