@@ -20,11 +20,26 @@ is in place.  The ring-level quantities (K, the type sequence, the class,
 S:M, S:K) are read from the semigroup's one Ring, a.ring, which all pairs
 over S share.  Ring stays lazy: dual, canonical_ideal and integral_closure
 each read one of its fields, and need not pay for the type sequence.
+
+Many ideals of S share one blow-up, so the quantities that depend on
+Lambda alone are one record per (S, Lambda), kept in a.ring.blowups:
+R:Lambda, Lambda**, omega_Lambda = K + Lambda, K:Lambda, delta(Lambda),
+Gamma and its complement, i0 with R_i0 and R_i0*, the Lambda-level
+lengths, the Gamma sums, d, and the condition members A1-A3, B1, B2 and
+the bridge.  What involves E stays per pair: the powers, H, nu, rho, A4-A6,
+E**, whether R:Lambda is nuE, and the lengths against nuE; so do all the
+checks.  The record has two halves: _checked_half, which the rho check, the
+condition groups and cross_check read, and _catalog_half, which only the
+catalog and the document read.  On a miss the first is built before
+cross_check and the second after it, and the record is stored only once
+both are built, so a Lambda whose build raises is never cached and raises
+again on every pair that has it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import ValueIdeal, _closure, length_between
 from .errors import (
@@ -33,7 +48,7 @@ from .errors import (
     NotProper,
     PrincipalIdeal,
 )
-from .invariants import bidual, dual, ring
+from .invariants import Ring, bidual, dual, ring
 
 
 def power(e: ValueIdeal, k: int) -> ValueIdeal:
@@ -71,10 +86,12 @@ class HPolynomial:
         coeffs = (hs[0],) + tuple(hs[i] - hs[i - 1] for i in range(1, a.nu + 1))
         return cls(coefficients=coeffs, hilbert=hs, e=a.e, nu=a.nu, rho=a.rho)
 
-    @property
+    @cached_property
     def symmetric(self) -> bool:
-        c = self.coefficients
-        return all(c[i] == c[self.nu - i] for i in range(self.nu + 1))
+        """c_i = c_(nu-i) for every i in 0..nu; evaluated once per instance
+        and kept in the instance dict, outside the fields, ==, hash and repr."""
+        c, nu = self.coefficients, self.nu
+        return c[:nu + 1] == c[nu::-1]
 
 
 def _check_proper(e: ValueIdeal, s_ideal: ValueIdeal) -> None:
@@ -145,8 +162,10 @@ class Analysis:
     against an independent route.  It then assigns the quantities
     cross_check reads, runs cross_check, and assigns the rest, which only
     the catalog and the document read; every timed path reads them all, so
-    each is a plain attribute.  Past nu+1 a power is nuE shifted (power);
-    self.powers never grows.  An Analysis passed in place of the ideal is
+    each is a plain attribute.  The Lambda-level ones in each group are
+    copied from the ring's record of Lambda (built on a miss) by one tuple
+    unpack; the pair-level ones are computed here.  Past nu+1 a power is
+    nuE shifted (power); self.powers never grows.  An Analysis passed in place of the ideal is
     rebuilt from its ideal.  Ring-level quantities live on self.ring.
     """
 
@@ -192,7 +211,17 @@ class Analysis:
         if first_invariant != nu:
             raise InvariantViolation(
                 f"powers absorb the blow-up from {first_invariant}, expected {nu}")
-        if rho != length_between(lam, s_ideal):
+
+        # Lambda's own quantities are one record per (S, Lambda) on the ring,
+        # shared by every pair with this blow-up; on a miss the half the
+        # checks read is built here and the catalog half after cross_check
+        key = lam.bits, lam.frontier
+        record = rg.blowups.get(key)
+        checked = _checked_half(rg, lam) if record is None else record[0]
+        (self.r_colon_lambda, self.lam_bidual, self.omega_lambda, self.k_colon_lambda,
+         self.delta_lambda, self.gamma_set, self.outside_gamma, self.len_r_over_rcolon,
+         len_lam_over_r, a1, a2, a3, b1, b2, bridge) = checked
+        if rho != len_lam_over_r:
             raise InvariantViolation("rho disagrees with l(Lambda/R)")
 
         # independent route: the semigroup generated by S and E - min(E)
@@ -220,65 +249,38 @@ class Analysis:
         self.power_nu = p_nu = powers[nu]
         self.conductor_in_power = p_nu.frontier <= c
 
-        # what cross_check reads
+        # every member of both groups, each evaluated on its own; A4-A6 read
+        # the powers of E, the rest only Lambda
         k = rg.k
-        self.r_colon_lambda = r_colon = s_ideal.colon(lam)
-        self.lam_bidual = s_ideal.colon(r_colon)
-        self.omega_lambda = k + lam
-        self.k_colon_lambda = k.colon(lam)
-        self.delta_lambda = length_between(rg.normalization, lam)
-        # Gamma holds the i in 1..n with s_(i-1) in R:Lambda; outside_gamma the rest
-        inside = [x in r_colon for x in rg.small_elements[:-1]]
-        self.gamma_set = tuple(i for i, hit in enumerate(inside, 1) if hit)
-        self.outside_gamma = tuple(i for i, hit in enumerate(inside, 1) if not hit)
-        self.len_r_over_rcolon = length_between(s_ideal, r_colon)
-        # every member of both groups, each evaluated on its own
         self.conditions = ConditionsReport(
-            a1=lam.contains(k),
-            a2=self.omega_lambda == lam,
-            a3=self.k_colon_lambda == r_colon,
+            a1=a1, a2=a2, a3=a3,
             a4=self._holds_a4(),
             a5=(k + p_nu) == p_nu,
             a6=any((k + self.power(n)) == self.power(n) for n in range(1, nu + 1)),
-            b1=lam == self.lam_bidual,
-            b2=self.k_colon_lambda == (k + r_colon),
-            colon_inside_omega_dual=rg.r_colon_omega.contains(r_colon),
+            b1=b1, b2=b2, colon_inside_omega_dual=bridge,
         )
         self.cross_check()
 
         # what only the catalog and the document read
-        ts = rg.ts
-        self.r = ts.cm_type
-        # R_i0 is S from s_i0 = min R:Lambda on
-        lo = r_colon.min_element
-        self.i0 = rg.small_elements.index(lo)
-        self.r_filter_i0 = ValueIdeal._of(s, lo, s.bits >> lo, c)
-        self.r_star_i0 = dual(self.r_filter_i0)
+        self.r = rg.ts.cm_type
+        if record is None:
+            catalog = _catalog_half(rg, lam, checked)
+            rg.blowups[key] = checked, catalog
+        else:
+            catalog = record[1]
+        (self.i0, self.r_filter_i0, self.r_star_i0, self.n_lambda, self.lambda_gorenstein,
+         self.lam_is_normalization, self.len_bidual_over_lambda, self.len_omega_over_lambda,
+         self.len_omega_over_bidual, self.len_rbar_over_omega, self.len_rbar_over_bidual,
+         self.len_bidual_over_rstar, self.sum_gamma, self.sum_not_gamma,
+         self.sum_not_gamma_excess, self.d) = catalog
         self.ideal_bidual = bidual(e)
         self.ideal_reflexive = self.ideal_bidual == e
-        self.r_colon_is_power = r_colon == p_nu
-        self.n_lambda = self.c_lambda - self.delta_lambda
-        # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
-        self.lambda_gorenstein = 2 * self.delta_lambda == self.c_lambda
-        self.lam_is_normalization = lam == rg.normalization
-
-        # lengths, all validated for nesting by length_between
-        self.len_rcolon_over_power_nu = length_between(r_colon, p_nu)
-        self.len_bidual_over_lambda = length_between(self.lam_bidual, lam)
-        self.len_omega_over_lambda = length_between(self.omega_lambda, lam)
-        self.len_omega_over_bidual = length_between(self.omega_lambda, self.lam_bidual)
+        self.r_colon_is_power = self.r_colon_lambda == p_nu
+        # the lengths that involve nuE, validated for nesting by length_between
+        self.len_rcolon_over_power_nu = length_between(self.r_colon_lambda, p_nu)
         self.len_r_over_power_nu = length_between(s_ideal, p_nu)
-        self.len_rbar_over_omega = length_between(rg.normalization, self.omega_lambda)
-        self.len_rbar_over_bidual = length_between(rg.normalization, self.lam_bidual)
-        self.len_bidual_over_rstar = length_between(self.lam_bidual, self.r_star_i0)
         self.len_gammar_over_conductor_power = length_between(
             rg.conductor_ideal, ValueIdeal._of(s, 0, 0, nu * a + self.c_lambda))
-
-        self.sum_gamma = sum(ts.entries[i - 1] for i in self.gamma_set)
-        self.sum_not_gamma = self.delta - self.sum_gamma
-        # the sum of r_i - 1 over the indices outside Gamma
-        self.sum_not_gamma_excess = self.sum_not_gamma - len(self.outside_gamma)
-        self.d = self.len_rbar_over_bidual - self.sum_gamma
 
     @classmethod
     def of(cls, e: ValueIdeal) -> "Analysis":
@@ -331,6 +333,57 @@ class Analysis:
             if summed & (s_bits >> z) != own:
                 return False
         return True
+
+
+def _checked_half(rg: Ring, lam: ValueIdeal) -> tuple:
+    """The quantities of Lambda over S that the rho check, the condition
+    groups and cross_check read, in Analysis's order."""
+    s_ideal, k = rg.s_ideal, rg.k
+    r_colon = s_ideal.colon(lam)
+    lam_bidual = s_ideal.colon(r_colon)
+    omega = k + lam
+    k_colon = k.colon(lam)
+    # Gamma holds the i in 1..n with s_(i-1) in R:Lambda; outside_gamma the rest
+    inside = [x in r_colon for x in rg.small_elements[:-1]]
+    return (r_colon, lam_bidual, omega, k_colon,
+            length_between(rg.normalization, lam),
+            tuple(i for i, hit in enumerate(inside, 1) if hit),
+            tuple(i for i, hit in enumerate(inside, 1) if not hit),
+            length_between(s_ideal, r_colon),
+            length_between(lam, s_ideal),
+            # A1-A3, B1, B2 and the bridge R:Lambda inside R:omega
+            lam.contains(k), omega == lam, k_colon == r_colon,
+            lam == lam_bidual, k_colon == (k + r_colon), rg.r_colon_omega.contains(r_colon))
+
+
+def _catalog_half(rg: Ring, lam: ValueIdeal, checked: tuple) -> tuple:
+    """The quantities of Lambda over S that only the catalog and the document
+    read, in Analysis's order; checked is _checked_half's record."""
+    s, norm, ts = rg.s, rg.normalization, rg.ts
+    r_colon, lam_bidual, omega, _, delta_lambda, gamma_set, outside_gamma = checked[:7]
+    # R_i0 is S from s_i0 = min R:Lambda on
+    lo = r_colon.min_element
+    r_filter_i0 = ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
+    r_star_i0 = dual(r_filter_i0)
+    # lengths, all validated for nesting by length_between
+    len_rbar_over_bidual = length_between(norm, lam_bidual)
+    sum_gamma = sum(ts.entries[i - 1] for i in gamma_set)
+    sum_not_gamma = s.genus - sum_gamma
+    return (rg.small_elements.index(lo), r_filter_i0, r_star_i0,
+            lam.frontier - delta_lambda,
+            # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
+            2 * delta_lambda == lam.frontier,
+            lam == norm,
+            length_between(lam_bidual, lam),
+            length_between(omega, lam),
+            length_between(omega, lam_bidual),
+            length_between(norm, omega),
+            len_rbar_over_bidual,
+            length_between(lam_bidual, r_star_i0),
+            sum_gamma, sum_not_gamma,
+            # the sum of r_i - 1 over the indices outside Gamma
+            sum_not_gamma - len(outside_gamma),
+            len_rbar_over_bidual - sum_gamma)
 
 
 BlowupReport = Analysis

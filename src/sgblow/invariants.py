@@ -6,7 +6,9 @@ refines the Cohen-Macaulay type r = l((S-M)/S); its entries are computed by
 two independent routes (colon duals and K-products) and must agree.
 
 Every ring-level quantity lives on one Ring per semigroup, behind the cached
-ring(s), and is computed at most once.  K is the gap mask read backwards.
+ring(s), and is computed at most once; the ring also keeps the record of
+each blow-up met over S (see Ring and blowup.Analysis).  K is the gap mask
+read backwards.
 Both type-sequence routes walk the filtration R_i = {x in S : x >= s_i} from
 R_n = c + N down to R_0 = S over the window [0, c), one small element per
 step: the dual route ANDs in a shifted copy of S's mask, the product route
@@ -59,10 +61,18 @@ class RingClass:
 
 
 class Ring:
-    """Every ring-level quantity of one semigroup, each computed at most once."""
+    """Every ring-level quantity of one semigroup, each computed at most once.
+
+    blowups holds the record of each blow-up Lambda met over S, keyed by
+    (Lambda.bits, Lambda.frontier) (Lambda has min 0 and carrier S): the
+    pair (checked, catalog) of tuples that Analysis builds and reads, so
+    every pair with that blow-up shares one record.  It holds at most one
+    record per distinct Lambda and is freed with the ring.
+    """
 
     def __init__(self, s: NumericalSemigroup):
         self.s = s
+        self.blowups: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
     @cached_property
     def s_ideal(self) -> ValueIdeal:

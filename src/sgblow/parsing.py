@@ -11,11 +11,15 @@ parse/format round-trip exactly on canonical text.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 
 from .blowup import power
-from .core import NumericalSemigroup, ValueIdeal
+from .core import NumericalSemigroup, ValueIdeal, _mask
 from .errors import GrammarError
+
+# a run of members in a mask's binary digits, read from bit 0 up
+_RUN = re.compile("1+")
 
 
 class _Scanner:
@@ -144,25 +148,29 @@ def parse_ideal(text: str, carrier: NumericalSemigroup) -> ValueIdeal:
     raise GrammarError("expected 'm', 'm^k' or 'ideal(...)'", sc.pos)
 
 
-def _run_items(values: Sequence[int]) -> list[str]:
-    """Collapse runs of 3 or more consecutive values into 'a-b' items."""
+def _cofinite_text(bits: int, base: int, tail_from: int) -> str:
+    """Braces form of the members base + i (i a set bit of a non-negative
+    mask) followed by 'tail_from->'; each run of 3 or more consecutive
+    members is one 'a-b' item."""
     items: list[str] = []
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[j + 1] == values[j] + 1:
-            j += 1
-        if j - i >= 2:
-            items.append(f"{values[i]}-{values[j]}")
+    # bin() reversed and cut before its "0b" prefix lists bit 0 first
+    for run in _RUN.finditer(bin(bits)[:1:-1]):
+        lo, hi = run.span()
+        lo += base
+        hi += base - 1
+        if hi - lo >= 2:
+            items.append(f"{lo}-{hi}")
+        elif hi > lo:
+            items += (str(lo), str(hi))
         else:
-            items.extend(str(v) for v in values[i:j + 1])
-        i = j + 1
-    return items
+            items.append(str(lo))
+    items.append(f"{tail_from}->")
+    return "{" + ",".join(items) + "}"
 
 
 def format_semigroup(s: NumericalSemigroup) -> str:
     """Canonical braces form: members below the conductor, then 'c->'."""
-    return format_cofinite_set(s.small_elements[:-1], s.conductor)
+    return _cofinite_text(s.bits, 0, s.conductor)
 
 
 def format_generators(s: NumericalSemigroup) -> str:
@@ -170,9 +178,9 @@ def format_generators(s: NumericalSemigroup) -> str:
 
 
 def format_cofinite_set(members: Sequence[int], tail_from: int) -> str:
-    items = _run_items(members)
-    items.append(f"{tail_from}->")
-    return "{" + ",".join(items) + "}"
+    """Braces form of a set of distinct integers below tail_from, then 'tail_from->'."""
+    base = min(members, default=0)
+    return _cofinite_text(_mask(members, base), base, tail_from)
 
 
 def format_ideal(e: ValueIdeal) -> str:

@@ -1,10 +1,13 @@
 """Hilbert function, reduction exponent, blow-up, and the condition groups."""
 
+from dataclasses import fields
+
 import pytest
 
 from sgblow.blowup import (
     Analysis,
     ConditionsReport,
+    HPolynomial,
     analyze,
     blowup_lambda,
     check_conditions_a_b,
@@ -13,6 +16,7 @@ from sgblow.blowup import (
     power,
 )
 from sgblow.core import NumericalSemigroup, ValueIdeal, length_between
+from sgblow.enumeration import enumerate_ideals
 from sgblow.errors import (
     EquivalenceViolation,
     InvariantViolation,
@@ -249,6 +253,21 @@ def test_known_h_polynomial():
     assert h.coefficients == (1, 4, 1, 2, 2)
     assert h.nu == 4 and h.rho == 20 and h.e == 10
     assert not h.symmetric
+
+
+def test_h_symmetry_is_read_once_and_matches_a_walk_over_the_coefficients():
+    # over <4,5,11> both kinds occur, and (1,2,0,1) has equal ends yet is not symmetric
+    s = NumericalSemigroup.from_generators([4, 5, 11])
+    for e in enumerate_ideals(s):
+        h = h_polynomial(e)
+        c = h.coefficients
+        expected = all(c[i] == c[h.nu - i] for i in range(h.nu + 1))
+        assert h.symmetric == expected
+        # cached beside the fields, which alone make up ==, hash and repr
+        assert vars(h)["symmetric"] == expected
+        plain = HPolynomial(**{f.name: getattr(h, f.name) for f in fields(h)})
+        assert plain == h and hash(plain) == hash(h) and repr(plain) == repr(h)
+        assert "symmetric" not in repr(h)
 
 
 def test_improper_inputs_are_rejected():

@@ -43,6 +43,10 @@ GOLDEN = [
      "011f24c15ba08a27757e14b9a8dde478f20f735c0cc36601fa448cb4e771da80"),
     (["examples"],
      "3766972feb14a5c3435f228921854613fb2a8a078b08609d2faeea83145a498c"),
+    # the wide universe, where most pairs read a blow-up record built for an
+    # earlier pair with the same Lambda
+    (["verify", "--max-genus", "6", "--ideals", "all", "--format", "json"],
+     "2347ed7f95267b9c95c2b8dec23416835bc7c2e5e328906867083b37a157251e"),
 ]
 
 

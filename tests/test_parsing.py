@@ -1,10 +1,12 @@
 """Grammar round-trips and error positions."""
 
+import random
 import sys
 
 import pytest
 
 from sgblow.core import NumericalSemigroup
+from sgblow.enumeration import enumerate_semigroups
 from sgblow.errors import GrammarError, NotClosed, NotCofinite
 from sgblow.parsing import (
     format_cofinite_set,
@@ -134,3 +136,51 @@ def test_format_cofinite_set_runs():
     assert format_cofinite_set((0, 5, 6), 10) == "{0,5,6,10->}"
     assert format_cofinite_set((), 28) == "{28->}"
     assert format_cofinite_set((0, 2, 4, 6), 8) == "{0,2,4,6,8->}"
+
+
+def _items_by_walk(values):
+    """The item list of a sorted member list, by a walk over the values."""
+    items = []
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[j + 1] == values[j] + 1:
+            j += 1
+        if j - i >= 2:
+            items.append(f"{values[i]}-{values[j]}")
+        else:
+            items.extend(str(v) for v in values[i:j + 1])
+        i = j + 1
+    return items
+
+
+def test_cofinite_text_matches_a_walk_over_the_members():
+    rng = random.Random(20061)
+    lengths = set()
+    for _ in range(400):
+        base = rng.randrange(-30, 30)
+        # runs of 1, 2 and 3 or more members, with gaps of 1 to 3 between
+        members, x = [], base
+        for _ in range(rng.randrange(0, 12)):
+            run = rng.choice((1, 1, 2, 3, rng.randrange(4, 20)))
+            members.extend(range(x, x + run))
+            lengths.add(min(run, 3))
+            x += run + rng.randrange(1, 4)
+        tail = x + rng.randrange(0, 3)
+        expected = "{" + ",".join(_items_by_walk(members) + [f"{tail}->"]) + "}"
+        assert format_cofinite_set(tuple(members), tail) == expected
+        shuffled = members[:]
+        rng.shuffle(shuffled)
+        assert format_cofinite_set(shuffled, tail) == expected
+    assert lengths == {1, 2, 3}
+    assert format_cofinite_set((), 0) == "{0->}"
+    assert format_cofinite_set((), -4) == "{-4->}"
+
+
+def test_format_semigroup_matches_a_walk_over_the_small_elements():
+    gens = [(13, 20, 22), (17, 26), (3, 6002), (7, 8, 9, 10, 11, 12, 13)]
+    semigroups = list(enumerate_semigroups(7)) + [
+        NumericalSemigroup.from_generators(g) for g in gens]
+    for s in semigroups:
+        items = _items_by_walk(s.small_elements[:-1]) + [f"{s.conductor}->"]
+        assert format_semigroup(s) == "{" + ",".join(items) + "}"
