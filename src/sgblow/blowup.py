@@ -25,15 +25,18 @@ Many ideals of S share one blow-up, so the quantities that depend on
 Lambda alone are one record per (S, Lambda), kept in a.ring.blowups:
 R:Lambda, Lambda**, omega_Lambda = K + Lambda, K:Lambda, delta(Lambda),
 Gamma and its complement, i0 with R_i0 and R_i0*, the Lambda-level
-lengths, the Gamma sums, d, and the condition members A1-A3, B1, B2 and
-the bridge.  What involves E stays per pair: the powers, H, nu, rho, A4-A6,
-E**, whether R:Lambda is nuE, and the lengths against nuE; so do all the
-checks.  The record has two halves: _checked_half, which the rho check, the
-condition groups and cross_check read, and _catalog_half, which only the
+lengths, the Gamma sums, d, the condition members A1-A3, B1, B2 and the
+bridge, and whether Lambda contains S:M.  What involves E stays per pair:
+the powers, H, nu, rho, A4-A6, E**, whether R:Lambda is nuE, and the
+lengths against nuE; so do all the checks.  The record is the triple
+(checked, catalog, verdicts).  _checked_half is what the rho check, the
+condition groups and cross_check read, and _catalog_half what only the
 catalog and the document read.  On a miss the first is built before
 cross_check and the second after it, and the record is stored only once
 both are built, so a Lambda whose build raises is never cached and raises
-again on every pair that has it.
+again on every pair that has it.  verdicts starts empty, and
+statements.verify_many fills it one Lambda-level statement at a time, after
+the pair's cross_check, with the verdicts every pair with this Lambda shares.
 """
 
 from __future__ import annotations
@@ -265,14 +268,14 @@ class Analysis:
         self.r = rg.ts.cm_type
         if record is None:
             catalog = _catalog_half(rg, lam, checked)
-            rg.blowups[key] = checked, catalog
+            rg.blowups[key] = checked, catalog, {}
         else:
             catalog = record[1]
         (self.i0, self.r_filter_i0, self.r_star_i0, self.n_lambda, self.lambda_gorenstein,
          self.lam_is_normalization, self.len_bidual_over_lambda, self.len_omega_over_lambda,
          self.len_omega_over_bidual, self.len_rbar_over_omega, self.len_rbar_over_bidual,
          self.len_bidual_over_rstar, self.sum_gamma, self.sum_not_gamma,
-         self.sum_not_gamma_excess, self.d) = catalog
+         self.sum_not_gamma_excess, self.d, self.lam_contains_dual_m) = catalog
         self.ideal_bidual = bidual(e)
         self.ideal_reflexive = self.ideal_bidual == e
         self.r_colon_is_power = self.r_colon_lambda == p_nu
@@ -383,7 +386,8 @@ def _catalog_half(rg: Ring, lam: ValueIdeal, checked: tuple) -> tuple:
             sum_gamma, sum_not_gamma,
             # the sum of r_i - 1 over the indices outside Gamma
             sum_not_gamma - len(outside_gamma),
-            len_rbar_over_bidual - sum_gamma)
+            len_rbar_over_bidual - sum_gamma,
+            lam.contains(rg.dual_m))
 
 
 BlowupReport = Analysis

@@ -65,14 +65,15 @@ class Ring:
 
     blowups holds the record of each blow-up Lambda met over S, keyed by
     (Lambda.bits, Lambda.frontier) (Lambda has min 0 and carrier S): the
-    pair (checked, catalog) of tuples that Analysis builds and reads, so
-    every pair with that blow-up shares one record.  It holds at most one
-    record per distinct Lambda and is freed with the ring.
+    tuples (checked, catalog) that Analysis builds and reads, and the dict
+    of Lambda-level verdicts that verify_many fills, so every pair with
+    that blow-up shares one record.  It holds at most one record per
+    distinct Lambda and is freed with the ring.
     """
 
     def __init__(self, s: NumericalSemigroup):
         self.s = s
-        self.blowups: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+        self.blowups: dict[tuple[int, int], tuple[tuple, tuple, dict]] = {}
 
     @cached_property
     def s_ideal(self) -> ValueIdeal:

@@ -1,15 +1,25 @@
 """Catalog of checkable identities tying type sequences to blow-up data.
 
 Each statement is declared once, by one _statement registration that
-names its id, its hypothesis and its notes and wraps its conclusion.  The
-hypothesis and the conclusion are functions of a shared Analysis bundle
-(ring-level quantities on its a.ring); the conclusion returns (ok, lhs,
-rhs).  STATEMENTS maps each id, in catalog order, to a function of the
-bundle that returns a TheoremVerdict: held, failed, or vacuous when the
-hypothesis is not met.  A verdict is an immutable tuple record, and the
-vacuous verdict of a statement is one shared object, built at
-registration.  Inequalities and identities are evaluated in exact integer
-arithmetic; fractional forms are cross-multiplied so nothing ever rounds.
+names its id, its hypothesis, its notes and its level and wraps its
+conclusion.  The hypothesis and the conclusion are functions of a shared
+Analysis bundle (ring-level quantities on its a.ring); the conclusion
+returns (ok, lhs, rhs).  STATEMENTS maps each id, in catalog order, to a
+function of the bundle that returns a TheoremVerdict: held, failed, or
+vacuous when the hypothesis is not met; HYPOTHESES and LEVELS map each id
+to its hypothesis (None for none) and its level.  A verdict is an immutable
+tuple record, and the vacuous verdict of a statement is one shared object,
+built at registration.  Inequalities and identities are evaluated in exact
+integer arithmetic; fractional forms are cross-multiplied so nothing ever
+rounds.
+
+A statement is "pair"-level unless it reads only what is one per
+(S, Lambda): the blow-up record's quantities, rho (checked against
+l(Lambda/R) when the pair is built), r, a.ring and the notation of S.
+Those eight, Prop4.2, Prop4.3.1-4.3.4, Thm4.4.1, Thm4.4.2 and Cor5.2, are
+"lambda"-level, and verify_many makes each of their verdicts once per
+blow-up record and hands it to every later pair with that Lambda.
+STATEMENTS[sid](a) itself always evaluates afresh.
 
 Statement ids follow the external naming contract (Thm4.7.1, Prop6.9.2, ...).
 A bare group id like "Thm4.7" expands to all of its parts.
@@ -53,16 +63,22 @@ class TheoremVerdict(NamedTuple):
 
 
 STATEMENTS: dict[str, Callable[[Analysis], TheoremVerdict]] = {}
+HYPOTHESES: dict[str, Callable[[Analysis], bool] | None] = {}
+LEVELS: dict[str, str] = {}
 
 
 def _statement(sid: str, hypothesis: Callable[[Analysis], bool] | None = None,
-               notes: str | Callable[[Analysis], str] = ""):
+               notes: str | Callable[[Analysis], str] = "", level: str = "pair"):
     """Register a conclusion a -> (ok, lhs, rhs) as the statement sid.
 
     STATEMENTS[sid](a) is the statement's one vacuous verdict when
     hypothesis(a) is false, and otherwise a held or failed verdict that
     carries lhs, rhs and the notes, which may be a function of a.  No
-    hypothesis means the statement applies to every pair.
+    hypothesis means the statement applies to every pair.  The hypothesis
+    goes to HYPOTHESES[sid] and the level to LEVELS[sid]: "lambda" declares
+    that hypothesis, conclusion and notes read only the blow-up record's
+    quantities, rho, r, a.ring and the notation of S, so that the verdict
+    is one per (S, Lambda); "pair" is every other statement.
     """
     vacuous = TheoremVerdict(sid, False, True, "vacuous")
 
@@ -80,6 +96,8 @@ def _statement(sid: str, hypothesis: Callable[[Analysis], bool] | None = None,
                                                   {"lhs": lhs, "rhs": rhs}, note))
 
         STATEMENTS[sid] = verdict
+        HYPOTHESES[sid] = hypothesis
+        LEVELS[sid] = level
         return conclusion
 
     return register
@@ -183,14 +201,14 @@ def _(a):
 
 
 @_statement("Prop4.2", notes="sandwich for the Gamma sum; Gamma size matches "
-                             "the covolume of omega Lambda")
+                             "the covolume of omega Lambda", level="lambda")
 def _(a):
     ok = (a.len_rbar_over_omega <= a.sum_gamma <= a.len_rbar_over_bidual
           and len(a.gamma_set) == a.len_rbar_over_omega)
     return ok, (a.len_rbar_over_omega, a.sum_gamma, a.len_rbar_over_bidual), None
 
 
-@_statement("Prop4.3.1")
+@_statement("Prop4.3.1", level="lambda")
 def _(a):
     rhs = a.len_omega_over_bidual - (a.sum_gamma - len(a.gamma_set))
     return a.d == rhs, a.d, rhs
@@ -203,12 +221,12 @@ def _bidual_contains_k(a: Analysis) -> bool:
     return hyp
 
 
-@_statement("Prop4.3.2", hypothesis=_bidual_contains_k)
+@_statement("Prop4.3.2", hypothesis=_bidual_contains_k, level="lambda")
 def _(a):
     return a.d == 0, a.d, 0
 
 
-@_statement("Prop4.3.3")
+@_statement("Prop4.3.3", level="lambda")
 def _(a):
     tail = sum(a.ring.ts.entries[i - 1] for i in a.outside_gamma if i > a.i0)
     rhs = tail - a.len_bidual_over_rstar
@@ -223,19 +241,19 @@ def _colon_integrally_closed(a: Analysis) -> bool:
     return closed
 
 
-@_statement("Prop4.3.4", hypothesis=_colon_integrally_closed)
+@_statement("Prop4.3.4", hypothesis=_colon_integrally_closed, level="lambda")
 def _(a):
     return a.d == 0, a.d, 0
 
 
-@_statement("Thm4.4.1",
+@_statement("Thm4.4.1", level="lambda",
             notes=lambda a: f"upper bound r*l(R/R:Lambda) = {a.r * a.len_r_over_rcolon}")
 def _(a):
     rhs = a.sum_not_gamma - a.len_bidual_over_lambda - a.d
     return a.rho == rhs and a.rho <= a.r * a.len_r_over_rcolon, a.rho, rhs
 
 
-@_statement("Thm4.4.2")
+@_statement("Thm4.4.2", level="lambda")
 def _(a):
     head = sum(a.ring.ts.entries[i - 1] for i in range(1, a.i0 + 1))
     rhs = head - a.len_bidual_over_lambda + a.len_bidual_over_rstar
@@ -290,7 +308,7 @@ def _(a):
     return almost == matches, almost, matches
 
 
-@_statement("Cor5.2", hypothesis=_almost_gorenstein)
+@_statement("Cor5.2", hypothesis=_almost_gorenstein, level="lambda")
 def _(a):
     first = a.lam_bidual == a.omega_lambda and a.d == 0
     rhs = a.r - 1 + a.len_r_over_rcolon - a.len_bidual_over_lambda
@@ -351,7 +369,7 @@ def _(a):
             notes="reflexivity of the powers; equivalent to both "
                   "closure-condition groups")
 def _(a):
-    c1 = a.lam.contains(a.ring.dual_m)
+    c1 = a.lam_contains_dual_m
     # every power past nu is nuE translated and (E+z)** = E** + z, so the
     # powers from nu on are all reflexive or none is: one test reads all three
     c2 = is_reflexive(a.power_nu)
@@ -362,7 +380,7 @@ def _(a):
 @_statement("Thm5.9.2",
             hypothesis=lambda a: a.ring.ring_class.almost_gorenstein and a.ideal_reflexive)
 def _(a):
-    ok = a.conditions.a1 and a.conditions.b1 and a.lam.contains(a.ring.dual_m)
+    ok = a.conditions.a1 and a.conditions.b1 and a.lam_contains_dual_m
     return ok, ok, None
 
 
@@ -548,8 +566,32 @@ def verify_statement(statement_id: str, e: ValueIdeal) -> TheoremVerdict:
     return STATEMENTS[statement_id](Analysis.of(e))
 
 
+# the Lambda-level ids, whose verdicts verify_many shares per blow-up record
+_SHARED = frozenset(sid for sid, level in LEVELS.items() if level == "lambda")
+
+
 def verify_many(e: ValueIdeal, statement_ids=None) -> list[TheoremVerdict]:
-    """Run several statements against one shared analysis."""
+    """Run several statements against one shared analysis.
+
+    A Lambda-level verdict is one per (S, Lambda): it is read from the
+    verdict store of the pair's blow-up record when an earlier pair with
+    that Lambda has made it, and otherwise made by STATEMENTS[sid] and
+    stored.  Only the requested ids are evaluated, a pair's analysis has
+    passed cross_check before any verdict is stored, and an evaluation
+    that raises stores nothing.  The store keeps what the functions in
+    STATEMENTS returned; replacing one of them needs ring.cache_clear().
+    """
     names = catalog_ids() if statement_ids is None else _resolved_ids(tuple(statement_ids))
     shared = Analysis.of(e)
-    return [STATEMENTS[name](shared) for name in names]
+    lam = shared.lam
+    store = shared.ring.blowups[lam.bits, lam.frontier][2]
+    out = []
+    for name in names:
+        if name in _SHARED:
+            v = store.get(name)
+            if v is None:
+                v = store[name] = STATEMENTS[name](shared)
+        else:
+            v = STATEMENTS[name](shared)
+        out.append(v)
+    return out

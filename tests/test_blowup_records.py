@@ -25,6 +25,7 @@ CATALOG_ONLY = {
     "len_bidual_over_rstar", "sum_gamma", "sum_not_gamma", "sum_not_gamma_excess",
     "d", "ideal_bidual", "ideal_reflexive", "r_colon_is_power",
     "len_rcolon_over_power_nu", "len_r_over_power_nu", "len_gammar_over_conductor_power",
+    "lam_contains_dual_m",
 }
 
 
@@ -89,7 +90,7 @@ def test_pairs_with_one_blowup_share_one_record():
     assert a.lam == b.lam != s.normalization()
     blowups = ring(s).blowups
     assert list(blowups) == [_key(a)]
-    checked, catalog = blowups[_key(a)]
+    checked, catalog, _ = blowups[_key(a)]
     assert a.r_colon_lambda is b.r_colon_lambda is checked[0]
     assert a.r_star_i0 is b.r_star_i0 is catalog[2]
     assert a.gamma_set is b.gamma_set

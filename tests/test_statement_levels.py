@@ -1,0 +1,164 @@
+"""Statement levels, and the Lambda-level verdicts shared per blow-up record.
+
+A statement registered with level="lambda" reads only what is one per
+(S, Lambda): the blow-up record's quantities, rho, r, the ring and the
+notation of S.  verify_many makes each such verdict once per record and
+hands it to every later pair with that Lambda; STATEMENTS[sid](a) itself
+always evaluates afresh.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from sgblow.blowup import Analysis
+from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
+from sgblow.errors import InvariantViolation
+from sgblow.fixtures import FIXTURES
+from sgblow.invariants import ring
+from sgblow.parsing import parse_ideal, parse_semigroup
+from sgblow.statements import (
+    HYPOTHESES,
+    LEVELS,
+    STATEMENTS,
+    catalog_ids,
+    verify_many,
+)
+
+from test_blowup import IDEAL_ZOO, pair
+from test_blowup_records import _pairs_sharing_a_blowup
+
+LAMBDA_IDS = ("Prop4.2", "Prop4.3.1", "Prop4.3.2", "Prop4.3.3", "Prop4.3.4",
+              "Thm4.4.1", "Thm4.4.2", "Cor5.2")
+
+# the Analysis attributes copied from a blow-up record, in the record's order:
+# the checked half's first eight members, then the whole catalog half
+RECORD_FIELDS = (
+    "r_colon_lambda", "lam_bidual", "omega_lambda", "k_colon_lambda", "delta_lambda",
+    "gamma_set", "outside_gamma", "len_r_over_rcolon",
+    "i0", "r_filter_i0", "r_star_i0", "n_lambda", "lambda_gorenstein",
+    "lam_is_normalization", "len_bidual_over_lambda", "len_omega_over_lambda",
+    "len_omega_over_bidual", "len_rbar_over_omega", "len_rbar_over_bidual",
+    "len_bidual_over_rstar", "sum_gamma", "sum_not_gamma", "sum_not_gamma_excess", "d",
+    "lam_contains_dual_m",
+)
+# what else a Lambda-level statement may read: Lambda itself, rho (checked
+# against l(Lambda/R) when the pair is built), r, the ring and S's notation
+LAMBDA_LEVEL = RECORD_FIELDS + ("lam", "c_lambda", "rho", "r", "ring", "s", "c", "delta", "mu")
+
+
+def _record(a):
+    return a.ring.blowups[a.lam.bits, a.lam.frontier]
+
+
+def _zoo_and_fixture_pairs():
+    pairs = [pair(gens, ideal_gens)[1] for gens, ideal_gens in IDEAL_ZOO]
+    for f in FIXTURES:
+        s = parse_semigroup(f.semigroup)
+        pairs += [parse_ideal(case.ideal, s) for case in f.cases]
+    return pairs
+
+
+def _check_lambda_level_reads():
+    """Each statement LEVELS calls Lambda-level, run on a view that has only
+    the Lambda-level attributes, gives the verdict it gives on the pair."""
+    for e in _zoo_and_fixture_pairs():
+        a = Analysis.of(e)
+        view = SimpleNamespace(**{name: getattr(a, name) for name in LAMBDA_LEVEL})
+        for sid in catalog_ids():
+            if LEVELS[sid] == "lambda":
+                assert STATEMENTS[sid](view) == STATEMENTS[sid](a), (sid, e)
+
+
+def test_the_registry_lists_each_statement_with_its_hypothesis_and_level():
+    assert tuple(LEVELS) == tuple(HYPOTHESES) == catalog_ids()
+    assert tuple(sid for sid, level in LEVELS.items() if level == "lambda") == LAMBDA_IDS
+    assert set(LEVELS.values()) == {"pair", "lambda"}
+    assert HYPOTHESES["Prop3.2.1"] is None and HYPOTHESES["Prop4.3.2"] is not None
+    # a verdict is vacuous exactly when its registered hypothesis fails
+    for e in _zoo_and_fixture_pairs():
+        a = Analysis.of(e)
+        for sid, hypothesis in HYPOTHESES.items():
+            met = hypothesis is None or hypothesis(a)
+            assert STATEMENTS[sid](a).hypotheses_met == met, (sid, e)
+
+
+def test_lambda_level_record_fields_are_the_record():
+    for e in _zoo_and_fixture_pairs():
+        a = Analysis.of(e)
+        checked, catalog, _ = _record(a)
+        assert [getattr(a, name) for name in RECORD_FIELDS] == [*checked[:8], *catalog]
+
+
+def test_lambda_level_statements_read_only_lambda_level_quantities():
+    _check_lambda_level_reads()
+
+
+def test_a_pair_level_statement_declared_lambda_level_fails_loudly(monkeypatch):
+    # Prop2.9 reads the condition groups, whose A4-A6 involve the powers of E
+    monkeypatch.setitem(LEVELS, "Prop2.9", "lambda")
+    with pytest.raises(AttributeError, match="conditions"):
+        _check_lambda_level_reads()
+
+
+def test_shared_verdicts_equal_fresh_ones_over_genus_5():
+    pairs = [e for s in enumerate_semigroups(5) for e in enumerate_ideals(s)]
+    ring.cache_clear()
+    warm = [verify_many(e) for e in pairs]
+    shared = {}
+    for e, verdicts in zip(pairs, warm):
+        a = Analysis.of(e)
+        first = shared.setdefault((a.s, a.lam), verdicts)
+        for sid, v, w in zip(catalog_ids(), verdicts, first):
+            # a later pair with the same Lambda was handed the first one's verdict
+            if LEVELS[sid] == "lambda":
+                assert v is w, (sid, e)
+    assert len(shared) < len(pairs)
+    for e, verdicts in zip(pairs, warm):
+        # cold: a new record, so every verdict is made for this pair
+        ring.cache_clear()
+        assert verify_many(e) == verdicts, e
+
+
+def test_only_the_requested_statements_are_evaluated(monkeypatch):
+    s, e, f = _pairs_sharing_a_blowup()
+    expected_e = STATEMENTS["Prop4.3.4"](Analysis.of(e))
+    expected_f = [STATEMENTS[sid](Analysis.of(f)) for sid in catalog_ids()]
+    calls = []
+    for sid, fn in list(STATEMENTS.items()):
+        monkeypatch.setitem(STATEMENTS, sid,
+                            lambda a, sid=sid, fn=fn: calls.append(sid) or fn(a))
+    ring.cache_clear()
+    assert verify_many(e, ["Prop4.3.4"]) == [expected_e]
+    assert calls == ["Prop4.3.4"]
+    assert list(_record(Analysis.of(e))[2]) == ["Prop4.3.4"]
+    calls.clear()
+    full = verify_many(f)
+    assert full == expected_f
+    # f shares e's Lambda: Prop4.3.4 is read from the store, the rest are made
+    assert calls == [sid for sid in catalog_ids() if sid != "Prop4.3.4"]
+    assert set(_record(Analysis.of(f))[2]) == set(LAMBDA_IDS)
+    ring.cache_clear()
+
+
+def test_a_fault_in_a_shared_hypothesis_raises_on_every_pair_and_stores_nothing(monkeypatch):
+    s, e, f = _pairs_sharing_a_blowup()
+    ring.cache_clear()
+    a = Analysis.of(e)
+    store = _record(a)[2]
+    rg = a.ring
+    # flip R:omega ⊇ R:Lambda, the form of Prop4.3.2's hypothesis that only
+    # the statements read once the record is built
+    held = rg.r_colon_omega.contains(a.r_colon_lambda)
+    flipped = rg.conductor_ideal.shift(s.conductor) if held else rg.normalization
+    monkeypatch.setattr(rg, "r_colon_omega", flipped)
+    assert flipped.contains(a.r_colon_lambda) != held
+    for ideal in (e, f, e):
+        with pytest.raises(InvariantViolation, match="two hypothesis forms"):
+            verify_many(ideal, ["Prop4.3.2"])
+    assert store == {}
+    monkeypatch.undo()
+    [v] = verify_many(f, ["Prop4.3.2"])
+    assert store == {"Prop4.3.2": v}
+    assert verify_many(e, ["Prop4.3.2"])[0] is v
+    ring.cache_clear()
