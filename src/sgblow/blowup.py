@@ -9,17 +9,25 @@ translates: (n+1)E = e + nE, so only the powers up to nu+1 are sums and
 every later one is nuE shifted.
 
 Lambda is computed twice: as the stage nuE - nuE, and independently as the
-semigroup generated by S together with E shifted down by its minimum.  Both
-routes must agree; disagreement raises InvariantViolation.
+semigroup generated by S together with E shifted down by its minimum.
+That semigroup contains S, so it is full from c on: the second route
+closes S's own mask under the shifted minimal generators on the window
+[0, c).  Both routes must agree; disagreement raises InvariantViolation.
 
 Analysis is the one object per (semigroup, ideal) pair and the one place
 the filtration is built.  Its constructor computes the powers, H, nu, rho
 and Lambda with their checks, then every other pair quantity once, as a
 plain attribute, running the pair's cross-checks as soon as what they read
-is in place.  The ring-level quantities (K, the type sequence, the class,
-S:M, S:K) are read from the semigroup's one Ring, a.ring, which all pairs
-over S share.  Ring stays lazy: dual, canonical_ideal and integral_closure
-each read one of its fields, and need not pay for the type sequence.
+is in place.  Each sum and quotient is taken once and shared by all its
+readers: the stages nE - nE are one scan, and its first, E - E, is what
+Rmk5.8 and Rmk6.2 read; K + E serves Prop5.1 and A6, and K + nuE serves
+A4, A5 and A6, which sums the K + nE between only while it scans; when
+nu = 1 the three are one.  For E = M the pair reads the ring's M + K and
+M** instead of summing and dualizing itself.  The ring-level quantities
+(K, the type sequence, the class, S:M, S:K, M + K, M**) are read from the
+semigroup's one Ring, a.ring, which all pairs over S share.  Ring stays
+lazy: dual, canonical_ideal and integral_closure each read one of its
+fields, and need not pay for the type sequence.
 
 Many ideals of S share one blow-up, so the quantities that depend on
 Lambda alone are one record per (S, Lambda), kept in a.ring.blowups:
@@ -42,7 +50,6 @@ the pair's cross_check, with the verdicts every pair with this Lambda shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .core import ValueIdeal, _closure, length_between
 from .errors import (
@@ -51,7 +58,7 @@ from .errors import (
     NotProper,
     PrincipalIdeal,
 )
-from .invariants import Ring, bidual, dual, ring
+from .invariants import Ring, _lazy, bidual, dual, ring
 
 
 def power(e: ValueIdeal, k: int) -> ValueIdeal:
@@ -89,7 +96,7 @@ class HPolynomial:
         coeffs = (hs[0],) + tuple(hs[i] - hs[i - 1] for i in range(1, a.nu + 1))
         return cls(coefficients=coeffs, hilbert=hs, e=a.e, nu=a.nu, rho=a.rho)
 
-    @cached_property
+    @_lazy
     def symmetric(self) -> bool:
         """c_i = c_(nu-i) for every i in 0..nu; evaluated once per instance
         and kept in the instance dict, outside the fields, ==, hash and repr."""
@@ -206,11 +213,13 @@ class Analysis:
         # the stages nE - nE must first hit Lambda exactly at nu, and so must
         # nE + Lambda = nE; past nu every stage equals stage nu, because
         # (n+1)E is a translate of nE
-        lam = powers[nu].colon(powers[nu])
-        first_stage = next((k for k in range(1, nu) if powers[k].colon(powers[k]) == lam), nu)
+        stages = [p.colon(p) for p in powers[1:nu + 1]]
+        lam = stages[-1]
+        first_stage = stages.index(lam) + 1
         if first_stage != nu:
             raise InvariantViolation(f"stages reached the blow-up at {first_stage}, expected {nu}")
-        first_invariant = next(k for k in range(1, nu + 1) if (powers[k] + lam) == powers[k])
+        first_invariant = next(
+            (k for k in range(1, nu + 1) if (powers[k] + lam) == powers[k]), None)
         if first_invariant != nu:
             raise InvariantViolation(
                 f"powers absorb the blow-up from {first_invariant}, expected {nu}")
@@ -227,12 +236,12 @@ class Analysis:
         if rho != len_lam_over_r:
             raise InvariantViolation("rho disagrees with l(Lambda/R)")
 
-        # independent route: the semigroup generated by S and E - min(E)
-        shifted = [g - a for g in e.minimal_generators() if g != a]
-        # only the closure mask and conductor: no semigroup object, whose
-        # minimal generators nothing here reads
-        generated = _closure(sorted(set(s.min_generators) | set(shifted)))
-        if lam != ValueIdeal._of(s, 0, *generated):
+        # independent route: the semigroup generated by S and E - min(E).
+        # It contains S, so it is full from c on: S's mask closed under the
+        # shifted generators on [0, c) is all of it
+        c = s.conductor
+        generated = _closure(s.bits, c, [g - a for g in e.minimal_generators() if g != a])
+        if lam != ValueIdeal._of(s, 0, generated, c):
             raise InvariantViolation("blow-up routes disagree")
 
         self.powers = powers
@@ -240,10 +249,11 @@ class Analysis:
         self.nu = nu
         self.rho = rho
         self.lam = lam
+        self.ideal_colon = stages[0]  # E:E
 
         # notation
         self.e = a
-        self.c = c = s.conductor
+        self.c = c
         self.delta = s.genus
         self.mu = s.embedding_dimension
         self.c_lambda = lam.frontier
@@ -253,13 +263,18 @@ class Analysis:
         self.conductor_in_power = p_nu.frontier <= c
 
         # every member of both groups, each evaluated on its own; A4-A6 read
-        # the powers of E, the rest only Lambda
+        # the sums K + nE, the rest only Lambda.  Each K + nE is summed once:
+        # n = 1 (kept for Prop5.1; the ring's M + K when E = M) and n = nu
+        # (A4 and A5) here, and A6 sums the ones between only while it scans
         k = rg.k
+        self.ideal_omega = k_e = rg.m_plus_k if self.is_max_ideal else e + k
+        k_nu = k_e if nu == 1 else k + p_nu
         self.conditions = ConditionsReport(
             a1=a1, a2=a2, a3=a3,
-            a4=self._holds_a4(),
-            a5=(k + p_nu) == p_nu,
-            a6=any((k + self.power(n)) == self.power(n) for n in range(1, nu + 1)),
+            a4=self._holds_a4(k_nu),
+            a5=k_nu == p_nu,
+            a6=(k_e == e or k_nu == p_nu
+                or any((k + powers[n]) == powers[n] for n in range(2, nu))),
             b1=b1, b2=b2, colon_inside_omega_dual=bridge,
         )
         self.cross_check()
@@ -276,7 +291,8 @@ class Analysis:
          self.len_omega_over_bidual, self.len_rbar_over_omega, self.len_rbar_over_bidual,
          self.len_bidual_over_rstar, self.sum_gamma, self.sum_not_gamma,
          self.sum_not_gamma_excess, self.d, self.lam_contains_dual_m) = catalog
-        self.ideal_bidual = bidual(e)
+        # E** is the ring's M** when E = M
+        self.ideal_bidual = rg.m_bidual if self.is_max_ideal else bidual(e)
         self.ideal_reflexive = self.ideal_bidual == e
         self.r_colon_is_power = self.r_colon_lambda == p_nu
         # the lengths that involve nuE, validated for nesting by length_between
@@ -319,15 +335,16 @@ class Analysis:
             return self.powers[k]
         return self.powers[self.nu].shift((k - self.nu) * self.e)
 
-    def _holds_a4(self) -> bool:
-        # A4 quantifies over all n >= nu: nE + K meets S in nE.  Past nu, nE
+    def _holds_a4(self, k_nu: ValueIdeal) -> bool:
+        # A4 quantifies over all n >= nu: nE + K meets S in nE, given
+        # k_nu = K + nuE.  Past nu, nE
         # is nuE shifted by z = (n - nu)e, so shifting back the condition is
         # (nuE + K) meet (S - z) = nuE.  Once min nuE + z passes the conductor,
         # S - z holds all of nuE + K, so the scan is finite.  nuE lies in S,
         # so hi >= c: from hi on all three sets are full for every z >= 0.
         # min K = 0, so lo = min nuE > 0.
         p = self.power_nu
-        lo, hi, own, summed = p._common(p + self.ring.k)
+        lo, hi, own, summed = p._common(k_nu)
         c, step = self.c, self.e
         last = max(0, -(-(c - lo) // step)) * step
         # bit i is lo + i of S, for lo + i < hi + last

@@ -69,21 +69,18 @@ def _mask(values: Iterable[int], base: int) -> int:
     return bits
 
 
-def _closure(gens: list[int]) -> tuple[int, int]:
-    """(members below the conductor as a mask, conductor) of the semigroup
-    generated by positive, ascending generators of gcd 1."""
-    # Schur's bound c <= (min - 1)(max - 1) keeps the conductor inside the window
-    bound = gens[0] * gens[-1]
-    window = (1 << bound) - 1
-    member = 1
+def _closure(seed: int, width: int, gens: Iterable[int]) -> int:
+    """The mask seed on [0, width) closed under adding each positive
+    generator: every seed member plus any sum of generators below width."""
+    window = (1 << width) - 1
+    member = seed & window
     for g in gens:
         # adding g, 2g, 4g, ... closes the members under multiples of g
         step = g
-        while step < bound:
+        while step < width:
             member = (member | (member << step)) & window
             step *= 2
-    conductor = (~member & window).bit_length()
-    return member & ((1 << conductor) - 1), conductor
+    return member
 
 
 class NumericalSemigroup:
@@ -106,7 +103,7 @@ class NumericalSemigroup:
         s.bits = bits
         s.conductor = conductor
         s.genus = conductor - bits.bit_count()
-        s.min_generators = s.maximal_ideal().minimal_generators()
+        s.min_generators = s._maximal().minimal_generators()
         return s
 
     @classmethod
@@ -123,7 +120,11 @@ class NumericalSemigroup:
             raise EmptyGenerators(f"generators must be positive, got {gens[0]}")
         if math.gcd(*gens) != 1:
             raise NotCofinite(f"gcd of generators is {math.gcd(*gens)}, complement is infinite")
-        return cls._of_mask(*_closure(gens))
+        # Schur's bound c <= (min - 1)(max - 1) keeps the conductor inside the window
+        width = gens[0] * gens[-1]
+        member = _closure(1, width, gens)
+        conductor = (~member & ((1 << width) - 1)).bit_length()
+        return cls._of_mask(member & ((1 << conductor) - 1), conductor)
 
     @classmethod
     def from_explicit(cls, members: Iterable[int], arrow_from: int) -> "NumericalSemigroup":
@@ -187,6 +188,13 @@ class NumericalSemigroup:
         return ValueIdeal._of(self, 0, self.bits, self.conductor)
 
     def maximal_ideal(self) -> "ValueIdeal":
+        """M, handed its minimal generators, which are those of S."""
+        m = self._maximal()
+        m._mingens = self.min_generators
+        return m
+
+    def _maximal(self) -> "ValueIdeal":
+        """M, left to find its own minimal generators."""
         return ValueIdeal._of(self, 0, self.bits & ~1, max(self.conductor, 1))
 
     def normalization(self) -> "ValueIdeal":
@@ -381,7 +389,7 @@ class ValueIdeal:
     def minimal_generators(self) -> tuple[int, ...]:
         """The unique minimal generating set E minus (E + M)."""
         if self._mingens is None:
-            base, _, own, reached = self._common(self + self.carrier.maximal_ideal())
+            base, _, own, reached = self._common(self + self.carrier._maximal())
             self._mingens = _positions(own & ~reached, base)
         return self._mingens
 

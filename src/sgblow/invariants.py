@@ -6,9 +6,12 @@ refines the Cohen-Macaulay type r = l((S-M)/S); its entries are computed by
 two independent routes (colon duals and K-products) and must agree.
 
 Every ring-level quantity lives on one Ring per semigroup, behind the cached
-ring(s), and is computed at most once; the ring also keeps the record of
-each blow-up met over S (see Ring and blowup.Analysis).  K is the gap mask
-read backwards.
+ring(s), and is computed at most once: each is a _lazy field, computed on
+its first read and kept in the instance dict with no lock.  Among them are
+M + K and M** = S:(S:M), which the ring class, the probe of Prop5.1 and
+every pair with E = M read instead of summing or dualizing again.  The ring
+also keeps the record of each blow-up met over S (see Ring and
+blowup.Analysis).  K is the gap mask read backwards.
 Both type-sequence routes walk the filtration R_i = {x in S : x >= s_i} from
 R_n = c + N down to R_0 = S over the window [0, c), one small element per
 step: the dual route ANDs in a shifted copy of S's mask, the product route
@@ -18,10 +21,33 @@ ORs in a shifted copy of K's, so the sequence costs O(n * c / word size).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .core import NumericalSemigroup, ValueIdeal
 from .errors import InvariantViolation, NotIntegral, RegularRing
+
+
+class _lazy:
+    """A field computed by func on its first read and kept in the instance
+    dict, where every later read finds it first.
+
+    It does what functools.cached_property does, without the lock that
+    cached_property takes on each first read before Python 3.12: runs use
+    processes, never threads, so nothing here needs one.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -75,23 +101,23 @@ class Ring:
         self.s = s
         self.blowups: dict[tuple[int, int], tuple[tuple, tuple, dict]] = {}
 
-    @cached_property
+    @_lazy
     def s_ideal(self) -> ValueIdeal:
         return self.s.as_ideal()
 
-    @cached_property
+    @_lazy
     def m_ideal(self) -> ValueIdeal:
         return self.s.maximal_ideal()
 
-    @cached_property
+    @_lazy
     def normalization(self) -> ValueIdeal:
         return self.s.normalization()
 
-    @cached_property
+    @_lazy
     def conductor_ideal(self) -> ValueIdeal:
         return self.s.conductor_ideal()
 
-    @cached_property
+    @_lazy
     def small_elements(self) -> tuple[int, ...]:
         """s_0 = 0 < s_1 < ... < s_n = c."""
         return self.s.small_elements
@@ -101,14 +127,14 @@ class Ring:
         """The number of members below the conductor."""
         return self.s.bits.bit_count()
 
-    @cached_property
+    @_lazy
     def k(self) -> ValueIdeal:
         """K = {j : c-1-j is a gap}: min K = 0 and K is full from c on."""
         c = self.s.conductor
         gaps = ((1 << c) - 1) & ~self.s.bits
         return ValueIdeal._of(self.s, 0, int(format(gaps, f"0{c}b")[::-1], 2), c)
 
-    @cached_property
+    @_lazy
     def ts(self) -> TypeSequence:
         """r_i = l((S:R_i)/(S:R_(i-1))) = l((K+R_(i-1))/(K+R_i)); the routes must agree.
 
@@ -139,7 +165,7 @@ class Ring:
             raise InvariantViolation("type sequence routes must end at S:S = S and K + S = K")
         return TypeSequence(tuple(reversed(via_duals)))
 
-    @cached_property
+    @_lazy
     def ring_class(self) -> RingClass:
         """Gorenstein / almost Gorenstein / Kunz, with the CM type.
 
@@ -150,33 +176,43 @@ class Ring:
         s = self.s
         if s.is_natural_numbers:
             return RingClass(gorenstein=True, almost_gorenstein=True, kunz=False, cm_type=1)
-        k, ts, m = self.k, self.ts, self.m_ideal
+        ts, m = self.ts, self.m_ideal
         r = ts.cm_type
-        by_product = (m + k) == m
+        by_product = self.m_plus_k == m
         by_counts = (r - 1) == 2 * s.genus - s.conductor
         by_shape = all(x == 1 for x in ts.entries[1:])
         if not (by_product == by_counts == by_shape):
             raise InvariantViolation(
                 f"almost Gorenstein criteria disagree: {by_product}/{by_counts}/{by_shape}")
-        gorenstein = k == self.s_ideal
+        gorenstein = self.k == self.s_ideal
         almost = by_product
         if gorenstein and not almost:
             raise InvariantViolation("Gorenstein must imply almost Gorenstein")
         return RingClass(gorenstein=gorenstein, almost_gorenstein=almost,
                          kunz=almost and r == 2, cm_type=r)
 
-    @cached_property
+    @_lazy
     def dual_m(self) -> ValueIdeal:
         return self.s_ideal.colon(self.m_ideal)
 
-    @cached_property
+    @_lazy
     def r_colon_omega(self) -> ValueIdeal:
         return self.s_ideal.colon(self.k)
 
-    @cached_property
+    @_lazy
+    def m_plus_k(self) -> ValueIdeal:
+        """M + K, which the class, the probe and the pair E = M all read."""
+        return self.m_ideal + self.k
+
+    @_lazy
+    def m_bidual(self) -> ValueIdeal:
+        """M** = S:(S:M)."""
+        return self.s_ideal.colon(self.dual_m)
+
+    @_lazy
     def maximal_probe(self) -> bool:
         """M + K == M**, the maximal-ideal half of the probe in Prop5.1."""
-        return (self.m_ideal + self.k) == self.s_ideal.colon(self.dual_m)
+        return self.m_plus_k == self.m_bidual
 
 
 @lru_cache(maxsize=256)

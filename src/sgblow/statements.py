@@ -303,7 +303,7 @@ def _(a):
 @_statement("Prop5.1", notes="probed on the tested ideal and the maximal ideal; "
                              "the maximal ideal alone decides the converse")
 def _(a):
-    matches = (a.ideal + a.ring.k) == a.ideal_bidual and a.ring.maximal_probe
+    matches = a.ideal_omega == a.ideal_bidual and a.ring.maximal_probe
     almost = a.ring.ring_class.almost_gorenstein
     return almost == matches, almost, matches
 
@@ -361,7 +361,7 @@ def _(a):
 @_statement("Rmk5.8", hypothesis=_almost_gorenstein)
 def _(a):
     refl = a.ideal_reflexive
-    rhs = a.ideal.colon(a.ideal).contains(a.ring.dual_m)
+    rhs = a.ideal_colon.contains(a.ring.dual_m)
     return refl == rhs, refl, rhs
 
 
@@ -371,8 +371,9 @@ def _(a):
 def _(a):
     c1 = a.lam_contains_dual_m
     # every power past nu is nuE translated and (E+z)** = E** + z, so the
-    # powers from nu on are all reflexive or none is: one test reads all three
-    c2 = is_reflexive(a.power_nu)
+    # powers from nu on are all reflexive or none is: one test reads all
+    # three, and when nu = 1 it is the pair's own E** = E
+    c2 = a.ideal_reflexive if a.nu == 1 else is_reflexive(a.power_nu)
     ok = c1 == c2 == a.conditions.a1 == a.conditions.b1
     return ok, (c1, c2, c2, c2), None
 
@@ -398,7 +399,8 @@ def _(a):
 
 @_statement("Rmk6.2", hypothesis=_maximal)
 def _(a):
-    stable = a.lam == a.ring.m_ideal.colon(a.ring.m_ideal)
+    # E = M, so E:E is M:M
+    stable = a.lam == a.ideal_colon
     forms = (stable, a.e == a.mu, a.rho == a.e - 1, a.r == a.e - 1)
     return len(set(forms)) == 1, forms, None
 

@@ -47,6 +47,9 @@ GOLDEN = [
     # earlier pair with the same Lambda
     (["verify", "--max-genus", "6", "--ideals", "all", "--format", "json"],
      "2347ed7f95267b9c95c2b8dec23416835bc7c2e5e328906867083b37a157251e"),
+    # the deep universe, where every pair has E = m and reads the ring's M + K and M**
+    (["verify", "--max-genus", "12", "--format", "json"],
+     "3aee81c6143adc3d0e8ada48229a96e9d82500c20f6cb5c2072d2ed5782a6b40"),
 ]
 
 

@@ -1,0 +1,91 @@
+"""Each quantity of the verify path is computed once and shared by its readers.
+
+Every lazy field of a Ring, and the symmetry flag of each h-polynomial, is
+computed at most once per instance.  The number of sums and colon quotients
+one pass over a fixed universe takes is pinned: a change that adds a
+repeated sum moves the pin, and must say why.
+"""
+
+from collections import Counter
+
+import pytest
+
+from sgblow.blowup import HPolynomial
+from sgblow.core import ValueIdeal
+from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
+from sgblow.invariants import Ring, ring
+from sgblow.statements import verify_many
+
+FIELDS = sorted(name for name, field in vars(Ring).items() if hasattr(field, "func"))
+
+
+@pytest.fixture
+def fresh_rings():
+    ring.cache_clear()
+    yield
+    ring.cache_clear()
+
+
+def _maximal_ideals(max_genus):
+    return [s.maximal_ideal() for s in enumerate_semigroups(max_genus)
+            if not s.is_natural_numbers]
+
+
+def _all_ideals(max_genus):
+    return [e for s in enumerate_semigroups(max_genus) for e in enumerate_ideals(s)]
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    field = vars(owner)[name]
+    honest = field.func
+
+    def counted(instance):
+        # by identity: equal h-polynomials are distinct instances; calls
+        # holds each instance, so no id is reused
+        calls[id(instance), name, instance] += 1
+        return honest(instance)
+    monkeypatch.setattr(field, "func", counted)
+
+
+def test_ring_fields_and_h_symmetry_are_computed_once(fresh_rings, monkeypatch):
+    assert {"k", "ts", "ring_class", "m_plus_k", "m_bidual", "maximal_probe"} <= set(FIELDS)
+    pairs = _maximal_ideals(6) + _all_ideals(4)
+    calls = Counter()
+    for name in FIELDS:
+        _count_calls(monkeypatch, Ring, name, calls)
+    _count_calls(monkeypatch, HPolynomial, "symmetric", calls)
+    for e in pairs:
+        verify_many(e)
+    assert max(calls.values()) == 1
+    # the pass reads every field, and on more than one ring
+    assert {name for _, name, _ in calls} == set(FIELDS) | {"symmetric"}
+    assert len({key for key, name, _ in calls if name == "ts"}) > 1
+
+
+# (universe, sums, colon quotients) of one verify pass with fresh rings
+COUNTS = [
+    ("m-genus-8", _maximal_ideals, 8, 1098, 1470),
+    ("all-genus-4", _all_ideals, 4, 2958, 2483),
+]
+
+
+@pytest.mark.parametrize("name,pairs,genus,adds,colons", COUNTS, ids=[c[0] for c in COUNTS])
+def test_one_verify_pass_takes_a_pinned_number_of_sums_and_colons(fresh_rings, monkeypatch,
+                                                                  name, pairs, genus, adds,
+                                                                  colons):
+    ideals = pairs(genus)
+    calls = Counter()
+    honest_add, honest_colon = ValueIdeal.__add__, ValueIdeal.colon
+
+    def add(x, y):
+        calls["add"] += 1
+        return honest_add(x, y)
+
+    def colon(x, y):
+        calls["colon"] += 1
+        return honest_colon(x, y)
+    monkeypatch.setattr(ValueIdeal, "__add__", add)
+    monkeypatch.setattr(ValueIdeal, "colon", colon)
+    for e in ideals:
+        verify_many(e)
+    assert (calls["add"], calls["colon"]) == (adds, colons)
