@@ -36,15 +36,14 @@ Gamma and its complement, i0 with R_i0 and R_i0*, the Lambda-level
 lengths, the Gamma sums, d, the condition members A1-A3, B1, B2 and the
 bridge, and whether Lambda contains S:M.  What involves E stays per pair:
 the powers, H, nu, rho, A4-A6, E**, whether R:Lambda is nuE, and the
-lengths against nuE; so do all the checks.  The record is the triple
-(checked, catalog, verdicts).  _checked_half is what the rho check, the
-condition groups and cross_check read, and _catalog_half what only the
-catalog and the document read.  On a miss the first is built before
-cross_check and the second after it, and the record is stored only once
-both are built, so a Lambda whose build raises is never cached and raises
-again on every pair that has it.  verdicts starts empty, and
-statements.verify_many fills it one Lambda-level statement at a time, after
-the pair's cross_check, with the verdicts every pair with this Lambda shares.
+lengths against nuE.  _blowup_record builds a record whole, runs Lambda's
+own checks before the lengths only the catalog reads, and reports a
+NotNested inside it as an InvariantViolation.  Analysis calls it on a miss,
+once both routes to Lambda agree, and stores what it returns, so a Lambda
+whose build raises is never cached and raises again on every pair with it.
+The record ends with the verdict store, a.lambda_verdicts, which
+statements.verify_many fills after the pair's cross_check with the
+Lambda-level verdicts every pair with this Lambda shares.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from .core import ValueIdeal, _closure, length_between
 from .errors import (
     EquivalenceViolation,
     InvariantViolation,
+    NotNested,
     NotProper,
     PrincipalIdeal,
 )
@@ -169,14 +169,14 @@ class Analysis:
     The constructor is the one place a pair is built, in dependency order.
     It builds the filtration of E: the powers S, E, ..., (nu+1)E by sums,
     the Hilbert function, nu, rho and Lambda = nuE - nuE, checking each
-    against an independent route.  It then assigns the quantities
-    cross_check reads, runs cross_check, and assigns the rest, which only
-    the catalog and the document read; every timed path reads them all, so
-    each is a plain attribute.  The Lambda-level ones in each group are
-    copied from the ring's record of Lambda (built on a miss) by one tuple
-    unpack; the pair-level ones are computed here.  Past nu+1 a power is
-    nuE shifted (power); self.powers never grows.  An Analysis passed in place of the ideal is
-    rebuilt from its ideal.  Ring-level quantities live on self.ring.
+    against an independent route.  It then copies the ring's record of
+    Lambda (built whole by _blowup_record on a miss) with one tuple unpack,
+    computes the pair-level quantities cross_check reads, runs cross_check,
+    and assigns the rest, which only the catalog and the document read;
+    every timed path reads them all, so each is a plain attribute.  Past
+    nu+1 a power is nuE shifted (power); self.powers never grows.  An
+    Analysis passed in place of the ideal is rebuilt from its ideal.
+    Ring-level quantities live on self.ring.
     """
 
     def __init__(self, e: ValueIdeal):
@@ -224,18 +224,6 @@ class Analysis:
             raise InvariantViolation(
                 f"powers absorb the blow-up from {first_invariant}, expected {nu}")
 
-        # Lambda's own quantities are one record per (S, Lambda) on the ring,
-        # shared by every pair with this blow-up; on a miss the half the
-        # checks read is built here and the catalog half after cross_check
-        key = lam.bits, lam.frontier
-        record = rg.blowups.get(key)
-        checked = _checked_half(rg, lam) if record is None else record[0]
-        (self.r_colon_lambda, self.lam_bidual, self.omega_lambda, self.k_colon_lambda,
-         self.delta_lambda, self.gamma_set, self.outside_gamma, self.len_r_over_rcolon,
-         len_lam_over_r, a1, a2, a3, b1, b2, bridge) = checked
-        if rho != len_lam_over_r:
-            raise InvariantViolation("rho disagrees with l(Lambda/R)")
-
         # independent route: the semigroup generated by S and E - min(E).
         # It contains S, so it is full from c on: S's mask closed under the
         # shifted generators on [0, c) is all of it
@@ -243,6 +231,24 @@ class Analysis:
         generated = _closure(s.bits, c, [g - a for g in e.minimal_generators() if g != a])
         if lam != ValueIdeal._of(s, 0, generated, c):
             raise InvariantViolation("blow-up routes disagree")
+
+        # Lambda's own quantities are one record per (S, Lambda) on the ring,
+        # shared by every pair with this blow-up and built whole on a miss
+        key = lam.bits, lam.frontier
+        record = rg.blowups.get(key)
+        if record is None:
+            record = rg.blowups[key] = _blowup_record(rg, lam)
+        (self.r_colon_lambda, self.lam_bidual, self.omega_lambda, self.k_colon_lambda,
+         self.delta_lambda, self.gamma_set, self.outside_gamma, self.len_r_over_rcolon,
+         len_lam_over_r, a1, a2, a3, b1, b2, bridge,
+         self.i0, self.r_filter_i0, self.r_star_i0, self.n_lambda, self.lambda_gorenstein,
+         self.lam_is_normalization, self.len_bidual_over_lambda, self.len_omega_over_lambda,
+         self.len_omega_over_bidual, self.len_rbar_over_omega, self.len_rbar_over_bidual,
+         self.len_bidual_over_rstar, self.sum_gamma, self.sum_not_gamma,
+         self.sum_not_gamma_excess, self.d, self.lam_contains_dual_m,
+         self.lambda_verdicts) = record
+        if rho != len_lam_over_r:
+            raise InvariantViolation("rho disagrees with l(Lambda/R)")
 
         self.powers = powers
         self.hilbert = tuple(hseq)
@@ -281,16 +287,6 @@ class Analysis:
 
         # what only the catalog and the document read
         self.r = rg.ts.cm_type
-        if record is None:
-            catalog = _catalog_half(rg, lam, checked)
-            rg.blowups[key] = checked, catalog, {}
-        else:
-            catalog = record[1]
-        (self.i0, self.r_filter_i0, self.r_star_i0, self.n_lambda, self.lambda_gorenstein,
-         self.lam_is_normalization, self.len_bidual_over_lambda, self.len_omega_over_lambda,
-         self.len_omega_over_bidual, self.len_rbar_over_omega, self.len_rbar_over_bidual,
-         self.len_bidual_over_rstar, self.sum_gamma, self.sum_not_gamma,
-         self.sum_not_gamma_excess, self.d, self.lam_contains_dual_m) = catalog
         # E** is the ring's M** when E = M
         self.ideal_bidual = rg.m_bidual if self.is_max_ideal else bidual(e)
         self.ideal_reflexive = self.ideal_bidual == e
@@ -314,18 +310,12 @@ class Analysis:
         return hash(self.ideal)
 
     def cross_check(self) -> None:
-        """The pair's internal checks: the blow-up is not S, the window
-        bookkeeping and the coherence of the condition groups."""
+        """The pair's internal checks: the blow-up is not S, and the
+        condition groups cohere.  Lambda's own checks run when its record is
+        built."""
         # Lambda contains E - e, so Lambda = S would make E = e + S principal
         if self.lam == self.ring.s_ideal:
             raise InvariantViolation("the blow-up equals the semigroup itself")
-        if self.rho != self.delta - self.delta_lambda:
-            raise InvariantViolation("rho must equal genus minus the blow-up genus")
-        # window bookkeeping: R:Lambda below the conductor is exactly {s_(i-1) : i in Gamma}
-        if len(self.gamma_set) != length_between(self.r_colon_lambda, self.ring.conductor_ideal):
-            raise InvariantViolation("Gamma size disagrees with l(R:Lambda/gamma_R)")
-        if self.len_r_over_rcolon != self.ring.n - len(self.gamma_set):
-            raise InvariantViolation("l(R/R:Lambda) must count small elements outside Gamma")
         if not self.conditions.coherent:
             raise EquivalenceViolation(f"condition groups do not cohere: {self.conditions}")
 
@@ -355,56 +345,58 @@ class Analysis:
         return True
 
 
-def _checked_half(rg: Ring, lam: ValueIdeal) -> tuple:
-    """The quantities of Lambda over S that the rho check, the condition
-    groups and cross_check read, in Analysis's order."""
-    s_ideal, k = rg.s_ideal, rg.k
-    r_colon = s_ideal.colon(lam)
-    lam_bidual = s_ideal.colon(r_colon)
-    omega = k + lam
-    k_colon = k.colon(lam)
-    # Gamma holds the i in 1..n with s_(i-1) in R:Lambda; outside_gamma the rest
-    inside = [x in r_colon for x in rg.small_elements[:-1]]
-    return (r_colon, lam_bidual, omega, k_colon,
-            length_between(rg.normalization, lam),
-            tuple(i for i, hit in enumerate(inside, 1) if hit),
-            tuple(i for i, hit in enumerate(inside, 1) if not hit),
-            length_between(s_ideal, r_colon),
-            length_between(lam, s_ideal),
-            # A1-A3, B1, B2 and the bridge R:Lambda inside R:omega
-            lam.contains(k), omega == lam, k_colon == r_colon,
-            lam == lam_bidual, k_colon == (k + r_colon), rg.r_colon_omega.contains(r_colon))
+def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple:
+    """Every quantity of Lambda over S, in the order Analysis unpacks them,
+    ending with the empty verdict store.
 
+    Lambda's own checks run before any length only the catalog reads.  Each
+    length here is of sets nested by construction, so a NotNested is a bug
+    and is reported as an InvariantViolation.
+    """
+    s, s_ideal, k, norm = rg.s, rg.s_ideal, rg.k, rg.normalization
+    try:
+        r_colon = s_ideal.colon(lam)
+        lam_bidual = s_ideal.colon(r_colon)
+        omega = k + lam
+        k_colon = k.colon(lam)
+        delta_lambda = length_between(norm, lam)
+        len_lam_over_r = length_between(lam, s_ideal)
+        if len_lam_over_r != s.genus - delta_lambda:
+            raise InvariantViolation("rho must equal genus minus the blow-up genus")
+        # Gamma holds the i in 1..n with s_(i-1) in R:Lambda; outside_gamma the rest
+        inside = [x in r_colon for x in rg.small_elements[:-1]]
+        gamma_set = tuple(i for i, hit in enumerate(inside, 1) if hit)
+        outside_gamma = tuple(i for i, hit in enumerate(inside, 1) if not hit)
+        # window bookkeeping: R:Lambda below the conductor is exactly {s_(i-1) : i in Gamma}
+        if len(gamma_set) != length_between(r_colon, rg.conductor_ideal):
+            raise InvariantViolation("Gamma size disagrees with l(R:Lambda/gamma_R)")
+        len_r_over_rcolon = length_between(s_ideal, r_colon)
+        if len_r_over_rcolon != rg.n - len(gamma_set):
+            raise InvariantViolation("l(R/R:Lambda) must count small elements outside Gamma")
 
-def _catalog_half(rg: Ring, lam: ValueIdeal, checked: tuple) -> tuple:
-    """The quantities of Lambda over S that only the catalog and the document
-    read, in Analysis's order; checked is _checked_half's record."""
-    s, norm, ts = rg.s, rg.normalization, rg.ts
-    r_colon, lam_bidual, omega, _, delta_lambda, gamma_set, outside_gamma = checked[:7]
-    # R_i0 is S from s_i0 = min R:Lambda on
-    lo = r_colon.min_element
-    r_filter_i0 = ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
-    r_star_i0 = dual(r_filter_i0)
-    # lengths, all validated for nesting by length_between
-    len_rbar_over_bidual = length_between(norm, lam_bidual)
-    sum_gamma = sum(ts.entries[i - 1] for i in gamma_set)
-    sum_not_gamma = s.genus - sum_gamma
-    return (rg.small_elements.index(lo), r_filter_i0, r_star_i0,
-            lam.frontier - delta_lambda,
-            # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
-            2 * delta_lambda == lam.frontier,
-            lam == norm,
-            length_between(lam_bidual, lam),
-            length_between(omega, lam),
-            length_between(omega, lam_bidual),
-            length_between(norm, omega),
-            len_rbar_over_bidual,
-            length_between(lam_bidual, r_star_i0),
-            sum_gamma, sum_not_gamma,
-            # the sum of r_i - 1 over the indices outside Gamma
-            sum_not_gamma - len(outside_gamma),
-            len_rbar_over_bidual - sum_gamma,
-            lam.contains(rg.dual_m))
+        # R_i0 is S from s_i0 = min R:Lambda on
+        lo = r_colon.min_element
+        r_filter_i0 = ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
+        r_star_i0 = dual(r_filter_i0)
+        len_rbar_over_bidual = length_between(norm, lam_bidual)
+        sum_gamma = sum(rg.ts.entries[i - 1] for i in gamma_set)
+        sum_not_gamma = s.genus - sum_gamma
+        return (r_colon, lam_bidual, omega, k_colon, delta_lambda, gamma_set, outside_gamma,
+                len_r_over_rcolon, len_lam_over_r,
+                # A1-A3, B1, B2 and the bridge R:Lambda inside R:omega
+                lam.contains(k), omega == lam, k_colon == r_colon,
+                lam == lam_bidual, k_colon == (k + r_colon), rg.r_colon_omega.contains(r_colon),
+                rg.small_elements.index(lo), r_filter_i0, r_star_i0, lam.frontier - delta_lambda,
+                # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
+                2 * delta_lambda == lam.frontier, lam == norm,
+                length_between(lam_bidual, lam), length_between(omega, lam),
+                length_between(omega, lam_bidual), length_between(norm, omega),
+                len_rbar_over_bidual, length_between(lam_bidual, r_star_i0),
+                # the Gamma sums, and the sum of r_i - 1 over the indices outside Gamma
+                sum_gamma, sum_not_gamma, sum_not_gamma - len(outside_gamma),
+                len_rbar_over_bidual - sum_gamma, lam.contains(rg.dual_m), {})
+    except NotNested as exc:
+        raise InvariantViolation(f"blow-up record: {exc}") from exc
 
 
 BlowupReport = Analysis

@@ -276,11 +276,10 @@ class ValueIdeal:
         return self + self.carrier.as_ideal() == self
 
     def _closure_witness(self) -> tuple[int, int]:
-        for x in self.members:
-            for s in self.carrier.small_elements:
-                if (x + s) not in self:
-                    return (x, s)
-        return (self.min_element, self.carrier.conductor)
+        # any s of S from frontier - min_element on sends every member to the tail
+        width = self.frontier - self.min_element
+        return next((x, s) for x in self.members
+                    for s in self.carrier.elements_up_to(width - 1) if (x + s) not in self)
 
     # -- construction helpers ----------------------------------------------
 

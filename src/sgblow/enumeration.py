@@ -73,7 +73,9 @@ def enumerate_ideals(s: NumericalSemigroup, *, bound: int | None = None,
 
     def walk(chosen: list[int], start: int) -> Iterator[ValueIdeal]:
         if len(chosen) >= minimum_size:
-            yield ValueIdeal.generated_by(s, chosen)
+            e = ValueIdeal.generated_by(s, chosen)
+            e._mingens = tuple(chosen)  # an antichain is its ideal's minimal generators
+            yield e
         for i in range(start, len(window)):
             y = window[i]
             # keep the antichain property: y must not sit above a chosen element

@@ -90,16 +90,17 @@ class Ring:
     """Every ring-level quantity of one semigroup, each computed at most once.
 
     blowups holds the record of each blow-up Lambda met over S, keyed by
-    (Lambda.bits, Lambda.frontier) (Lambda has min 0 and carrier S): the
-    tuples (checked, catalog) that Analysis builds and reads, and the dict
-    of Lambda-level verdicts that verify_many fills, so every pair with
-    that blow-up shares one record.  It holds at most one record per
-    distinct Lambda and is freed with the ring.
+    (Lambda.bits, Lambda.frontier) (Lambda has min 0 and carrier S): one
+    tuple, built whole and checked by blowup._blowup_record and read only
+    by Analysis, which ends with the dict of Lambda-level verdicts that
+    verify_many fills, so every pair with that blow-up shares one record.
+    It holds at most one record per distinct Lambda and is freed with the
+    ring.
     """
 
     def __init__(self, s: NumericalSemigroup):
         self.s = s
-        self.blowups: dict[tuple[int, int], tuple[tuple, tuple, dict]] = {}
+        self.blowups: dict[tuple[int, int], tuple] = {}
 
     @_lazy
     def s_ideal(self) -> ValueIdeal:

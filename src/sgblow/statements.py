@@ -576,17 +576,16 @@ def verify_many(e: ValueIdeal, statement_ids=None) -> list[TheoremVerdict]:
     """Run several statements against one shared analysis.
 
     A Lambda-level verdict is one per (S, Lambda): it is read from the
-    verdict store of the pair's blow-up record when an earlier pair with
-    that Lambda has made it, and otherwise made by STATEMENTS[sid] and
-    stored.  Only the requested ids are evaluated, a pair's analysis has
+    verdict store the pair's analysis hands on from its blow-up record
+    (lambda_verdicts) when an earlier pair with that Lambda has made it,
+    and otherwise made by STATEMENTS[sid] and stored.  Only the requested ids are evaluated, a pair's analysis has
     passed cross_check before any verdict is stored, and an evaluation
     that raises stores nothing.  The store keeps what the functions in
     STATEMENTS returned; replacing one of them needs ring.cache_clear().
     """
     names = catalog_ids() if statement_ids is None else _resolved_ids(tuple(statement_ids))
     shared = Analysis.of(e)
-    lam = shared.lam
-    store = shared.ring.blowups[lam.bits, lam.frontier][2]
+    store = shared.lambda_verdicts
     out = []
     for name in names:
         if name in _SHARED:

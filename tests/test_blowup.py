@@ -232,9 +232,10 @@ def test_cross_check_runs_before_the_catalog_only_quantities(monkeypatch):
     seen = {}
     monkeypatch.setattr(Analysis, "cross_check", lambda self: seen.update(vars(self)))
     a = analyze(NumericalSemigroup.from_generators([5, 21, 32, 48]).maximal_ideal())
-    catalog_only = {"r", "i0", "r_star_i0", "ideal_bidual", "len_bidual_over_rstar",
-                    "sum_gamma", "d"}
-    assert {"conditions", "gamma_set", "len_r_over_rcolon"} <= seen.keys()
+    # the pair-only catalog quantities; the Lambda-level ones come whole with the record
+    catalog_only = {"r", "ideal_bidual", "ideal_reflexive", "r_colon_is_power",
+                    "len_rcolon_over_power_nu"}
+    assert {"conditions", "gamma_set", "len_r_over_rcolon", "d"} <= seen.keys()
     assert not catalog_only & seen.keys()
     assert catalog_only <= vars(a).keys()
 

@@ -26,6 +26,7 @@ HONEST_COLON = ValueIdeal.colon
 HONEST_SHIFT = ValueIdeal.shift
 HONEST_CLOSURE = sgblow.blowup._closure
 HONEST_A4 = Analysis._holds_a4
+HONEST_LENGTH = sgblow.blowup.length_between
 
 # m of <3,4> has nu = 2 and m of <3,5,7> has nu = 1; both lie in genus 3
 NU_2 = "{0,3,4,6->}"
@@ -70,6 +71,26 @@ def _a4_flipped(monkeypatch, target):
     monkeypatch.setattr(Analysis, "_holds_a4", holds_a4)
 
 
+def _lengths_read(value):
+    """A plant under which every length taken over the target reads
+    value(e), e the target's multiplicity: the first, H(0), decides."""
+    def plant(monkeypatch, target):
+        def length(x, y):
+            return value(target.multiplicity) if x.carrier == target else HONEST_LENGTH(x, y)
+        monkeypatch.setattr(sgblow.blowup, "length_between", length)
+    return plant
+
+
+def _first_hilbert_value_short(monkeypatch, target):
+    # H(0) = l(S/m) reads one short: nu stays, rho gains one, and Lambda's
+    # record, which takes no length of S over m, stays honest
+    s_ideal, m = target.as_ideal(), target.maximal_ideal()
+
+    def length(x, y):
+        return HONEST_LENGTH(x, y) - ((x, y) == (s_ideal, m))
+    monkeypatch.setattr(sgblow.blowup, "length_between", length)
+
+
 def _incoherent(target):
     honest = Analysis(target.maximal_ideal()).conditions
     ring.cache_clear()
@@ -86,9 +107,17 @@ FAULTS = [
      "powers absorb the blow-up from 1, expected 2"),
     (_shift_overshoots, NU_1, InvariantViolation, "(nu+1)E differs from e + nuE"),
     (_a4_flipped, NU_2, EquivalenceViolation, _incoherent),
+    (_lengths_read(lambda e: e + 1), NU_2, InvariantViolation,
+     "Hilbert value exceeded the multiplicity"),
+    (_lengths_read(lambda e: 0), NU_2, InvariantViolation,
+     "Hilbert function failed to reach the multiplicity"),
+    (_lengths_read(lambda e: e), NU_1, InvariantViolation,
+     "reduction exponent 0 would mean a principal ideal"),
+    (_first_hilbert_value_short, NU_2, InvariantViolation, "rho disagrees with l(Lambda/R)"),
 ]
 IDS = ["routes-disagree", "stages-reached", "never-absorbed", "absorbed-early",
-       "power-not-translate", "groups-incoherent"]
+       "power-not-translate", "groups-incoherent", "hilbert-exceeds", "hilbert-never-reaches",
+       "nu-zero", "rho-disagrees"]
 
 
 @pytest.fixture

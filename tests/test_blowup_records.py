@@ -1,31 +1,34 @@
 """The blow-up records each ring keeps: one per Lambda, shared by its pairs.
 
 Every Analysis reads the quantities of its blow-up Lambda from the record
-on the semigroup's Ring, built by the first pair with that Lambda.  A pair
-that reads a record must come out equal to one built with no record at
-hand, and a record is stored only once it is whole.
+on the semigroup's Ring, built whole and checked by the first pair with
+that Lambda.  A pair that reads a record must come out equal to one built
+with no record at hand, a record is stored only once it is whole, and a
+failed check inside one is a bug on every pair with that Lambda.
 """
 
+import json
 import random
+from collections import Counter
 
 import pytest
 
 import sgblow.blowup
 from sgblow.blowup import Analysis
+from sgblow.cli import main
 from sgblow.core import NumericalSemigroup, ValueIdeal, length_between
 from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
-from sgblow.errors import InvariantViolation
-from sgblow.invariants import ring
+from sgblow.errors import InvariantViolation, NotNested
+from sgblow.invariants import Ring, ring
+from sgblow.parsing import format_ideal
 
-# what only the catalog and the document read, assigned after cross_check
+HONEST_BUILD = sgblow.blowup._blowup_record
+
+# the pair-level quantities only the catalog and the document read,
+# assigned after cross_check
 CATALOG_ONLY = {
-    "r", "i0", "r_filter_i0", "r_star_i0", "n_lambda", "lambda_gorenstein",
-    "lam_is_normalization", "len_bidual_over_lambda", "len_omega_over_lambda",
-    "len_omega_over_bidual", "len_rbar_over_omega", "len_rbar_over_bidual",
-    "len_bidual_over_rstar", "sum_gamma", "sum_not_gamma", "sum_not_gamma_excess",
-    "d", "ideal_bidual", "ideal_reflexive", "r_colon_is_power",
+    "r", "ideal_bidual", "ideal_reflexive", "r_colon_is_power",
     "len_rcolon_over_power_nu", "len_r_over_power_nu", "len_gammar_over_conductor_power",
-    "lam_contains_dual_m",
 }
 
 
@@ -90,10 +93,11 @@ def test_pairs_with_one_blowup_share_one_record():
     assert a.lam == b.lam != s.normalization()
     blowups = ring(s).blowups
     assert list(blowups) == [_key(a)]
-    checked, catalog, _ = blowups[_key(a)]
-    assert a.r_colon_lambda is b.r_colon_lambda is checked[0]
-    assert a.r_star_i0 is b.r_star_i0 is catalog[2]
+    record = blowups[_key(a)]
+    assert a.r_colon_lambda is b.r_colon_lambda is record[0]
+    assert a.r_star_i0 is b.r_star_i0 in record
     assert a.gamma_set is b.gamma_set
+    assert a.lambda_verdicts is b.lambda_verdicts is record[-1]
 
 
 def test_cross_check_sees_no_catalog_quantity_on_a_warm_record(monkeypatch):
@@ -104,7 +108,7 @@ def test_cross_check_sees_no_catalog_quantity_on_a_warm_record(monkeypatch):
     seen = {}
     monkeypatch.setattr(Analysis, "cross_check", lambda self: seen.update(vars(self)))
     warm = Analysis(m)
-    assert {"conditions", "gamma_set", "len_r_over_rcolon", "delta_lambda"} <= seen.keys()
+    assert {"conditions", "gamma_set", "len_r_over_rcolon", "delta_lambda", "d"} <= seen.keys()
     assert not CATALOG_ONLY & seen.keys()
     assert CATALOG_ONLY <= vars(warm).keys()
     assert CATALOG_ONLY | seen.keys() == vars(warm).keys()
@@ -140,3 +144,121 @@ def test_a_fault_in_a_record_raises_on_every_pair_and_stores_nothing(monkeypatch
     monkeypatch.undo()
     assert Analysis(f).lam == Analysis(e).lam
     assert len(ring(s).blowups) == 1
+
+
+@pytest.fixture
+def fresh_rings():
+    ring.cache_clear()
+    yield
+    ring.cache_clear()
+
+
+def test_each_record_and_its_checks_are_built_once_per_blowup_over_genus_5(fresh_rings,
+                                                                           monkeypatch):
+    builds, reads = Counter(), Counter()
+
+    def build(rg, lam):
+        builds[rg.s, lam] += 1
+        return HONEST_BUILD(rg, lam)
+
+    def length(x, y):
+        # l(Lambda/R) and l(R:Lambda/gamma_R) are the only lengths an
+        # Analysis takes with S or gamma_R as the smaller set
+        rg = ring(y.carrier)
+        reads["l(Lambda/R)"] += y is rg.s_ideal
+        reads["l(R:Lambda/gamma_R)"] += y is rg.conductor_ideal
+        return length_between(x, y)
+
+    def n(rg):
+        # with no statement run, only l(R/R:Lambda) = n - |Gamma| reads n
+        reads["n"] += 1
+        return rg.s.bits.bit_count()
+    monkeypatch.setattr(sgblow.blowup, "_blowup_record", build)
+    monkeypatch.setattr(sgblow.blowup, "length_between", length)
+    monkeypatch.setattr(Ring, "n", property(n))
+    pairs = [e for s in enumerate_semigroups(5) for e in enumerate_ideals(s)]
+    blowups = {(e.carrier, Analysis(e).lam) for e in pairs}
+    assert set(builds) == blowups and set(builds.values()) == {1}
+    assert reads == dict.fromkeys(("l(Lambda/R)", "l(R:Lambda/gamma_R)", "n"), len(blowups))
+    assert len(blowups) < len(pairs)
+
+
+def _one_more(honest):
+    return honest + 1
+
+
+def _not_nested(honest):
+    raise NotNested(0)
+
+
+# (the lengths, as a function of the ring and Lambda, that a planted record
+# build misreads; how it misreads them; the error Analysis raises)
+RECORD_FAULTS = [
+    (lambda rg, lam: (rg.normalization, lam), _one_more,
+     "rho must equal genus minus the blow-up genus"),
+    (lambda rg, lam: (rg.s_ideal.colon(lam), rg.conductor_ideal), _one_more,
+     "Gamma size disagrees with l(R:Lambda/gamma_R)"),
+    (lambda rg, lam: (rg.s_ideal, rg.s_ideal.colon(lam)), _one_more,
+     "l(R/R:Lambda) must count small elements outside Gamma"),
+    # l(omega_Lambda/Lambda), a length only the catalog reads
+    (lambda rg, lam: (rg.k + lam, lam), _not_nested,
+     "blow-up record: not nested: 0 lies in the smaller set but not the larger"),
+]
+RECORD_FAULT_IDS = ["delta-lambda", "gamma-size", "outside-gamma", "catalog-not-nested"]
+
+
+def _plant_in_record(monkeypatch, s, lam, lengths, misread):
+    """Inside the build of S's record of lam, and nowhere else, the length
+    of the sets lengths(rg, lam) reads misread(its value); returns the list
+    of builds that misread it."""
+    misreads = []
+
+    def build(rg, lam_):
+        if rg.s != s or lam_ != lam:
+            return HONEST_BUILD(rg, lam_)
+        target = lengths(rg, lam)
+
+        def length(x, y):
+            honest = length_between(x, y)
+            if (x, y) != target:
+                return honest
+            misreads.append(lam)
+            return misread(honest)
+        with monkeypatch.context() as m:
+            m.setattr(sgblow.blowup, "length_between", length)
+            return HONEST_BUILD(rg, lam_)
+    monkeypatch.setattr(sgblow.blowup, "_blowup_record", build)
+    return misreads
+
+
+@pytest.mark.parametrize("lengths,misread,message", RECORD_FAULTS, ids=RECORD_FAULT_IDS)
+def test_a_failed_record_check_is_a_bug_on_every_pair_with_that_blowup(
+        fresh_rings, monkeypatch, capsys, lengths, misread, message):
+    s, e, _ = _pairs_sharing_a_blowup()
+    argv = ["verify", "--max-genus", "3", "--ideals", "all", "--jobs", "1", "--format", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)["totals"]
+    lam = Analysis(e).lam
+    sharing = [f for f in enumerate_ideals(s) if Analysis(f).lam == lam]
+    assert len(sharing) == 4
+    ring.cache_clear()
+    misreads = _plant_in_record(monkeypatch, s, lam, lengths, misread)
+    for f in sharing:
+        with pytest.raises(InvariantViolation) as info:
+            Analysis(f)
+        assert str(info.value) == message
+    # each build misread the length once, and none was stored
+    assert len(misreads) == len(sharing)
+    assert (lam.bits, lam.frontier) not in ring(s).blowups
+    ring.cache_clear()
+    assert main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == [
+        {"semigroup": "{0,3,5->}", "ideal": format_ideal(f), "statement_id": "InvariantViolation",
+         "lhs": None, "rhs": None, "witness": None, "notes": message} for f in sharing]
+    assert doc["totals"]["pairs"] == clean["pairs"] - len(sharing)
+    # analyze reports it as a bug, not as bad input
+    assert main(["analyze", "<3,5,7>", "--ideal", format_ideal(e)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal check failed (a bug): InvariantViolation: {message}\n"

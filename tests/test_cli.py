@@ -8,6 +8,7 @@ import pytest
 import sgblow.fixtures as fixtures
 from sgblow.blowup import Analysis
 from sgblow.cli import main
+from sgblow.core import NumericalSemigroup
 from sgblow.errors import EquivalenceViolation, InvariantViolation
 from sgblow.report import loads_document
 from sgblow.statements import STATEMENTS, TheoremVerdict
@@ -78,6 +79,47 @@ def test_examples_catch_a_broken_check(capsys, monkeypatch):
     code, out, _ = run(capsys, "examples")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_examples_text_names_each_failed_check(capsys, monkeypatch):
+    monkeypatch.setitem(fixtures.CHECKS, "conductor", lambda a: -1)
+    code, out, _ = run(capsys, "examples")
+    assert code == 3
+    assert [line for line in out.splitlines() if not line.startswith("ok ")] == [
+        "FAIL f01 ideal(10,12)    conductor                    expected=20 actual=-1",
+        "FAIL f08 m               conductor                    expected=124 actual=-1",
+        "FAIL f10 m               conductor                    expected=28 actual=-1",
+        "7/10 fixtures pass",
+    ]
+
+
+def _plant_failed_cor6_10(monkeypatch, target=None):
+    """Cor6.10 fails with lhs=3 and rhs=4, on every pair or over target alone."""
+    honest = STATEMENTS["Cor6.10"]
+    failed = TheoremVerdict("Cor6.10", True, False, "failed", lhs=3, rhs=4)
+    monkeypatch.setitem(STATEMENTS, "Cor6.10",
+                        lambda a: failed if target in (None, a.s) else honest(a))
+
+
+def test_analyze_text_marks_a_failed_verdict(capsys, monkeypatch):
+    _plant_failed_cor6_10(monkeypatch)
+    code, out, _ = run(capsys, "analyze", "<3,4>", "--statements", "Thm4.7.1,Cor6.10")
+    assert code == 3
+    assert out.splitlines()[-2:] == ["verdict  Thm4.7.1     ok",
+                                     "verdict  Cor6.10      FAIL  lhs=3 rhs=4"]
+
+
+def test_verify_text_lists_a_failed_verdict_on_its_pair(capsys, monkeypatch):
+    _plant_failed_cor6_10(monkeypatch, NumericalSemigroup.from_generators([3, 4]))
+    code, out, _ = run(capsys, "verify", "--max-genus", "3", "--jobs", "1",
+                       "--statements", "Cor6.10")
+    assert code == 3
+    assert out.splitlines() == [
+        "universe  genus <= 3  strategy = maximal  seed = 0",
+        "semigroups = 8  pairs = 7  degenerate = 0",
+        "checked = 7  held = 3  vacuous = 3  failed = 1",
+        "FAIL Cor6.10  S = {0,3,4,6->}  I = m  lhs=3 rhs=4",
+    ]
 
 
 def test_verify_exit_codes_and_json(capsys):

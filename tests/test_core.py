@@ -1,5 +1,8 @@
 """Core set arithmetic against windowed brute-force references."""
 
+import math
+import random
+
 import pytest
 
 from sgblow.core import NumericalSemigroup, ValueIdeal, length_between
@@ -130,6 +133,46 @@ def test_value_ideal_rejects_non_ideal():
     tail = ValueIdeal(s, [], 100)
     assert tail.min_element == 100
     assert tail.minimal_generators() == (100, 101, 102)
+
+
+def test_a_non_ideal_names_a_missing_sum_past_the_small_elements():
+    # every sum with a small element of <3,5,7> is a member; 0 + 7 is not
+    s = NumericalSemigroup.from_generators([3, 5, 7])
+    with pytest.raises(NotClosed) as err:
+        ValueIdeal(s, [0, 3, 5, 6], 8)
+    assert (err.value.a, err.value.b) == (0, 7)
+    assert str(err.value) == "not closed under addition: 0 + 7 = 7 is missing"
+
+
+def test_every_non_closure_witness_is_a_missing_sum():
+    # random sets, and windows of true ideals with one member dropped, whose
+    # missing sums often need an s of S past the conductor
+    rng = random.Random(18)
+    raised = 0
+    for case in range(400):
+        gens = rng.sample(range(2, 12), 2)
+        if math.gcd(*gens) != 1:
+            continue
+        s = NumericalSemigroup.from_generators(gens)
+        in_s = closure_from_generators(gens, 100)
+        if case % 2:
+            listed = set(rng.sample(range(-6, 24), rng.randint(1, 8)))
+            frontier = rng.randint(max(listed) + 1, 30)
+        else:
+            whole = ValueIdeal.generated_by(s, rng.sample(range(-6, 12), rng.randint(1, 3)))
+            frontier = whole.frontier + rng.randint(0, 8)
+            listed = set(whole.elements_below(frontier))
+            listed.discard(rng.choice(sorted(listed)))
+
+        def in_e(v):
+            return v in listed or v >= frontier
+        try:
+            ValueIdeal(s, listed, frontier)
+        except NotClosed as err:
+            raised += 1
+            x, y = err.a, err.b
+            assert in_e(x) and y in in_s and not in_e(x + y), (gens, listed, frontier)
+    assert raised > 100
 
 
 IDEAL_ZOO = [

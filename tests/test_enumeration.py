@@ -2,7 +2,7 @@
 
 import random
 
-from sgblow.core import NumericalSemigroup
+from sgblow.core import NumericalSemigroup, ValueIdeal
 from sgblow.enumeration import (
     count_by_genus,
     default_generator_bound,
@@ -73,6 +73,18 @@ def test_ideal_stream_matches_subset_oracle():
         for e in stream:
             assert not e.is_principal()
             assert all(g <= bound for g in e.minimal_generators())
+
+
+def test_enumerated_ideals_carry_their_minimal_generators():
+    ideals = 0
+    for s in enumerate_semigroups(6):
+        for e in enumerate_ideals(s):
+            # the same ideal rebuilt without them finds its own
+            fresh = ValueIdeal._of(s, e.min_element, e.bits, e.frontier)
+            assert fresh._mingens is None
+            assert e._mingens == fresh.minimal_generators(), e
+            ideals += 1
+    assert ideals == 6423
 
 
 def test_sampling_is_deterministic_and_inside_the_pool():

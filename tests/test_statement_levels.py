@@ -32,7 +32,7 @@ LAMBDA_IDS = ("Prop4.2", "Prop4.3.1", "Prop4.3.2", "Prop4.3.3", "Prop4.3.4",
               "Thm4.4.1", "Thm4.4.2", "Cor5.2")
 
 # the Analysis attributes copied from a blow-up record, in the record's order:
-# the checked half's first eight members, then the whole catalog half
+# the eight before l(Lambda/R) and the condition members, then the catalog's
 RECORD_FIELDS = (
     "r_colon_lambda", "lam_bidual", "omega_lambda", "k_colon_lambda", "delta_lambda",
     "gamma_set", "outside_gamma", "len_r_over_rcolon",
@@ -45,10 +45,6 @@ RECORD_FIELDS = (
 # what else a Lambda-level statement may read: Lambda itself, rho (checked
 # against l(Lambda/R) when the pair is built), r, the ring and S's notation
 LAMBDA_LEVEL = RECORD_FIELDS + ("lam", "c_lambda", "rho", "r", "ring", "s", "c", "delta", "mu")
-
-
-def _record(a):
-    return a.ring.blowups[a.lam.bits, a.lam.frontier]
 
 
 def _zoo_and_fixture_pairs():
@@ -86,8 +82,12 @@ def test_the_registry_lists_each_statement_with_its_hypothesis_and_level():
 def test_lambda_level_record_fields_are_the_record():
     for e in _zoo_and_fixture_pairs():
         a = Analysis.of(e)
-        checked, catalog, _ = _record(a)
-        assert [getattr(a, name) for name in RECORD_FIELDS] == [*checked[:8], *catalog]
+        c = a.conditions
+        # l(Lambda/R) equals rho, and the verdict store is handed on whole
+        assert list(a.ring.blowups[a.lam.bits, a.lam.frontier]) == [
+            *(getattr(a, name) for name in RECORD_FIELDS[:8]), a.rho,
+            c.a1, c.a2, c.a3, c.b1, c.b2, c.colon_inside_omega_dual,
+            *(getattr(a, name) for name in RECORD_FIELDS[8:]), a.lambda_verdicts]
 
 
 def test_lambda_level_statements_read_only_lambda_level_quantities():
@@ -131,13 +131,13 @@ def test_only_the_requested_statements_are_evaluated(monkeypatch):
     ring.cache_clear()
     assert verify_many(e, ["Prop4.3.4"]) == [expected_e]
     assert calls == ["Prop4.3.4"]
-    assert list(_record(Analysis.of(e))[2]) == ["Prop4.3.4"]
+    assert list(Analysis.of(e).lambda_verdicts) == ["Prop4.3.4"]
     calls.clear()
     full = verify_many(f)
     assert full == expected_f
     # f shares e's Lambda: Prop4.3.4 is read from the store, the rest are made
     assert calls == [sid for sid in catalog_ids() if sid != "Prop4.3.4"]
-    assert set(_record(Analysis.of(f))[2]) == set(LAMBDA_IDS)
+    assert set(Analysis.of(f).lambda_verdicts) == set(LAMBDA_IDS)
     ring.cache_clear()
 
 
@@ -145,7 +145,7 @@ def test_a_fault_in_a_shared_hypothesis_raises_on_every_pair_and_stores_nothing(
     s, e, f = _pairs_sharing_a_blowup()
     ring.cache_clear()
     a = Analysis.of(e)
-    store = _record(a)[2]
+    store = a.lambda_verdicts
     rg = a.ring
     # flip R:omega ⊇ R:Lambda, the form of Prop4.3.2's hypothesis that only
     # the statements read once the record is built
