@@ -36,14 +36,20 @@ Gamma and its complement, i0 with R_i0 and R_i0*, the Lambda-level
 lengths, the Gamma sums, d, the condition members A1-A3, B1, B2 and the
 bridge, and whether Lambda contains S:M.  What involves E stays per pair:
 the powers, H, nu, rho, A4-A6, E**, whether R:Lambda is nuE, and the
-lengths against nuE.  _blowup_record builds a record whole, runs Lambda's
-own checks before the lengths only the catalog reads, and reports a
-NotNested inside it as an InvariantViolation.  Analysis calls it on a miss,
-once both routes to Lambda agree, and stores what it returns, so a Lambda
-whose build raises is never cached and raises again on every pair with it.
-The record ends with the verdict store, a.lambda_verdicts, which
-statements.verify_many fills after the pair's cross_check with the
-Lambda-level verdicts every pair with this Lambda shares.
+lengths against nuE.  _blowup_record builds a record whole and runs
+Lambda's own checks before the lengths only the catalog reads.  Analysis
+calls it on a miss, once both routes to Lambda agree, and stores what it
+returns, so a Lambda whose build raises is never cached and raises again on
+every pair with it.  The record ends with the verdict store,
+a.lambda_verdicts, which statements.verify_many fills after the pair's
+cross_check with the Lambda-level verdicts every pair with this Lambda
+shares.
+
+The error contract: _check_proper is the pair's input check, and its
+NotProper and PrincipalIdeal are domain errors (exit 2).  Any failure after
+it, a NotNested from a length of sets the constructions nest included, is
+a bug: Analysis raises it as an InvariantViolation on the pair (exit 3),
+of which EquivalenceViolation is one kind.
 """
 
 from __future__ import annotations
@@ -54,9 +60,9 @@ from .core import ValueIdeal, _closure, length_between
 from .errors import (
     EquivalenceViolation,
     InvariantViolation,
-    NotNested,
     NotProper,
     PrincipalIdeal,
+    SgblowError,
 )
 from .invariants import Ring, _lazy, bidual, dual, ring
 
@@ -189,113 +195,120 @@ class Analysis:
         _check_proper(e, s_ideal)
         self.ideal, self.s, self.ring = e, s, rg
 
-        powers = [s_ideal, e]
-        hseq: list[int] = []
-        while True:
-            h = length_between(powers[-2], powers[-1])
-            if h > a:
-                raise InvariantViolation("Hilbert value exceeded the multiplicity")
-            hseq.append(h)
-            if h == a:
-                break
-            if len(hseq) > a + 1:
-                raise InvariantViolation("Hilbert function failed to reach the multiplicity")
-            powers.append(powers[-1] + e)
-        nu = len(hseq) - 1
-        if nu < 1:
-            raise InvariantViolation("reduction exponent 0 would mean a principal ideal")
-        # H(nu) = e says the sum adds nothing beyond a translate; every power
-        # past nu is built on this
-        if powers[nu + 1] != powers[nu].shift(a):
-            raise InvariantViolation("(nu+1)E differs from e + nuE")
-        rho = sum(a - h for h in hseq)
+        # past the input check every failure is a bug on this pair
+        try:
+            powers = [s_ideal, e]
+            hseq: list[int] = []
+            while True:
+                h = length_between(powers[-2], powers[-1])
+                if h > a:
+                    raise InvariantViolation("Hilbert value exceeded the multiplicity")
+                hseq.append(h)
+                if h == a:
+                    break
+                if len(hseq) > a + 1:
+                    raise InvariantViolation("Hilbert function failed to reach the multiplicity")
+                powers.append(powers[-1] + e)
+            nu = len(hseq) - 1
+            if nu < 1:
+                raise InvariantViolation("reduction exponent 0 would mean a principal ideal")
+            # H(nu) = e says the sum adds nothing beyond a translate; every power
+            # past nu is built on this
+            if powers[nu + 1] != powers[nu].shift(a):
+                raise InvariantViolation("(nu+1)E differs from e + nuE")
+            rho = sum(a - h for h in hseq)
 
-        # the stages nE - nE must first hit Lambda exactly at nu, and so must
-        # nE + Lambda = nE; past nu every stage equals stage nu, because
-        # (n+1)E is a translate of nE
-        stages = [p.colon(p) for p in powers[1:nu + 1]]
-        lam = stages[-1]
-        first_stage = stages.index(lam) + 1
-        if first_stage != nu:
-            raise InvariantViolation(f"stages reached the blow-up at {first_stage}, expected {nu}")
-        first_invariant = next(
-            (k for k in range(1, nu + 1) if (powers[k] + lam) == powers[k]), None)
-        if first_invariant != nu:
-            raise InvariantViolation(
-                f"powers absorb the blow-up from {first_invariant}, expected {nu}")
+            # the stages nE - nE must first hit Lambda exactly at nu, and so must
+            # nE + Lambda = nE; past nu every stage equals stage nu, because
+            # (n+1)E is a translate of nE
+            stages = [p.colon(p) for p in powers[1:nu + 1]]
+            lam = stages[-1]
+            first_stage = stages.index(lam) + 1
+            if first_stage != nu:
+                raise InvariantViolation(
+                    f"stages reached the blow-up at {first_stage}, expected {nu}")
+            first_invariant = next(
+                (k for k in range(1, nu + 1) if (powers[k] + lam) == powers[k]), None)
+            if first_invariant != nu:
+                raise InvariantViolation(
+                    f"powers absorb the blow-up from {first_invariant}, expected {nu}")
 
-        # independent route: the semigroup generated by S and E - min(E).
-        # It contains S, so it is full from c on: S's mask closed under the
-        # shifted generators on [0, c) is all of it
-        c = s.conductor
-        generated = _closure(s.bits, c, [g - a for g in e.minimal_generators() if g != a])
-        if lam != ValueIdeal._of(s, 0, generated, c):
-            raise InvariantViolation("blow-up routes disagree")
+            # independent route: the semigroup generated by S and E - min(E).
+            # It contains S, so it is full from c on: S's mask closed under the
+            # shifted generators on [0, c) is all of it
+            c = s.conductor
+            generated = _closure(s.bits, c, [g - a for g in e.minimal_generators() if g != a])
+            if lam != ValueIdeal._of(s, 0, generated, c):
+                raise InvariantViolation("blow-up routes disagree")
 
-        # Lambda's own quantities are one record per (S, Lambda) on the ring,
-        # shared by every pair with this blow-up and built whole on a miss
-        key = lam.bits, lam.frontier
-        record = rg.blowups.get(key)
-        if record is None:
-            record = rg.blowups[key] = _blowup_record(rg, lam)
-        (self.r_colon_lambda, self.lam_bidual, self.omega_lambda, self.k_colon_lambda,
-         self.delta_lambda, self.gamma_set, self.outside_gamma, self.len_r_over_rcolon,
-         len_lam_over_r, a1, a2, a3, b1, b2, bridge,
-         self.i0, self.r_filter_i0, self.r_star_i0, self.n_lambda, self.lambda_gorenstein,
-         self.lam_is_normalization, self.len_bidual_over_lambda, self.len_omega_over_lambda,
-         self.len_omega_over_bidual, self.len_rbar_over_omega, self.len_rbar_over_bidual,
-         self.len_bidual_over_rstar, self.sum_gamma, self.sum_not_gamma,
-         self.sum_not_gamma_excess, self.d, self.lam_contains_dual_m,
-         self.lambda_verdicts) = record
-        if rho != len_lam_over_r:
-            raise InvariantViolation("rho disagrees with l(Lambda/R)")
+            # Lambda's own quantities are one record per (S, Lambda) on the ring,
+            # shared by every pair with this blow-up and built whole on a miss
+            key = lam.bits, lam.frontier
+            record = rg.blowups.get(key)
+            if record is None:
+                record = rg.blowups[key] = _blowup_record(rg, lam)
+            (self.r_colon_lambda, self.lam_bidual, self.omega_lambda, self.k_colon_lambda,
+             self.delta_lambda, self.gamma_set, self.outside_gamma, self.len_r_over_rcolon,
+             len_lam_over_r, a1, a2, a3, b1, b2, bridge,
+             self.i0, self.r_filter_i0, self.r_star_i0, self.n_lambda, self.lambda_gorenstein,
+             self.lam_is_normalization, self.len_bidual_over_lambda, self.len_omega_over_lambda,
+             self.len_omega_over_bidual, self.len_rbar_over_omega, self.len_rbar_over_bidual,
+             self.len_bidual_over_rstar, self.sum_gamma, self.sum_not_gamma,
+             self.sum_not_gamma_excess, self.d, self.lam_contains_dual_m,
+             self.lambda_verdicts) = record
+            if rho != len_lam_over_r:
+                raise InvariantViolation("rho disagrees with l(Lambda/R)")
 
-        self.powers = powers
-        self.hilbert = tuple(hseq)
-        self.nu = nu
-        self.rho = rho
-        self.lam = lam
-        self.ideal_colon = stages[0]  # E:E
+            self.powers = powers
+            self.hilbert = tuple(hseq)
+            self.nu = nu
+            self.rho = rho
+            self.lam = lam
+            self.ideal_colon = stages[0]  # E:E
 
-        # notation
-        self.e = a
-        self.c = c
-        self.delta = s.genus
-        self.mu = s.embedding_dimension
-        self.c_lambda = lam.frontier
-        self.h = HPolynomial.of(self)
-        self.is_max_ideal = e == rg.m_ideal
-        self.power_nu = p_nu = powers[nu]
-        self.conductor_in_power = p_nu.frontier <= c
+            # notation
+            self.e = a
+            self.c = c
+            self.delta = s.genus
+            self.mu = s.embedding_dimension
+            self.c_lambda = lam.frontier
+            self.h = HPolynomial.of(self)
+            self.is_max_ideal = e == rg.m_ideal
+            self.power_nu = p_nu = powers[nu]
+            self.conductor_in_power = p_nu.frontier <= c
 
-        # every member of both groups, each evaluated on its own; A4-A6 read
-        # the sums K + nE, the rest only Lambda.  Each K + nE is summed once:
-        # n = 1 (kept for Prop5.1; the ring's M + K when E = M) and n = nu
-        # (A4 and A5) here, and A6 sums the ones between only while it scans
-        k = rg.k
-        self.ideal_omega = k_e = rg.m_plus_k if self.is_max_ideal else e + k
-        k_nu = k_e if nu == 1 else k + p_nu
-        self.conditions = ConditionsReport(
-            a1=a1, a2=a2, a3=a3,
-            a4=self._holds_a4(k_nu),
-            a5=k_nu == p_nu,
-            a6=(k_e == e or k_nu == p_nu
-                or any((k + powers[n]) == powers[n] for n in range(2, nu))),
-            b1=b1, b2=b2, colon_inside_omega_dual=bridge,
-        )
-        self.cross_check()
+            # every member of both groups, each evaluated on its own; A4-A6 read
+            # the sums K + nE, the rest only Lambda.  Each K + nE is summed once:
+            # n = 1 (kept for Prop5.1; the ring's M + K when E = M) and n = nu
+            # (A4 and A5) here, and A6 sums the ones between only while it scans
+            k = rg.k
+            self.ideal_omega = k_e = rg.m_plus_k if self.is_max_ideal else e + k
+            k_nu = k_e if nu == 1 else k + p_nu
+            self.conditions = ConditionsReport(
+                a1=a1, a2=a2, a3=a3,
+                a4=self._holds_a4(k_nu),
+                a5=k_nu == p_nu,
+                a6=(k_e == e or k_nu == p_nu
+                    or any((k + powers[n]) == powers[n] for n in range(2, nu))),
+                b1=b1, b2=b2, colon_inside_omega_dual=bridge,
+            )
+            self.cross_check()
 
-        # what only the catalog and the document read
-        self.r = rg.ts.cm_type
-        # E** is the ring's M** when E = M
-        self.ideal_bidual = rg.m_bidual if self.is_max_ideal else bidual(e)
-        self.ideal_reflexive = self.ideal_bidual == e
-        self.r_colon_is_power = self.r_colon_lambda == p_nu
-        # the lengths that involve nuE, validated for nesting by length_between
-        self.len_rcolon_over_power_nu = length_between(self.r_colon_lambda, p_nu)
-        self.len_r_over_power_nu = length_between(s_ideal, p_nu)
-        self.len_gammar_over_conductor_power = length_between(
-            rg.conductor_ideal, ValueIdeal._of(s, 0, 0, nu * a + self.c_lambda))
+            # what only the catalog and the document read
+            self.r = rg.ts.cm_type
+            # E** is the ring's M** when E = M
+            self.ideal_bidual = rg.m_bidual if self.is_max_ideal else bidual(e)
+            self.ideal_reflexive = self.ideal_bidual == e
+            self.r_colon_is_power = self.r_colon_lambda == p_nu
+            # the lengths that involve nuE, validated for nesting by length_between
+            self.len_rcolon_over_power_nu = length_between(self.r_colon_lambda, p_nu)
+            self.len_r_over_power_nu = length_between(s_ideal, p_nu)
+            self.len_gammar_over_conductor_power = length_between(
+                rg.conductor_ideal, ValueIdeal._of(s, 0, 0, nu * a + self.c_lambda))
+        except InvariantViolation:
+            raise
+        except SgblowError as exc:
+            raise InvariantViolation(f"pair build raised {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def of(cls, e: ValueIdeal) -> "Analysis":
@@ -349,54 +362,51 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple:
     """Every quantity of Lambda over S, in the order Analysis unpacks them,
     ending with the empty verdict store.
 
-    Lambda's own checks run before any length only the catalog reads.  Each
-    length here is of sets nested by construction, so a NotNested is a bug
-    and is reported as an InvariantViolation.
+    Lambda's own checks run before any length only the catalog reads.  It
+    runs inside Analysis's pair boundary, which reports any failure here as
+    an InvariantViolation.
     """
     s, s_ideal, k, norm = rg.s, rg.s_ideal, rg.k, rg.normalization
-    try:
-        r_colon = s_ideal.colon(lam)
-        lam_bidual = s_ideal.colon(r_colon)
-        omega = k + lam
-        k_colon = k.colon(lam)
-        delta_lambda = length_between(norm, lam)
-        len_lam_over_r = length_between(lam, s_ideal)
-        if len_lam_over_r != s.genus - delta_lambda:
-            raise InvariantViolation("rho must equal genus minus the blow-up genus")
-        # Gamma holds the i in 1..n with s_(i-1) in R:Lambda; outside_gamma the rest
-        inside = [x in r_colon for x in rg.small_elements[:-1]]
-        gamma_set = tuple(i for i, hit in enumerate(inside, 1) if hit)
-        outside_gamma = tuple(i for i, hit in enumerate(inside, 1) if not hit)
-        # window bookkeeping: R:Lambda below the conductor is exactly {s_(i-1) : i in Gamma}
-        if len(gamma_set) != length_between(r_colon, rg.conductor_ideal):
-            raise InvariantViolation("Gamma size disagrees with l(R:Lambda/gamma_R)")
-        len_r_over_rcolon = length_between(s_ideal, r_colon)
-        if len_r_over_rcolon != rg.n - len(gamma_set):
-            raise InvariantViolation("l(R/R:Lambda) must count small elements outside Gamma")
+    r_colon = s_ideal.colon(lam)
+    lam_bidual = s_ideal.colon(r_colon)
+    omega = k + lam
+    k_colon = k.colon(lam)
+    delta_lambda = length_between(norm, lam)
+    len_lam_over_r = length_between(lam, s_ideal)
+    if len_lam_over_r != s.genus - delta_lambda:
+        raise InvariantViolation("rho must equal genus minus the blow-up genus")
+    # Gamma holds the i in 1..n with s_(i-1) in R:Lambda; outside_gamma the rest
+    inside = [x in r_colon for x in rg.small_elements[:-1]]
+    gamma_set = tuple(i for i, hit in enumerate(inside, 1) if hit)
+    outside_gamma = tuple(i for i, hit in enumerate(inside, 1) if not hit)
+    # window bookkeeping: R:Lambda below the conductor is exactly {s_(i-1) : i in Gamma}
+    if len(gamma_set) != length_between(r_colon, rg.conductor_ideal):
+        raise InvariantViolation("Gamma size disagrees with l(R:Lambda/gamma_R)")
+    len_r_over_rcolon = length_between(s_ideal, r_colon)
+    if len_r_over_rcolon != rg.n - len(gamma_set):
+        raise InvariantViolation("l(R/R:Lambda) must count small elements outside Gamma")
 
-        # R_i0 is S from s_i0 = min R:Lambda on
-        lo = r_colon.min_element
-        r_filter_i0 = ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
-        r_star_i0 = dual(r_filter_i0)
-        len_rbar_over_bidual = length_between(norm, lam_bidual)
-        sum_gamma = sum(rg.ts.entries[i - 1] for i in gamma_set)
-        sum_not_gamma = s.genus - sum_gamma
-        return (r_colon, lam_bidual, omega, k_colon, delta_lambda, gamma_set, outside_gamma,
-                len_r_over_rcolon, len_lam_over_r,
-                # A1-A3, B1, B2 and the bridge R:Lambda inside R:omega
-                lam.contains(k), omega == lam, k_colon == r_colon,
-                lam == lam_bidual, k_colon == (k + r_colon), rg.r_colon_omega.contains(r_colon),
-                rg.small_elements.index(lo), r_filter_i0, r_star_i0, lam.frontier - delta_lambda,
-                # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
-                2 * delta_lambda == lam.frontier, lam == norm,
-                length_between(lam_bidual, lam), length_between(omega, lam),
-                length_between(omega, lam_bidual), length_between(norm, omega),
-                len_rbar_over_bidual, length_between(lam_bidual, r_star_i0),
-                # the Gamma sums, and the sum of r_i - 1 over the indices outside Gamma
-                sum_gamma, sum_not_gamma, sum_not_gamma - len(outside_gamma),
-                len_rbar_over_bidual - sum_gamma, lam.contains(rg.dual_m), {})
-    except NotNested as exc:
-        raise InvariantViolation(f"blow-up record: {exc}") from exc
+    # R_i0 is S from s_i0 = min R:Lambda on
+    lo = r_colon.min_element
+    r_filter_i0 = ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
+    r_star_i0 = dual(r_filter_i0)
+    len_rbar_over_bidual = length_between(norm, lam_bidual)
+    sum_gamma = sum(rg.ts.entries[i - 1] for i in gamma_set)
+    sum_not_gamma = s.genus - sum_gamma
+    return (r_colon, lam_bidual, omega, k_colon, delta_lambda, gamma_set, outside_gamma,
+            len_r_over_rcolon, len_lam_over_r,
+            # A1-A3, B1, B2 and the bridge R:Lambda inside R:omega
+            lam.contains(k), omega == lam, k_colon == r_colon,
+            lam == lam_bidual, k_colon == (k + r_colon), rg.r_colon_omega.contains(r_colon),
+            rg.small_elements.index(lo), r_filter_i0, r_star_i0, lam.frontier - delta_lambda,
+            # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
+            2 * delta_lambda == lam.frontier, lam == norm,
+            length_between(lam_bidual, lam), length_between(omega, lam),
+            length_between(omega, lam_bidual), length_between(norm, omega),
+            len_rbar_over_bidual, length_between(lam_bidual, r_star_i0),
+            # the Gamma sums, and the sum of r_i - 1 over the indices outside Gamma
+            sum_gamma, sum_not_gamma, sum_not_gamma - len(outside_gamma),
+            len_rbar_over_bidual - sum_gamma, lam.contains(rg.dual_m), {})
 
 
 BlowupReport = Analysis

@@ -1,8 +1,10 @@
 """Exception types shared across the library.
 
-Every error raised on bad input derives from SgblowError so callers (and the
-CLI) can distinguish domain errors from bugs.  Errors that carry a witness
-expose it as attributes.
+Every error the library raises derives from SgblowError.  Input checks raise
+domain errors (exit 2 from the CLI).  Once a pair has passed its input check,
+any failure while building it or a verdict on it is an InvariantViolation on
+that pair (a bug, exit 3); EquivalenceViolation is one kind of it.  Errors
+that carry a witness expose it as attributes.
 """
 
 
@@ -74,12 +76,12 @@ class DegenerateBlowup(SgblowError):
     """
 
 
-class EquivalenceViolation(SgblowError):
-    """Members of a proven-equivalent condition group disagreed (a bug)."""
-
-
 class InvariantViolation(SgblowError):
     """An internal cross-check failed (a bug, never a property of the input)."""
+
+
+class EquivalenceViolation(InvariantViolation):
+    """Members of a proven-equivalent condition group disagreed (a bug)."""
 
 
 class UnknownStatement(SgblowError):

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from .blowup import Analysis
 from .core import ValueIdeal, length_between
-from .errors import InvariantViolation, UnknownStatement
+from .errors import InvariantViolation, SgblowError, UnknownStatement
 from .invariants import integral_closure, is_reflexive
 
 
@@ -78,16 +78,25 @@ def _statement(sid: str, hypothesis: Callable[[Analysis], bool] | None = None,
     goes to HYPOTHESES[sid] and the level to LEVELS[sid]: "lambda" declares
     that hypothesis, conclusion and notes read only the blow-up record's
     quantities, rho, r, a.ring and the notation of S, so that the verdict
-    is one per (S, Lambda); "pair" is every other statement.
+    is one per (S, Lambda); "pair" is every other statement.  A SgblowError
+    from the hypothesis, the conclusion or the notes is a bug on the pair
+    and leaves as an InvariantViolation that names sid; an
+    InvariantViolation, or any error outside SgblowError, passes unchanged.
     """
     vacuous = TheoremVerdict(sid, False, True, "vacuous")
 
     def register(conclusion):
         def verdict(a: Analysis) -> TheoremVerdict:
-            if hypothesis is not None and not hypothesis(a):
-                return vacuous
-            ok, lhs, rhs = conclusion(a)
-            note = notes if notes.__class__ is str else notes(a)
+            # the pair passed its input check, so every failure here is a bug
+            try:
+                if hypothesis is not None and not hypothesis(a):
+                    return vacuous
+                ok, lhs, rhs = conclusion(a)
+                note = notes if notes.__class__ is str else notes(a)
+            except InvariantViolation:
+                raise
+            except SgblowError as exc:
+                raise InvariantViolation(f"{sid} raised {type(exc).__name__}: {exc}") from exc
             # tuple.__new__ skips the argument handling of TheoremVerdict(...)
             if ok:
                 return tuple.__new__(TheoremVerdict,
@@ -192,8 +201,8 @@ def _(a):
 def _(a):
     p1 = 2 * a.rho == a.e * a.nu + (2 * a.delta - a.c)
     p2 = a.lambda_gorenstein and a.c - a.c_lambda == a.e * a.nu
-    p3 = a.r_colon_is_power and a.omega_lambda == a.lam
-    p4 = a.r_colon_is_power and a.ring.r_colon_omega.contains(a.r_colon_lambda)
+    p3 = a.r_colon_is_power and a.conditions.a2
+    p4 = a.r_colon_is_power and a.conditions.colon_inside_omega_dual
     return p1 == p2 == p3 == p4, (p1, p2, p3, p4), None
 
 
@@ -452,7 +461,7 @@ def _(a):
 @_statement("Cor6.7.3", hypothesis=_maximal_e_is_mu_plus_1)
 def _(a):
     almost = a.ring.ring_class.almost_gorenstein
-    rhs = a.nu == 2 and a.omega_lambda == a.lam
+    rhs = a.nu == 2 and a.conditions.a2
     return almost == rhs, almost, rhs
 
 
@@ -511,9 +520,8 @@ def _(a):
             notes="colon length taken over the cube, matching the "
                   "derivation from the general power inequality")
 def _(a):
-    hilbert2 = length_between(a.power(2), a.power(3))
     lhs = 3 * (a.e - a.mu - 1) + 2 * a.len_rcolon_over_power_nu
-    rhs = 3 * hilbert2
+    rhs = 3 * a.hilbert[2]
     return lhs <= rhs, lhs, rhs
 
 

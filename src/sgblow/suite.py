@@ -23,7 +23,7 @@ from .enumeration import (
     enumerate_semigroups,
     sample_ideals,
 )
-from .errors import EquivalenceViolation, InvariantViolation, SgblowError
+from .errors import InvariantViolation, SgblowError
 from .parsing import format_ideal, format_semigroup
 from .report import jsonable
 from .statements import catalog_ids, expand_statement_ids, verify_many
@@ -146,7 +146,7 @@ def _suite_task(args: tuple[NumericalSemigroup, SuiteConfig, tuple[str, ...]]) -
     for ideal in _ideals_for(s, config):
         try:
             verdicts = verify_many(ideal, ids)
-        except (InvariantViolation, EquivalenceViolation) as exc:
+        except InvariantViolation as exc:
             # a failed internal check is a bug on this pair; record it and go on
             fail(ideal, type(exc).__name__, str(exc))
             continue
@@ -167,6 +167,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         raise ValueError(f"unknown ideal strategy {config.ideal_strategy!r}")
     if config.sample_size < 0:
         raise SgblowError(f"sample size must be >= 0, got {config.sample_size}")
+    if config.jobs < 0:
+        raise SgblowError(f"jobs must be >= 0, got {config.jobs}")
     if config.statements:
         ids = tuple(expand_statement_ids(config.statements))
     else:

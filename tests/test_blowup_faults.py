@@ -3,8 +3,10 @@
 A fault is planted with monkeypatch on one operation Analysis(e) builds the
 pair with, and only over one target semigroup.  The check it breaks must
 raise its own exception class with its own message when the target's m is
-analysed, and `sgblow verify` must record that failure on exactly that
-pair and exit 3.
+analysed, `sgblow verify` must record that failure on exactly that pair
+and exit 3, and `sgblow analyze` must print it as one bug line and exit 3.
+A NotNested from a length the construction takes is a bug too: it leaves
+the pair as an InvariantViolation that keeps its text.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ import sgblow.blowup
 from sgblow.blowup import Analysis
 from sgblow.cli import main
 from sgblow.core import NumericalSemigroup, ValueIdeal
-from sgblow.errors import EquivalenceViolation, InvariantViolation
+from sgblow.errors import EquivalenceViolation, InvariantViolation, NotNested
 from sgblow.invariants import ring
 from sgblow.parsing import parse_semigroup
 
@@ -27,6 +29,8 @@ HONEST_SHIFT = ValueIdeal.shift
 HONEST_CLOSURE = sgblow.blowup._closure
 HONEST_A4 = Analysis._holds_a4
 HONEST_LENGTH = sgblow.blowup.length_between
+HONEST_INIT = Analysis.__init__
+HONEST_BUILD = sgblow.blowup._blowup_record
 
 # m of <3,4> has nu = 2 and m of <3,5,7> has nu = 1; both lie in genus 3
 NU_2 = "{0,3,4,6->}"
@@ -91,6 +95,40 @@ def _first_hilbert_value_short(monkeypatch, target):
     monkeypatch.setattr(sgblow.blowup, "length_between", length)
 
 
+def _pair_length_not_nested(position):
+    """A plant under which, in each build of a pair over the target, the
+    position(nu)-th length taken outside the blow-up record raises
+    NotNested(0).  In source order those lengths are H(0), ..., H(nu), then
+    l(R:Lambda/nuE), l(R/nuE) and l(gamma_R/(nu e + c_Lambda + N))."""
+    def plant(monkeypatch, target):
+        at = position(Analysis(target.maximal_ideal()).nu)
+        ring.cache_clear()
+        taken = []
+
+        def length(x, y):
+            if x.carrier == target:
+                taken.append((x, y))
+                if len(taken) == at + 1:
+                    raise NotNested(0)
+            return HONEST_LENGTH(x, y)
+
+        def init(self, e):
+            taken.clear()
+            HONEST_INIT(self, e)
+
+        def build(rg, lam):
+            with monkeypatch.context() as m:
+                m.setattr(sgblow.blowup, "length_between", HONEST_LENGTH)
+                return HONEST_BUILD(rg, lam)
+        monkeypatch.setattr(sgblow.blowup, "length_between", length)
+        monkeypatch.setattr(Analysis, "__init__", init)
+        monkeypatch.setattr(sgblow.blowup, "_blowup_record", build)
+    return plant
+
+
+NOT_NESTED = "pair build raised NotNested: not nested: 0 lies in the smaller set but not the larger"
+
+
 def _incoherent(target):
     honest = Analysis(target.maximal_ideal()).conditions
     ring.cache_clear()
@@ -114,10 +152,15 @@ FAULTS = [
     (_lengths_read(lambda e: e), NU_1, InvariantViolation,
      "reduction exponent 0 would mean a principal ideal"),
     (_first_hilbert_value_short, NU_2, InvariantViolation, "rho disagrees with l(Lambda/R)"),
+    (_pair_length_not_nested(lambda nu: 0), NU_2, InvariantViolation, NOT_NESTED),
+    (_pair_length_not_nested(lambda nu: nu + 1), NU_2, InvariantViolation, NOT_NESTED),
+    (_pair_length_not_nested(lambda nu: nu + 2), NU_2, InvariantViolation, NOT_NESTED),
+    (_pair_length_not_nested(lambda nu: nu + 3), NU_2, InvariantViolation, NOT_NESTED),
 ]
 IDS = ["routes-disagree", "stages-reached", "never-absorbed", "absorbed-early",
        "power-not-translate", "groups-incoherent", "hilbert-exceeds", "hilbert-never-reaches",
-       "nu-zero", "rho-disagrees"]
+       "nu-zero", "rho-disagrees", "hilbert-not-nested", "rcolon-over-power-not-nested",
+       "r-over-power-not-nested", "conductor-over-power-not-nested"]
 
 
 @pytest.fixture
@@ -161,3 +204,15 @@ def test_verify_records_a_pair_check_on_its_pair(fresh_rings, monkeypatch, capsy
          "lhs": None, "rhs": None, "witness": None, "notes": expected}]
     assert doc["totals"]["failed"] == 1
     assert doc["totals"]["pairs"] == clean["pairs"] - 1
+
+
+@pytest.mark.parametrize("plant,text,error,message", FAULTS, ids=IDS)
+def test_analyze_reports_a_pair_check_as_one_bug_line(fresh_rings, monkeypatch, capsys, plant,
+                                                      text, error, message):
+    target = parse_semigroup(text)
+    expected = _message(message, target)
+    plant(monkeypatch, target)
+    assert main(["analyze", text]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal check failed (a bug): {error.__name__}: {expected}\n"

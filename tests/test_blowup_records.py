@@ -202,7 +202,7 @@ RECORD_FAULTS = [
      "l(R/R:Lambda) must count small elements outside Gamma"),
     # l(omega_Lambda/Lambda), a length only the catalog reads
     (lambda rg, lam: (rg.k + lam, lam), _not_nested,
-     "blow-up record: not nested: 0 lies in the smaller set but not the larger"),
+     "pair build raised NotNested: not nested: 0 lies in the smaller set but not the larger"),
 ]
 RECORD_FAULT_IDS = ["delta-lambda", "gamma-size", "outside-gamma", "catalog-not-nested"]
 

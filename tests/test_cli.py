@@ -1,10 +1,14 @@
 """Command line behaviour: verbs, formats, files, and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import sgblow.cli
 import sgblow.fixtures as fixtures
 from sgblow.blowup import Analysis
 from sgblow.cli import main
@@ -172,6 +176,7 @@ def test_enumerate_totals(capsys):
     rows = json.loads(out)["semigroups"]
     assert len(rows) == 8
     assert {row["genus"] for row in rows} == {0, 1, 2, 3}
+    assert run(capsys, "enumerate", "--max-genus", "-1") == (0, "total = 0\n", "")
 
 
 def test_grammar_errors_exit_one(capsys):
@@ -180,6 +185,10 @@ def test_grammar_errors_exit_one(capsys):
     assert "position" in err
     code, _, err = run(capsys, "analyze", "<3,4>", "--statements", "Nope")
     assert code == 1
+    for argv, message in (
+            (("analyze", "{0,3 4->}"), "expected ',' or '->' (at position 5)"),
+            (("analyze", "<3,4>", "--ideal", "i(3)"), "expected 'ideal(...)' (at position 0)")):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_statement_lists_drop_empty_items(capsys):
@@ -233,6 +242,21 @@ def test_domain_errors_exit_two(capsys):
     assert "NotCofinite" in err
     code, _, err = run(capsys, "analyze", "<1>")
     assert code == 2  # no proper maximal ideal to analyze
+    # input checks, the pair's included, stay domain errors: a pair they
+    # reject is never built
+    for argv, message in (
+            (("analyze", "<0,3>"), "EmptyGenerators: generators must be positive, got 0"),
+            (("analyze", "{0,5,3->}"), "NotCofinite: member 5 lies beyond the tail start 3"),
+            (("analyze", "<3,4>", "--ideal", "ideal(3)"),
+             "PrincipalIdeal: ideal generated by 3 alone is principal"),
+            (("analyze", "<3,4>", "--ideal", "ideal(0,3)"),
+             "NotProper: blow-up analysis wants an ideal inside the maximal ideal")):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_negative_jobs_is_a_domain_error(capsys):
+    assert run(capsys, "verify", "--max-genus", "3", "--jobs", "-1") \
+        == (2, "", "error: SgblowError: jobs must be >= 0, got -1\n")
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):
@@ -284,6 +308,10 @@ def test_internal_check_failure_is_recorded_on_its_pair(capsys, monkeypatch):
     assert doc["totals"]["checked"] == clean["checked"] - 100
 
 
+def test_equivalence_violation_is_an_invariant_violation():
+    assert issubclass(EquivalenceViolation, InvariantViolation)
+
+
 def test_internal_check_failure_on_analyze_exits_three(capsys, monkeypatch):
     plant(monkeypatch, EquivalenceViolation, 3)
     code, out, err = run(capsys, "analyze", "<3,4,5>")
@@ -292,3 +320,12 @@ def test_internal_check_failure_on_analyze_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "EquivalenceViolation: planted" in err
+
+
+def test_the_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(sgblow.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "sgblow.cli", "enumerate", "--max-genus", "-1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "total = 0\n", "")

@@ -109,6 +109,18 @@ def test_construction_errors():
     with pytest.raises(NotClosed) as err:
         NumericalSemigroup.from_explicit((0, 3), 10)
     assert (err.value.a, err.value.b) == (3, 3)
+    for build, error, message in (
+            (lambda: NumericalSemigroup.from_generators([0, 3]), EmptyGenerators,
+             "generators must be positive, got 0"),
+            (lambda: NumericalSemigroup.from_explicit((-1, 0), 3), ZeroMissing,
+             "members must be natural numbers"),
+            (lambda: NumericalSemigroup.from_explicit((0, 5), 3), NotCofinite,
+             "member 5 lies beyond the tail start 3"),
+            (lambda: ValueIdeal.generated_by(NumericalSemigroup.from_generators([3, 4]), []),
+             EmptyGenerators, "an ideal needs at least one generator")):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
 
 
 def test_value_ideal_canonical_form():
@@ -121,6 +133,17 @@ def test_value_ideal_canonical_form():
     same = ValueIdeal(s, [3, 4], 6)
     assert e == same
     assert hash(e) == hash(same)
+    # an ideal is never equal to what is not one
+    assert e.__eq__((3, 4)) is NotImplemented
+    assert e != (3, 4)
+
+
+def test_reprs_show_the_canonical_forms():
+    s = NumericalSemigroup.from_generators([4, 3])
+    assert repr(s) == "NumericalSemigroup(<3,4>)"
+    assert repr(s.maximal_ideal()) == "ValueIdeal({3,4,6->})"
+    # no member below the frontier
+    assert repr(ValueIdeal(s, [], 6)) == "ValueIdeal({6->})"
 
 
 def test_value_ideal_rejects_non_ideal():

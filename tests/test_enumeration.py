@@ -24,6 +24,10 @@ def test_counts_by_genus_match_brute_force():
         assert len(semigroups_of_genus(g)) == expected
 
 
+def test_a_negative_genus_bound_enumerates_nothing():
+    assert list(enumerate_semigroups(-1)) == []
+
+
 def test_enumeration_is_deterministic_and_bfs_ordered():
     first = [s.small_elements for s in enumerate_semigroups(6)]
     second = [s.small_elements for s in enumerate_semigroups(6)]

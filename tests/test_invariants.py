@@ -107,8 +107,9 @@ def test_type_sequence_of_n_is_degenerate():
 
 
 def test_type_sequence_known_values():
-    assert type_sequence(NumericalSemigroup.from_generators([3, 4])).entries \
-        == (1, 1, 1)
+    ts = type_sequence(NumericalSemigroup.from_generators([3, 4]))
+    assert ts.entries == (1, 1, 1)
+    assert ts.n == 3
     assert type_sequence(NumericalSemigroup.from_generators([3, 4, 5])).entries \
         == (2,)
     assert type_sequence(NumericalSemigroup.from_generators([4, 5, 6, 7])).entries \

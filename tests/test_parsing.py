@@ -103,6 +103,12 @@ def test_grammar_error_positions():
         parse_ideal("ideal()", s)
     with pytest.raises(GrammarError):
         parse_ideal("ideal(3", s)
+    for parse, text, message in (
+            (parse_semigroup, "{0,3 4->}", "expected ',' or '->' (at position 5)"),
+            (lambda t: parse_ideal(t, s), "i(3)", "expected 'ideal(...)' (at position 0)")):
+        with pytest.raises(GrammarError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 def test_oversized_digit_runs_are_grammar_errors():

@@ -1,13 +1,17 @@
 """Statement catalog: expansion, verdict semantics, and a small sweep."""
 
 import hashlib
+import json
 
 import pytest
 
+import sgblow.statements
 from sgblow.blowup import Analysis, ConditionsReport, analyze
+from sgblow.cli import main
 from sgblow.core import NumericalSemigroup
 from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
-from sgblow.errors import InvariantViolation, UnknownStatement
+from sgblow.errors import InvariantViolation, NotIntegral, NotNested, UnknownStatement
+from sgblow.invariants import integral_closure, ring
 from sgblow.fixtures import FIXTURES, analysis_for
 from sgblow.parsing import parse_ideal, parse_semigroup
 from sgblow.statements import (
@@ -194,6 +198,9 @@ def test_an_analysis_rebuilt_from_an_analysis_agrees():
         fresh = Analysis.of(e)
         rebuilt = Analysis(analyze(e))
         assert rebuilt == fresh
+        # an analysis is identified by its ideal alone
+        assert hash(rebuilt) == hash(fresh) == hash(e)
+        assert fresh.__eq__(e) is NotImplemented
         assert verdicts(rebuilt) == verdicts(fresh), (gens, ideal_gens)
 
 
@@ -237,3 +244,64 @@ def test_prop4_3_4_requires_a_closed_colon_to_be_a_value_filter(gens):
     assert (a.r_colon_lambda == a.r_filter_i0) != is_filter
     with pytest.raises(InvariantViolation, match="full value filter"):
         STATEMENTS["Prop4.3.4"](a)
+
+
+HONEST_STATEMENT_LENGTH = sgblow.statements.length_between
+
+
+def _statement_length_not_nested(monkeypatch, target):
+    # every length a statement takes over the target raises
+    def length(x, y):
+        if x.carrier == target:
+            raise NotNested(0)
+        return HONEST_STATEMENT_LENGTH(x, y)
+    monkeypatch.setattr(sgblow.statements, "length_between", length)
+
+
+def _closure_of_the_normalization(monkeypatch, target):
+    # over the target, the integral closure is asked of N, which is not inside S
+    def closure(e):
+        return integral_closure(e.carrier.normalization() if e.carrier == target else e)
+    monkeypatch.setattr(sgblow.statements, "integral_closure", closure)
+
+
+NOT_NESTED = "not nested: 0 lies in the smaller set but not the larger"
+# (plant, statement id, the class it raises inside the verdict, its text);
+# m over <3,4> meets the hypotheses of Rmk6.1 and Prop6.5.2
+VERDICT_FAULTS = [
+    (_statement_length_not_nested, "Rmk6.1", NotNested, NOT_NESTED),
+    (_statement_length_not_nested, "Prop6.5.2", NotNested, NOT_NESTED),
+    (_closure_of_the_normalization, "Prop4.3.4", NotIntegral,
+     "integral closure needs an ideal contained in the semigroup"),
+]
+
+
+@pytest.mark.parametrize("plant,sid,error,text", VERDICT_FAULTS,
+                         ids=["rmk6.1-length", "prop6.5.2-length", "prop4.3.4-closure"])
+def test_a_domain_error_inside_a_verdict_is_a_bug_on_its_pair(monkeypatch, capsys, plant, sid,
+                                                              error, text):
+    target = NumericalSemigroup.from_generators([3, 4])
+    message = f"{sid} raised {error.__name__}: {text}"
+    argv = ["verify", "--max-genus", "3", "--jobs", "1", "--statements", sid, "--format", "json"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)["totals"]
+    ring.cache_clear()
+    plant(monkeypatch, target)
+    a = Analysis.of(target.maximal_ideal())
+    with pytest.raises(InvariantViolation) as info:
+        STATEMENTS[sid](a)
+    assert str(info.value) == message
+    assert type(info.value.__cause__) is error
+    # verify records it on the one pair and goes on
+    assert main(argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == [
+        {"semigroup": "{0,3,4,6->}", "ideal": "m", "statement_id": "InvariantViolation",
+         "lhs": None, "rhs": None, "witness": None, "notes": message}]
+    assert doc["totals"]["pairs"] == clean["pairs"] - 1
+    # analyze prints one bug line
+    assert main(["analyze", "<3,4>", "--statements", sid]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal check failed (a bug): InvariantViolation: {message}\n"
+    ring.cache_clear()
