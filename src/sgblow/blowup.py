@@ -40,10 +40,11 @@ lengths against nuE.  _blowup_record builds a record whole and runs
 Lambda's own checks before the lengths only the catalog reads.  Analysis
 calls it on a miss, once both routes to Lambda agree, and stores what it
 returns, so a Lambda whose build raises is never cached and raises again on
-every pair with it.  The record ends with the verdict store,
-a.lambda_verdicts, which statements.verify_many fills after the pair's
-cross_check with the Lambda-level verdicts every pair with this Lambda
-shares.
+every pair with it.  A record is two dicts, fields keyed by Analysis
+attribute and conditions keyed by ConditionsReport field.  One field is
+the verdict store a.lambda_verdicts, which statements.verify_many fills
+after the pair's cross_check with the Lambda-level verdicts every pair
+with this Lambda shares.
 
 The error contract: _check_proper is the pair's input check, and its
 NotProper and PrincipalIdeal are domain errors (exit 2).  Any failure after
@@ -175,8 +176,8 @@ class Analysis:
     The constructor is the one place a pair is built, in dependency order.
     It builds the filtration of E: the powers S, E, ..., (nu+1)E by sums,
     the Hilbert function, nu, rho and Lambda = nuE - nuE, checking each
-    against an independent route.  It then copies the ring's record of
-    Lambda (built whole by _blowup_record on a miss) with one tuple unpack,
+    against an independent route.  It then takes the fields of the ring's
+    record of Lambda (built whole by _blowup_record on a miss) in one update,
     computes the pair-level quantities cross_check reads, runs cross_check,
     and assigns the rest, which only the catalog and the document read;
     every timed path reads them all, so each is a plain attribute.  Past
@@ -247,16 +248,9 @@ class Analysis:
             record = rg.blowups.get(key)
             if record is None:
                 record = rg.blowups[key] = _blowup_record(rg, lam)
-            (self.r_colon_lambda, self.lam_bidual, self.omega_lambda, self.k_colon_lambda,
-             self.delta_lambda, self.gamma_set, self.outside_gamma, self.len_r_over_rcolon,
-             len_lam_over_r, a1, a2, a3, b1, b2, bridge,
-             self.i0, self.r_filter_i0, self.r_star_i0, self.n_lambda, self.lambda_gorenstein,
-             self.lam_is_normalization, self.len_bidual_over_lambda, self.len_omega_over_lambda,
-             self.len_omega_over_bidual, self.len_rbar_over_omega, self.len_rbar_over_bidual,
-             self.len_bidual_over_rstar, self.sum_gamma, self.sum_not_gamma,
-             self.sum_not_gamma_excess, self.d, self.lam_contains_dual_m,
-             self.lambda_verdicts) = record
-            if rho != len_lam_over_r:
+            fields, conditions = record
+            vars(self).update(fields)
+            if rho != s.genus - self.delta_lambda:
                 raise InvariantViolation("rho disagrees with l(Lambda/R)")
 
             self.powers = powers
@@ -285,13 +279,9 @@ class Analysis:
             self.ideal_omega = k_e = rg.m_plus_k if self.is_max_ideal else e + k
             k_nu = k_e if nu == 1 else k + p_nu
             self.conditions = ConditionsReport(
-                a1=a1, a2=a2, a3=a3,
-                a4=self._holds_a4(k_nu),
-                a5=k_nu == p_nu,
+                **conditions, a4=self._holds_a4(k_nu), a5=k_nu == p_nu,
                 a6=(k_e == e or k_nu == p_nu
-                    or any((k + powers[n]) == powers[n] for n in range(2, nu))),
-                b1=b1, b2=b2, colon_inside_omega_dual=bridge,
-            )
+                    or any((k + powers[n]) == powers[n] for n in range(2, nu))))
             self.cross_check()
 
             # what only the catalog and the document read
@@ -358,9 +348,10 @@ class Analysis:
         return True
 
 
-def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple:
-    """Every quantity of Lambda over S, in the order Analysis unpacks them,
-    ending with the empty verdict store.
+def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
+    """Every quantity of Lambda over S: fields, keyed by the Analysis
+    attribute each becomes (the empty verdict store lambda_verdicts among
+    them), and conditions, keyed by ConditionsReport field.
 
     Lambda's own checks run before any length only the catalog reads.  It
     runs inside Analysis's pair boundary, which reports any failure here as
@@ -372,6 +363,7 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple:
     omega = k + lam
     k_colon = k.colon(lam)
     delta_lambda = length_between(norm, lam)
+    # l(Lambda/R); past this check Analysis compares rho with genus - delta(Lambda)
     len_lam_over_r = length_between(lam, s_ideal)
     if len_lam_over_r != s.genus - delta_lambda:
         raise InvariantViolation("rho must equal genus minus the blow-up genus")
@@ -392,21 +384,27 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple:
     r_star_i0 = dual(r_filter_i0)
     len_rbar_over_bidual = length_between(norm, lam_bidual)
     sum_gamma = sum(rg.ts.entries[i - 1] for i in gamma_set)
-    sum_not_gamma = s.genus - sum_gamma
-    return (r_colon, lam_bidual, omega, k_colon, delta_lambda, gamma_set, outside_gamma,
-            len_r_over_rcolon, len_lam_over_r,
-            # A1-A3, B1, B2 and the bridge R:Lambda inside R:omega
-            lam.contains(k), omega == lam, k_colon == r_colon,
-            lam == lam_bidual, k_colon == (k + r_colon), rg.r_colon_omega.contains(r_colon),
-            rg.small_elements.index(lo), r_filter_i0, r_star_i0, lam.frontier - delta_lambda,
-            # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
-            2 * delta_lambda == lam.frontier, lam == norm,
-            length_between(lam_bidual, lam), length_between(omega, lam),
-            length_between(omega, lam_bidual), length_between(norm, omega),
-            len_rbar_over_bidual, length_between(lam_bidual, r_star_i0),
-            # the Gamma sums, and the sum of r_i - 1 over the indices outside Gamma
-            sum_gamma, sum_not_gamma, sum_not_gamma - len(outside_gamma),
-            len_rbar_over_bidual - sum_gamma, lam.contains(rg.dual_m), {})
+    fields = dict(
+        r_colon_lambda=r_colon, lam_bidual=lam_bidual, omega_lambda=omega, k_colon_lambda=k_colon,
+        delta_lambda=delta_lambda, gamma_set=gamma_set, outside_gamma=outside_gamma,
+        len_r_over_rcolon=len_r_over_rcolon, i0=rg.small_elements.index(lo),
+        r_filter_i0=r_filter_i0, r_star_i0=r_star_i0, n_lambda=lam.frontier - delta_lambda,
+        # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
+        lambda_gorenstein=2 * delta_lambda == lam.frontier, lam_is_normalization=lam == norm,
+        len_bidual_over_lambda=length_between(lam_bidual, lam),
+        len_omega_over_lambda=length_between(omega, lam),
+        len_omega_over_bidual=length_between(omega, lam_bidual),
+        len_rbar_over_omega=length_between(norm, omega), len_rbar_over_bidual=len_rbar_over_bidual,
+        len_bidual_over_rstar=length_between(lam_bidual, r_star_i0),
+        # the Gamma sums, and the sum of r_i - 1 over the indices outside Gamma
+        sum_gamma=sum_gamma, sum_not_gamma=s.genus - sum_gamma,
+        sum_not_gamma_excess=s.genus - sum_gamma - len(outside_gamma),
+        d=len_rbar_over_bidual - sum_gamma, lam_contains_dual_m=lam.contains(rg.dual_m),
+        lambda_verdicts={})
+    # A1-A3, B1, B2 and the bridge R:Lambda inside R:omega
+    return fields, dict(
+        a1=lam.contains(k), a2=omega == lam, a3=k_colon == r_colon, b1=lam == lam_bidual,
+        b2=k_colon == (k + r_colon), colon_inside_omega_dual=rg.r_colon_omega.contains(r_colon))
 
 
 BlowupReport = Analysis

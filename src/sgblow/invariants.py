@@ -90,17 +90,17 @@ class Ring:
     """Every ring-level quantity of one semigroup, each computed at most once.
 
     blowups holds the record of each blow-up Lambda met over S, keyed by
-    (Lambda.bits, Lambda.frontier) (Lambda has min 0 and carrier S): one
-    tuple, built whole and checked by blowup._blowup_record and read only
-    by Analysis, which ends with the dict of Lambda-level verdicts that
-    verify_many fills, so every pair with that blow-up shares one record.
-    It holds at most one record per distinct Lambda and is freed with the
-    ring.
+    (Lambda.bits, Lambda.frontier) (Lambda has min 0 and carrier S): two
+    dicts, fields by Analysis attribute and conditions by ConditionsReport
+    field, built whole and checked by blowup._blowup_record and read only
+    by Analysis.  The fields hold the Lambda-level verdicts verify_many
+    fills, so every pair with that blow-up shares them.  It holds at most
+    one record per distinct Lambda and is freed with the ring.
     """
 
     def __init__(self, s: NumericalSemigroup):
         self.s = s
-        self.blowups: dict[tuple[int, int], tuple] = {}
+        self.blowups: dict[tuple[int, int], tuple[dict[str, object], dict[str, bool]]] = {}
 
     @_lazy
     def s_ideal(self) -> ValueIdeal:

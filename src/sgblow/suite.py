@@ -46,9 +46,12 @@ class SuiteConfig:
             return self.jobs
         raw = os.environ.get("SGBLOW_JOBS", "1")
         try:
-            return max(1, int(raw))
+            jobs = int(raw)
         except ValueError:
             raise SgblowError(f"SGBLOW_JOBS must be an integer, got {raw!r}") from None
+        if jobs < 1:
+            raise SgblowError(f"SGBLOW_JOBS must be >= 1, got {raw!r}")
+        return jobs
 
 
 @dataclass(frozen=True)

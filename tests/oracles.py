@@ -139,3 +139,114 @@ def iterated_blowup(small: tuple[int, ...], conductor: int,
         if quot == lam:
             return lam, n
     raise AssertionError("unreachable: the last stage equals itself")
+
+
+# -- the blow-up record, on exact cofinite sets ----------------------------
+#
+# A set bounded below and cofinite above is a pair (members below frontier,
+# frontier) with everything from the frontier on a member: no window to
+# guess, so a colon or a length may reach as far below 0 as it needs.
+
+
+def _cofinite(members, frontier: int) -> tuple[tuple[int, ...], int]:
+    """The canonical pair: the run of members just below the frontier joins it."""
+    below = {x for x in members if x < frontier}
+    while frontier - 1 in below:
+        below.discard(frontier - 1)
+        frontier -= 1
+    return tuple(sorted(below)), frontier
+
+
+def _least(a) -> int:
+    return a[0][0] if a[0] else a[1]
+
+
+def _member(x: int, a) -> bool:
+    return x >= a[1] or x in a[0]
+
+
+def _sum(a, b):
+    """{x + y}: every sum from min A + frontier B and from frontier A + min B on."""
+    frontier = min(_least(a) + b[1], a[1] + _least(b))
+    return _cofinite({x + y for x in a[0] for y in b[0]}, frontier)
+
+
+def _colon(a, b):
+    """{z : z + B inside A}.  z + (frontier B ->) lies in A iff z >= fA - fB,
+    and every z >= fA - min B passes."""
+    members, frontier = set(a[0]), a[1]
+    top = frontier - _least(b)
+    held = {z for z in range(frontier - b[1], top)
+            if all(z + y >= frontier or z + y in members for y in b[0])}
+    return _cofinite(held, top)
+
+
+def _contains(a, b) -> bool:
+    """B inside A."""
+    return b[1] >= a[1] and all(_member(y, a) for y in b[0])
+
+
+def _length(larger, smaller) -> int:
+    """l(E/F) = #(E minus F); asserts F inside E."""
+    assert _contains(larger, smaller)
+    return sum(1 for x in range(_least(larger), smaller[1])
+               if _member(x, larger) and not _member(x, smaller))
+
+
+def blowup_record(small: tuple[int, ...], conductor: int,
+                  lam_members: tuple[int, ...], lam_frontier: int) -> dict:
+    """Every quantity of a blow-up Lambda over S, computed from its definition.
+
+    small lists S's members below the conductor c (members from c on are
+    ignored); Lambda is given by its members below its frontier.  Each set
+    in the result is (members below its frontier, frontier).  The keys are
+    the record's quantity names and the condition members A1-A3, B1, B2 and
+    the bridge.
+    """
+    c = conductor
+    elems = sorted(x for x in small if x < c)  # s_0 = 0 < ... < s_(n-1); s_n = c
+    s = _cofinite(elems, c)
+    norm = ((), 0)
+    k = _cofinite([j for j in range(c) if not _member(c - 1 - j, s)], c)
+    m = _cofinite(elems[1:], c)
+    lam = _cofinite(lam_members, lam_frontier)
+    r_colon = _colon(s, lam)
+    bidual = _colon(s, r_colon)
+    omega = _sum(k, lam)
+    k_colon = _colon(k, lam)
+    # R_i = {x in S : x >= s_i}; r_i = l((S:R_i)/(S:R_(i-1))) for i = 1..n
+    smalls = elems + [c]
+    duals = [_colon(s, _cofinite([x for x in elems if x >= si], c)) for si in smalls]
+    r = [_length(duals[i], duals[i - 1]) for i in range(1, len(smalls))]
+    gamma = tuple(i for i in range(1, len(smalls)) if _member(elems[i - 1], r_colon))
+    outside = tuple(i for i in range(1, len(smalls)) if i not in gamma)
+    i0 = smalls.index(_least(r_colon))
+    r_filter = _cofinite([x for x in elems if x >= smalls[i0]], c)
+    r_star = _colon(s, r_filter)
+    delta = _length(norm, lam)
+    c_lam = lam[1]
+    sum_gamma = sum(r[i - 1] for i in gamma)
+    return {
+        "r_colon_lambda": r_colon, "lam_bidual": bidual, "omega_lambda": omega,
+        "k_colon_lambda": k_colon, "delta_lambda": delta, "gamma_set": gamma,
+        "outside_gamma": outside, "len_r_over_rcolon": _length(s, r_colon), "i0": i0,
+        "r_filter_i0": r_filter, "r_star_i0": r_star, "n_lambda": c_lam - delta,
+        # symmetric: x in Lambda exactly when c_Lambda - 1 - x is not
+        "lambda_gorenstein": all(_member(x, lam) != _member(c_lam - 1 - x, lam)
+                                 for x in range(c_lam)),
+        "lam_is_normalization": lam == norm,
+        "len_bidual_over_lambda": _length(bidual, lam),
+        "len_omega_over_lambda": _length(omega, lam),
+        "len_omega_over_bidual": _length(omega, bidual),
+        "len_rbar_over_omega": _length(norm, omega),
+        "len_rbar_over_bidual": _length(norm, bidual),
+        "len_bidual_over_rstar": _length(bidual, r_star),
+        "sum_gamma": sum_gamma,
+        "sum_not_gamma": sum(r[i - 1] for i in outside),
+        "sum_not_gamma_excess": sum(r[i - 1] - 1 for i in outside),
+        "d": _length(norm, bidual) - sum_gamma,
+        "lam_contains_dual_m": _contains(lam, _colon(s, m)),
+        "a1": _contains(lam, k), "a2": omega == lam, "a3": k_colon == r_colon,
+        "b1": lam == bidual, "b2": k_colon == _sum(k, r_colon),
+        "colon_inside_omega_dual": _contains(_colon(s, k), r_colon),
+    }

@@ -228,18 +228,6 @@ def test_an_incoherent_report_is_an_equivalence_violation(broken):
     assert all(f"{name}={value}" in str(info.value) for name, value in values.items())
 
 
-def test_cross_check_runs_before_the_catalog_only_quantities(monkeypatch):
-    seen = {}
-    monkeypatch.setattr(Analysis, "cross_check", lambda self: seen.update(vars(self)))
-    a = analyze(NumericalSemigroup.from_generators([5, 21, 32, 48]).maximal_ideal())
-    # the pair-only catalog quantities; the Lambda-level ones come whole with the record
-    catalog_only = {"r", "ideal_bidual", "ideal_reflexive", "r_colon_is_power",
-                    "len_rcolon_over_power_nu"}
-    assert {"conditions", "gamma_set", "len_r_over_rcolon", "d"} <= seen.keys()
-    assert not catalog_only & seen.keys()
-    assert catalog_only <= vars(a).keys()
-
-
 def test_almost_gorenstein_forces_the_bridge():
     for gens in [(3, 4), (3, 4, 5), (4, 5, 6, 7), (10, 23, 55, 58, 82)]:
         s = NumericalSemigroup.from_generators(gens)

@@ -275,6 +275,11 @@ def test_non_integer_jobs_variable_is_a_domain_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "SGBLOW_JOBS" in err and "'two'" in err
+    # a non-positive count is no count of workers either
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("SGBLOW_JOBS", raw)
+        assert run(capsys, "verify", "--max-genus", "2") \
+            == (2, "", f"error: SgblowError: SGBLOW_JOBS must be >= 1, got '{raw}'\n")
 
 
 def plant(monkeypatch, error, genus):

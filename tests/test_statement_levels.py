@@ -7,11 +7,12 @@ hands it to every later pair with that Lambda; STATEMENTS[sid](a) itself
 always evaluates afresh.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
-from sgblow.blowup import Analysis
+from sgblow.blowup import Analysis, ConditionsReport
 from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
 from sgblow.errors import InvariantViolation
 from sgblow.fixtures import FIXTURES
@@ -26,25 +27,18 @@ from sgblow.statements import (
 )
 
 from test_blowup import IDEAL_ZOO, pair
-from test_blowup_records import _pairs_sharing_a_blowup
+from test_blowup_records import _key, _pairs_sharing_a_blowup
 
 LAMBDA_IDS = ("Prop4.2", "Prop4.3.1", "Prop4.3.2", "Prop4.3.3", "Prop4.3.4",
               "Thm4.4.1", "Thm4.4.2", "Cor5.2")
 
-# the Analysis attributes copied from a blow-up record, in the record's order:
-# the eight before l(Lambda/R) and the condition members, then the catalog's
-RECORD_FIELDS = (
-    "r_colon_lambda", "lam_bidual", "omega_lambda", "k_colon_lambda", "delta_lambda",
-    "gamma_set", "outside_gamma", "len_r_over_rcolon",
-    "i0", "r_filter_i0", "r_star_i0", "n_lambda", "lambda_gorenstein",
-    "lam_is_normalization", "len_bidual_over_lambda", "len_omega_over_lambda",
-    "len_omega_over_bidual", "len_rbar_over_omega", "len_rbar_over_bidual",
-    "len_bidual_over_rstar", "sum_gamma", "sum_not_gamma", "sum_not_gamma_excess", "d",
-    "lam_contains_dual_m",
-)
-# what else a Lambda-level statement may read: Lambda itself, rho (checked
-# against l(Lambda/R) when the pair is built), r, the ring and S's notation
-LAMBDA_LEVEL = RECORD_FIELDS + ("lam", "c_lambda", "rho", "r", "ring", "s", "c", "delta", "mu")
+# what a Lambda-level statement may read: the blow-up record's fields but the
+# verdict store, Lambda itself, rho (checked against l(Lambda/R) when the pair
+# is built), r, the ring and S's notation
+_SOME_PAIR = Analysis.of(_pairs_sharing_a_blowup()[1])
+_RECORD_FIELDS, _ = _SOME_PAIR.ring.blowups[_key(_SOME_PAIR)]
+LAMBDA_LEVEL = tuple(name for name in _RECORD_FIELDS if name != "lambda_verdicts") + (
+    "lam", "c_lambda", "rho", "r", "ring", "s", "c", "delta", "mu")
 
 
 def _zoo_and_fixture_pairs():
@@ -79,15 +73,32 @@ def test_the_registry_lists_each_statement_with_its_hypothesis_and_level():
             assert STATEMENTS[sid](a).hypotheses_met == met, (sid, e)
 
 
-def test_lambda_level_record_fields_are_the_record():
+def test_lambda_level_record_fields_are_the_record(monkeypatch):
+    # the names a pair assigns itself, one by one; the record's fields arrive
+    # in one update of the instance dict, which bypasses __setattr__
+    own = set()
+
+    def setattr_(self, name, value):
+        own.add(name)
+        object.__setattr__(self, name, value)
+    monkeypatch.setattr(Analysis, "__setattr__", setattr_)
+    # A4-A6 involve the powers of E, so the pair evaluates them
+    pair_conditions = {"a4", "a5", "a6"}
+    report_fields = {f.name for f in dataclasses.fields(ConditionsReport)}
     for e in _zoo_and_fixture_pairs():
+        own.clear()
         a = Analysis.of(e)
-        c = a.conditions
-        # l(Lambda/R) equals rho, and the verdict store is handed on whole
-        assert list(a.ring.blowups[a.lam.bits, a.lam.frontier]) == [
-            *(getattr(a, name) for name in RECORD_FIELDS[:8]), a.rho,
-            c.a1, c.a2, c.a3, c.b1, c.b2, c.colon_inside_omega_dual,
-            *(getattr(a, name) for name in RECORD_FIELDS[8:]), a.lambda_verdicts]
+        fields, conditions = a.ring.blowups[_key(a)]
+        for name, value in fields.items():
+            assert getattr(a, name) is value, (name, e)
+        for name, value in conditions.items():
+            assert getattr(a.conditions, name) == value, (name, e)
+        # no record key is also set by the pair, which would clobber the
+        # record's value or be clobbered by it without a word
+        assert not own & fields.keys(), e
+        assert own | fields.keys() == vars(a).keys(), e
+        assert not pair_conditions & conditions.keys()
+        assert pair_conditions | conditions.keys() == report_fields
 
 
 def test_lambda_level_statements_read_only_lambda_level_quantities():
