@@ -10,18 +10,28 @@ bit i of an ideal's mask is the member min_element + i below its frontier.
 A sum is an OR of shifted masks, a colon quotient an AND of shifted masks
 (computed as the complement of an OR of shifted gap masks), intersection,
 containment and equality are single mask operations, and a length is a bit
-count, so an operation costs O(window * set bits / word size) at worst.
+count.
+
+Every ideal F over S is the least member of F in each residue class mod the
+multiplicity m, plus multiples of m (its Apery form), so E + F is the union
+of E + x and E : F the intersection of E - x over at most m members x of F,
+whatever the window.  + and colon drop from the shift operand, with one
+mask, every member x whose x - m is a member too, and walk the rest from the
+lowest set bit: at most m shifts of a window-sized int per operation.  That
+needs the shifted operand of + and the dividend of colon closed under S.
+Every ValueIdeal is, so validating an unchecked window must not run through
++: it tests E + g inside E for each minimal generator g of S, one mask each.
 
 On small windows the fixed cost of each call dominates, so the hot
-operations are written to keep it to a few int operations: + and colon walk
-the set bits of one operand a byte at a time, through a table of each byte
-value's set bits; intersection, containment and lengths build both windows in one
-expression; a carrier check tests identity before equality; and _of is the
-one canonicalization routine.  In the benchmark's traced pass (times at the
-nominal speed of its reference slice; 2-core VM, Python 3.11.7) a sum or a
-colon takes about 3 us and a length about 1.5 us on the windows of a few
-dozen bits of the wide-all workload, and about 13 us and 2 us on the windows
-of up to a few hundred bits of large-conductor.
+operations are written to keep it to a few int operations: intersection,
+containment and lengths build both windows in one expression; a carrier
+check tests identity before equality; and _of is the one canonicalization
+routine.  In the benchmark's traced pass (times at the nominal speed of its
+reference slice; 2-core VM, Python 3.11.7) the median sum or colon takes
+about 3 us and a length about 1.6 us on the windows of a few dozen bits of
+the wide-all workload, and about 12 us and 3 us on the windows of up to a
+few hundred bits of large-conductor.  `sgblow analyze` on m over <300,301>
+(windows of about 90,000 bits) takes about 3 s.
 
 Lengths of quotients of monomial modules equal gap counts between value
 sets, which is why plain counting on windows computes true module lengths.
@@ -39,13 +49,11 @@ from .errors import (
     NotClosed,
     NotCofinite,
     NotNested,
+    WindowTooLarge,
     ZeroMissing,
 )
 
 
-# the set bits of each byte value: + and colon walk a mask one byte at a
-# time, with no arithmetic per set bit beyond its one shift
-_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 # binary digits "0"/"1" as the bytes 0/1 that itertools.compress selects on
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
@@ -87,12 +95,13 @@ class NumericalSemigroup:
     """A numerical semigroup in canonical form.
 
     bits holds the members below the conductor c; everything from c on is a
-    member.  small_elements lists S up to and including c.  Instances are
+    member.  small_elements lists S up to and including c, and multiplicity
+    is the least positive member (1 for N).  Instances are
     immutable and hashable, and built by from_generators, from_explicit or
     natural_numbers, which all end in _of_mask.
     """
 
-    __slots__ = ("bits", "conductor", "genus", "min_generators")
+    __slots__ = ("bits", "conductor", "genus", "multiplicity", "min_generators")
 
     # -- construction ------------------------------------------------------
 
@@ -103,6 +112,9 @@ class NumericalSemigroup:
         s.bits = bits
         s.conductor = conductor
         s.genus = conductor - bits.bit_count()
+        # + and colon read the multiplicity, so it comes before the generators
+        positive = bits & ~1
+        s.multiplicity = (positive & -positive).bit_length() - 1 if positive else max(conductor, 1)
         s.min_generators = s._maximal().minimal_generators()
         return s
 
@@ -122,7 +134,10 @@ class NumericalSemigroup:
             raise NotCofinite(f"gcd of generators is {math.gcd(*gens)}, complement is infinite")
         # Schur's bound c <= (min - 1)(max - 1) keeps the conductor inside the window
         width = gens[0] * gens[-1]
-        member = _closure(1, width, gens)
+        try:
+            member = _closure(1, width, gens)
+        except OverflowError:
+            raise WindowTooLarge(width, f"the generators' window {gens[0]} * {gens[-1]}") from None
         conductor = (~member & ((1 << width) - 1)).bit_length()
         return cls._of_mask(member & ((1 << conductor) - 1), conductor)
 
@@ -155,12 +170,6 @@ class NumericalSemigroup:
     @property
     def small_elements(self) -> tuple[int, ...]:
         return _positions(self.bits) + (self.conductor,)
-
-    @property
-    def multiplicity(self) -> int:
-        """Least positive element."""
-        positive = self.bits & ~1
-        return (positive & -positive).bit_length() - 1 if positive else max(self.conductor, 1)
 
     @property
     def embedding_dimension(self) -> int:
@@ -273,7 +282,13 @@ class ValueIdeal:
     # -- canonical-form bookkeeping ----------------------------------------
 
     def _closed_under_carrier(self) -> bool:
-        return self + self.carrier.as_ideal() == self
+        """E + g lies in E for every minimal generator g of S.
+
+        One mask per generator, exact for any window, and independent of +,
+        whose cut assumes its shifted operand closed under S already.
+        """
+        gaps = ((1 << (self.frontier - self.min_element)) - 1) & ~self.bits
+        return not any((self.bits << g) & gaps for g in self.carrier.min_generators)
 
     def _closure_witness(self) -> tuple[int, int]:
         # any s of S from frontier - min_element on sends every member to the tail
@@ -313,9 +328,12 @@ class ValueIdeal:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ValueIdeal") -> "ValueIdeal":
-        """Sumset {e + f}: the OR of one window shifted by each member of the other.
+        """Sumset {e + f}: the OR of F's window shifted by the least member of
+        E in each residue class mod the multiplicity m, at most m shifts.
 
-        All from min E + frontier F and from frontier E + min F on are sums.
+        F must be closed under S (every ideal is): then F + x + m lies in
+        F + x, so a member x + m of E adds nothing.  All from min E +
+        frontier F and from frontier E + min F on are sums.
         """
         carrier = self.carrier
         if carrier is not other.carrier and carrier != other.carrier:
@@ -323,15 +341,13 @@ class ValueIdeal:
         width = min(self.frontier - self.min_element, other.frontier - other.min_element)
         window = (1 << width) - 1
         shifts, shifted = self.bits & window, other.bits & window
-        if shifts.bit_count() > shifted.bit_count():
-            shifts, shifted = shifted, shifts
+        # keep each member x whose x - m is not a member
+        shifts &= ~(shifts << carrier.multiplicity)
         bits = 0
-        offset = 0
-        for byte in shifts.to_bytes((shifts.bit_length() + 7) >> 3, "little"):
-            if byte:
-                for i in _BYTE_BITS[byte]:
-                    bits |= shifted << (offset + i)
-            offset += 8
+        while shifts:
+            low = shifts & -shifts
+            bits |= shifted << (low.bit_length() - 1)
+            shifts ^= low
         base = self.min_element + other.min_element
         return ValueIdeal._of(carrier, base, bits, base + width)
 
@@ -339,7 +355,10 @@ class ValueIdeal:
         """Exact colon quotient {z : z + other is contained in self}.
 
         z is rejected when z + f is a gap of self for a member f of other's
-        window, or when z + frontier of other < frontier of self.
+        window, or when z + frontier of other < frontier of self.  Only the
+        least f in each residue class mod the multiplicity m is tried, at
+        most m shifts: self must be closed under S (every ideal is), so
+        z + f in self puts z + f + m in self too.
         """
         carrier = self.carrier
         if carrier is not other.carrier and carrier != other.carrier:
@@ -350,12 +369,11 @@ class ValueIdeal:
         short = width - (other.frontier - other.min_element)
         rejected = (1 << short) - 1 if short > 0 else 0
         shifts = other.bits & window
-        offset = 0
-        for byte in shifts.to_bytes((shifts.bit_length() + 7) >> 3, "little"):
-            if byte:
-                for i in _BYTE_BITS[byte]:
-                    rejected |= gaps >> (offset + i)
-            offset += 8
+        shifts &= ~(shifts << carrier.multiplicity)
+        while shifts:
+            low = shifts & -shifts
+            rejected |= gaps >> (low.bit_length() - 1)
+            shifts ^= low
         base = self.min_element - other.min_element
         return ValueIdeal._of(carrier, base, ~rejected, base + width)
 

@@ -20,6 +20,17 @@ class NotCofinite(SgblowError):
     """The generated set has infinite complement (gcd of generators is not 1)."""
 
 
+class WindowTooLarge(SgblowError):
+    """A semigroup's window of bits is too wide for an integer bitmask.
+
+    Attribute width is the number of bits the window would need.
+    """
+
+    def __init__(self, width: int, what: str):
+        self.width = width
+        super().__init__(f"{what} spans {width} bits, too many to represent")
+
+
 class ZeroMissing(SgblowError):
     """An explicit semigroup description does not contain 0."""
 

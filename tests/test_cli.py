@@ -250,7 +250,11 @@ def test_domain_errors_exit_two(capsys):
             (("analyze", "<3,4>", "--ideal", "ideal(3)"),
              "PrincipalIdeal: ideal generated by 3 alone is principal"),
             (("analyze", "<3,4>", "--ideal", "ideal(0,3)"),
-             "NotProper: blow-up analysis wants an ideal inside the maximal ideal")):
+             "NotProper: blow-up analysis wants an ideal inside the maximal ideal"),
+            # a window past what a shift can address, not an OverflowError
+            (("analyze", "<99999999999999999999999999,2>"),
+             "WindowTooLarge: the generators' window 2 * 99999999999999999999999999"
+             " spans 199999999999999999999999998 bits, too many to represent")):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

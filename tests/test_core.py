@@ -12,6 +12,7 @@ from sgblow.errors import (
     NotClosed,
     NotCofinite,
     NotNested,
+    WindowTooLarge,
     ZeroMissing,
 )
 
@@ -109,6 +110,11 @@ def test_construction_errors():
     with pytest.raises(NotClosed) as err:
         NumericalSemigroup.from_explicit((0, 3), 10)
     assert (err.value.a, err.value.b) == (3, 3)
+    # Schur's window gens[0] * gens[-1] is more bits than a shift can address
+    huge = 10 ** 26 + 1
+    with pytest.raises(WindowTooLarge) as err:
+        NumericalSemigroup.from_generators([huge, 2])
+    assert err.value.width == 2 * huge
     for build, error, message in (
             (lambda: NumericalSemigroup.from_generators([0, 3]), EmptyGenerators,
              "generators must be positive, got 0"),

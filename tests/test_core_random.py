@@ -1,11 +1,13 @@
 """Randomized differential test of the core against the plain-set oracles.
 
 Seeded semigroups with conductors up to about 300 and ideals with negative
-and positive minima give windows far wider than one machine word.  Every
-ideal over S with least member m is full from m + c on, so each check
-compares memberships over a finite window that covers everything below the
-point where both sides are full, and asserts that the library's result is
-full from there on as well.
+and positive minima give windows far wider than one machine word; a fixed
+list with conductors up to 3000 and ideals with up to e generators, one per
+residue class mod the multiplicity e, covers the windows of thousands of
+bits where + and colon shift once per class.  Every ideal over S with least
+member m is full from m + c on, so each check compares memberships over a
+finite window that covers everything below the point where both sides are
+full, and asserts that the library's result is full from there on as well.
 """
 
 import math
@@ -14,7 +16,7 @@ import random
 import pytest
 
 from sgblow.core import NumericalSemigroup, ValueIdeal, _positions, length_between
-from sgblow.errors import NotNested
+from sgblow.errors import NotClosed, NotNested
 from sgblow.invariants import bidual
 
 from oracles import (
@@ -136,6 +138,54 @@ def check_pair(a, ma, ra, b, mb, rb, c):
         assert err.value.witness not in wa
 
 
+LARGE_SEMIGROUPS = ([3, 1000], [5, 1201, 1502], [9, 350, 361], [11, 250, 301],
+                    [23, 67, 131], [31, 170, 289, 397], [41, 50])
+
+
+def full_window(values: set[int], hi: int, pad: int) -> set[int]:
+    """A set exact below hi and full from hi on, listed up to hi + pad."""
+    return values | set(range(hi, hi + pad))
+
+
+@pytest.mark.parametrize("sgens", LARGE_SEMIGROUPS, ids=lambda g: "<" + ",".join(map(str, g)) + ">")
+def test_large_windows_against_oracles(sgens):
+    rng = random.Random(sum(sgens))
+    s = NumericalSemigroup.from_generators(sgens)
+    c, e = s.conductor, sgens[0]
+    bound = sgens[0] * sgens[-1]
+    members = closure_from_generators(sgens, bound)
+    assert c == max(set(range(bound)) - members) + 1
+    small, pad = tuple(sorted(x for x in members if x < c)) + (c,), max(sgens)
+    assert s.small_elements == small
+    assert s.min_generators == tuple(sgens)
+
+    def mingens(values, hi):
+        # x is in E + M exactly when x - g is in E for a minimal generator g of S
+        return minimal_generators_of_ideal(full_window(values, hi, pad), set(sgens))
+
+    ideals = []
+    for _ in range(2):
+        classes = rng.sample(range(e), rng.randint(2, e))
+        gens = [r + e * rng.randrange((c + 2 * e) // e) for r in classes]
+        gens = [g + rng.randint(-c, c) - min(gens) for g in gens] if ideals else gens
+        ideal, m = ValueIdeal.generated_by(s, gens), min(gens)
+        full = ideal_set(small, c, gens, m + c + 1)
+        assert window(ideal, m, m + c + 1) == full
+        assert set(ideal.minimal_generators()) == mingens(full, m + c + 1)
+        ideals.append((ideal, m, full))
+    (a, ma, ra), (b, mb, rb) = ideals
+    lo, hi = ma + mb, ma + mb + c + 1
+    total = sumset(ra, rb, hi)
+    # each order shifts the other operand
+    assert window(a + b, lo, hi) == total == window(b + a, lo, hi)
+    assert set((a + b).minimal_generators()) == mingens(total, hi)
+    for (x, mx, rx), (y, my, ry) in ((ideals[0], ideals[1]), (ideals[1], ideals[0])):
+        lo, hi = mx - my, mx - my + c + 1
+        quotient = colon(full_window(rx, mx + c + 1, c + 1), ry, lo, hi, my + c)
+        assert window(x.colon(y), lo, hi) == quotient
+        assert set(x.colon(y).minimal_generators()) == mingens(quotient, hi)
+
+
 def test_set_bit_positions_match_a_plain_bit_loop():
     rng = random.Random(2006)
     masks = [0, 1, 2, 3, 255, 256, (1 << 600) - 1, 1 << 599]
@@ -145,3 +195,36 @@ def test_set_bit_positions_match_a_plain_bit_loop():
             expected = tuple(base + i for i in range(bits.bit_length()) if bits >> i & 1)
             assert _positions(bits, base) == expected
     assert _positions(0) == ()
+
+
+def test_validation_accepts_exactly_the_closed_windows():
+    # + and colon assume an operand closed under S, so the check of an
+    # unchecked window must not run through them: dense random windows are
+    # often closed under some members of S but not under the multiplicity
+    rng = random.Random(21)
+    outcomes = {True: 0, False: 0}
+    for gens in ([3, 5], [4, 7], [5, 7, 9], [6, 7, 8, 9, 10, 11]):
+        s = NumericalSemigroup.from_generators(gens)
+        c = s.conductor
+        in_s = closure_from_generators(gens, 4 * c + 40)
+        for case in range(1500):
+            lo = rng.randint(-c - 5, c + 5)
+            frontier = lo + rng.randint(1, 3 * c + 12)
+            density = rng.choice([0.3, 0.6, 0.8, 0.9, 0.95])
+            listed = {x for x in range(lo, frontier) if rng.random() < density}
+            if case % 3 == 0:
+                # a true ideal's window with one member dropped
+                whole = ValueIdeal.generated_by(s, rng.sample(range(lo, lo + c + 6), 2))
+                frontier = whole.frontier + rng.randint(0, 6)
+                listed = set(whole.elements_below(frontier))
+                listed.discard(rng.choice(sorted(listed)))
+            closed = all(x + y >= frontier or x + y in listed
+                         for x in listed for y in in_s if x + y < frontier)
+            try:
+                ValueIdeal(s, listed, frontier)
+                accepted = True
+            except NotClosed:
+                accepted = False
+            assert accepted == closed, (gens, sorted(listed), frontier)
+            outcomes[closed] += 1
+    assert min(outcomes.values()) > 300, outcomes
