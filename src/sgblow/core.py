@@ -152,14 +152,17 @@ class NumericalSemigroup:
             raise ZeroMissing("0 must be a member")
         if mem and max(mem) > arrow:
             raise NotCofinite(f"member {max(mem)} lies beyond the tail start {arrow}")
-        below = _mask((x for x in mem if x < arrow), 0)
-        for a in _positions(below >> 1, 1):
-            # members b >= a with a + b below the arrow but missing;
-            # sums landing in the tail need no check
-            missing = below & ~(below >> a) & _ones(arrow - a) & ~_ones(a)
-            if missing:
-                raise NotClosed(a, (missing & -missing).bit_length() - 1)
-        conductor = (~below & _ones(arrow)).bit_length()
+        try:
+            below = _mask((x for x in mem if x < arrow), 0)
+            for a in _positions(below >> 1, 1):
+                # members b >= a with a + b below the arrow but missing;
+                # sums landing in the tail need no check
+                missing = below & ~(below >> a) & _ones(arrow - a) & ~_ones(a)
+                if missing:
+                    raise NotClosed(a, (missing & -missing).bit_length() - 1)
+            conductor = (~below & _ones(arrow)).bit_length()
+        except OverflowError:
+            raise WindowTooLarge(arrow, f"the window below the tail start {arrow}") from None
         return cls._of_mask(below & ((1 << conductor) - 1), conductor)
 
     # -- queries -----------------------------------------------------------
@@ -305,8 +308,12 @@ class ValueIdeal:
         if not vals:
             raise EmptyGenerators("an ideal needs at least one generator")
         bits = 0
-        for v in vals:
-            bits |= carrier.bits << (v - vals[0])
+        try:
+            for v in vals:
+                bits |= carrier.bits << (v - vals[0])
+        except OverflowError:
+            hi = vals[-1] + carrier.conductor
+            raise WindowTooLarge(hi - vals[0], f"the ideal's window from {vals[0]} to {hi}") from None
         return cls._of(carrier, vals[0], bits, vals[0] + carrier.conductor)
 
     # -- membership and iteration ------------------------------------------

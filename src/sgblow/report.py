@@ -8,8 +8,13 @@ timestamps) so equal documents produce byte-identical text.
 
 `dumps_document` writes that text with a writer shaped for the document
 values: exact-type dispatch, strings through the C routine `json` itself
-uses, each all-integer list in a single join, and for a dict its keys (not
-its items) sorted and its None, boolean and string values written in place.
+uses, and each all-integer or all-boolean list in a single join.  A dict is
+written from a layout cached per key tuple and indent: its sorted key order
+(or none, when the keys were inserted sorted) and a %-template holding the
+encoded keys, separators and indents, filled once with the texts of its
+values, of which only containers recurse.  Layouts are keyed by shape
+alone, never by values, so one analyze document already reuses the layout
+of its 50 verdict records.
 A value outside the document domain, and any dict with a key that is not a
 str, is handed to `json.dumps` itself and its text re-indented in place, so
 the output (or the exception) is that of
@@ -18,7 +23,7 @@ tests hold it to.  Only a cycle through plain lists or dicts differs: it
 raises RecursionError where json raises ValueError.
 
 `verdict_document` builds each verdict record with its keys already in
-sorted order, which the writer's sort then finds in place, and keeps its
+sorted order, so the writer takes its values as inserted, and keeps its
 None, bool, int and str values unconverted: only tuples, dicts and any
 other value go through `jsonable`.
 """
@@ -26,6 +31,7 @@ other value go through `jsonable`.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _string
 
 from .blowup import Analysis
@@ -123,8 +129,32 @@ def dumps_document(doc: dict) -> str:
     return _encode(doc, "\n") + "\n"
 
 
+@lru_cache(maxsize=256)
+def _layout(keys: tuple, nl: str) -> tuple[tuple | None, str]:
+    """How a dict with these keys, in this insertion order, is written at nl.
+
+    Returns the sorted keys (None when the insertion order is sorted
+    already) and a %-template of the dict's text with one %s per value in
+    that order: each key's JSON string ("%" escaped as "%%"), the
+    separators and the indents.  A key that is not a str raises TypeError.
+    """
+    order = tuple(sorted(keys))
+    inner = nl + "  "
+    template = "{" + inner + ("," + inner).join(
+        [_string(k).replace("%", "%%") + ": %s" for k in order]) + nl + "}"
+    return (None if order == keys else order), template
+
+
+_BOOL_TEXT = {False: "false", True: "true"}
+
+
 def _encode(o, nl: str) -> str:
-    """JSON text of `o`, whose own lines start with `nl` (newline + indent)."""
+    """JSON text of `o`, whose own lines start with `nl` (newline + indent).
+
+    A dict is its shape's cached layout filled with its values' texts, the
+    None, bool, str and int ones written in place; a list whose items are
+    all int or all bool is one join.
+    """
     t = type(o)
     if t is str:
         return _string(o)
@@ -135,22 +165,25 @@ def _encode(o, nl: str) -> str:
             return "{}" if t is dict else "[]"
         inner = nl + "  "
         if t is not dict:
-            if set(map(type, o)) == {int}:
+            types = set(map(type, o))
+            if types == {int}:
                 body = map(int.__repr__, o)
+            elif types == {bool}:
+                body = map(_BOOL_TEXT.__getitem__, o)
             else:
                 body = [_encode(x, inner) for x in o]
             return "[" + inner + ("," + inner).join(body) + nl + "]"
         try:
-            body = [_string(k) + ": " + ("null" if (v := o[k]) is None
-                                         else "true" if v is True
-                                         else "false" if v is False
-                                         else _string(v) if type(v) is str
-                                         else _encode(v, inner))
-                    for k in sorted(o)]
+            order, template = _layout(tuple(o), nl)
+            return template % tuple([
+                "null" if v is None else "true" if v is True
+                else "false" if v is False
+                else _string(v) if (tv := type(v)) is str
+                else int.__repr__(v) if tv is int
+                else _encode(v, inner)
+                for v in (o.values() if order is None else map(o.__getitem__, order))])
         except TypeError:  # a key that is not a str, or a bad value below
             pass
-        else:
-            return "{" + inner + ("," + inner).join(body) + nl + "}"
     elif o is None:
         return "null"
     elif t is bool:

@@ -254,7 +254,13 @@ def test_domain_errors_exit_two(capsys):
             # a window past what a shift can address, not an OverflowError
             (("analyze", "<99999999999999999999999999,2>"),
              "WindowTooLarge: the generators' window 2 * 99999999999999999999999999"
-             " spans 199999999999999999999999998 bits, too many to represent")):
+             " spans 199999999999999999999999998 bits, too many to represent"),
+            (("analyze", "{0,99999999999999999999999999->}"),
+             "WindowTooLarge: the window below the tail start 99999999999999999999999999"
+             " spans 99999999999999999999999999 bits, too many to represent"),
+            (("analyze", "<2,3>", "--ideal", "ideal(2,99999999999999999999999999)"),
+             "WindowTooLarge: the ideal's window from 2 to 100000000000000000000000001"
+             " spans 99999999999999999999999999 bits, too many to represent")):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -115,6 +115,16 @@ def test_construction_errors():
     with pytest.raises(WindowTooLarge) as err:
         NumericalSemigroup.from_generators([huge, 2])
     assert err.value.width == 2 * huge
+    # so are an explicit set's window below its tail and an ideal's window
+    with pytest.raises(WindowTooLarge) as err:
+        NumericalSemigroup.from_explicit((0,), huge)
+    assert err.value.width == huge
+    with pytest.raises(WindowTooLarge) as err:
+        NumericalSemigroup.from_explicit((0, 5, huge - 1), huge)
+    assert err.value.width == huge
+    with pytest.raises(WindowTooLarge) as err:
+        ValueIdeal.generated_by(NumericalSemigroup.from_generators([2, 3]), (2, huge))
+    assert err.value.width == huge
     for build, error, message in (
             (lambda: NumericalSemigroup.from_generators([0, 3]), EmptyGenerators,
              "generators must be positive, got 0"),

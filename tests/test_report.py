@@ -10,6 +10,7 @@ import pytest
 from sgblow.cli import main
 from sgblow.core import NumericalSemigroup, ValueIdeal
 from sgblow.report import (
+    _layout,
     analysis_document,
     dumps_document,
     jsonable,
@@ -127,8 +128,9 @@ def reference(value):
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
-# quotes, backslashes, control characters, non-ASCII, astral code points
-CHARS = 'ab Z09"\\/\x00\x07\b\t\n\x0c\r\x1f\x7f\xe9\u20ac\u2028\U0001d516\U0001f600'
+# quotes, backslashes, control characters, non-ASCII, astral code points,
+# and the characters of %-formatting
+CHARS = 'ab Z09"\\/\x00\x07\b\t\n\x0c\r\x1f\x7f\xe9\u20ac\u2028\U0001d516\U0001f600%(s)'
 INTS = (0, 1, -1, 7, -42, 2**31, 2**63 - 1, 2**64, -(2**64) - 3, 10**30)
 
 
@@ -168,6 +170,40 @@ def test_writer_matches_json_dumps_on_random_documents():
     fixed = [{}, [], (), [[]], [{}], {"": []}, [1, True, 2], [False],
              [0, -1, 2**64], (3, 4), {"b": 1, "a": {"d": (), "c": [None]}}]
     for doc in fixed + [random_value(rng, 4) for _ in range(3000)]:
+        assert dumps_document(doc) == reference(doc)
+
+
+def test_keys_with_percent_signs_are_written_as_json_dumps_writes_them():
+    keys = ["%", "%%", "%s", "%(x)s", "%(", "a%d", "%%s%"]
+    docs = [dict.fromkeys(keys, 1), {k: {k: [k, None]} for k in reversed(keys)},
+            [{k: True, "z": k} for k in keys]]
+    for doc in docs:
+        assert dumps_document(doc) == reference(doc)
+
+
+def test_one_key_set_in_every_order_at_every_depth():
+    keys = ["statement_id", "holds", "b", "a", "Z", "\xe9", ""]
+    rng = random.Random(7)
+    orders = [keys, sorted(keys), sorted(keys, reverse=True)]
+    orders += [rng.sample(keys, len(keys)) for _ in range(5)]
+    for order in orders:
+        record = {k: i for i, k in enumerate(order)}
+        nested = record
+        for depth in range(4):
+            nested = {"n": [nested, dict(reversed(list(record.items())))]}
+            assert dumps_document(nested) == reference(nested)
+    # more distinct shapes than the layout cache holds, then the first again
+    first = {"k0": 0, "b": [1]}
+    more = _layout.cache_info().maxsize + 1
+    shapes = [{f"k{i}": i, "b": [i]} for i in range(more)] + [first]
+    assert dumps_document(shapes) == reference(shapes)
+    assert dumps_document(first) == reference(first)
+
+
+def test_bool_lists_and_mixed_int_lists():
+    docs = [[True], [False, True, False], {"b": [True, True], "c": [False]},
+            [True, 1, False], [1, False, 2], [0, 1, True], [[False], [0, True]]]
+    for doc in docs:
         assert dumps_document(doc) == reference(doc)
 
 
