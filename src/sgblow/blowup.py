@@ -42,9 +42,10 @@ calls it on a miss, once both routes to Lambda agree, and stores what it
 returns, so a Lambda whose build raises is never cached and raises again on
 every pair with it.  A record is two dicts, fields keyed by Analysis
 attribute and conditions keyed by ConditionsReport field.  One field is
-the verdict store a.lambda_verdicts, which statements.verify_many fills
-after the pair's cross_check with the Lambda-level verdicts every pair
-with this Lambda shares.
+the verdict store a.lambda_verdicts: statements.verify_many, walking the
+requested ids once per pair after the pair's cross_check, reads each
+Lambda-level verdict from it or makes the verdict and puts it there, so
+every pair with this Lambda shares it.
 
 The error contract: _check_proper is the pair's input check, and its
 NotProper and PrincipalIdeal are domain errors (exit 2).  Any failure after
@@ -56,6 +57,7 @@ of which EquivalenceViolation is one kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .core import ValueIdeal, _closure, length_between
 from .errors import (
@@ -100,8 +102,12 @@ class HPolynomial:
     def of(cls, a: "Analysis") -> "HPolynomial":
         """From the Hilbert function, nu and rho of a pair's analysis."""
         hs = a.hilbert
-        coeffs = (hs[0],) + tuple(hs[i] - hs[i - 1] for i in range(1, a.nu + 1))
-        return cls(coefficients=coeffs, hilbert=hs, e=a.e, nu=a.nu, rho=a.rho)
+        coeffs = (hs[0],) + tuple(map(sub, hs[1:], hs))
+        # one update of the instance dict, where the frozen __init__ would set
+        # each field through object.__setattr__
+        h = cls.__new__(cls)
+        vars(h).update(coefficients=coeffs, hilbert=hs, e=a.e, nu=a.nu, rho=a.rho)
+        return h
 
     @_lazy
     def symmetric(self) -> bool:
@@ -278,8 +284,10 @@ class Analysis:
             k = rg.k
             self.ideal_omega = k_e = rg.m_plus_k if self.is_max_ideal else e + k
             k_nu = k_e if nu == 1 else k + p_nu
-            self.conditions = ConditionsReport(
-                **conditions, a4=self._holds_a4(k_nu), a5=k_nu == p_nu,
+            # one update of the instance dict, as in HPolynomial.of
+            self.conditions = report = ConditionsReport.__new__(ConditionsReport)
+            vars(report).update(
+                conditions, a4=self._holds_a4(k_nu), a5=k_nu == p_nu,
                 a6=(k_e == e or k_nu == p_nu
                     or any((k + powers[n]) == powers[n] for n in range(2, nu))))
             self.cross_check()

@@ -185,6 +185,9 @@ def format_cofinite_set(members: Sequence[int], tail_from: int) -> str:
 
 def format_ideal(e: ValueIdeal) -> str:
     """Canonical generator form; the maximal ideal prints as such."""
-    if e == e.carrier.maximal_ideal():
+    s = e.carrier
+    m = s.multiplicity
+    # the canonical fields of M = S minus 0, read off S without building M
+    if e.min_element == m and e.frontier == max(s.conductor, 1) and e.bits == s.bits >> m:
         return "m"
     return "ideal(" + ",".join(map(str, e.minimal_generators())) + ")"

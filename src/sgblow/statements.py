@@ -1,17 +1,30 @@
 """Catalog of checkable identities tying type sequences to blow-up data.
 
 Each statement is declared once, by one _statement registration that
-names its id, its hypothesis, its notes and its level and wraps its
-conclusion.  The hypothesis and the conclusion are functions of a shared
-Analysis bundle (ring-level quantities on its a.ring); the conclusion
-returns (ok, lhs, rhs).  STATEMENTS maps each id, in catalog order, to a
-function of the bundle that returns a TheoremVerdict: held, failed, or
-vacuous when the hypothesis is not met; HYPOTHESES and LEVELS map each id
-to its hypothesis (None for none) and its level.  A verdict is an immutable
-tuple record, and the vacuous verdict of a statement is one shared object,
-built at registration.  Inequalities and identities are evaluated in exact
-integer arithmetic; fractional forms are cross-multiplied so nothing ever
-rounds.
+names its id, its hypothesis, its notes and its level and registers its
+conclusion.  A hypothesis is a tuple of conjunct names, read in order
+with the short-circuit of "and"; CONJUNCTS maps each name (like "E = m" or
+"nu = 2") to a predicate.  Conjuncts and conclusions are functions of a
+shared Analysis bundle (ring-level quantities on its a.ring); a conclusion
+returns (ok, lhs, rhs).  The registry maps each id, in catalog order:
+REQUIRES to its conjunct names, HYPOTHESES to their conjunction as one
+callable (None for none), CONCLUSIONS to its conclusion, NOTES to its notes
+(text, or a function of the bundle), LEVELS to its level, and STATEMENTS to
+a function of the bundle that returns its TheoremVerdict: held, failed, or
+vacuous when a conjunct fails.  A verdict is an immutable tuple record, and
+the vacuous verdict of a statement is one shared object, built at
+registration.  Inequalities and identities are evaluated in exact integer
+arithmetic; fractional forms are cross-multiplied so nothing ever rounds.
+
+One routine, _walk, makes every verdict, and wraps every error, for a
+list of ids over one pair.  verify_many walks the requested ids once per
+pair: it decides each hypothesis once, at the first statement that has
+it, and evaluates each conjunct once, at the first place the hypotheses
+read one by one with "and" would read it, so the short-circuits and the
+first error raised are those of evaluating each statement in turn.  A
+statement whose hypothesis fails gets its vacuous verdict without any
+call; any other calls its conclusion directly.  STATEMENTS[sid] walks sid
+alone, so both give the same verdicts and raise the same first error.
 
 A statement is "pair"-level unless it reads only what is one per
 (S, Lambda): the blow-up record's quantities, rho (checked against
@@ -27,7 +40,7 @@ A bare group id like "Thm4.7" expands to all of its parts.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .blowup import Analysis
@@ -62,77 +75,164 @@ class TheoremVerdict(NamedTuple):
     __hash__ = tuple.__hash__
 
 
+def _bidual_contains_k(a: Analysis) -> bool:
+    hyp = a.lam_bidual.contains(a.ring.k)
+    if hyp != a.ring.r_colon_omega.contains(a.r_colon_lambda):
+        raise InvariantViolation("the two hypothesis forms must agree")
+    return hyp
+
+
+def _colon_integrally_closed(a: Analysis) -> bool:
+    closed = integral_closure(a.r_colon_lambda) == a.r_colon_lambda
+    if closed != (a.r_colon_lambda == a.r_filter_i0):
+        raise InvariantViolation("integral closedness of the colon must mean "
+                                 "it is a full value filter")
+    return closed
+
+
+# every conjunct a hypothesis may name; the last two are Lambda-level and
+# check a second form of themselves
+CONJUNCTS: dict[str, Callable[[Analysis], bool]] = {
+    "E = m": lambda a: a.is_max_ideal,
+    "almost Gorenstein": lambda a: a.ring.ring_class.almost_gorenstein,
+    "Gorenstein": lambda a: a.ring.ring_class.gorenstein,
+    "H symmetric": lambda a: a.h.symmetric,
+    "E reflexive": lambda a: a.ideal_reflexive,
+    "R:Lambda = nuE": lambda a: a.r_colon_is_power,
+    "e = mu": lambda a: a.e == a.mu,
+    "e = mu + 1": lambda a: a.e == a.mu + 1,
+    "e = 2mu": lambda a: a.e == 2 * a.mu,
+    "r = e - 2": lambda a: a.r == a.e - 2,
+    "r = 2": lambda a: a.r == 2,
+    "nu = 2": lambda a: a.nu == 2,
+    "nu = 3": lambda a: a.nu == 3,
+    "K in Lambda**": _bidual_contains_k,
+    "R:Lambda integrally closed": _colon_integrally_closed,
+}
+
 STATEMENTS: dict[str, Callable[[Analysis], TheoremVerdict]] = {}
+REQUIRES: dict[str, tuple[str, ...]] = {}
 HYPOTHESES: dict[str, Callable[[Analysis], bool] | None] = {}
+CONCLUSIONS: dict[str, Callable[[Analysis], tuple]] = {}
+NOTES: dict[str, str | Callable[[Analysis], str]] = {}
 LEVELS: dict[str, str] = {}
+# A walk keeps its state on a pair in a list of slots, None until decided
+# (_UNDECIDED, below the catalog).  Slot 0 is the empty hypothesis, always
+# met; slot i is the i-th conjunct of CONJUNCTS, which is also the
+# hypothesis of that conjunct alone; each hypothesis of several conjuncts
+# has a slot after those.  _SLOT_CONJUNCTS lists the (slot, name) of each
+# slot's conjuncts, in order.
+_SLOTS: dict[tuple[str, ...], int] = {(): 0} | {(name,): i for i, name in enumerate(CONJUNCTS, 1)}
+_SLOT_CONJUNCTS: list[tuple[tuple[int, str], ...]] = [()] + [
+    ((i, name),) for i, name in enumerate(CONJUNCTS, 1)]
+# per statement: its hypothesis's slot, whether it is Lambda-level, its one
+# vacuous verdict and its conjunct names
+_ENTRIES: dict[str, tuple[int, bool, TheoremVerdict, tuple[str, ...]]] = {}
+_new_tuple = tuple.__new__
 
 
-def _statement(sid: str, hypothesis: Callable[[Analysis], bool] | None = None,
+def _statement(sid: str, hypothesis: tuple[str, ...] = (),
                notes: str | Callable[[Analysis], str] = "", level: str = "pair"):
     """Register a conclusion a -> (ok, lhs, rhs) as the statement sid.
 
-    STATEMENTS[sid](a) is the statement's one vacuous verdict when
-    hypothesis(a) is false, and otherwise a held or failed verdict that
-    carries lhs, rhs and the notes, which may be a function of a.  No
-    hypothesis means the statement applies to every pair.  The hypothesis
-    goes to HYPOTHESES[sid] and the level to LEVELS[sid]: "lambda" declares
-    that hypothesis, conclusion and notes read only the blow-up record's
-    quantities, rho, r, a.ring and the notation of S, so that the verdict
-    is one per (S, Lambda); "pair" is every other statement.  A SgblowError
-    from the hypothesis, the conclusion or the notes is a bug on the pair
-    and leaves as an InvariantViolation that names sid; an
-    InvariantViolation, or any error outside SgblowError, passes unchanged.
+    hypothesis names the conjuncts, in the order "and" reads them; none
+    means the statement applies to every pair.  STATEMENTS[sid](a) is the
+    statement's one vacuous verdict when a conjunct is false, and otherwise
+    a held or failed verdict that carries lhs, rhs and the notes, which may
+    be a function of a.  "lambda" as the level declares that conjuncts,
+    conclusion and notes read only the blow-up record's quantities, rho, r,
+    a.ring and the notation of S, so that the verdict is one per
+    (S, Lambda); "pair" is every other statement.
     """
-    vacuous = TheoremVerdict(sid, False, True, "vacuous")
-
     def register(conclusion):
-        def verdict(a: Analysis) -> TheoremVerdict:
-            # the pair passed its input check, so every failure here is a bug
-            try:
-                if hypothesis is not None and not hypothesis(a):
-                    return vacuous
-                ok, lhs, rhs = conclusion(a)
-                note = notes if notes.__class__ is str else notes(a)
-            except InvariantViolation:
-                raise
-            except SgblowError as exc:
-                raise InvariantViolation(f"{sid} raised {type(exc).__name__}: {exc}") from exc
-            # tuple.__new__ skips the argument handling of TheoremVerdict(...)
-            if ok:
-                return tuple.__new__(TheoremVerdict,
-                                     (sid, True, True, "held", lhs, rhs, None, note))
-            return tuple.__new__(TheoremVerdict, (sid, True, False, "failed", lhs, rhs,
-                                                  {"lhs": lhs, "rhs": rhs}, note))
-
-        STATEMENTS[sid] = verdict
-        HYPOTHESES[sid] = hypothesis
+        if hypothesis not in _SLOTS:
+            _SLOTS[hypothesis] = len(_SLOT_CONJUNCTS)
+            _SLOT_CONJUNCTS.append(tuple((_SLOTS[name,], name) for name in hypothesis))
+        _ENTRIES[sid] = (_SLOTS[hypothesis], level == "lambda",
+                         TheoremVerdict(sid, False, True, "vacuous"), hypothesis)
+        STATEMENTS[sid] = partial(_walk, (sid,))
+        REQUIRES[sid] = hypothesis
+        HYPOTHESES[sid] = None if not hypothesis else (
+            lambda a: all(CONJUNCTS[name](a) for name in hypothesis))
+        CONCLUSIONS[sid] = conclusion
+        NOTES[sid] = notes
         LEVELS[sid] = level
         return conclusion
 
     return register
 
 
-# ---- hypotheses shared by several statements ----
+def _walk(ids, a: Analysis, state: list | None = None, store: dict | None = None,
+          out: list | None = None):
+    """The verdicts of ids on a, in order: the one routine that makes a
+    verdict.  STATEMENTS[sid] walks sid alone and returns its verdict;
+    verify_many walks the requested ids with a state, a store and an out
+    list, which receives every verdict and is returned.
 
-
-def _almost_gorenstein(a: Analysis) -> bool:
-    return a.ring.ring_class.almost_gorenstein
-
-
-def _maximal(a: Analysis) -> bool:
-    return a.is_max_ideal
-
-
-def _maximal_r_is_e_minus_2(a: Analysis) -> bool:
-    return a.is_max_ideal and a.r == a.e - 2
-
-
-def _maximal_e_is_mu_plus_1(a: Analysis) -> bool:
-    return a.is_max_ideal and a.e == a.mu + 1
-
-
-def _maximal_nu_is_2(a: Analysis) -> bool:
-    return a.is_max_ideal and a.nu == 2
+    A hypothesis is met when its conjuncts, read in order with the
+    short-circuit of "and", all hold; a statement whose hypothesis fails
+    gets its vacuous verdict with no call, any other calls its conclusion.
+    Without a state every statement reads its conjuncts afresh.  With one,
+    a copy of _UNDECIDED, each hypothesis is decided once, at the first
+    statement that has it, and each conjunct is evaluated once, at its
+    first read, so exactly where the hypotheses read one by one would first
+    read it; and a Lambda-level verdict is read from the store when present
+    and put into it when made.  A SgblowError from a conjunct, a conclusion
+    or the notes is a bug on the pair, since it passed its input check, and
+    leaves as an InvariantViolation that names the statement being walked;
+    an InvariantViolation, or any error outside SgblowError, passes
+    unchanged.
+    """
+    try:
+        for sid in ids:
+            slot, shared, v, names = _ENTRIES[sid]
+            if not state:
+                met = True
+                for name in names:
+                    if not CONJUNCTS[name](a):
+                        met = False
+                        break
+            else:
+                if shared:
+                    hit = store.get(sid)
+                    if hit is not None:
+                        out.append(hit)
+                        continue
+                met = state[slot]
+                if met is None:
+                    met = True
+                    for i, name in _SLOT_CONJUNCTS[slot]:
+                        value = state[i]
+                        if value is None:
+                            value = state[i] = CONJUNCTS[name](a)
+                        if not value:
+                            met = False
+                            break
+                    state[slot] = met
+            # v stays the vacuous verdict unless the hypothesis is met
+            if met:
+                ok, lhs, rhs = CONCLUSIONS[sid](a)
+                note = NOTES[sid]
+                if note.__class__ is not str:
+                    note = note(a)
+                # _new_tuple (tuple.__new__) skips the argument handling of
+                # TheoremVerdict(...)
+                if ok:
+                    v = _new_tuple(TheoremVerdict,
+                                   (sid, True, True, "held", lhs, rhs, None, note))
+                else:
+                    v = _new_tuple(TheoremVerdict, (sid, True, False, "failed", lhs, rhs,
+                                                    {"lhs": lhs, "rhs": rhs}, note))
+            if not state:
+                return v
+            if shared:
+                store[sid] = v
+            out.append(v)
+    except InvariantViolation:
+        raise
+    except SgblowError as exc:
+        raise InvariantViolation(f"{sid} raised {type(exc).__name__}: {exc}") from exc
+    return out
 
 
 # ---- groups of equivalent closure conditions ----
@@ -181,7 +281,7 @@ def _(a):
     return ok, gap, (a.e - a.rho if a.is_max_ideal else -a.rho)
 
 
-@_statement("Lemma3.4", hypothesis=lambda a: a.r_colon_is_power,
+@_statement("Lemma3.4", hypothesis=("R:Lambda = nuE",),
             notes="colon equal to the power forces the extremal gap "
                   "and reflexivity of the blow-up")
 def _(a):
@@ -223,14 +323,7 @@ def _(a):
     return a.d == rhs, a.d, rhs
 
 
-def _bidual_contains_k(a: Analysis) -> bool:
-    hyp = a.lam_bidual.contains(a.ring.k)
-    if hyp != a.ring.r_colon_omega.contains(a.r_colon_lambda):
-        raise InvariantViolation("the two hypothesis forms must agree")
-    return hyp
-
-
-@_statement("Prop4.3.2", hypothesis=_bidual_contains_k, level="lambda")
+@_statement("Prop4.3.2", hypothesis=("K in Lambda**",), level="lambda")
 def _(a):
     return a.d == 0, a.d, 0
 
@@ -242,15 +335,7 @@ def _(a):
     return a.d == rhs, a.d, rhs
 
 
-def _colon_integrally_closed(a: Analysis) -> bool:
-    closed = integral_closure(a.r_colon_lambda) == a.r_colon_lambda
-    if closed != (a.r_colon_lambda == a.r_filter_i0):
-        raise InvariantViolation("integral closedness of the colon must mean "
-                                 "it is a full value filter")
-    return closed
-
-
-@_statement("Prop4.3.4", hypothesis=_colon_integrally_closed, level="lambda")
+@_statement("Prop4.3.4", hypothesis=("R:Lambda integrally closed",), level="lambda")
 def _(a):
     return a.d == 0, a.d, 0
 
@@ -264,7 +349,7 @@ def _(a):
 
 @_statement("Thm4.4.2", level="lambda")
 def _(a):
-    head = sum(a.ring.ts.entries[i - 1] for i in range(1, a.i0 + 1))
+    head = sum(a.ring.ts.entries[:a.i0])
     rhs = head - a.len_bidual_over_lambda + a.len_bidual_over_rstar
     return a.rho == rhs, a.rho, rhs
 
@@ -284,7 +369,7 @@ def _(a):
     return lhs <= rhs, lhs, rhs
 
 
-@_statement("Cor4.6.2", hypothesis=lambda a: a.h.symmetric)
+@_statement("Cor4.6.2", hypothesis=("H symmetric",))
 def _(a):
     lhs = 2 * a.r * a.len_rcolon_over_power_nu
     rhs = (a.r - 1) * a.e * a.nu
@@ -317,14 +402,14 @@ def _(a):
     return almost == matches, almost, matches
 
 
-@_statement("Cor5.2", hypothesis=_almost_gorenstein, level="lambda")
+@_statement("Cor5.2", hypothesis=("almost Gorenstein",), level="lambda")
 def _(a):
     first = a.lam_bidual == a.omega_lambda and a.d == 0
     rhs = a.r - 1 + a.len_r_over_rcolon - a.len_bidual_over_lambda
     return first and a.rho == rhs, a.rho, rhs
 
 
-@_statement("Thm5.3.1", hypothesis=_almost_gorenstein)
+@_statement("Thm5.3.1", hypothesis=("almost Gorenstein",))
 def _(a):
     lhs = 2 * a.rho
     rhs = (a.e * a.nu + a.r - 1
@@ -332,7 +417,7 @@ def _(a):
     return lhs == rhs, lhs, rhs
 
 
-@_statement("Thm5.3.2", hypothesis=_almost_gorenstein,
+@_statement("Thm5.3.2", hypothesis=("almost Gorenstein",),
             notes="when the conditions hold, the canonical ideal "
                   "sits inside the blow-up")
 def _(a):
@@ -345,20 +430,20 @@ def _(a):
 
 
 @_statement("Cor5.4",
-            hypothesis=lambda a: a.ring.ring_class.almost_gorenstein and a.h.symmetric)
+            hypothesis=("almost Gorenstein", "H symmetric"))
 def _(a):
     gap = a.len_rcolon_over_power_nu
     ok = gap <= a.r - 1 and ((gap == a.r - 1) == a.conditions.b1)
     return ok, gap, a.r - 1
 
 
-@_statement("Cor5.5", hypothesis=lambda a: a.ring.ring_class.gorenstein and a.h.symmetric)
+@_statement("Cor5.5", hypothesis=("Gorenstein", "H symmetric"))
 def _(a):
     ok = 2 * a.rho == a.e * a.nu + a.r - 1 and a.r_colon_is_power
     return ok, 2 * a.rho, a.e * a.nu + a.r - 1
 
 
-@_statement("Cor5.6", hypothesis=_almost_gorenstein,
+@_statement("Cor5.6", hypothesis=("almost Gorenstein",),
             notes="the conductor ideal of the ring is the one compared "
                   "against the nu-th power")
 def _(a):
@@ -367,14 +452,14 @@ def _(a):
     return conductor_is_power == rhs, conductor_is_power, rhs
 
 
-@_statement("Rmk5.8", hypothesis=_almost_gorenstein)
+@_statement("Rmk5.8", hypothesis=("almost Gorenstein",))
 def _(a):
     refl = a.ideal_reflexive
     rhs = a.ideal_colon.contains(a.ring.dual_m)
     return refl == rhs, refl, rhs
 
 
-@_statement("Thm5.9.1", hypothesis=_almost_gorenstein,
+@_statement("Thm5.9.1", hypothesis=("almost Gorenstein",),
             notes="reflexivity of the powers; equivalent to both "
                   "closure-condition groups")
 def _(a):
@@ -388,7 +473,7 @@ def _(a):
 
 
 @_statement("Thm5.9.2",
-            hypothesis=lambda a: a.ring.ring_class.almost_gorenstein and a.ideal_reflexive)
+            hypothesis=("almost Gorenstein", "E reflexive"))
 def _(a):
     ok = a.conditions.a1 and a.conditions.b1 and a.lam_contains_dual_m
     return ok, ok, None
@@ -397,7 +482,7 @@ def _(a):
 # ---- the maximal-ideal case ----
 
 
-@_statement("Rmk6.1", hypothesis=_maximal)
+@_statement("Rmk6.1", hypothesis=("E = m",))
 def _(a):
     rhs = length_between(a.ring.dual_m.shift(a.e), a.r_colon_lambda) + (a.e - a.r)
     ok = a.len_r_over_rcolon == rhs
@@ -406,7 +491,7 @@ def _(a):
     return ok, a.len_r_over_rcolon, rhs
 
 
-@_statement("Rmk6.2", hypothesis=_maximal)
+@_statement("Rmk6.2", hypothesis=("E = m",))
 def _(a):
     # E = M, so E:E is M:M
     stable = a.lam == a.ideal_colon
@@ -414,79 +499,78 @@ def _(a):
     return len(set(forms)) == 1, forms, None
 
 
-@_statement("Prop6.3", hypothesis=lambda a: a.is_max_ideal and a.e == a.mu)
+@_statement("Prop6.3", hypothesis=("E = m", "e = mu"))
 def _(a):
     almost = a.ring.ring_class.almost_gorenstein
     return almost == a.lambda_gorenstein, almost, a.lambda_gorenstein
 
 
-@_statement("Lemma6.4.3", hypothesis=_maximal_r_is_e_minus_2,
+@_statement("Lemma6.4.3", hypothesis=("E = m", "r = e - 2"),
             notes="the cube of the maximal ideal falls into its "
                   "multiplicity translate")
 def _(a):
     return a.ring.m_ideal.shift(a.e).contains(a.power(3)), None, None
 
 
-@_statement("Prop6.5.1", hypothesis=_maximal_r_is_e_minus_2)
+@_statement("Prop6.5.1", hypothesis=("E = m", "r = e - 2"))
 def _(a):
     return a.e == a.mu + 1, a.e, a.mu + 1
 
 
-@_statement("Prop6.5.2", hypothesis=_maximal_e_is_mu_plus_1)
+@_statement("Prop6.5.2", hypothesis=("E = m", "e = mu + 1"))
 def _(a):
     gap = length_between(a.ring.dual_m.shift(a.e), a.r_colon_lambda)
     return gap == 1, gap, 1
 
 
-@_statement("Thm6.6", hypothesis=_maximal_e_is_mu_plus_1)
+@_statement("Thm6.6", hypothesis=("E = m", "e = mu + 1"))
 def _(a):
     rhs = a.r - 1 + (a.e - 1) * (a.nu - 2)
     return a.len_rcolon_over_power_nu == rhs, a.len_rcolon_over_power_nu, rhs
 
 
-@_statement("Cor6.7.1", hypothesis=_maximal_e_is_mu_plus_1)
+@_statement("Cor6.7.1", hypothesis=("E = m", "e = mu + 1"))
 def _(a):
     lhs = a.r_colon_is_power
     rhs = a.ring.ring_class.gorenstein and a.nu == 2
     return lhs == rhs, lhs, rhs
 
 
-@_statement("Cor6.7.2", hypothesis=_maximal_e_is_mu_plus_1)
+@_statement("Cor6.7.2", hypothesis=("E = m", "e = mu + 1"))
 def _(a):
     lhs = sum(a.ring.ts.entries[i - 1] - 1 for i in a.outside_gamma if i >= 2)
     rhs = a.d + a.len_bidual_over_lambda + (a.nu - 2)
     return lhs == rhs, lhs, rhs
 
 
-@_statement("Cor6.7.3", hypothesis=_maximal_e_is_mu_plus_1)
+@_statement("Cor6.7.3", hypothesis=("E = m", "e = mu + 1"))
 def _(a):
     almost = a.ring.ring_class.almost_gorenstein
     rhs = a.nu == 2 and a.conditions.a2
     return almost == rhs, almost, rhs
 
 
-@_statement("Cor6.7u", hypothesis=_maximal)
+@_statement("Cor6.7u", hypothesis=("E = m",))
 def _(a):
     lhs = a.r == a.e - 2 and a.r_colon_is_power
     rhs = a.ring.ring_class.gorenstein and a.e == 3
     return lhs == rhs, lhs, rhs
 
 
-@_statement("Rmk6.8", hypothesis=_maximal_nu_is_2)
+@_statement("Rmk6.8", hypothesis=("E = m", "nu = 2"))
 def _(a):
     rhs = 2 * a.e - a.mu - 1
     return a.rho == rhs, a.rho, rhs
 
 
-@_statement("Prop6.9.1", hypothesis=_maximal_nu_is_2)
+@_statement("Prop6.9.1", hypothesis=("E = m", "nu = 2"))
 def _(a):
     lhs = 2 * a.e + a.r * a.len_rcolon_over_power_nu
     rhs = (a.r + 1) * (a.mu + 1)
     return lhs <= rhs, lhs, rhs
 
 
-@_statement("Prop6.9.2", hypothesis=lambda a: (a.is_max_ideal and a.nu == 2
-                                               and a.ring.ring_class.almost_gorenstein),
+@_statement("Prop6.9.2", hypothesis=("E = m", "nu = 2", "almost Gorenstein"),
             notes="with the Gorenstein and Kunz specializations folded in")
 def _(a):
     lhs = 2 * (a.e - a.mu - 1)
@@ -499,7 +583,7 @@ def _(a):
     return ok, lhs, rhs
 
 
-@_statement("Cor6.10", hypothesis=lambda a: a.is_max_ideal and a.ring.ring_class.gorenstein,
+@_statement("Cor6.10", hypothesis=("E = m", "Gorenstein"),
             notes="the colon is compared against the literal square, "
                   "not the nu-th power")
 def _(a):
@@ -507,7 +591,7 @@ def _(a):
     return len(set(forms)) == 1, forms, None
 
 
-@_statement("Prop6.11", hypothesis=_maximal)
+@_statement("Prop6.11", hypothesis=("E = m",))
 def _(a):
     lhs = a.ring.conductor_ideal == a.power(2)
     rhs = (a.lam_is_normalization
@@ -516,7 +600,7 @@ def _(a):
     return lhs == rhs, lhs, rhs
 
 
-@_statement("Prop6.13.1", hypothesis=lambda a: a.is_max_ideal and a.nu == 3 and a.r == 2,
+@_statement("Prop6.13.1", hypothesis=("E = m", "nu = 3", "r = 2"),
             notes="colon length taken over the cube, matching the "
                   "derivation from the general power inequality")
 def _(a):
@@ -525,26 +609,29 @@ def _(a):
     return lhs <= rhs, lhs, rhs
 
 
-@_statement("Prop6.13.2", hypothesis=lambda a: a.is_max_ideal and a.nu == 3 and a.h.symmetric)
+@_statement("Prop6.13.2", hypothesis=("E = m", "nu = 3", "H symmetric"))
 def _(a):
     lhs = a.r * a.len_rcolon_over_power_nu
     rhs = 3 * a.mu * (a.r - 1)
     return lhs <= rhs, lhs, rhs
 
 
-@_statement("Prop6.13.3", hypothesis=lambda a: (a.is_max_ideal and a.nu == 3
-                                                and a.ring.ring_class.almost_gorenstein))
+@_statement("Prop6.13.3", hypothesis=("E = m", "nu = 3", "almost Gorenstein"))
 def _(a):
     rhs = (a.len_rcolon_over_power_nu == a.r - 1 and a.e == 2 * a.mu)
     return a.h.symmetric == rhs, a.h.symmetric, rhs
 
 
-@_statement("Cor6.14", hypothesis=lambda a: (a.is_max_ideal and a.ring.ring_class.almost_gorenstein
-                                             and a.e == 2 * a.mu))
+@_statement("Cor6.14", hypothesis=("E = m", "almost Gorenstein", "e = 2mu"))
 def _(a):
     lhs = a.r_colon_is_power
     rhs = 2 * a.rho == 2 * a.nu * a.mu + a.r - 1
     return lhs == rhs, lhs, rhs
+
+
+# every slot undecided but the empty hypothesis; a walk that shares what it
+# decides starts from a copy
+_UNDECIDED: list[bool | None] = [True] + [None] * (len(_SLOT_CONJUNCTS) - 1)
 
 
 def catalog_ids() -> tuple[str, ...]:
@@ -576,31 +663,19 @@ def verify_statement(statement_id: str, e: ValueIdeal) -> TheoremVerdict:
     return STATEMENTS[statement_id](Analysis.of(e))
 
 
-# the Lambda-level ids, whose verdicts verify_many shares per blow-up record
-_SHARED = frozenset(sid for sid, level in LEVELS.items() if level == "lambda")
-
-
 def verify_many(e: ValueIdeal, statement_ids=None) -> list[TheoremVerdict]:
-    """Run several statements against one shared analysis.
+    """Run several statements against one shared analysis, in one walk.
 
+    The walk decides each hypothesis and evaluates each conjunct at most
+    once for the pair, and a statement whose hypothesis fails costs no call.
     A Lambda-level verdict is one per (S, Lambda): it is read from the
     verdict store the pair's analysis hands on from its blow-up record
-    (lambda_verdicts) when an earlier pair with that Lambda has made it,
-    and otherwise made by STATEMENTS[sid] and stored.  Only the requested ids are evaluated, a pair's analysis has
-    passed cross_check before any verdict is stored, and an evaluation
-    that raises stores nothing.  The store keeps what the functions in
-    STATEMENTS returned; replacing one of them needs ring.cache_clear().
+    (lambda_verdicts) when an earlier pair with that Lambda has made it, and
+    otherwise made and stored.  Only the requested ids are evaluated, a
+    pair's analysis has passed cross_check before any verdict is stored, and
+    an evaluation that raises stores nothing.  The store keeps the verdicts
+    the registry gave; replacing an entry of it needs ring.cache_clear().
     """
     names = catalog_ids() if statement_ids is None else _resolved_ids(tuple(statement_ids))
-    shared = Analysis.of(e)
-    store = shared.lambda_verdicts
-    out = []
-    for name in names:
-        if name in _SHARED:
-            v = store.get(name)
-            if v is None:
-                v = store[name] = STATEMENTS[name](shared)
-        else:
-            v = STATEMENTS[name](shared)
-        out.append(v)
-    return out
+    a = Analysis.of(e)
+    return _walk(names, a, _UNDECIDED.copy(), a.lambda_verdicts, [])

@@ -15,7 +15,7 @@ from sgblow.cli import main
 from sgblow.core import NumericalSemigroup
 from sgblow.errors import EquivalenceViolation, InvariantViolation
 from sgblow.report import loads_document
-from sgblow.statements import STATEMENTS, TheoremVerdict
+from sgblow.statements import CONCLUSIONS, NOTES
 
 GENS = "<10,12,95,97>"
 
@@ -98,11 +98,11 @@ def test_examples_text_names_each_failed_check(capsys, monkeypatch):
 
 
 def _plant_failed_cor6_10(monkeypatch, target=None):
-    """Cor6.10 fails with lhs=3 and rhs=4, on every pair or over target alone."""
-    honest = STATEMENTS["Cor6.10"]
-    failed = TheoremVerdict("Cor6.10", True, False, "failed", lhs=3, rhs=4)
-    monkeypatch.setitem(STATEMENTS, "Cor6.10",
-                        lambda a: failed if target in (None, a.s) else honest(a))
+    """Cor6.10 fails with lhs=3 and rhs=4 where its hypothesis holds, on every
+    pair or over target alone."""
+    honest = CONCLUSIONS["Cor6.10"]
+    monkeypatch.setitem(CONCLUSIONS, "Cor6.10",
+                        lambda a: (False, 3, 4) if target in (None, a.s) else honest(a))
 
 
 def test_analyze_text_marks_a_failed_verdict(capsys, monkeypatch):
@@ -142,11 +142,9 @@ def test_verify_exit_codes_and_json(capsys):
 
 
 def test_failed_statement_is_reported_with_its_witness(capsys, monkeypatch):
-    def failing(a):
-        return TheoremVerdict("Prop3.2.1", True, False, "failed", a.c, -1,
-                              {"lhs": a.c, "rhs": -1}, "planted")
-
-    monkeypatch.setitem(STATEMENTS, "Prop3.2.1", failing)
+    # Prop3.2.1 has no hypothesis, so the planted conclusion fails it on every pair
+    monkeypatch.setitem(CONCLUSIONS, "Prop3.2.1", lambda a: (False, a.c, -1))
+    monkeypatch.setitem(NOTES, "Prop3.2.1", "planted")
     code, out, _ = run(capsys, "verify", "--max-genus", "3", "--jobs", "1",
                        "--format", "json")
     assert code == 3

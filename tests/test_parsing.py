@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from sgblow.core import NumericalSemigroup
-from sgblow.enumeration import enumerate_semigroups
+from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
 from sgblow.errors import GrammarError, NotClosed, NotCofinite
 from sgblow.parsing import (
     format_cofinite_set,
@@ -78,6 +78,19 @@ def test_format_ideal_round_trip():
         e = parse_ideal(text, s)
         assert parse_ideal(format_ideal(e), s) == e
     assert format_ideal(parse_ideal("m", s)) == "m"
+
+
+def test_only_the_maximal_ideal_prints_as_m_over_genus_8():
+    # format_ideal reads M off the canonical fields of S without building it
+    seen = 0
+    for s in enumerate_semigroups(8):
+        m = s.maximal_ideal()
+        # S itself and two translates of M share some of M's fields
+        near = [s.as_ideal(), m.shift(1), m.shift(s.multiplicity)]
+        for e in [*enumerate_ideals(s, non_principal_only=False), *near]:
+            assert (format_ideal(e) == "m") == (e == m), (s, e)
+            seen += e == m
+    assert seen == len(list(enumerate_semigroups(8)))
 
 
 def test_grammar_error_positions():

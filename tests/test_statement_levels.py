@@ -19,8 +19,11 @@ from sgblow.fixtures import FIXTURES
 from sgblow.invariants import ring
 from sgblow.parsing import parse_ideal, parse_semigroup
 from sgblow.statements import (
+    CONCLUSIONS,
+    CONJUNCTS,
     HYPOTHESES,
     LEVELS,
+    REQUIRES,
     STATEMENTS,
     catalog_ids,
     verify_many,
@@ -135,19 +138,33 @@ def test_only_the_requested_statements_are_evaluated(monkeypatch):
     s, e, f = _pairs_sharing_a_blowup()
     expected_e = STATEMENTS["Prop4.3.4"](Analysis.of(e))
     expected_f = [STATEMENTS[sid](Analysis.of(f)) for sid in catalog_ids()]
-    calls = []
-    for sid, fn in list(STATEMENTS.items()):
-        monkeypatch.setitem(STATEMENTS, sid,
-                            lambda a, sid=sid, fn=fn: calls.append(sid) or fn(a))
+    # verify_many calls no STATEMENTS entry: it reads each statement's
+    # conjuncts and conclusion, so those are what the calls are counted on
+    concluded, read = [], []
+    for sid, fn in list(CONCLUSIONS.items()):
+        monkeypatch.setitem(CONCLUSIONS, sid,
+                            lambda a, sid=sid, fn=fn: concluded.append(sid) or fn(a))
+    for name, fn in list(CONJUNCTS.items()):
+        monkeypatch.setitem(CONJUNCTS, name,
+                            lambda a, name=name, fn=fn: read.append(name) or fn(a))
     ring.cache_clear()
     assert verify_many(e, ["Prop4.3.4"]) == [expected_e]
-    assert calls == ["Prop4.3.4"]
+    assert expected_e.hypotheses_met
+    assert concluded == ["Prop4.3.4"]
+    assert read == list(REQUIRES["Prop4.3.4"])
     assert list(Analysis.of(e).lambda_verdicts) == ["Prop4.3.4"]
-    calls.clear()
+    concluded.clear()
+    read.clear()
     full = verify_many(f)
     assert full == expected_f
-    # f shares e's Lambda: Prop4.3.4 is read from the store, the rest are made
-    assert calls == [sid for sid in catalog_ids() if sid != "Prop4.3.4"]
+    # f shares e's Lambda: Prop4.3.4 is read from the store, neither its
+    # conjunct nor its conclusion runs again; of the rest, exactly those
+    # whose hypotheses hold run their conclusions, and no conjunct is read twice
+    assert concluded == [v.statement_id for v in expected_f
+                         if v.hypotheses_met and v.statement_id != "Prop4.3.4"]
+    assert any(not v.hypotheses_met for v in expected_f)
+    assert len(read) == len(set(read))
+    assert not set(read) & set(REQUIRES["Prop4.3.4"])
     assert set(Analysis.of(f).lambda_verdicts) == set(LAMBDA_IDS)
     ring.cache_clear()
 
