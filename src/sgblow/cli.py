@@ -146,8 +146,12 @@ def _render_examples_text(rows: list[dict], passed: int, total: int) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # a path that cannot be written is bad input, not a crash
+            raise SgblowError(f"cannot write --out {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -132,11 +132,13 @@ class NumericalSemigroup:
             raise EmptyGenerators(f"generators must be positive, got {gens[0]}")
         if math.gcd(*gens) != 1:
             raise NotCofinite(f"gcd of generators is {math.gcd(*gens)}, complement is infinite")
-        # Schur's bound c <= (min - 1)(max - 1) keeps the conductor inside the window
+        # Schur's bound c <= (min - 1)(max - 1) keeps the conductor inside the window;
+        # a window past what a shift can address overflows, one past memory fails to
+        # allocate
         width = gens[0] * gens[-1]
         try:
             member = _closure(1, width, gens)
-        except OverflowError:
+        except (OverflowError, MemoryError):
             raise WindowTooLarge(width, f"the generators' window {gens[0]} * {gens[-1]}") from None
         conductor = (~member & ((1 << width) - 1)).bit_length()
         return cls._of_mask(member & ((1 << conductor) - 1), conductor)
@@ -161,7 +163,7 @@ class NumericalSemigroup:
                 if missing:
                     raise NotClosed(a, (missing & -missing).bit_length() - 1)
             conductor = (~below & _ones(arrow)).bit_length()
-        except OverflowError:
+        except (OverflowError, MemoryError):
             raise WindowTooLarge(arrow, f"the window below the tail start {arrow}") from None
         return cls._of_mask(below & ((1 << conductor) - 1), conductor)
 
@@ -311,7 +313,7 @@ class ValueIdeal:
         try:
             for v in vals:
                 bits |= carrier.bits << (v - vals[0])
-        except OverflowError:
+        except (OverflowError, MemoryError):
             hi = vals[-1] + carrier.conductor
             raise WindowTooLarge(hi - vals[0], f"the ideal's window from {vals[0]} to {hi}") from None
         return cls._of(carrier, vals[0], bits, vals[0] + carrier.conductor)

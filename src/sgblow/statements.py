@@ -17,14 +17,15 @@ registration.  Inequalities and identities are evaluated in exact integer
 arithmetic; fractional forms are cross-multiplied so nothing ever rounds.
 
 One routine, _walk, makes every verdict, and wraps every error, for a
-list of ids over one pair.  verify_many walks the requested ids once per
-pair: it decides each hypothesis once, at the first statement that has
-it, and evaluates each conjunct once, at the first place the hypotheses
-read one by one with "and" would read it, so the short-circuits and the
-first error raised are those of evaluating each statement in turn.  A
-statement whose hypothesis fails gets its vacuous verdict without any
-call; any other calls its conclusion directly.  STATEMENTS[sid] walks sid
-alone, so both give the same verdicts and raise the same first error.
+list of ids over one pair.  It reads each statement's conjuncts in order
+through one memo of conjunct values, kept for the walk, and stops at the
+first false one; so it evaluates each conjunct at most once, where "and"
+would first read it, and the short-circuits and the first error raised
+are those of evaluating each statement in turn.  A statement whose
+hypothesis fails gets its vacuous verdict without any call; any other
+calls its conclusion directly.  verify_many walks the requested ids once
+per pair, and STATEMENTS[sid] walks sid alone, so both give the same
+verdicts and raise the same first error.
 
 A statement is "pair"-level unless it reads only what is one per
 (S, Lambda): the blow-up record's quantities, rho (checked against
@@ -116,18 +117,9 @@ HYPOTHESES: dict[str, Callable[[Analysis], bool] | None] = {}
 CONCLUSIONS: dict[str, Callable[[Analysis], tuple]] = {}
 NOTES: dict[str, str | Callable[[Analysis], str]] = {}
 LEVELS: dict[str, str] = {}
-# A walk keeps its state on a pair in a list of slots, None until decided
-# (_UNDECIDED, below the catalog).  Slot 0 is the empty hypothesis, always
-# met; slot i is the i-th conjunct of CONJUNCTS, which is also the
-# hypothesis of that conjunct alone; each hypothesis of several conjuncts
-# has a slot after those.  _SLOT_CONJUNCTS lists the (slot, name) of each
-# slot's conjuncts, in order.
-_SLOTS: dict[tuple[str, ...], int] = {(): 0} | {(name,): i for i, name in enumerate(CONJUNCTS, 1)}
-_SLOT_CONJUNCTS: list[tuple[tuple[int, str], ...]] = [()] + [
-    ((i, name),) for i, name in enumerate(CONJUNCTS, 1)]
-# per statement: its hypothesis's slot, whether it is Lambda-level, its one
-# vacuous verdict and its conjunct names
-_ENTRIES: dict[str, tuple[int, bool, TheoremVerdict, tuple[str, ...]]] = {}
+# per statement: whether it is Lambda-level, its one vacuous verdict and
+# its conjunct names
+_ENTRIES: dict[str, tuple[bool, TheoremVerdict, tuple[str, ...]]] = {}
 _new_tuple = tuple.__new__
 
 
@@ -145,11 +137,8 @@ def _statement(sid: str, hypothesis: tuple[str, ...] = (),
     (S, Lambda); "pair" is every other statement.
     """
     def register(conclusion):
-        if hypothesis not in _SLOTS:
-            _SLOTS[hypothesis] = len(_SLOT_CONJUNCTS)
-            _SLOT_CONJUNCTS.append(tuple((_SLOTS[name,], name) for name in hypothesis))
-        _ENTRIES[sid] = (_SLOTS[hypothesis], level == "lambda",
-                         TheoremVerdict(sid, False, True, "vacuous"), hypothesis)
+        _ENTRIES[sid] = (level == "lambda", TheoremVerdict(sid, False, True, "vacuous"),
+                         hypothesis)
         STATEMENTS[sid] = partial(_walk, (sid,))
         REQUIRES[sid] = hypothesis
         HYPOTHESES[sid] = None if not hypothesis else (
@@ -162,55 +151,42 @@ def _statement(sid: str, hypothesis: tuple[str, ...] = (),
     return register
 
 
-def _walk(ids, a: Analysis, state: list | None = None, store: dict | None = None,
-          out: list | None = None):
+def _walk(ids, a: Analysis, store: dict | None = None):
     """The verdicts of ids on a, in order: the one routine that makes a
-    verdict.  STATEMENTS[sid] walks sid alone and returns its verdict;
-    verify_many walks the requested ids with a state, a store and an out
-    list, which receives every verdict and is returned.
+    verdict.  Without a store it returns the verdict of the first id, which
+    is how STATEMENTS[sid] walks sid alone; verify_many walks the requested
+    ids with the store and gets the list of their verdicts.
 
     A hypothesis is met when its conjuncts, read in order with the
     short-circuit of "and", all hold; a statement whose hypothesis fails
     gets its vacuous verdict with no call, any other calls its conclusion.
-    Without a state every statement reads its conjuncts afresh.  With one,
-    a copy of _UNDECIDED, each hypothesis is decided once, at the first
-    statement that has it, and each conjunct is evaluated once, at its
-    first read, so exactly where the hypotheses read one by one would first
-    read it; and a Lambda-level verdict is read from the store when present
-    and put into it when made.  A SgblowError from a conjunct, a conclusion
-    or the notes is a bug on the pair, since it passed its input check, and
-    leaves as an InvariantViolation that names the statement being walked;
-    an InvariantViolation, or any error outside SgblowError, passes
-    unchanged.
+    The walk keeps the value of each conjunct it reads, so it evaluates
+    each conjunct at most once, where "and" would first read it.  With a
+    store, a Lambda-level verdict is read from it when present and put into
+    it when made.  A SgblowError from a conjunct, a conclusion or the notes
+    is a bug on the pair, since it passed its input check, and leaves as an
+    InvariantViolation that names the statement being walked; an
+    InvariantViolation, or any error outside SgblowError, passes unchanged.
     """
+    values: dict[str, bool] = {}
+    # the lone verdict of a walk without a store needs no list
+    out = None if store is None else []
     try:
         for sid in ids:
-            slot, shared, v, names = _ENTRIES[sid]
-            if not state:
-                met = True
-                for name in names:
-                    if not CONJUNCTS[name](a):
-                        met = False
-                        break
-            else:
-                if shared:
-                    hit = store.get(sid)
-                    if hit is not None:
-                        out.append(hit)
-                        continue
-                met = state[slot]
+            shared, v, names = _ENTRIES[sid]
+            if shared and store is not None:
+                hit = store.get(sid)
+                if hit is not None:
+                    out.append(hit)
+                    continue
+            for name in names:
+                met = values.get(name)
                 if met is None:
-                    met = True
-                    for i, name in _SLOT_CONJUNCTS[slot]:
-                        value = state[i]
-                        if value is None:
-                            value = state[i] = CONJUNCTS[name](a)
-                        if not value:
-                            met = False
-                            break
-                    state[slot] = met
-            # v stays the vacuous verdict unless the hypothesis is met
-            if met:
+                    met = values[name] = CONJUNCTS[name](a)
+                if not met:
+                    break
+            else:
+                # v stays the vacuous verdict unless every conjunct holds
                 ok, lhs, rhs = CONCLUSIONS[sid](a)
                 note = NOTES[sid]
                 if note.__class__ is not str:
@@ -223,7 +199,7 @@ def _walk(ids, a: Analysis, state: list | None = None, store: dict | None = None
                 else:
                     v = _new_tuple(TheoremVerdict, (sid, True, False, "failed", lhs, rhs,
                                                     {"lhs": lhs, "rhs": rhs}, note))
-            if not state:
+            if store is None:
                 return v
             if shared:
                 store[sid] = v
@@ -629,11 +605,6 @@ def _(a):
     return lhs == rhs, lhs, rhs
 
 
-# every slot undecided but the empty hypothesis; a walk that shares what it
-# decides starts from a copy
-_UNDECIDED: list[bool | None] = [True] + [None] * (len(_SLOT_CONJUNCTS) - 1)
-
-
 def catalog_ids() -> tuple[str, ...]:
     return tuple(STATEMENTS)
 
@@ -666,8 +637,8 @@ def verify_statement(statement_id: str, e: ValueIdeal) -> TheoremVerdict:
 def verify_many(e: ValueIdeal, statement_ids=None) -> list[TheoremVerdict]:
     """Run several statements against one shared analysis, in one walk.
 
-    The walk decides each hypothesis and evaluates each conjunct at most
-    once for the pair, and a statement whose hypothesis fails costs no call.
+    The walk evaluates each conjunct at most once for the pair, where "and"
+    would first read it, and a statement whose hypothesis fails costs no call.
     A Lambda-level verdict is one per (S, Lambda): it is read from the
     verdict store the pair's analysis hands on from its blow-up record
     (lambda_verdicts) when an earlier pair with that Lambda has made it, and
@@ -678,4 +649,4 @@ def verify_many(e: ValueIdeal, statement_ids=None) -> list[TheoremVerdict]:
     """
     names = catalog_ids() if statement_ids is None else _resolved_ids(tuple(statement_ids))
     a = Analysis.of(e)
-    return _walk(names, a, _UNDECIDED.copy(), a.lambda_verdicts, [])
+    return _walk(names, a, a.lambda_verdicts)

@@ -258,7 +258,17 @@ def test_domain_errors_exit_two(capsys):
              " spans 99999999999999999999999999 bits, too many to represent"),
             (("analyze", "<2,3>", "--ideal", "ideal(2,99999999999999999999999999)"),
              "WindowTooLarge: the ideal's window from 2 to 100000000000000000000000001"
-             " spans 99999999999999999999999999 bits, too many to represent")):
+             " spans 99999999999999999999999999 bits, too many to represent"),
+            # a window a shift can address but no memory can hold, not a MemoryError
+            (("analyze", "<4,999999999999999999>"),
+             "WindowTooLarge: the generators' window 4 * 999999999999999999"
+             " spans 3999999999999999996 bits, too many to represent"),
+            (("analyze", "{0,999999999999999999->}"),
+             "WindowTooLarge: the window below the tail start 999999999999999999"
+             " spans 999999999999999999 bits, too many to represent"),
+            (("analyze", "<3,5>", "--ideal", "ideal(3,999999999999999999)"),
+             "WindowTooLarge: the ideal's window from 3 to 1000000000000000007"
+             " spans 1000000000000000004 bits, too many to represent")):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
@@ -275,6 +285,11 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert code == code2 == 0
     assert out2 == ""
     assert target.read_text() == out
+    # a path that cannot be opened is a domain error that names it
+    for path, reason in ((tmp_path, "Is a directory"),
+                         (tmp_path / "missing" / "report.json", "No such file or directory")):
+        assert run(capsys, "analyze", GENS, "--out", str(path)) \
+            == (2, "", f"error: SgblowError: cannot write --out {path}: {reason}\n")
 
 
 def test_non_integer_jobs_variable_is_a_domain_error(capsys, monkeypatch):

@@ -24,7 +24,6 @@ from sgblow.statements import (
     NOTES,
     REQUIRES,
     STATEMENTS,
-    _UNDECIDED,
     _walk,
     catalog_ids,
     expand_statement_ids,
@@ -80,7 +79,7 @@ def test_verify_many_equals_the_per_statement_route(temperature):
             # verify_many drops repeated ids; the walk itself takes them as given
             resolved = expand_statement_ids(ids)
             _assert_same(verify_many(e, ids), [STATEMENTS[sid](a) for sid in resolved], e)
-            _assert_same(_walk(ids, a, _UNDECIDED.copy(), {}, []),
+            _assert_same(_walk(ids, a, {}),
                          [STATEMENTS[sid](a) for sid in ids], e)
     ring.cache_clear()
 

@@ -125,6 +125,18 @@ def test_construction_errors():
     with pytest.raises(WindowTooLarge) as err:
         ValueIdeal.generated_by(NumericalSemigroup.from_generators([2, 3]), (2, huge))
     assert err.value.width == huge
+    # a window of about 10**18 bits fits a shift but no address space: the
+    # allocation fails at once, and that too is a window too large
+    wide = 10 ** 18 - 1
+    with pytest.raises(WindowTooLarge) as err:
+        NumericalSemigroup.from_generators([4, wide])
+    assert err.value.width == 4 * wide
+    with pytest.raises(WindowTooLarge) as err:
+        NumericalSemigroup.from_explicit((0,), wide)
+    assert err.value.width == wide
+    with pytest.raises(WindowTooLarge) as err:
+        ValueIdeal.generated_by(NumericalSemigroup.from_generators([3, 5]), (3, wide))
+    assert err.value.width == wide + 5
     for build, error, message in (
             (lambda: NumericalSemigroup.from_generators([0, 3]), EmptyGenerators,
              "generators must be positive, got 0"),
