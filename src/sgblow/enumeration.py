@@ -1,14 +1,19 @@
 """Exhaustive enumeration of semigroups by genus and of monomial ideals.
 
 Semigroups are walked as a tree rooted at the natural numbers: the children
-of S are S minus one minimal generator larger than the Frobenius number.
+of S are S minus one minimal generator g at or past the conductor c.
 Every semigroup of genus g+1 arises from exactly one parent this way, so the
-walk visits each semigroup once and the per-genus counts are exact.
+walk visits each semigroup once and the per-genus counts are exact.  A child
+is one mask built from its parent's: S's members below c, all of [c, g), and
+the tail from g + 1.  Removing a minimal generator leaves a semigroup, so
+only the parser, which reads input from outside, checks closure.
 
 Ideals inside the maximal ideal correspond to antichains: the minimal
 generating set of a monomial ideal is unique (the elements not reachable by
 adding a nonzero semigroup element), and a finite set is a minimal
-generating set precisely when no member minus another lands in S.
+generating set precisely when no member minus another lands in S.  The walk
+extends an antichain by y exactly when y lies outside the ideal the antichain
+generates, since y - x in S for a chosen x says y is in x + S.
 """
 
 from __future__ import annotations
@@ -19,14 +24,14 @@ from .core import NumericalSemigroup, ValueIdeal
 
 
 def genus_tree_children(s: NumericalSemigroup) -> list[NumericalSemigroup]:
-    """Children in the genus tree, ordered by the removed generator."""
-    children = []
-    for g in s.min_generators:
-        if g <= s.frobenius:
-            continue
-        members = [x for x in s.elements_up_to(g) if x != g]
-        children.append(NumericalSemigroup.from_explicit(members, g + 1))
-    return children
+    """Children in the genus tree, ordered by the removed generator.
+
+    Removing a minimal generator g >= c keeps S's mask below c, fills [c, g)
+    and starts the tail at g + 1, so each child is that one mask.
+    """
+    c = s.conductor
+    return [NumericalSemigroup._of_mask(s.bits | ((1 << g) - (1 << c)), g + 1)
+            for g in s.min_generators if g >= c]
 
 
 def enumerate_semigroups(max_genus: int) -> Iterator[NumericalSemigroup]:
@@ -64,7 +69,10 @@ def enumerate_ideals(s: NumericalSemigroup, *, bound: int | None = None,
     """Ideals inside the maximal ideal whose minimal generators are <= bound.
 
     Walks antichains of the divisibility order (x below y when y - x is in S)
-    over the maximal-ideal window, depth-first in lexicographic order.
+    over the maximal-ideal window, depth-first in lexicographic order.  Each
+    node builds its antichain's ideal once; y sits above a chosen x exactly
+    when y is in that ideal, so the children are the later window values
+    outside it.
     """
     if bound is None:
         bound = default_generator_bound(s)
@@ -72,19 +80,18 @@ def enumerate_ideals(s: NumericalSemigroup, *, bound: int | None = None,
     minimum_size = 2 if non_principal_only else 1
 
     def walk(chosen: list[int], start: int) -> Iterator[ValueIdeal]:
+        ideal = ValueIdeal.generated_by(s, chosen)
+        ideal._mingens = tuple(chosen)  # an antichain is its ideal's minimal generators
         if len(chosen) >= minimum_size:
-            e = ValueIdeal.generated_by(s, chosen)
-            e._mingens = tuple(chosen)  # an antichain is its ideal's minimal generators
-            yield e
+            yield ideal
         for i in range(start, len(window)):
-            y = window[i]
-            # keep the antichain property: y must not sit above a chosen element
-            if all((y - x) not in s for x in chosen):
-                chosen.append(y)
+            if window[i] not in ideal:
+                chosen.append(window[i])
                 yield from walk(chosen, i + 1)
                 chosen.pop()
 
-    yield from walk([], 0)
+    for i, y in enumerate(window):
+        yield from walk([y], i + 1)
 
 
 def sample_ideals(s: NumericalSemigroup, count: int, rng, *,

@@ -51,6 +51,34 @@ def test_tree_children_remove_one_generator_past_frobenius():
         .small_elements == (0, 2)
 
 
+def _children_by_explicit_members(s):
+    """(g, S minus g) for each minimal generator g > F, each child built
+    through the validating from_explicit route."""
+    return [(g, NumericalSemigroup.from_explicit(
+                [x for x in s.elements_up_to(g) if x != g], g + 1))
+            for g in s.min_generators if g > s.frobenius]
+
+
+def test_tree_children_match_the_validating_route_to_genus_11():
+    level, seen = [NumericalSemigroup.natural_numbers()], 1
+    for _ in range(11):
+        nxt = []
+        for s in level:
+            want = _children_by_explicit_members(s)
+            kids = [k for _, k in want]
+            assert genus_tree_children(s) == kids, s
+            for (g, k), child in zip(want, genus_tree_children(s)):
+                assert child.min_generators == k.min_generators, (s, g)
+                assert child.genus == s.genus + 1
+                assert child.conductor == g + 1
+                # the removed generator is the child's Frobenius number
+                assert (child.bits >> g) & 1 == 0
+            nxt.extend(kids)
+        seen += len(nxt)
+        level = nxt
+    assert seen == sum(count_by_genus(11))
+
+
 def test_ideal_stream_on_a_tiny_semigroup():
     s = NumericalSemigroup.from_generators([2, 3])
     got = {e.minimal_generators() for e in enumerate_ideals(s, bound=5)}
@@ -89,6 +117,25 @@ def test_enumerated_ideals_carry_their_minimal_generators():
             assert e._mingens == fresh.minimal_generators(), e
             ideals += 1
     assert ideals == 6423
+
+
+def test_the_full_stream_adds_one_principal_ideal_per_window_value():
+    for s in enumerate_semigroups(5):
+        window = [x for x in range(1, default_generator_bound(s) + 1) if x in s]
+        stream = list(enumerate_ideals(s, non_principal_only=False))
+        for e in stream:
+            fresh = ValueIdeal._of(s, e.min_element, e.bits, e.frontier)
+            assert e._mingens == fresh.minimal_generators(), e
+        principal = [e for e in stream if len(e._mingens) == 1]
+        # x + S through the validating constructor, its window cut at x + c
+        assert principal == [
+            ValueIdeal(s, [x + y for y in s.elements_up_to(s.conductor)],
+                       x + s.conductor)
+            for x in window]
+        rest = [e for e in stream if len(e._mingens) > 1]
+        non_principal = list(enumerate_ideals(s))
+        assert rest == non_principal
+        assert [e._mingens for e in rest] == [e._mingens for e in non_principal]
 
 
 def test_sampling_is_deterministic_and_inside_the_pool():
