@@ -23,7 +23,7 @@ from .parsing import (
     parse_semigroup,
 )
 from .report import analysis_document, dumps_document, jsonable
-from .statements import STATEMENTS, expand_statement_ids
+from .statements import verify_many
 from .suite import STRATEGIES, SuiteConfig, SuiteReport, run_suite
 
 
@@ -166,8 +166,7 @@ def _cmd_analyze(args) -> int:
     s = parse_semigroup(args.semigroup)
     ideal = parse_ideal(args.ideal, s)
     a = Analysis.of(ideal)
-    ids = expand_statement_ids(_statement_list(args.statements))
-    verdicts = [STATEMENTS[name](a) for name in ids]
+    verdicts = verify_many(a, _statement_list(args.statements))
     doc = analysis_document(a, verdicts, semigroup_text=args.semigroup,
                             ideal_text=args.ideal)
     if args.format == "json":

@@ -6,26 +6,29 @@ conclusion.  A hypothesis is a tuple of conjunct names, read in order
 with the short-circuit of "and"; CONJUNCTS maps each name (like "E = m" or
 "nu = 2") to a predicate.  Conjuncts and conclusions are functions of a
 shared Analysis bundle (ring-level quantities on its a.ring); a conclusion
-returns (ok, lhs, rhs).  The registry maps each id, in catalog order:
-REQUIRES to its conjunct names, HYPOTHESES to their conjunction as one
-callable (None for none), CONCLUSIONS to its conclusion, NOTES to its notes
-(text, or a function of the bundle), LEVELS to its level, and STATEMENTS to
-a function of the bundle that returns its TheoremVerdict: held, failed, or
-vacuous when a conjunct fails.  A verdict is an immutable tuple record, and
-the vacuous verdict of a statement is one shared object, built at
-registration.  Inequalities and identities are evaluated in exact integer
-arithmetic; fractional forms are cross-multiplied so nothing ever rounds.
+returns (ok, lhs, rhs).  The registry, STATEMENTS, maps each id, in
+catalog order, to the statement's one Statement record: its conjunct
+names (requires), its conclusion, its notes (text, or a function of the
+bundle), its level and its vacuous verdict.  A record is the whole
+statement, so dataclasses.replace of it, put back under its id, changes
+the statement on every route.  Called on the bundle, a record returns
+its TheoremVerdict: held, failed, or vacuous when a conjunct fails.  A
+verdict is an immutable tuple record, and the vacuous verdict of a
+statement is one shared object, built at registration.  Inequalities and
+identities are evaluated in exact integer arithmetic; fractional forms
+are cross-multiplied so nothing ever rounds.
 
 One routine, _walk, makes every verdict, and wraps every error, for a
-list of ids over one pair.  It reads each statement's conjuncts in order
-through one memo of conjunct values, kept for the walk, and stops at the
-first false one; so it evaluates each conjunct at most once, where "and"
-would first read it, and the short-circuits and the first error raised
-are those of evaluating each statement in turn.  A statement whose
-hypothesis fails gets its vacuous verdict without any call; any other
-calls its conclusion directly.  verify_many walks the requested ids once
-per pair, and STATEMENTS[sid] walks sid alone, so both give the same
-verdicts and raise the same first error.
+list of ids over one pair, reading each statement's record and nothing
+else.  It reads each statement's conjuncts in order through one memo of
+conjunct values, kept for the walk, and stops at the first false one; so
+it evaluates each conjunct at most once, where "and" would first read it,
+and the short-circuits and the first error raised are those of evaluating
+each statement in turn.  A statement whose hypothesis fails gets its
+vacuous verdict without any call; any other calls its conclusion
+directly.  verify_many walks the requested ids once per pair, and
+STATEMENTS[sid] walks sid alone, so both give the same verdicts and
+raise the same first error.
 
 A statement is "pair"-level unless it reads only what is one per
 (S, Lambda): the blow-up record's quantities, rho (checked against
@@ -41,7 +44,8 @@ A bare group id like "Thm4.7" expands to all of its parts.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .blowup import Analysis
@@ -111,21 +115,39 @@ CONJUNCTS: dict[str, Callable[[Analysis], bool]] = {
     "R:Lambda integrally closed": _colon_integrally_closed,
 }
 
-STATEMENTS: dict[str, Callable[[Analysis], TheoremVerdict]] = {}
-REQUIRES: dict[str, tuple[str, ...]] = {}
-HYPOTHESES: dict[str, Callable[[Analysis], bool] | None] = {}
-CONCLUSIONS: dict[str, Callable[[Analysis], tuple]] = {}
-NOTES: dict[str, str | Callable[[Analysis], str]] = {}
-LEVELS: dict[str, str] = {}
-# per statement: whether it is Lambda-level, its one vacuous verdict and
-# its conjunct names
-_ENTRIES: dict[str, tuple[bool, TheoremVerdict, tuple[str, ...]]] = {}
 _new_tuple = tuple.__new__
+
+
+@dataclass(frozen=True, slots=True)
+class Statement:
+    """One catalog statement: its id, the conjunct names of its hypothesis,
+    its conclusion a -> (ok, lhs, rhs), its notes (text, or a function of
+    the bundle), its level and its one vacuous verdict.
+
+    Calling it on an Analysis walks the statement alone, afresh: no verdict
+    store is read or kept.  The walk reads the record registered under sid,
+    so a replacement made with dataclasses.replace takes effect, on this
+    route and every other, once it is put back into STATEMENTS.
+    """
+
+    sid: str
+    requires: tuple[str, ...]
+    conclusion: Callable[[Analysis], tuple]
+    notes: str | Callable[[Analysis], str]
+    level: str
+    vacuous: TheoremVerdict
+
+    def __call__(self, a: Analysis) -> TheoremVerdict:
+        return _walk((self.sid,), a, {})[0]
+
+
+STATEMENTS: dict[str, Statement] = {}
 
 
 def _statement(sid: str, hypothesis: tuple[str, ...] = (),
                notes: str | Callable[[Analysis], str] = "", level: str = "pair"):
-    """Register a conclusion a -> (ok, lhs, rhs) as the statement sid.
+    """Register a conclusion a -> (ok, lhs, rhs) in STATEMENTS[sid], the
+    statement's one Statement record.
 
     hypothesis names the conjuncts, in the order "and" reads them; none
     means the statement applies to every pair.  STATEMENTS[sid](a) is the
@@ -137,58 +159,55 @@ def _statement(sid: str, hypothesis: tuple[str, ...] = (),
     (S, Lambda); "pair" is every other statement.
     """
     def register(conclusion):
-        _ENTRIES[sid] = (level == "lambda", TheoremVerdict(sid, False, True, "vacuous"),
-                         hypothesis)
-        STATEMENTS[sid] = partial(_walk, (sid,))
-        REQUIRES[sid] = hypothesis
-        HYPOTHESES[sid] = None if not hypothesis else (
-            lambda a: all(CONJUNCTS[name](a) for name in hypothesis))
-        CONCLUSIONS[sid] = conclusion
-        NOTES[sid] = notes
-        LEVELS[sid] = level
+        STATEMENTS[sid] = Statement(sid, hypothesis, conclusion, notes, level,
+                                    TheoremVerdict(sid, False, True, "vacuous"))
         return conclusion
 
     return register
 
 
-def _walk(ids, a: Analysis, store: dict | None = None):
+def _walk(ids, a: Analysis, store: dict) -> list[TheoremVerdict]:
     """The verdicts of ids on a, in order: the one routine that makes a
-    verdict.  Without a store it returns the verdict of the first id, which
-    is how STATEMENTS[sid] walks sid alone; verify_many walks the requested
-    ids with the store and gets the list of their verdicts.
+    verdict, reading nothing of a statement but its record in STATEMENTS.
+    verify_many walks the requested ids with the pair's verdict store; a
+    record called alone walks its id with an empty one.
 
     A hypothesis is met when its conjuncts, read in order with the
     short-circuit of "and", all hold; a statement whose hypothesis fails
     gets its vacuous verdict with no call, any other calls its conclusion.
     The walk keeps the value of each conjunct it reads, so it evaluates
-    each conjunct at most once, where "and" would first read it.  With a
-    store, a Lambda-level verdict is read from it when present and put into
+    each conjunct at most once, where "and" would first read it.  A
+    Lambda-level verdict is read from the store when present and put into
     it when made.  A SgblowError from a conjunct, a conclusion or the notes
     is a bug on the pair, since it passed its input check, and leaves as an
     InvariantViolation that names the statement being walked; an
     InvariantViolation, or any error outside SgblowError, passes unchanged.
     """
     values: dict[str, bool] = {}
-    # the lone verdict of a walk without a store needs no list
-    out = None if store is None else []
+    out = []
     try:
         for sid in ids:
-            shared, v, names = _ENTRIES[sid]
-            if shared and store is not None:
+            st = STATEMENTS[sid]
+            shared = st.level == "lambda"
+            if shared:
                 hit = store.get(sid)
                 if hit is not None:
                     out.append(hit)
                     continue
-            for name in names:
+            v = st.vacuous
+            for name in st.requires:
                 met = values.get(name)
                 if met is None:
                     met = values[name] = CONJUNCTS[name](a)
                 if not met:
                     break
             else:
-                # v stays the vacuous verdict unless every conjunct holds
-                ok, lhs, rhs = CONCLUSIONS[sid](a)
-                note = NOTES[sid]
+                # v stays the vacuous verdict unless every conjunct holds.
+                # The conclusion goes through a local: CPython 3.11 does not
+                # specialize a method-style call on a slot attribute
+                conclusion = st.conclusion
+                ok, lhs, rhs = conclusion(a)
+                note = st.notes
                 if note.__class__ is not str:
                     note = note(a)
                 # _new_tuple (tuple.__new__) skips the argument handling of
@@ -199,8 +218,6 @@ def _walk(ids, a: Analysis, store: dict | None = None):
                 else:
                     v = _new_tuple(TheoremVerdict, (sid, True, False, "failed", lhs, rhs,
                                                     {"lhs": lhs, "rhs": rhs}, note))
-            if store is None:
-                return v
             if shared:
                 store[sid] = v
             out.append(v)
@@ -634,19 +651,20 @@ def verify_statement(statement_id: str, e: ValueIdeal) -> TheoremVerdict:
     return STATEMENTS[statement_id](Analysis.of(e))
 
 
-def verify_many(e: ValueIdeal, statement_ids=None) -> list[TheoremVerdict]:
-    """Run several statements against one shared analysis, in one walk.
+def verify_many(e: ValueIdeal | Analysis, statement_ids=None) -> list[TheoremVerdict]:
+    """Run several statements against one pair, in one walk of their records.
 
-    The walk evaluates each conjunct at most once for the pair, where "and"
-    would first read it, and a statement whose hypothesis fails costs no call.
+    e is an ideal, or the pair's Analysis, which is used as it is.  The walk
+    evaluates each conjunct at most once for the pair, where "and" would
+    first read it, and a statement whose hypothesis fails costs no call.
     A Lambda-level verdict is one per (S, Lambda): it is read from the
     verdict store the pair's analysis hands on from its blow-up record
     (lambda_verdicts) when an earlier pair with that Lambda has made it, and
     otherwise made and stored.  Only the requested ids are evaluated, a
     pair's analysis has passed cross_check before any verdict is stored, and
     an evaluation that raises stores nothing.  The store keeps the verdicts
-    the registry gave; replacing an entry of it needs ring.cache_clear().
+    the registry gave; replacing a record of it needs ring.cache_clear().
     """
     names = catalog_ids() if statement_ids is None else _resolved_ids(tuple(statement_ids))
-    a = Analysis.of(e)
+    a = e if isinstance(e, Analysis) else Analysis(e)
     return _walk(names, a, a.lambda_verdicts)

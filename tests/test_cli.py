@@ -1,5 +1,6 @@
 """Command line behaviour: verbs, formats, files, and exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from sgblow.cli import main
 from sgblow.core import NumericalSemigroup
 from sgblow.errors import EquivalenceViolation, InvariantViolation
 from sgblow.report import loads_document
-from sgblow.statements import CONCLUSIONS, NOTES
+from sgblow.statements import STATEMENTS
 
 GENS = "<10,12,95,97>"
 
@@ -100,9 +101,10 @@ def test_examples_text_names_each_failed_check(capsys, monkeypatch):
 def _plant_failed_cor6_10(monkeypatch, target=None):
     """Cor6.10 fails with lhs=3 and rhs=4 where its hypothesis holds, on every
     pair or over target alone."""
-    honest = CONCLUSIONS["Cor6.10"]
-    monkeypatch.setitem(CONCLUSIONS, "Cor6.10",
-                        lambda a: (False, 3, 4) if target in (None, a.s) else honest(a))
+    honest = STATEMENTS["Cor6.10"]
+    monkeypatch.setitem(STATEMENTS, "Cor6.10", dataclasses.replace(
+        honest, conclusion=lambda a: (False, 3, 4) if target in (None, a.s)
+        else honest.conclusion(a)))
 
 
 def test_analyze_text_marks_a_failed_verdict(capsys, monkeypatch):
@@ -143,8 +145,8 @@ def test_verify_exit_codes_and_json(capsys):
 
 def test_failed_statement_is_reported_with_its_witness(capsys, monkeypatch):
     # Prop3.2.1 has no hypothesis, so the planted conclusion fails it on every pair
-    monkeypatch.setitem(CONCLUSIONS, "Prop3.2.1", lambda a: (False, a.c, -1))
-    monkeypatch.setitem(NOTES, "Prop3.2.1", "planted")
+    monkeypatch.setitem(STATEMENTS, "Prop3.2.1", dataclasses.replace(
+        STATEMENTS["Prop3.2.1"], conclusion=lambda a: (False, a.c, -1), notes="planted"))
     code, out, _ = run(capsys, "verify", "--max-genus", "3", "--jobs", "1",
                        "--format", "json")
     assert code == 3

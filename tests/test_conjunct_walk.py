@@ -8,22 +8,23 @@ STATEMENTS[sid](a) walks sid alone.  These tests hold the two routes to the
 same verdicts, the same vacuous objects and the same first error.
 """
 
+import dataclasses
+import json
 import random
+from collections import Counter
 
 import pytest
 
 from sgblow.blowup import Analysis
+from sgblow.cli import main
+from sgblow.core import NumericalSemigroup
 from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
 from sgblow.errors import InvariantViolation, SgblowError
 from sgblow.invariants import ring
 from sgblow.statements import (
-    CONCLUSIONS,
     CONJUNCTS,
-    HYPOTHESES,
-    LEVELS,
-    NOTES,
-    REQUIRES,
     STATEMENTS,
+    TheoremVerdict,
     _walk,
     catalog_ids,
     expand_statement_ids,
@@ -85,31 +86,30 @@ def test_verify_many_equals_the_per_statement_route(temperature):
 
 
 def test_the_registry_lists_every_statement_in_catalog_order():
-    ids = catalog_ids()
-    assert tuple(CONCLUSIONS) == tuple(REQUIRES) == tuple(NOTES) == tuple(HYPOTHESES) == ids
-    for sid in ids:
-        assert (HYPOTHESES[sid] is None) == (REQUIRES[sid] == ())
-        assert set(REQUIRES[sid]) <= CONJUNCTS.keys() and len(set(REQUIRES[sid])) == len(
-            REQUIRES[sid]), sid
+    assert tuple(STATEMENTS) == catalog_ids()
+    for sid, st in STATEMENTS.items():
+        assert st.sid == sid
+        assert st.vacuous == TheoremVerdict(sid, False, True, "vacuous")
+        assert set(st.requires) <= CONJUNCTS.keys() and len(set(st.requires)) == len(
+            st.requires), sid
     # every conjunct is read by some statement
-    assert {name for names in REQUIRES.values() for name in names} == CONJUNCTS.keys()
+    assert {name for st in STATEMENTS.values() for name in st.requires} == CONJUNCTS.keys()
     # Lambda-level statements read almost Gorenstein and the two conjuncts
     # that check a second form of themselves
-    assert {name for sid, names in REQUIRES.items() if LEVELS[sid] == "lambda"
-            for name in names} == {"K in Lambda**", "R:Lambda integrally closed",
-                                   "almost Gorenstein"}
+    assert {name for st in STATEMENTS.values() if st.level == "lambda"
+            for name in st.requires} == {"K in Lambda**", "R:Lambda integrally closed",
+                                         "almost Gorenstein"}
 
 
 def test_a_hypothesis_is_the_conjunction_of_its_conjuncts():
     seen = {True: 0, False: 0}
     for e in PAIRS[::7]:
         a = Analysis.of(e)
-        for sid, hypothesis in HYPOTHESES.items():
-            if hypothesis is None:
+        for sid, st in STATEMENTS.items():
+            if not st.requires:
                 continue
-            met = hypothesis(a)
-            assert met == all(CONJUNCTS[name](a) for name in REQUIRES[sid]), (sid, e)
-            assert STATEMENTS[sid](a).hypotheses_met == met, (sid, e)
+            met = all(CONJUNCTS[name](a) for name in st.requires)
+            assert st(a).hypotheses_met == met, (sid, e)
             seen[met] += 1
     assert seen[True] and seen[False]
 
@@ -136,7 +136,7 @@ def test_a_fault_in_a_conjunct_raises_the_same_first_error_on_both_routes(monkey
     for e in FAULT_PAIRS:
         ring.cache_clear()  # a new record: every Lambda-level statement is walked
         a = Analysis.of(e)
-        first = next((sid for sid in ids if _reaches(a, REQUIRES[sid], planted)), None)
+        first = next((sid for sid in ids if _reaches(a, STATEMENTS[sid].requires, planted)), None)
         calls = []
 
         def counted(a):
@@ -170,6 +170,48 @@ def test_a_fault_in_a_conjunct_raises_the_same_first_error_on_both_routes(monkey
         monkeypatch.setitem(CONJUNCTS, planted, honest)
     assert 0 < reached == raised
     # a conjunct that no hypothesis reads first is skipped on some pair
-    if all(names[0] != planted for names in REQUIRES.values() if names):
+    if all(st.requires[0] != planted for st in STATEMENTS.values() if st.requires):
         assert reached < len(FAULT_PAIRS)
+    ring.cache_clear()
+
+
+def test_a_replaced_record_reaches_every_route(monkeypatch, capsys):
+    # m over <3,4,5> is almost Gorenstein and its H is not symmetric: Cor5.4
+    # is vacuous as registered, and fails once it requires almost Gorenstein alone
+    e = NumericalSemigroup.from_generators([3, 4, 5]).maximal_ideal()
+    a = Analysis.of(e)
+    assert CONJUNCTS["almost Gorenstein"](a) and not CONJUNCTS["H symmetric"](a)
+    assert STATEMENTS["Cor5.4"](a).status == "vacuous"
+    monkeypatch.setitem(STATEMENTS, "Cor5.4", dataclasses.replace(
+        STATEMENTS["Cor5.4"], requires=("almost Gorenstein",)))
+    assert STATEMENTS["Cor5.4"](a).status == "failed"
+    assert [v.status for v in verify_many(e, ["Cor5.4"])] == ["failed"]
+    assert main(["analyze", "<3,4,5>", "--statements", "Cor5.4", "--format", "json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert [v["status"] for v in doc["verdicts"]] == ["failed"]
+
+    # a level is read from the record too: Rmk4.5 declared Lambda-level is stored
+    ring.cache_clear()
+    verify_many(e)
+    assert "Rmk4.5" not in Analysis.of(e).lambda_verdicts
+    ring.cache_clear()
+    monkeypatch.setitem(STATEMENTS, "Rmk4.5",
+                        dataclasses.replace(STATEMENTS["Rmk4.5"], level="lambda"))
+    verify_many(e)
+    assert "Rmk4.5" in Analysis.of(e).lambda_verdicts
+    ring.cache_clear()
+
+
+def test_analyze_walks_the_catalog_once(monkeypatch, capsys):
+    reads = Counter()
+    for name, fn in list(CONJUNCTS.items()):
+        monkeypatch.setitem(CONJUNCTS, name,
+                            lambda a, name=name, fn=fn: reads.update([name]) or fn(a))
+    ids = catalog_ids()
+    ring.cache_clear()
+    main(["analyze", "<10,23,55,58,82>", "--statements", ",".join(ids), "--format", "json"])
+    assert len(json.loads(capsys.readouterr().out)["verdicts"]) == len(ids)
+    assert reads and max(reads.values()) == 1, reads
+    a = Analysis.of(NumericalSemigroup.from_generators([10, 23, 55, 58, 82]).maximal_ideal())
+    assert verify_many(a, ids) == [STATEMENTS[sid](a) for sid in ids]
     ring.cache_clear()

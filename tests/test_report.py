@@ -1,5 +1,6 @@
 """Structured document rendering and its round-trip guarantees."""
 
+import dataclasses
 import enum
 import json
 import random
@@ -18,7 +19,7 @@ from sgblow.report import (
     set_document,
     verdict_document,
 )
-from sgblow.statements import CONCLUSIONS, NOTES, Analysis, TheoremVerdict, verify_many
+from sgblow.statements import STATEMENTS, Analysis, TheoremVerdict, verify_many
 from sgblow.suite import SuiteConfig, run_suite
 
 
@@ -253,9 +254,10 @@ def test_a_cyclic_value_is_not_a_document():
 
 
 def test_failure_records_serialize_as_json_dumps(capsys, monkeypatch):
-    # verify_many reads each conclusion and its notes from the registry
-    monkeypatch.setitem(CONCLUSIONS, "Prop3.2.1", lambda a: (False, a.lam, [a.c, None]))
-    monkeypatch.setitem(NOTES, "Prop3.2.1", "planted \"quote\"")
+    # verify_many reads each conclusion and its notes from the registry's record
+    monkeypatch.setitem(STATEMENTS, "Prop3.2.1", dataclasses.replace(
+        STATEMENTS["Prop3.2.1"], conclusion=lambda a: (False, a.lam, [a.c, None]),
+        notes="planted \"quote\""))
     doc = run_suite(SuiteConfig(max_genus=3, jobs=1)).to_document()
     assert doc["failures"]
     assert all(isinstance(f["witness"]["lhs"], dict) for f in doc["failures"])

@@ -18,16 +18,7 @@ from sgblow.errors import InvariantViolation
 from sgblow.fixtures import FIXTURES
 from sgblow.invariants import ring
 from sgblow.parsing import parse_ideal, parse_semigroup
-from sgblow.statements import (
-    CONCLUSIONS,
-    CONJUNCTS,
-    HYPOTHESES,
-    LEVELS,
-    REQUIRES,
-    STATEMENTS,
-    catalog_ids,
-    verify_many,
-)
+from sgblow.statements import CONJUNCTS, STATEMENTS, catalog_ids, verify_many
 
 from test_blowup import IDEAL_ZOO, pair
 from test_blowup_records import _key, _pairs_sharing_a_blowup
@@ -53,27 +44,28 @@ def _zoo_and_fixture_pairs():
 
 
 def _check_lambda_level_reads():
-    """Each statement LEVELS calls Lambda-level, run on a view that has only
-    the Lambda-level attributes, gives the verdict it gives on the pair."""
+    """Each statement whose record is Lambda-level, run on a view that has
+    only the Lambda-level attributes, gives the verdict it gives on the pair."""
     for e in _zoo_and_fixture_pairs():
         a = Analysis.of(e)
         view = SimpleNamespace(**{name: getattr(a, name) for name in LAMBDA_LEVEL})
         for sid in catalog_ids():
-            if LEVELS[sid] == "lambda":
+            if STATEMENTS[sid].level == "lambda":
                 assert STATEMENTS[sid](view) == STATEMENTS[sid](a), (sid, e)
 
 
 def test_the_registry_lists_each_statement_with_its_hypothesis_and_level():
-    assert tuple(LEVELS) == tuple(HYPOTHESES) == catalog_ids()
-    assert tuple(sid for sid, level in LEVELS.items() if level == "lambda") == LAMBDA_IDS
-    assert set(LEVELS.values()) == {"pair", "lambda"}
-    assert HYPOTHESES["Prop3.2.1"] is None and HYPOTHESES["Prop4.3.2"] is not None
+    for sid, st in STATEMENTS.items():
+        assert st.sid == sid
+    assert tuple(sid for sid, st in STATEMENTS.items() if st.level == "lambda") == LAMBDA_IDS
+    assert {st.level for st in STATEMENTS.values()} == {"pair", "lambda"}
+    assert STATEMENTS["Prop3.2.1"].requires == () and STATEMENTS["Prop4.3.2"].requires != ()
     # a verdict is vacuous exactly when its registered hypothesis fails
     for e in _zoo_and_fixture_pairs():
         a = Analysis.of(e)
-        for sid, hypothesis in HYPOTHESES.items():
-            met = hypothesis is None or hypothesis(a)
-            assert STATEMENTS[sid](a).hypotheses_met == met, (sid, e)
+        for sid, st in STATEMENTS.items():
+            met = all(CONJUNCTS[name](a) for name in st.requires)
+            assert st(a).hypotheses_met == met, (sid, e)
 
 
 def test_lambda_level_record_fields_are_the_record(monkeypatch):
@@ -110,7 +102,8 @@ def test_lambda_level_statements_read_only_lambda_level_quantities():
 
 def test_a_pair_level_statement_declared_lambda_level_fails_loudly(monkeypatch):
     # Prop2.9 reads the condition groups, whose A4-A6 involve the powers of E
-    monkeypatch.setitem(LEVELS, "Prop2.9", "lambda")
+    monkeypatch.setitem(STATEMENTS, "Prop2.9",
+                        dataclasses.replace(STATEMENTS["Prop2.9"], level="lambda"))
     with pytest.raises(AttributeError, match="conditions"):
         _check_lambda_level_reads()
 
@@ -125,7 +118,7 @@ def test_shared_verdicts_equal_fresh_ones_over_genus_5():
         first = shared.setdefault((a.s, a.lam), verdicts)
         for sid, v, w in zip(catalog_ids(), verdicts, first):
             # a later pair with the same Lambda was handed the first one's verdict
-            if LEVELS[sid] == "lambda":
+            if STATEMENTS[sid].level == "lambda":
                 assert v is w, (sid, e)
     assert len(shared) < len(pairs)
     for e, verdicts in zip(pairs, warm):
@@ -138,12 +131,12 @@ def test_only_the_requested_statements_are_evaluated(monkeypatch):
     s, e, f = _pairs_sharing_a_blowup()
     expected_e = STATEMENTS["Prop4.3.4"](Analysis.of(e))
     expected_f = [STATEMENTS[sid](Analysis.of(f)) for sid in catalog_ids()]
-    # verify_many calls no STATEMENTS entry: it reads each statement's
-    # conjuncts and conclusion, so those are what the calls are counted on
+    # verify_many calls no record: it walks each record's conjuncts and
+    # conclusion, so those are what the calls are counted on
     concluded, read = [], []
-    for sid, fn in list(CONCLUSIONS.items()):
-        monkeypatch.setitem(CONCLUSIONS, sid,
-                            lambda a, sid=sid, fn=fn: concluded.append(sid) or fn(a))
+    for sid, st in list(STATEMENTS.items()):
+        monkeypatch.setitem(STATEMENTS, sid, dataclasses.replace(
+            st, conclusion=lambda a, sid=sid, fn=st.conclusion: concluded.append(sid) or fn(a)))
     for name, fn in list(CONJUNCTS.items()):
         monkeypatch.setitem(CONJUNCTS, name,
                             lambda a, name=name, fn=fn: read.append(name) or fn(a))
@@ -151,7 +144,7 @@ def test_only_the_requested_statements_are_evaluated(monkeypatch):
     assert verify_many(e, ["Prop4.3.4"]) == [expected_e]
     assert expected_e.hypotheses_met
     assert concluded == ["Prop4.3.4"]
-    assert read == list(REQUIRES["Prop4.3.4"])
+    assert read == list(STATEMENTS["Prop4.3.4"].requires)
     assert list(Analysis.of(e).lambda_verdicts) == ["Prop4.3.4"]
     concluded.clear()
     read.clear()
@@ -164,7 +157,7 @@ def test_only_the_requested_statements_are_evaluated(monkeypatch):
                          if v.hypotheses_met and v.statement_id != "Prop4.3.4"]
     assert any(not v.hypotheses_met for v in expected_f)
     assert len(read) == len(set(read))
-    assert not set(read) & set(REQUIRES["Prop4.3.4"])
+    assert not set(read) & set(STATEMENTS["Prop4.3.4"].requires)
     assert set(Analysis.of(f).lambda_verdicts) == set(LAMBDA_IDS)
     ring.cache_clear()
 
