@@ -34,7 +34,10 @@ Lambda alone are one record per (S, Lambda), kept in a.ring.blowups:
 R:Lambda, Lambda**, omega_Lambda = K + Lambda, K:Lambda, delta(Lambda),
 Gamma and its complement, i0 with R_i0 and R_i0*, the Lambda-level
 lengths, the Gamma sums, d, the condition members A1-A3, B1, B2 and the
-bridge, and whether Lambda contains S:M.  What involves E stays per pair:
+bridge, whether Lambda contains S:M, and the catalog's two Lambda-level
+hypotheses, K in Lambda** and R:Lambda integrally closed.  The record is
+the one place these are computed; the catalog's conjuncts only read them.
+What involves E stays per pair:
 the powers, H, nu, rho, A4-A6, E**, whether R:Lambda is nuE, and the
 lengths against nuE.  _blowup_record builds a record whole and runs
 Lambda's own checks before the lengths only the catalog reads.  Analysis
@@ -42,10 +45,10 @@ calls it on a miss, once both routes to Lambda agree, and stores what it
 returns, so a Lambda whose build raises is never cached and raises again on
 every pair with it.  A record is two dicts, fields keyed by Analysis
 attribute and conditions keyed by ConditionsReport field.  One field is
-the verdict store a.lambda_verdicts: statements.verify_many, walking the
-requested ids once per pair after the pair's cross_check, reads each
-Lambda-level verdict from it or makes the verdict and puts it there, so
-every pair with this Lambda shares it.
+the verdict store a.lambda_verdicts, keyed by statements.Statement record:
+statements.verify_many, walking the requested ids once per pair after the
+pair's cross_check, reads each Lambda-level verdict from it or makes the
+verdict and puts it there, so every pair with this Lambda shares it.
 
 The error contract: _check_proper is the pair's input check, and its
 NotProper and PrincipalIdeal are domain errors (exit 2).  Any failure after
@@ -67,7 +70,7 @@ from .errors import (
     PrincipalIdeal,
     SgblowError,
 )
-from .invariants import Ring, _lazy, bidual, dual, ring
+from .invariants import Ring, _lazy, bidual, dual, integral_closure, ring
 
 
 def power(e: ValueIdeal, k: int) -> ValueIdeal:
@@ -361,9 +364,13 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     attribute each becomes (the empty verdict store lambda_verdicts among
     them), and conditions, keyed by ConditionsReport field.
 
-    Lambda's own checks run before any length only the catalog reads.  It
-    runs inside Analysis's pair boundary, which reports any failure here as
-    an InvariantViolation.
+    Lambda's own checks run before any length only the catalog reads.
+    Among them each of the two Lambda-level hypotheses is checked against
+    its second form: K in Lambda** against the bridge R:omega containing
+    R:Lambda ("the two hypothesis forms must agree"), and R:Lambda
+    integrally closed against R:Lambda = R_i0 ("integral closedness of the
+    colon must mean it is a full value filter").  It runs inside Analysis's
+    pair boundary, which reports any failure here as an InvariantViolation.
     """
     s, s_ideal, k, norm = rg.s, rg.s_ideal, rg.k, rg.normalization
     r_colon = s_ideal.colon(lam)
@@ -389,6 +396,15 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     # R_i0 is S from s_i0 = min R:Lambda on
     lo = r_colon.min_element
     r_filter_i0 = ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
+    # the catalog's two Lambda-level hypotheses, each against its second form
+    bridge = rg.r_colon_omega.contains(r_colon)
+    k_in_lam_bidual = lam_bidual.contains(k)
+    if k_in_lam_bidual != bridge:
+        raise InvariantViolation("the two hypothesis forms must agree")
+    r_colon_integrally_closed = integral_closure(r_colon) == r_colon
+    if r_colon_integrally_closed != (r_colon == r_filter_i0):
+        raise InvariantViolation("integral closedness of the colon must mean "
+                                 "it is a full value filter")
     r_star_i0 = dual(r_filter_i0)
     len_rbar_over_bidual = length_between(norm, lam_bidual)
     sum_gamma = sum(rg.ts.entries[i - 1] for i in gamma_set)
@@ -408,11 +424,12 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
         sum_gamma=sum_gamma, sum_not_gamma=s.genus - sum_gamma,
         sum_not_gamma_excess=s.genus - sum_gamma - len(outside_gamma),
         d=len_rbar_over_bidual - sum_gamma, lam_contains_dual_m=lam.contains(rg.dual_m),
+        k_in_lam_bidual=k_in_lam_bidual, r_colon_integrally_closed=r_colon_integrally_closed,
         lambda_verdicts={})
     # A1-A3, B1, B2 and the bridge R:Lambda inside R:omega
     return fields, dict(
         a1=lam.contains(k), a2=omega == lam, a3=k_colon == r_colon, b1=lam == lam_bidual,
-        b2=k_colon == (k + r_colon), colon_inside_omega_dual=rg.r_colon_omega.contains(r_colon))
+        b2=k_colon == (k + r_colon), colon_inside_omega_dual=bridge)
 
 
 BlowupReport = Analysis

@@ -247,7 +247,7 @@ class ValueIdeal:
     __slots__ = ("carrier", "min_element", "bits", "frontier", "_mingens")
 
     def __init__(self, carrier: NumericalSemigroup, members: Iterable[int],
-                 cofinite_from: int, *, validate: bool = True):
+                 cofinite_from: int):
         mem = [int(x) for x in members]
         frontier = int(cofinite_from)
         base = min(mem, default=frontier)
@@ -256,7 +256,7 @@ class ValueIdeal:
         self.min_element, self.bits, self.frontier = (
             canonical.min_element, canonical.bits, canonical.frontier)
         self._mingens: tuple[int, ...] | None = None
-        if validate and not self._closed_under_carrier():
+        if not self._closed_under_carrier():
             raise NotClosed(*self._closure_witness())
 
     @classmethod

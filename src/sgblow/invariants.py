@@ -93,9 +93,10 @@ class Ring:
     (Lambda.bits, Lambda.frontier) (Lambda has min 0 and carrier S): two
     dicts, fields by Analysis attribute and conditions by ConditionsReport
     field, built whole and checked by blowup._blowup_record and read only
-    by Analysis.  The fields hold the Lambda-level verdicts verify_many
-    fills, so every pair with that blow-up shares them.  It holds at most
-    one record per distinct Lambda and is freed with the ring.
+    by Analysis.  The fields hold the catalog's two Lambda-level
+    hypotheses and the Lambda-level verdicts verify_many fills, keyed by
+    statement record, so every pair with that blow-up shares them.  It
+    holds at most one record per distinct Lambda and is freed with the ring.
     """
 
     def __init__(self, s: NumericalSemigroup):

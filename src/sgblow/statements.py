@@ -4,9 +4,12 @@ Each statement is declared once, by one _statement registration that
 names its id, its hypothesis, its notes and its level and registers its
 conclusion.  A hypothesis is a tuple of conjunct names, read in order
 with the short-circuit of "and"; CONJUNCTS maps each name (like "E = m" or
-"nu = 2") to a predicate.  Conjuncts and conclusions are functions of a
-shared Analysis bundle (ring-level quantities on its a.ring); a conclusion
-returns (ok, lhs, rhs).  The registry, STATEMENTS, maps each id, in
+"nu = 2") to a predicate that reads attributes of a shared Analysis bundle
+(ring-level quantities on its a.ring), so no conjunct computes an ideal.
+The two Lambda-level ones, "K in Lambda**" and "R:Lambda integrally
+closed", read fields of the blow-up record, which checks each against its
+second form when it is built.  A conclusion is a function of the bundle
+too and returns (ok, lhs, rhs).  The registry, STATEMENTS, maps each id, in
 catalog order, to the statement's one Statement record: its conjunct
 names (requires), its conclusion, its notes (text, or a function of the
 bundle), its level and its vacuous verdict.  A record is the whole
@@ -35,8 +38,11 @@ A statement is "pair"-level unless it reads only what is one per
 l(Lambda/R) when the pair is built), r, a.ring and the notation of S.
 Those eight, Prop4.2, Prop4.3.1-4.3.4, Thm4.4.1, Thm4.4.2 and Cor5.2, are
 "lambda"-level, and verify_many makes each of their verdicts once per
-blow-up record and hands it to every later pair with that Lambda.
-STATEMENTS[sid](a) itself always evaluates afresh.
+blow-up record and hands it to every later pair with that Lambda.  The
+record's verdict store is keyed by the Statement record itself, so a
+replaced record misses it and is walked, on a warm ring too, and the
+original, put back, finds its own verdicts again.  STATEMENTS[sid](a)
+itself always evaluates afresh.
 
 Statement ids follow the external naming contract (Thm4.7.1, Prop6.9.2, ...).
 A bare group id like "Thm4.7" expands to all of its parts.
@@ -51,7 +57,7 @@ from typing import Callable, NamedTuple
 from .blowup import Analysis
 from .core import ValueIdeal, length_between
 from .errors import InvariantViolation, SgblowError, UnknownStatement
-from .invariants import integral_closure, is_reflexive
+from .invariants import is_reflexive
 
 
 class TheoremVerdict(NamedTuple):
@@ -80,23 +86,7 @@ class TheoremVerdict(NamedTuple):
     __hash__ = tuple.__hash__
 
 
-def _bidual_contains_k(a: Analysis) -> bool:
-    hyp = a.lam_bidual.contains(a.ring.k)
-    if hyp != a.ring.r_colon_omega.contains(a.r_colon_lambda):
-        raise InvariantViolation("the two hypothesis forms must agree")
-    return hyp
-
-
-def _colon_integrally_closed(a: Analysis) -> bool:
-    closed = integral_closure(a.r_colon_lambda) == a.r_colon_lambda
-    if closed != (a.r_colon_lambda == a.r_filter_i0):
-        raise InvariantViolation("integral closedness of the colon must mean "
-                                 "it is a full value filter")
-    return closed
-
-
-# every conjunct a hypothesis may name; the last two are Lambda-level and
-# check a second form of themselves
+# every conjunct a hypothesis may name, each a read of the bundle
 CONJUNCTS: dict[str, Callable[[Analysis], bool]] = {
     "E = m": lambda a: a.is_max_ideal,
     "almost Gorenstein": lambda a: a.ring.ring_class.almost_gorenstein,
@@ -111,14 +101,14 @@ CONJUNCTS: dict[str, Callable[[Analysis], bool]] = {
     "r = 2": lambda a: a.r == 2,
     "nu = 2": lambda a: a.nu == 2,
     "nu = 3": lambda a: a.nu == 3,
-    "K in Lambda**": _bidual_contains_k,
-    "R:Lambda integrally closed": _colon_integrally_closed,
+    "K in Lambda**": lambda a: a.k_in_lam_bidual,
+    "R:Lambda integrally closed": lambda a: a.r_colon_integrally_closed,
 }
 
 _new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Statement:
     """One catalog statement: its id, the conjunct names of its hypothesis,
     its conclusion a -> (ok, lhs, rhs), its notes (text, or a function of
@@ -127,7 +117,9 @@ class Statement:
     Calling it on an Analysis walks the statement alone, afresh: no verdict
     store is read or kept.  The walk reads the record registered under sid,
     so a replacement made with dataclasses.replace takes effect, on this
-    route and every other, once it is put back into STATEMENTS.
+    route and every other, once it is put back into STATEMENTS.  Equality
+    and hash are those of identity (eq=False), so a record is a cheap key
+    of the verdict store.
     """
 
     sid: str
@@ -177,11 +169,12 @@ def _walk(ids, a: Analysis, store: dict) -> list[TheoremVerdict]:
     gets its vacuous verdict with no call, any other calls its conclusion.
     The walk keeps the value of each conjunct it reads, so it evaluates
     each conjunct at most once, where "and" would first read it.  A
-    Lambda-level verdict is read from the store when present and put into
-    it when made.  A SgblowError from a conjunct, a conclusion or the notes
-    is a bug on the pair, since it passed its input check, and leaves as an
-    InvariantViolation that names the statement being walked; an
-    InvariantViolation, or any error outside SgblowError, passes unchanged.
+    Lambda-level verdict is read from the store, keyed by the statement's
+    record, when present and put into it when made.  A SgblowError from a
+    conjunct, a conclusion or the notes is a bug on the pair, since it
+    passed its input check, and leaves as an InvariantViolation that names
+    the statement being walked; an InvariantViolation, or any error outside
+    SgblowError, passes unchanged.
     """
     values: dict[str, bool] = {}
     out = []
@@ -190,7 +183,7 @@ def _walk(ids, a: Analysis, store: dict) -> list[TheoremVerdict]:
             st = STATEMENTS[sid]
             shared = st.level == "lambda"
             if shared:
-                hit = store.get(sid)
+                hit = store.get(st)
                 if hit is not None:
                     out.append(hit)
                     continue
@@ -219,7 +212,7 @@ def _walk(ids, a: Analysis, store: dict) -> list[TheoremVerdict]:
                     v = _new_tuple(TheoremVerdict, (sid, True, False, "failed", lhs, rhs,
                                                     {"lhs": lhs, "rhs": rhs}, note))
             if shared:
-                store[sid] = v
+                store[st] = v
             out.append(v)
     except InvariantViolation:
         raise
@@ -645,10 +638,10 @@ def _resolved_ids(requested: tuple[str, ...]) -> tuple[str, ...]:
     return expand_statement_ids(requested)
 
 
-def verify_statement(statement_id: str, e: ValueIdeal) -> TheoremVerdict:
+def verify_statement(statement_id: str, e: ValueIdeal | Analysis) -> TheoremVerdict:
     if statement_id not in STATEMENTS:
         raise UnknownStatement(f"no statement named {statement_id!r}")
-    return STATEMENTS[statement_id](Analysis.of(e))
+    return STATEMENTS[statement_id](e if isinstance(e, Analysis) else Analysis(e))
 
 
 def verify_many(e: ValueIdeal | Analysis, statement_ids=None) -> list[TheoremVerdict]:
@@ -660,10 +653,11 @@ def verify_many(e: ValueIdeal | Analysis, statement_ids=None) -> list[TheoremVer
     A Lambda-level verdict is one per (S, Lambda): it is read from the
     verdict store the pair's analysis hands on from its blow-up record
     (lambda_verdicts) when an earlier pair with that Lambda has made it, and
-    otherwise made and stored.  Only the requested ids are evaluated, a
-    pair's analysis has passed cross_check before any verdict is stored, and
-    an evaluation that raises stores nothing.  The store keeps the verdicts
-    the registry gave; replacing a record of it needs ring.cache_clear().
+    otherwise made and stored.  The store is keyed by the Statement record,
+    so a record replaced in STATEMENTS is walked afresh and its verdicts
+    are kept apart from the original's.  Only the requested ids are
+    evaluated, a pair's analysis has passed cross_check before any verdict
+    is stored, and an evaluation that raises stores nothing.
     """
     names = catalog_ids() if statement_ids is None else _resolved_ids(tuple(statement_ids))
     a = e if isinstance(e, Analysis) else Analysis(e)

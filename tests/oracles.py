@@ -223,6 +223,9 @@ def blowup_record(small: tuple[int, ...], conductor: int,
     i0 = smalls.index(_least(r_colon))
     r_filter = _cofinite([x for x in elems if x >= smalls[i0]], c)
     r_star = _colon(s, r_filter)
+    # the integral closure of an ideal inside S is S from its least member on
+    lo = _least(r_colon)
+    r_colon_closure = _cofinite([x for x in elems if x >= lo], max(lo, c))
     delta = _length(norm, lam)
     c_lam = lam[1]
     sum_gamma = sum(r[i - 1] for i in gamma)
@@ -246,6 +249,8 @@ def blowup_record(small: tuple[int, ...], conductor: int,
         "sum_not_gamma_excess": sum(r[i - 1] - 1 for i in outside),
         "d": _length(norm, bidual) - sum_gamma,
         "lam_contains_dual_m": _contains(lam, _colon(s, m)),
+        "k_in_lam_bidual": _contains(bidual, k),
+        "r_colon_integrally_closed": r_colon == r_colon_closure,
         "a1": _contains(lam, k), "a2": omega == lam, "a3": k_colon == r_colon,
         "b1": lam == bidual, "b2": k_colon == _sum(k, r_colon),
         "colon_inside_omega_dual": _contains(_colon(s, k), r_colon),

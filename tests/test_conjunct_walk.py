@@ -95,7 +95,7 @@ def test_the_registry_lists_every_statement_in_catalog_order():
     # every conjunct is read by some statement
     assert {name for st in STATEMENTS.values() for name in st.requires} == CONJUNCTS.keys()
     # Lambda-level statements read almost Gorenstein and the two conjuncts
-    # that check a second form of themselves
+    # that read fields of the blow-up record
     assert {name for st in STATEMENTS.values() if st.level == "lambda"
             for name in st.requires} == {"K in Lambda**", "R:Lambda integrally closed",
                                          "almost Gorenstein"}
@@ -190,15 +190,34 @@ def test_a_replaced_record_reaches_every_route(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [v["status"] for v in doc["verdicts"]] == ["failed"]
 
-    # a level is read from the record too: Rmk4.5 declared Lambda-level is stored
+    # a level is read from the record too: Rmk4.5 declared Lambda-level is
+    # stored, on the ring already warmed with the record as registered
     ring.cache_clear()
     verify_many(e)
-    assert "Rmk4.5" not in Analysis.of(e).lambda_verdicts
-    ring.cache_clear()
+    store = Analysis.of(e).lambda_verdicts
+    assert STATEMENTS["Rmk4.5"] not in store
     monkeypatch.setitem(STATEMENTS, "Rmk4.5",
                         dataclasses.replace(STATEMENTS["Rmk4.5"], level="lambda"))
     verify_many(e)
-    assert "Rmk4.5" in Analysis.of(e).lambda_verdicts
+    assert STATEMENTS["Rmk4.5"] in store
+    ring.cache_clear()
+
+
+def test_a_replaced_record_takes_effect_on_a_warm_ring(monkeypatch):
+    # the verdict store is keyed by the record, not its id: a replacement
+    # misses the stored verdict, and the original finds it again
+    e = NumericalSemigroup.from_generators([3, 4, 5]).maximal_ideal()
+    ring.cache_clear()
+    [held] = verify_many(e, ["Cor5.2"])
+    assert held.status == "held"
+    registered = STATEMENTS["Cor5.2"]
+    monkeypatch.setitem(STATEMENTS, "Cor5.2",
+                        dataclasses.replace(registered, conclusion=lambda a: (False, 1, 2)))
+    [failed] = verify_many(e, ["Cor5.2"])
+    assert failed.status == "failed" and (failed.lhs, failed.rhs) == (1, 2)
+    assert verify_many(e, ["Cor5.2"]) == [failed] == [STATEMENTS["Cor5.2"](Analysis(e))]
+    monkeypatch.setitem(STATEMENTS, "Cor5.2", registered)
+    assert verify_many(e, ["Cor5.2"])[0] is held
     ring.cache_clear()
 
 

@@ -154,7 +154,7 @@ def test_construction_errors():
 def test_value_ideal_canonical_form():
     s = NumericalSemigroup.from_generators([3, 4])
     # frontier pulls back over trailing members
-    e = ValueIdeal(s, [3, 4, 6, 7, 8, 9], 10, validate=False)
+    e = ValueIdeal(s, [3, 4, 6, 7, 8, 9], 10)
     assert e.frontier == 6
     assert e.members == (3, 4)
     assert e.min_element == 3

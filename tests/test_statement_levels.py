@@ -145,7 +145,8 @@ def test_only_the_requested_statements_are_evaluated(monkeypatch):
     assert expected_e.hypotheses_met
     assert concluded == ["Prop4.3.4"]
     assert read == list(STATEMENTS["Prop4.3.4"].requires)
-    assert list(Analysis.of(e).lambda_verdicts) == ["Prop4.3.4"]
+    # the store is keyed by the record walked, here the counting one
+    assert list(Analysis.of(e).lambda_verdicts) == [STATEMENTS["Prop4.3.4"]]
     concluded.clear()
     read.clear()
     full = verify_many(f)
@@ -158,7 +159,7 @@ def test_only_the_requested_statements_are_evaluated(monkeypatch):
     assert any(not v.hypotheses_met for v in expected_f)
     assert len(read) == len(set(read))
     assert not set(read) & set(STATEMENTS["Prop4.3.4"].requires)
-    assert set(Analysis.of(f).lambda_verdicts) == set(LAMBDA_IDS)
+    assert set(Analysis.of(f).lambda_verdicts) == {STATEMENTS[sid] for sid in LAMBDA_IDS}
     ring.cache_clear()
 
 
@@ -166,20 +167,23 @@ def test_a_fault_in_a_shared_hypothesis_raises_on_every_pair_and_stores_nothing(
     s, e, f = _pairs_sharing_a_blowup()
     ring.cache_clear()
     a = Analysis.of(e)
-    store = a.lambda_verdicts
-    rg = a.ring
-    # flip R:omega ⊇ R:Lambda, the form of Prop4.3.2's hypothesis that only
-    # the statements read once the record is built
-    held = rg.r_colon_omega.contains(a.r_colon_lambda)
+    held = a.k_in_lam_bidual
+    assert held == a.ring.r_colon_omega.contains(a.r_colon_lambda)
+    # on a cold ring, flip R:omega ⊇ R:Lambda, the form of Prop4.3.2's
+    # hypothesis that the blow-up record checks K in Lambda** against
+    ring.cache_clear()
+    rg = ring(s)
     flipped = rg.conductor_ideal.shift(s.conductor) if held else rg.normalization
     monkeypatch.setattr(rg, "r_colon_omega", flipped)
     assert flipped.contains(a.r_colon_lambda) != held
     for ideal in (e, f, e):
         with pytest.raises(InvariantViolation, match="two hypothesis forms"):
-            verify_many(ideal, ["Prop4.3.2"])
-    assert store == {}
+            Analysis(ideal)
+        # the record is not cached, so no verdict is stored and the next
+        # pair with this Lambda builds it again
+        assert rg.blowups == {}
     monkeypatch.undo()
     [v] = verify_many(f, ["Prop4.3.2"])
-    assert store == {"Prop4.3.2": v}
+    assert Analysis.of(f).lambda_verdicts == {STATEMENTS["Prop4.3.2"]: v}
     assert verify_many(e, ["Prop4.3.2"])[0] is v
     ring.cache_clear()

@@ -53,6 +53,23 @@ def test_expansion_rules():
                          .maximal_ideal())
 
 
+def test_verify_statement_walks_a_given_analysis_as_it_is(monkeypatch):
+    a = Analysis(NumericalSemigroup.from_generators([17, 26]).maximal_ideal())
+    built = []
+    honest_init = Analysis.__init__
+
+    def init(self, e):
+        built.append(e)
+        honest_init(self, e)
+    monkeypatch.setattr(Analysis, "__init__", init)
+    v = verify_statement("Thm4.4.1", a)
+    assert built == []
+    assert v == STATEMENTS["Thm4.4.1"](a)
+    # an ideal is analysed once
+    assert verify_statement("Thm4.4.1", a.ideal) == v
+    assert built == [a.ideal]
+
+
 def test_every_statement_holds_on_a_gorenstein_pair():
     m = NumericalSemigroup.from_generators([3, 4]).maximal_ideal()
     verdicts = verify_many(m)
@@ -226,28 +243,59 @@ def test_every_verdict_record_is_pinned():
 CROSS_CHECK_PAIRS = ([3, 4], [3, 4, 5], [5, 21, 32, 48], [10, 23, 55, 58, 82])
 
 
-@pytest.mark.parametrize("gens", CROSS_CHECK_PAIRS)
-def test_prop4_3_2_requires_its_two_hypothesis_forms_to_agree(gens):
-    a = Analysis.of(NumericalSemigroup.from_generators(gens).maximal_ideal())
-    STATEMENTS["Prop4.3.2"](a)
-    # flip the bidual's side of the hypothesis; R:omega ⊇ R:Lambda is untouched
-    held = a.lam_bidual.contains(a.ring.k)
-    a.lam_bidual = a.ring.m_ideal if held else a.ring.normalization
-    assert a.lam_bidual.contains(a.ring.k) != held
-    with pytest.raises(InvariantViolation, match="two hypothesis forms"):
-        STATEMENTS["Prop4.3.2"](a)
+def _ideals_sharing_the_blowup_of_m(gens):
+    """m, 2m and e + m: one blow-up, which the blow-up record of m holds."""
+    s = NumericalSemigroup.from_generators(gens)
+    m = s.maximal_ideal()
+    ideals = (m, m + m, m.shift(s.multiplicity))
+    ring.cache_clear()
+    assert len({Analysis(e).lam for e in ideals}) == 1
+    ring.cache_clear()
+    return s, ideals
+
+
+def _assert_every_pair_raises(s, ideals, match):
+    """Each pair with the planted record raises at its build, and no record
+    is cached, so the next pair builds it again and raises again."""
+    for e in ideals:
+        with pytest.raises(InvariantViolation, match=match):
+            Analysis(e)
+        assert ring(s).blowups == {}
 
 
 @pytest.mark.parametrize("gens", CROSS_CHECK_PAIRS)
-def test_prop4_3_4_requires_a_closed_colon_to_be_a_value_filter(gens):
-    a = Analysis.of(NumericalSemigroup.from_generators(gens).maximal_ideal())
-    STATEMENTS["Prop4.3.4"](a)
-    # flip the filter's side of the check; the closure test is untouched
-    is_filter = a.r_colon_lambda == a.r_filter_i0
-    a.r_filter_i0 = a.ring.normalization if is_filter else a.r_colon_lambda
-    assert (a.r_colon_lambda == a.r_filter_i0) != is_filter
-    with pytest.raises(InvariantViolation, match="full value filter"):
-        STATEMENTS["Prop4.3.4"](a)
+def test_prop4_3_2_requires_its_two_hypothesis_forms_to_agree(monkeypatch, gens):
+    s, ideals = _ideals_sharing_the_blowup_of_m(gens)
+    honest = Analysis(ideals[0])
+    held = STATEMENTS["Prop4.3.2"](honest).hypotheses_met
+    assert held == honest.k_in_lam_bidual == honest.conditions.colon_inside_omega_dual
+    # on a cold ring, flip the bidual's side of the hypothesis through K;
+    # R:omega ⊇ R:Lambda is read first and is untouched.  Lambda** lies in N
+    # and contains S, so N - 1 is not inside it and S is
+    ring.cache_clear()
+    rg = ring(s)
+    assert rg.r_colon_omega.contains(honest.r_colon_lambda) == held
+    monkeypatch.setattr(rg, "k", rg.normalization.shift(-1) if held else rg.s_ideal)
+    _assert_every_pair_raises(s, ideals, "two hypothesis forms")
+    ring.cache_clear()
+
+
+@pytest.mark.parametrize("gens", CROSS_CHECK_PAIRS)
+def test_prop4_3_4_requires_a_closed_colon_to_be_a_value_filter(monkeypatch, gens):
+    s, ideals = _ideals_sharing_the_blowup_of_m(gens)
+    honest = Analysis(ideals[0])
+    closed = STATEMENTS["Prop4.3.4"](honest).hypotheses_met
+    is_filter = honest.r_colon_lambda == honest.r_filter_i0
+    assert closed == honest.r_colon_integrally_closed == is_filter
+    ring.cache_clear()
+
+    # flip the closure test on a cold ring; the filter's side is untouched
+    def closure(e):
+        bar = integral_closure(e)
+        return s.normalization() if bar == e else e
+    monkeypatch.setattr(sgblow.blowup, "integral_closure", closure)
+    _assert_every_pair_raises(s, ideals, "full value filter")
+    ring.cache_clear()
 
 
 HONEST_STATEMENT_LENGTH = sgblow.statements.length_between
@@ -263,39 +311,43 @@ def _statement_length_not_nested(monkeypatch, target):
 
 
 def _closure_of_the_normalization(monkeypatch, target):
-    # over the target, the integral closure is asked of N, which is not inside S
+    # over the target, the integral closure that the blow-up record takes
+    # of R:Lambda is asked of N, which is not inside S
     def closure(e):
         return integral_closure(e.carrier.normalization() if e.carrier == target else e)
-    monkeypatch.setattr(sgblow.statements, "integral_closure", closure)
+    monkeypatch.setattr(sgblow.blowup, "integral_closure", closure)
 
 
 NOT_NESTED = "not nested: 0 lies in the smaller set but not the larger"
-# (plant, statement id, the class it raises inside the verdict, its text);
-# m over <3,4> meets the hypotheses of Rmk6.1 and Prop6.5.2
+# (plant, statement id, where it raises, the class it raises, its text);
+# m over <3,4> meets the hypotheses of Rmk6.1 and Prop6.5.2.  Prop4.3.4's
+# hypothesis is a field of the blow-up record, so a fault in it raises
+# while the pair is built
 VERDICT_FAULTS = [
-    (_statement_length_not_nested, "Rmk6.1", NotNested, NOT_NESTED),
-    (_statement_length_not_nested, "Prop6.5.2", NotNested, NOT_NESTED),
-    (_closure_of_the_normalization, "Prop4.3.4", NotIntegral,
+    (_statement_length_not_nested, "Rmk6.1", "Rmk6.1", NotNested, NOT_NESTED),
+    (_statement_length_not_nested, "Prop6.5.2", "Prop6.5.2", NotNested, NOT_NESTED),
+    (_closure_of_the_normalization, "Prop4.3.4", "pair build", NotIntegral,
      "integral closure needs an ideal contained in the semigroup"),
 ]
 
 
-@pytest.mark.parametrize("plant,sid,error,text", VERDICT_FAULTS,
+@pytest.mark.parametrize("plant,sid,where,error,text", VERDICT_FAULTS,
                          ids=["rmk6.1-length", "prop6.5.2-length", "prop4.3.4-closure"])
 def test_a_domain_error_inside_a_verdict_is_a_bug_on_its_pair(monkeypatch, capsys, plant, sid,
-                                                              error, text):
+                                                              where, error, text):
     target = NumericalSemigroup.from_generators([3, 4])
-    message = f"{sid} raised {error.__name__}: {text}"
+    message = f"{where} raised {error.__name__}: {text}"
     argv = ["verify", "--max-genus", "3", "--jobs", "1", "--statements", sid, "--format", "json"]
     assert main(argv) == 0
     clean = json.loads(capsys.readouterr().out)["totals"]
     ring.cache_clear()
     plant(monkeypatch, target)
-    a = Analysis.of(target.maximal_ideal())
     with pytest.raises(InvariantViolation) as info:
-        STATEMENTS[sid](a)
+        STATEMENTS[sid](Analysis(target.maximal_ideal()))
     assert str(info.value) == message
     assert type(info.value.__cause__) is error
+    # a record whose build raised is not cached
+    assert (ring(target).blowups == {}) == (where == "pair build")
     # verify records it on the one pair and goes on
     assert main(argv) == 3
     doc = json.loads(capsys.readouterr().out)
