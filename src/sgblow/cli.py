@@ -24,7 +24,7 @@ from .parsing import (
 )
 from .report import analysis_document, dumps_document, jsonable
 from .statements import verify_many
-from .suite import STRATEGIES, SuiteConfig, SuiteReport, run_suite
+from .suite import STRATEGIES, SuiteConfig, run_suite
 
 
 def _render_analysis_text(doc: dict) -> str:
@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--statements", default="")
     sp.add_argument("--jobs", type=int, default=0,
-                    help="worker processes; 0 uses SGBLOW_JOBS or 1")
+                    help="worker processes, at most the machine's cores; "
+                         "0 or 1 runs in this process")
     common(sp)
     sp.set_defaults(func=_cmd_verify)
 

@@ -4,15 +4,20 @@ The universe is every numerical semigroup up to a genus bound, paired with
 ideals chosen by strategy: the maximal ideal only, every non-principal
 ideal up to a generator bound, or a seeded random sample.  Work is split
 by semigroup: each task receives the semigroup object itself, and texts
-are made only for failure records and the random strategy's seed.  Results
-are aggregated in enumeration order, so the report is deterministic for a
-fixed config regardless of the worker count.
+are made only for failure records and the random strategy's seed.  Tasks
+are made lazily from the genus-tree walk and their results are folded in
+enumeration order as they arrive, so the suite holds no list of the
+universe or of its results (the walk itself holds one genus level), and
+the report is deterministic for a fixed config regardless of the worker
+count.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -29,6 +34,8 @@ from .report import jsonable
 from .statements import catalog_ids, expand_statement_ids, verify_many
 
 STRATEGIES = ("maximal", "all", "random")
+# the report's counts, in document order; each task returns one of each
+TOTALS = ("semigroups", "pairs", "checked", "held", "vacuous", "failed")
 
 
 @dataclass(frozen=True)
@@ -39,19 +46,8 @@ class SuiteConfig:
     sample_size: int = 5
     seed: int = 0
     statements: tuple[str, ...] = ()
+    # 0 or 1 runs in this process; more uses at most the machine's cores
     jobs: int = 0
-
-    def resolved_jobs(self) -> int:
-        if self.jobs > 0:
-            return self.jobs
-        raw = os.environ.get("SGBLOW_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise SgblowError(f"SGBLOW_JOBS must be an integer, got {raw!r}") from None
-        if jobs < 1:
-            raise SgblowError(f"SGBLOW_JOBS must be >= 1, got {raw!r}")
-        return jobs
 
 
 @dataclass(frozen=True)
@@ -72,25 +68,15 @@ class SuiteReport:
         return self.failed == 0
 
     def to_document(self) -> dict:
+        # the worker count never shows in the document
+        config = dataclasses.asdict(self.config)
+        del config["jobs"]
+        config["statements"] = list(config["statements"])
+        totals = {name: getattr(self, name) for name in TOTALS}
         return {
-            "config": {
-                "max_genus": self.config.max_genus,
-                "ideal_strategy": self.config.ideal_strategy,
-                "bound_offset": self.config.bound_offset,
-                "sample_size": self.config.sample_size,
-                "seed": self.config.seed,
-                "statements": list(self.config.statements),
-            },
+            "config": config,
             "statement_ids": list(self.statement_ids),
-            "totals": {
-                "semigroups": self.semigroups,
-                "pairs": self.pairs,
-                "checked": self.checked,
-                "held": self.held,
-                "vacuous": self.vacuous,
-                "failed": self.failed,
-                "degenerate": len(self.degenerate),
-            },
+            "totals": {**totals, "degenerate": len(self.degenerate)},
             "degenerate": [dict(d) for d in self.degenerate],
             "failures": [dict(f) for f in self.failures],
         }
@@ -98,23 +84,10 @@ class SuiteReport:
     @classmethod
     def from_document(cls, doc: dict) -> "SuiteReport":
         cfg = doc["config"]
-        totals = doc["totals"]
         return cls(
-            config=SuiteConfig(
-                max_genus=cfg["max_genus"],
-                ideal_strategy=cfg["ideal_strategy"],
-                bound_offset=cfg["bound_offset"],
-                sample_size=cfg["sample_size"],
-                seed=cfg["seed"],
-                statements=tuple(cfg["statements"]),
-            ),
+            config=SuiteConfig(**{**cfg, "statements": tuple(cfg["statements"])}),
             statement_ids=tuple(doc["statement_ids"]),
-            semigroups=totals["semigroups"],
-            pairs=totals["pairs"],
-            checked=totals["checked"],
-            held=totals["held"],
-            vacuous=totals["vacuous"],
-            failed=totals["failed"],
+            **{name: doc["totals"][name] for name in TOTALS},
             degenerate=tuple(doc["degenerate"]),
             failures=tuple(doc["failures"]),
         )
@@ -135,8 +108,7 @@ def _ideals_for(s, config: SuiteConfig):
 def _suite_task(args: tuple[NumericalSemigroup, SuiteConfig, tuple[str, ...]]) -> dict:
     """Verify all selected statements for one semigroup; JSON-native result."""
     s, config, ids = args
-    out = {"pairs": 0, "checked": 0, "held": 0, "vacuous": 0, "failed": 0,
-           "failures": []}
+    out = {**dict.fromkeys(TOTALS, 0), "semigroups": 1, "failures": []}
 
     def fail(ideal, statement_id, notes, lhs=None, rhs=None, witness=None):
         out["failed"] += 1
@@ -154,14 +126,12 @@ def _suite_task(args: tuple[NumericalSemigroup, SuiteConfig, tuple[str, ...]]) -
             fail(ideal, type(exc).__name__, str(exc))
             continue
         out["pairs"] += 1
+        out["checked"] += len(verdicts)
         for v in verdicts:
-            out["checked"] += 1
             if v.status == "failed":
                 fail(ideal, v.statement_id, v.notes, v.lhs, v.rhs, v.witness)
-            elif v.status == "vacuous":
-                out["vacuous"] += 1
             else:
-                out["held"] += 1
+                out[v.status] += 1
     return out
 
 
@@ -176,32 +146,15 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         ids = tuple(expand_statement_ids(config.statements))
     else:
         ids = tuple(catalog_ids())
-    tasks = [(s, config, ids) for s in enumerate_semigroups(config.max_genus)]
-    jobs = config.resolved_jobs()
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
-            partials = pool.map(_suite_task, tasks, chunksize=1)
-    else:
-        partials = [_suite_task(t) for t in tasks]
-
-    pairs = checked = held = vacuous = failed = 0
+    tasks = ((s, config, ids) for s in enumerate_semigroups(config.max_genus))
+    totals = dict.fromkeys(TOTALS, 0)
     failures: list[dict] = []
-    for part in partials:
-        pairs += part["pairs"]
-        checked += part["checked"]
-        held += part["held"]
-        vacuous += part["vacuous"]
-        failed += part["failed"]
-        failures.extend(part["failures"])
-    return SuiteReport(
-        config=config,
-        statement_ids=ids,
-        semigroups=len(tasks),
-        pairs=pairs,
-        checked=checked,
-        held=held,
-        vacuous=vacuous,
-        failed=failed,
-        degenerate=(),
-        failures=tuple(failures),
-    )
+    workers = min(config.jobs, os.cpu_count() or 1)
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        # imap is ordered, so failures stay in breadth-first order
+        for part in (pool.imap if workers > 1 else map)(_suite_task, tasks):
+            failures.extend(part["failures"])
+            for name in TOTALS:
+                totals[name] += part[name]
+    return SuiteReport(config=config, statement_ids=ids, **totals,
+                       degenerate=(), failures=tuple(failures))

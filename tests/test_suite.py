@@ -1,9 +1,11 @@
 """Batch verification runs: determinism, parallel agreement, aggregation."""
 
 import json
+import os
 
 import pytest
 
+import sgblow.suite
 from sgblow.suite import STRATEGIES, SuiteConfig, SuiteReport, run_suite
 
 
@@ -28,6 +30,54 @@ def test_parallel_run_is_byte_identical_to_serial():
         parallel = run_suite(SuiteConfig(max_genus=genus,
                                          ideal_strategy=strategy, jobs=3))
         assert canon(serial) == canon(parallel)
+
+
+def test_the_pool_is_bounded_by_the_machine_cores(monkeypatch):
+    # a fake pool that records its size and starts no process
+    asked = []
+
+    class FakePool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+        map = imap
+
+    monkeypatch.setattr(sgblow.suite, "Pool", FakePool)
+    cores = os.cpu_count() or 1
+    many = run_suite(SuiteConfig(max_genus=4, ideal_strategy="random", jobs=10**6))
+    assert asked == ([cores] if cores > 1 else [])
+    one = run_suite(SuiteConfig(max_genus=4, ideal_strategy="random", jobs=1))
+    assert asked == ([cores] if cores > 1 else [])
+    assert canon(many) == canon(one)
+
+
+def test_the_suite_streams_one_semigroup_at_a_time(monkeypatch):
+    log = []
+    walk, task = sgblow.suite.enumerate_semigroups, sgblow.suite._suite_task
+
+    def logged_walk(max_genus):
+        for s in walk(max_genus):
+            log.append("made")
+            yield s
+
+    def logged_task(args):
+        log.append("task")
+        return task(args)
+
+    monkeypatch.setattr(sgblow.suite, "enumerate_semigroups", logged_walk)
+    monkeypatch.setattr(sgblow.suite, "_suite_task", logged_task)
+    report = run_suite(SuiteConfig(max_genus=5, jobs=1))
+    assert report.semigroups == 27
+    assert log == ["made", "task"] * 27
 
 
 def test_random_strategy_is_seed_deterministic():
