@@ -14,16 +14,30 @@ That semigroup contains S, so it is full from c on: the second route
 closes S's own mask under the shifted minimal generators on the window
 [0, c).  Both routes must agree; disagreement raises InvariantViolation.
 
-Analysis is the one object per (semigroup, ideal) pair and the one place
-the filtration is built.  Its constructor computes the powers, H, nu, rho
-and Lambda with their checks, then every other pair quantity once, as a
-plain attribute, running the pair's cross-checks as soon as what they read
-is in place.  Each sum and quotient is taken once and shared by all its
-readers: the stages nE - nE are one scan, and its first, E - E, is what
-Rmk5.8 and Rmk6.2 read; K + E serves Prop5.1 and A6, and K + nuE serves
-A4, A5 and A6, which sums the K + nE between only while it scans; when
-nu = 1 the three are one.  For E = M the pair reads the ring's M + K and
-M** instead of summing and dualizing itself.  The ring-level quantities
+Analysis is the one object per (semigroup, ideal) pair.  A translate
+E + d of E has the same stages, Lambda and E - E, and its powers, K + E
+and E** are E's moved by multiples of d: + and colon read only masks, so
+building them again would repeat the same integer operations.  So what a
+translation only moves is one record per translation class E - min E
+over S, kept in a.ring.translates and built whole by _Translates from the
+first pair of the class: the powers S, E, ..., (nu+1)E by sums, nu, the
+check that (nu+1)E = e + nuE, the stages with Lambda, both scans that
+must reach Lambda at nu, the generated route, the lookup of Lambda's
+record, K + E, K + nuE, A5, A6 and E**.  The stages nE - nE are one scan,
+and its first, E - E, is what Rmk5.8 and Rmk6.2 read; K + E serves
+Prop5.1 and A6, and K + nuE serves A4, A5 and A6, which sums the K + nE
+between only while it scans; when nu = 1 the three are one.  For E = M
+the record reads the ring's M + K and M** instead of summing and
+dualizing itself.  Whether nuE is reflexive, which only Thm5.9.1 reads,
+is a lazy field of the record: one bidual per class, taken on first read.
+
+The constructor reads E's record, building and storing it on a miss, then
+computes what depends on where E sits against S once, as a plain
+attribute, running the pair's cross-checks as soon as what they read is
+in place: the powers moved onto E, H with its checks (on a translate H(n)
+moves by d, and it is taken anew), rho against l(Lambda/R), A4, which
+meets nE + K with S, whether E is M, R:Lambda is nuE and the conductor
+lies in nuE, and the lengths against nuE.  The ring-level quantities
 (K, the type sequence, the class, S:M, S:K, M + K, M**) are read from the
 semigroup's one Ring, a.ring, which all pairs over S share.  Ring stays
 lazy: dual, canonical_ideal and integral_closure each read one of its
@@ -37,13 +51,13 @@ lengths, the Gamma sums, d, the condition members A1-A3, B1, B2 and the
 bridge, whether Lambda contains S:M, and the catalog's two Lambda-level
 hypotheses, K in Lambda** and R:Lambda integrally closed.  The record is
 the one place these are computed; the catalog's conjuncts only read them.
-What involves E stays per pair:
-the powers, H, nu, rho, A4-A6, E**, whether R:Lambda is nuE, and the
-lengths against nuE.  _blowup_record builds a record whole and runs
-Lambda's own checks before the lengths only the catalog reads.  Analysis
-calls it on a miss, once both routes to Lambda agree, and stores what it
-returns, so a Lambda whose build raises is never cached and raises again on
-every pair with it.  A record is two dicts, fields keyed by Analysis
+What involves E is in E's translation record or on the pair.
+_blowup_record builds a record whole and runs Lambda's own checks before
+the lengths only the catalog reads.  _Translates calls it on a miss, once
+both routes to Lambda agree, and stores what it returns, so a Lambda whose
+build raises is never cached and raises again on every pair with it; a
+translation class whose build raises is not stored either, and raises
+again on every translate.  A record is two dicts, fields keyed by Analysis
 attribute and conditions keyed by ConditionsReport field.  One field is
 the verdict store a.lambda_verdicts, keyed by statements.Statement record:
 statements.verify_many, walking the requested ids once per pair after the
@@ -182,17 +196,18 @@ class ConditionsReport:
 class Analysis:
     """Every quantity of one (semigroup, ideal) pair, each computed once.
 
-    The constructor is the one place a pair is built, in dependency order.
-    It builds the filtration of E: the powers S, E, ..., (nu+1)E by sums,
-    the Hilbert function, nu, rho and Lambda = nuE - nuE, checking each
-    against an independent route.  It then takes the fields of the ring's
-    record of Lambda (built whole by _blowup_record on a miss) in one update,
-    computes the pair-level quantities cross_check reads, runs cross_check,
-    and assigns the rest, which only the catalog and the document read;
-    every timed path reads them all, so each is a plain attribute.  Past
-    nu+1 a power is nuE shifted (power); self.powers never grows.  An
-    Analysis passed in place of the ideal is rebuilt from its ideal.
-    Ring-level quantities live on self.ring.
+    The constructor builds the pair in dependency order.  It reads the
+    record of E's translation class (built whole by _Translates on a miss:
+    the powers S, E, ..., (nu+1)E by sums, nu and Lambda = nuE - nuE, each
+    checked against an independent route), moves the powers onto E, and
+    takes the Hilbert function and rho with their checks.  It then takes
+    the fields of the ring's record of Lambda in one update, computes the
+    pair-level quantities cross_check reads, runs cross_check, and assigns
+    the rest, which only the catalog and the document read; every timed
+    path reads them all, so each is a plain attribute.  Past nu+1 a power
+    is nuE shifted (power); self.powers never grows.  An Analysis passed in
+    place of the ideal is rebuilt from its ideal.  Ring-level quantities
+    live on self.ring.
     """
 
     def __init__(self, e: ValueIdeal):
@@ -207,71 +222,45 @@ class Analysis:
 
         # past the input check every failure is a bug on this pair
         try:
-            powers = [s_ideal, e]
-            hseq: list[int] = []
-            while True:
-                h = length_between(powers[-2], powers[-1])
-                if h > a:
+            # what a translation of E only moves is one record per class
+            # E - min E on the ring, built whole by the first pair met
+            key = e.bits, e.frontier - a
+            tr = rg.translates.get(key)
+            if tr is None:
+                tr = rg.translates[key] = _Translates(rg, e)
+                d, powers, hseq = 0, tr.powers, tr.hilbert
+            else:
+                # E is the first pair's ideal moved by d, so kE is its kE
+                # moved by k*d; H(n), which moves by d, is taken anew
+                d = a - tr.base
+                powers = [s_ideal, e] + (
+                    [p.shift(k * d) for k, p in enumerate(tr.powers[2:], 2)] if d
+                    else tr.powers[2:])
+                hseq = tuple(map(length_between, powers, powers[1:]))
+                if max(hseq) > a:
                     raise InvariantViolation("Hilbert value exceeded the multiplicity")
-                hseq.append(h)
-                if h == a:
-                    break
-                if len(hseq) > a + 1:
-                    raise InvariantViolation("Hilbert function failed to reach the multiplicity")
-                powers.append(powers[-1] + e)
-            nu = len(hseq) - 1
-            if nu < 1:
-                raise InvariantViolation("reduction exponent 0 would mean a principal ideal")
-            # H(nu) = e says the sum adds nothing beyond a translate; every power
-            # past nu is built on this
-            if powers[nu + 1] != powers[nu].shift(a):
-                raise InvariantViolation("(nu+1)E differs from e + nuE")
+                if a in hseq[:-1] or hseq[-1] != a:
+                    raise InvariantViolation(
+                        f"Hilbert function of a translate reached the multiplicity "
+                        f"at {hseq.index(a) if a in hseq else None}, expected {tr.nu}")
+            nu, lam = tr.nu, tr.lam
             rho = sum(a - h for h in hseq)
 
-            # the stages nE - nE must first hit Lambda exactly at nu, and so must
-            # nE + Lambda = nE; past nu every stage equals stage nu, because
-            # (n+1)E is a translate of nE
-            stages = [p.colon(p) for p in powers[1:nu + 1]]
-            lam = stages[-1]
-            first_stage = stages.index(lam) + 1
-            if first_stage != nu:
-                raise InvariantViolation(
-                    f"stages reached the blow-up at {first_stage}, expected {nu}")
-            first_invariant = next(
-                (k for k in range(1, nu + 1) if (powers[k] + lam) == powers[k]), None)
-            if first_invariant != nu:
-                raise InvariantViolation(
-                    f"powers absorb the blow-up from {first_invariant}, expected {nu}")
-
-            # independent route: the semigroup generated by S and E - min(E).
-            # It contains S, so it is full from c on: S's mask closed under the
-            # shifted generators on [0, c) is all of it
-            c = s.conductor
-            generated = _closure(s.bits, c, [g - a for g in e.minimal_generators() if g != a])
-            if lam != ValueIdeal._of(s, 0, generated, c):
-                raise InvariantViolation("blow-up routes disagree")
-
-            # Lambda's own quantities are one record per (S, Lambda) on the ring,
-            # shared by every pair with this blow-up and built whole on a miss
-            key = lam.bits, lam.frontier
-            record = rg.blowups.get(key)
-            if record is None:
-                record = rg.blowups[key] = _blowup_record(rg, lam)
-            fields, conditions = record
+            fields, conditions = tr.blowup
             vars(self).update(fields)
             if rho != s.genus - self.delta_lambda:
                 raise InvariantViolation("rho disagrees with l(Lambda/R)")
 
             self.powers = powers
-            self.hilbert = tuple(hseq)
+            self.hilbert = hseq
             self.nu = nu
             self.rho = rho
             self.lam = lam
-            self.ideal_colon = stages[0]  # E:E
+            self.ideal_colon = tr.ideal_colon  # E:E
 
             # notation
             self.e = a
-            self.c = c
+            self.c = c = s.conductor
             self.delta = s.genus
             self.mu = s.embedding_dimension
             self.c_lambda = lam.frontier
@@ -280,26 +269,19 @@ class Analysis:
             self.power_nu = p_nu = powers[nu]
             self.conductor_in_power = p_nu.frontier <= c
 
-            # every member of both groups, each evaluated on its own; A4-A6 read
-            # the sums K + nE, the rest only Lambda.  Each K + nE is summed once:
-            # n = 1 (kept for Prop5.1; the ring's M + K when E = M) and n = nu
-            # (A4 and A5) here, and A6 sums the ones between only while it scans
-            k = rg.k
-            self.ideal_omega = k_e = rg.m_plus_k if self.is_max_ideal else e + k
-            k_nu = k_e if nu == 1 else k + p_nu
+            # A4 intersects with S, so it is the one member of either group
+            # a translation can change
+            self.ideal_omega = tr.k_e.shift(d) if d else tr.k_e
+            k_nu = tr.k_nu.shift(nu * d) if d else tr.k_nu
             # one update of the instance dict, as in HPolynomial.of
             self.conditions = report = ConditionsReport.__new__(ConditionsReport)
-            vars(report).update(
-                conditions, a4=self._holds_a4(k_nu), a5=k_nu == p_nu,
-                a6=(k_e == e or k_nu == p_nu
-                    or any((k + powers[n]) == powers[n] for n in range(2, nu))))
+            vars(report).update(conditions, a4=self._holds_a4(k_nu), a5=tr.a5, a6=tr.a6)
             self.cross_check()
 
             # what only the catalog and the document read
             self.r = rg.ts.cm_type
-            # E** is the ring's M** when E = M
-            self.ideal_bidual = rg.m_bidual if self.is_max_ideal else bidual(e)
-            self.ideal_reflexive = self.ideal_bidual == e
+            self.ideal_bidual = tr.bidual.shift(d) if d else tr.bidual
+            self.ideal_reflexive = tr.reflexive
             self.r_colon_is_power = self.r_colon_lambda == p_nu
             # the lengths that involve nuE, validated for nesting by length_between
             self.len_rcolon_over_power_nu = length_between(self.r_colon_lambda, p_nu)
@@ -333,6 +315,12 @@ class Analysis:
         if not self.conditions.coherent:
             raise EquivalenceViolation(f"condition groups do not cohere: {self.conditions}")
 
+    @property
+    def power_nu_reflexive(self) -> bool:
+        """nuE** = nuE, read off the record of E's translation class."""
+        e = self.ideal
+        return self.ring.translates[e.bits, e.frontier - e.min_element].power_nu_reflexive
+
     def power(self, k: int) -> ValueIdeal:
         """kE: a kept sum up to nu+1, and nuE shifted by (k - nu)e past that."""
         if k <= self.nu + 1:
@@ -357,6 +345,98 @@ class Analysis:
             if summed & (s_bits >> z) != own:
                 return False
         return True
+
+
+class _Translates:
+    """What a translation of E only moves: one record per class E - min E
+    over S, built whole and checked by the first pair met, E itself.
+
+    base is min E.  A translate E + d reads powers[k] (k >= 1) moved by k*d,
+    k_e = K + E and bidual = E** moved by d, and k_nu = K + nuE moved by
+    nu*d: + and colon read only masks, so on a translate they would repeat
+    the same integer operations.  The stages nE:nE, Lambda and E:E, the
+    record of Lambda, nu, A5, A6 and whether E or nuE is reflexive are the
+    same for the whole class.  hilbert is E's own H; every other pair of
+    the class takes its own, as it does its A4 and the lengths that depend
+    on where it sits against S.
+    """
+
+    def __init__(self, rg: Ring, e: ValueIdeal):
+        s, s_ideal, a = rg.s, rg.s_ideal, e.min_element
+        powers = [s_ideal, e]
+        hseq: list[int] = []
+        while True:
+            h = length_between(powers[-2], powers[-1])
+            if h > a:
+                raise InvariantViolation("Hilbert value exceeded the multiplicity")
+            hseq.append(h)
+            if h == a:
+                break
+            if len(hseq) > a + 1:
+                raise InvariantViolation("Hilbert function failed to reach the multiplicity")
+            powers.append(powers[-1] + e)
+        nu = len(hseq) - 1
+        if nu < 1:
+            raise InvariantViolation("reduction exponent 0 would mean a principal ideal")
+        # H(nu) = e says the sum adds nothing beyond a translate; every power
+        # past nu is built on this
+        if powers[nu + 1] != powers[nu].shift(a):
+            raise InvariantViolation("(nu+1)E differs from e + nuE")
+
+        # the stages nE - nE must first hit Lambda exactly at nu, and so must
+        # nE + Lambda = nE; past nu every stage equals stage nu, because
+        # (n+1)E is a translate of nE
+        stages = [p.colon(p) for p in powers[1:nu + 1]]
+        lam = stages[-1]
+        first_stage = stages.index(lam) + 1
+        if first_stage != nu:
+            raise InvariantViolation(
+                f"stages reached the blow-up at {first_stage}, expected {nu}")
+        first_invariant = next(
+            (k for k in range(1, nu + 1) if (powers[k] + lam) == powers[k]), None)
+        if first_invariant != nu:
+            raise InvariantViolation(
+                f"powers absorb the blow-up from {first_invariant}, expected {nu}")
+
+        # independent route: the semigroup generated by S and E - min(E).
+        # It contains S, so it is full from c on: S's mask closed under the
+        # shifted generators on [0, c) is all of it
+        c = s.conductor
+        generated = _closure(s.bits, c, [g - a for g in e.minimal_generators() if g != a])
+        if lam != ValueIdeal._of(s, 0, generated, c):
+            raise InvariantViolation("blow-up routes disagree")
+
+        # Lambda's own quantities are one record per (S, Lambda) on the ring,
+        # shared by every class with this blow-up and built whole on a miss
+        key = lam.bits, lam.frontier
+        blowup = rg.blowups.get(key)
+        if blowup is None:
+            blowup = rg.blowups[key] = _blowup_record(rg, lam)
+
+        # A5 and A6 read the sums K + nE.  Each is summed once: n = 1 (kept
+        # for Prop5.1; the ring's M + K when E = M) and n = nu (A4 and A5)
+        # here, and A6 sums the ones between only while it scans
+        k, p_nu = rg.k, powers[nu]
+        is_max_ideal = e == rg.m_ideal
+        k_e = rg.m_plus_k if is_max_ideal else e + k
+        k_nu = k_e if nu == 1 else k + p_nu
+        self.a5 = k_nu == p_nu
+        self.a6 = (k_e == e or self.a5
+                   or any((k + powers[n]) == powers[n] for n in range(2, nu)))
+        # E** is the ring's M** when E = M
+        self.bidual = rg.m_bidual if is_max_ideal else bidual(e)
+        self.reflexive = self.bidual == e
+        self.base, self.powers, self.hilbert, self.nu = a, powers, tuple(hseq), nu
+        self.lam, self.ideal_colon, self.blowup = lam, stages[0], blowup
+        self.k_e, self.k_nu = k_e, k_nu
+
+    @_lazy
+    def power_nu_reflexive(self) -> bool:
+        """nuE** = nuE, tested on the first read: (E+z)** = E** + z, so it
+        holds for the whole class or for none of it, and when nu = 1 it is
+        whether E is reflexive."""
+        p_nu = self.powers[self.nu]
+        return self.reflexive if self.nu == 1 else bidual(p_nu) == p_nu
 
 
 def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:

@@ -403,8 +403,11 @@ class ValueIdeal:
         return ValueIdeal._of(self.carrier, base, own & theirs, hi)
 
     def shift(self, z: int) -> "ValueIdeal":
-        """Translate by z; canonical form is preserved."""
-        return ValueIdeal._of(self.carrier, self.min_element + z, self.bits, self.frontier + z)
+        """Translate by z: the canonical form moves whole, so it needs no _of."""
+        e = ValueIdeal.__new__(ValueIdeal)
+        e.carrier, e.min_element, e.bits, e.frontier, e._mingens = (
+            self.carrier, self.min_element + z, self.bits, self.frontier + z, None)
+        return e
 
     def contains(self, other: "ValueIdeal") -> bool:
         _, _, own, theirs = self._common(other)

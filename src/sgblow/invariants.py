@@ -10,8 +10,9 @@ ring(s), and is computed at most once: each is a _lazy field, computed on
 its first read and kept in the instance dict with no lock.  Among them are
 M + K and M** = S:(S:M), which the ring class, the probe of Prop5.1 and
 every pair with E = M read instead of summing or dualizing again.  The ring
-also keeps the record of each blow-up met over S (see Ring and
-blowup.Analysis).  K is the gap mask read backwards.
+also keeps the record of each blow-up met over S and of each translation
+class of the ideals met over S (see Ring and blowup.Analysis).  K is the
+gap mask read backwards.
 Both type-sequence routes walk the filtration R_i = {x in S : x >= s_i} from
 R_n = c + N down to R_0 = S over the window [0, c), one small element per
 step: the dual route ANDs in a shifted copy of S's mask, the product route
@@ -97,11 +98,17 @@ class Ring:
     hypotheses and the Lambda-level verdicts verify_many fills, keyed by
     statement record, so every pair with that blow-up shares them.  It
     holds at most one record per distinct Lambda and is freed with the ring.
+
+    translates holds one blowup._Translates per translation class of the
+    ideals E met over S, keyed by (E.bits, E.frontier - min E): the powers,
+    stages and blow-up routes of the class's first pair, which every
+    translate reads moved, built whole by Analysis on a miss.
     """
 
     def __init__(self, s: NumericalSemigroup):
         self.s = s
         self.blowups: dict[tuple[int, int], tuple[dict[str, object], dict[str, bool]]] = {}
+        self.translates: dict[tuple[int, int], object] = {}
 
     @_lazy
     def s_ideal(self) -> ValueIdeal:
@@ -217,12 +224,14 @@ class Ring:
         return self.m_plus_k == self.m_bidual
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=32)
 def ring(s: NumericalSemigroup) -> Ring:
     """The one Ring of s.
 
     Runs take the pairs of one semigroup together, so a small cache catches
-    every repeat without holding a whole universe of rings.
+    every repeat without holding a whole universe of rings.  A ring holds
+    the records of every blow-up and translation class met over S, so this
+    bound is also what bounds their memory on a run over many semigroups.
     """
     return Ring(s)
 

@@ -57,7 +57,6 @@ from typing import Callable, NamedTuple
 from .blowup import Analysis
 from .core import ValueIdeal, length_between
 from .errors import InvariantViolation, SgblowError, UnknownStatement
-from .invariants import is_reflexive
 
 
 class TheoremVerdict(NamedTuple):
@@ -451,9 +450,9 @@ def _(a):
 def _(a):
     c1 = a.lam_contains_dual_m
     # every power past nu is nuE translated and (E+z)** = E** + z, so the
-    # powers from nu on are all reflexive or none is: one test reads all
-    # three, and when nu = 1 it is the pair's own E** = E
-    c2 = a.ideal_reflexive if a.nu == 1 else is_reflexive(a.power_nu)
+    # powers from nu on are all reflexive or none is: one test, kept once
+    # per translation class of E, reads all three
+    c2 = a.power_nu_reflexive
     ok = c1 == c2 == a.conditions.a1 == a.conditions.b1
     return ok, (c1, c2, c2, c2), None
 

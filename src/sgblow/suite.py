@@ -94,13 +94,15 @@ class SuiteReport:
 
 
 def _ideals_for(s, config: SuiteConfig):
+    """The ideals paired with s; the "all" walk is handed over as it runs,
+    so a task holds one of its ideals at a time."""
     if config.ideal_strategy == "maximal":
         if s.is_natural_numbers:
             return []
         return [s.maximal_ideal()]
     bound = default_generator_bound(s) + config.bound_offset
     if config.ideal_strategy == "all":
-        return list(enumerate_ideals(s, bound=bound))
+        return enumerate_ideals(s, bound=bound)
     rng = random.Random(f"{config.seed}|{format_semigroup(s)}")
     return sample_ideals(s, config.sample_size, rng, bound=bound)
 

@@ -67,7 +67,7 @@ def test_ring_fields_and_h_symmetry_are_computed_once(fresh_rings, monkeypatch):
 # E + M to find them
 COUNTS = [
     ("m-genus-8", _maximal_ideals, 8, 1098, 1470),
-    ("all-genus-4", _all_ideals, 4, 2449, 2483),
+    ("all-genus-4", _all_ideals, 4, 476, 585),
 ]
 
 

@@ -1,0 +1,187 @@
+"""The translation records each ring keeps: one per class E - min E.
+
+A translate E + z of E has the same stages, blow-up and E:E, and its
+powers, K + E and E** are E's moved by multiples of z.  So every Analysis
+reads them from the record of its translation class on the semigroup's
+Ring, built whole by the first pair of the class.  A pair that reads a
+record, whichever way it is moved, must come out equal to one built with no
+record at hand, and a failed check inside a record's build is a bug on
+every translate that stores nothing.
+"""
+
+from collections import Counter
+
+import pytest
+
+import sgblow.blowup
+from sgblow.blowup import Analysis
+from sgblow.core import NumericalSemigroup, ValueIdeal
+from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
+from sgblow.errors import InvariantViolation
+from sgblow.invariants import ring
+from test_blowup_records import _quantities
+
+HONEST_CLOSURE = sgblow.blowup._closure
+HONEST_BIDUAL = sgblow.blowup.bidual
+
+
+def _key(e):
+    return e.bits, e.frontier - e.min_element
+
+
+def _same_as_cold(e, warm):
+    ring.cache_clear()
+    cold = Analysis(e)
+    # power_nu_reflexive is read off the record, outside the instance dict
+    return (_quantities(cold) == _quantities(warm)
+            and cold.power_nu_reflexive == warm.power_nu_reflexive)
+
+
+def _check_translates(semigroups):
+    """Every ideal of each semigroup read warm, through the record of its
+    translation class, equals its cold build; returns (pairs, classes)."""
+    pairs = classes = 0
+    for s in semigroups:
+        ideals = list(enumerate_ideals(s))
+        ring.cache_clear()
+        warm = [Analysis(e) for e in ideals]
+        translates = ring(s).translates
+        assert set(translates) == {_key(e) for e in ideals}, s
+        classes += len(translates)
+        for e, a in zip(ideals, warm):
+            assert _same_as_cold(e, a), e
+        pairs += len(ideals)
+    return pairs, classes
+
+
+@pytest.fixture
+def fresh_rings():
+    ring.cache_clear()
+    yield
+    ring.cache_clear()
+
+
+def _translates_of_m(gens, shifts):
+    """M over <gens> and its translates by each z in shifts, all inside M."""
+    s = NumericalSemigroup.from_generators(gens)
+    m = s.maximal_ideal()
+    moved = [ValueIdeal._of(s, m.min_element + z, m.bits, m.frontier + z) for z in shifts]
+    assert all(m.contains(f) and not f.is_principal() for f in moved)
+    return s, m, moved
+
+
+def test_reading_a_translation_record_equals_building_it_over_genus_5(fresh_rings):
+    pairs, classes = _check_translates(enumerate_semigroups(5))
+    assert (pairs, classes) == (1833, 274)
+
+
+@pytest.mark.parametrize("gens,shifts", [((3, 4), (3, 6)), ((3, 5, 7), (2, 3))])
+def test_translates_share_one_record(fresh_rings, monkeypatch, gens, shifts):
+    s, m, moved = _translates_of_m(gens, shifts)
+    a = Analysis(m)
+    calls = Counter()
+    honest_add, honest_colon = ValueIdeal.__add__, ValueIdeal.colon
+    monkeypatch.setattr(ValueIdeal, "__add__",
+                        lambda x, y: calls.update(["add"]) or honest_add(x, y))
+    monkeypatch.setattr(ValueIdeal, "colon",
+                        lambda x, y: calls.update(["colon"]) or honest_colon(x, y))
+    translates = [Analysis(f) for f in moved]
+    # a translate takes no sum and no colon quotient of its own
+    assert calls == Counter()
+    monkeypatch.undo()
+    record = ring(s).translates[_key(m)]
+    assert list(ring(s).translates) == [_key(m)] and record.base == m.min_element
+    for z, b in zip(shifts, translates):
+        assert b.lam is a.lam is record.lam
+        assert b.ideal_colon is a.ideal_colon
+        assert b.nu == a.nu and b.rho == a.rho
+        assert b.powers == [a.powers[0]] + [p.shift(k * z) for k, p in enumerate(a.powers[1:], 1)]
+        assert b.hilbert == tuple(h + z for h in a.hilbert)
+        assert b.ideal_omega == a.ideal_omega.shift(z)
+        assert b.ideal_bidual == a.ideal_bidual.shift(z)
+        assert b.power_nu_reflexive == a.power_nu_reflexive
+        assert _same_as_cold(b.ideal, b)
+
+
+@pytest.mark.parametrize("gens,shifts", [((3, 4), (3, 6)), ((3, 5, 7), (2, 3))])
+def test_a_translate_below_the_first_pair_equals_its_cold_build(fresh_rings, gens, shifts):
+    s, m, moved = _translates_of_m(gens, shifts)
+    # the highest translate comes first, so every later pair moves down
+    first, *rest = [*moved[::-1], m]
+    warm = [Analysis(e) for e in [first, *rest]]
+    assert ring(s).translates[_key(m)].base == first.min_element
+    for e, a in zip(rest, warm[1:]):
+        assert e.min_element < first.min_element
+        assert _same_as_cold(e, a), e
+
+
+def _routes_disagree(monkeypatch, s):
+    # the generated route returns S itself, before Lambda's record is looked up
+    def closure(seed, width, gens):
+        return seed if seed == s.bits else HONEST_CLOSURE(seed, width, gens)
+    monkeypatch.setattr(sgblow.blowup, "_closure", closure)
+    return "blow-up routes disagree", 0
+
+
+def _bidual_fails(monkeypatch, s):
+    # E** is the last thing the build takes, after Lambda's record is stored
+    def bidual(e):
+        if e.carrier == s:
+            raise InvariantViolation("planted fault")
+        return HONEST_BIDUAL(e)
+    monkeypatch.setattr(sgblow.blowup, "bidual", bidual)
+    return "planted fault", 1
+
+
+@pytest.mark.parametrize("plant", [_routes_disagree, _bidual_fails])
+def test_a_fault_in_a_class_build_raises_on_every_translate_and_stores_nothing(
+        fresh_rings, monkeypatch, plant):
+    # ideal(6,7) over <3,4> is not M, so its build takes E** itself
+    s = NumericalSemigroup.from_generators([3, 4])
+    e = ValueIdeal.generated_by(s, [6, 7])
+    moved = [e, e.shift(3), e, e.shift(4)]
+    message, lambdas = plant(monkeypatch, s)
+    for f in moved:
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            Analysis(f)
+    assert ring(s).translates == {}
+    assert len(ring(s).blowups) == lambdas
+    monkeypatch.undo()
+    for f in moved:
+        assert _same_as_cold(f, Analysis(f))
+    ring.cache_clear()
+    for f in moved:
+        Analysis(f)
+    assert list(ring(s).translates) == [_key(e)]
+
+
+# (n, how the translate's H(n) is misread given its multiplicity, message);
+# m over <3,4> has nu = 2
+HILBERT_FAULTS = [
+    (0, lambda e, h: e + 1, "Hilbert value exceeded the multiplicity"),
+    (1, lambda e, h: e,
+     "Hilbert function of a translate reached the multiplicity at 1, expected 2"),
+    (2, lambda e, h: h - 1,
+     "Hilbert function of a translate reached the multiplicity at None, expected 2"),
+]
+
+
+@pytest.mark.parametrize("n,misread,message", HILBERT_FAULTS, ids=["exceeds", "early", "never"])
+def test_a_translate_takes_and_checks_its_own_hilbert_function(fresh_rings, monkeypatch,
+                                                               n, misread, message):
+    s, m, (f,) = _translates_of_m((3, 4), (3,))
+    a = Analysis(m)
+    # H(n) of f is the length of f's nE over its (n+1)E, m's moved by 3(n+1)
+    target = a.powers[n + 1].shift(3 * (n + 1))
+    honest = sgblow.blowup.length_between
+
+    def length(x, y):
+        h = honest(x, y)
+        return misread(f.min_element, h) if y == target else h
+    monkeypatch.setattr(sgblow.blowup, "length_between", length)
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        Analysis(f)
+    # the check is the pair's own: the record of the class stays
+    assert list(ring(s).translates) == [_key(m)]
+    monkeypatch.undo()
+    assert _same_as_cold(f, Analysis(f))
