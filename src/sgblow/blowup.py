@@ -23,13 +23,18 @@ over S, kept in a.ring.translates and built whole by _Translates from the
 first pair of the class: the powers S, E, ..., (nu+1)E by sums, nu, the
 check that (nu+1)E = e + nuE, the stages with Lambda, both scans that
 must reach Lambda at nu, the generated route, the lookup of Lambda's
-record, K + E, K + nuE, A5, A6 and E**.  The stages nE - nE are one scan,
-and its first, E - E, is what Rmk5.8 and Rmk6.2 read; K + E serves
-Prop5.1 and A6, and K + nuE serves A4, A5 and A6, which sums the K + nE
-between only while it scans; when nu = 1 the three are one.  For E = M
-the record reads the ring's M + K and M** instead of summing and
-dualizing itself.  Whether nuE is reflexive, which only Thm5.9.1 reads,
-is a lazy field of the record: one bidual per class, taken on first read.
+record, K + E, K + nuE, A5, A6, E**, whether E is reflexive and whether
+K + E = E**.  The stages nE - nE are one scan, and its first, E - E, is
+what Rmk5.8 and Rmk6.2 read; K + E serves A6 and, once compared with E**,
+Prop5.1, and K + nuE serves A4, A5 and A6, which sums the K + nE between
+only while it scans; when nu = 1 the three are one.  For E = M the record
+reads the ring's M + K and M** instead of summing and dualizing itself.
+Whether nuE is reflexive, which only Thm5.9.1 reads, is a lazy field of
+the record: one bidual per class, taken on first read.  The record also
+holds the class's verdict store, a.class_verdicts, keyed by
+statements.Statement record: statements.verify_many reads each
+class-level verdict (Prop5.1, Rmk5.8, Thm5.9.1, Thm5.9.2) from it or makes
+the verdict and puts it there, so every translate of E shares it.
 
 The constructor reads E's record, building and storing it on a miss, then
 computes what depends on where E sits against S once, as a plain
@@ -48,11 +53,12 @@ Lambda alone are one record per (S, Lambda), kept in a.ring.blowups:
 R:Lambda, Lambda**, omega_Lambda = K + Lambda, K:Lambda, delta(Lambda),
 Gamma and its complement, i0 with R_i0 and R_i0*, the Lambda-level
 lengths, the Gamma sums, d, the condition members A1-A3, B1, B2 and the
-bridge, whether Lambda contains S:M, and the catalog's two Lambda-level
-hypotheses, K in Lambda** and R:Lambda integrally closed.  The record is
-the one place these are computed; the catalog's conjuncts only read them.
-What involves E is in E's translation record or on the pair.
-_blowup_record builds a record whole and runs Lambda's own checks before
+bridge (A1 and B1 also as the fields k_in_lambda and lambda_reflexive,
+which the catalog reads), whether Lambda contains S:M, and the catalog's
+two Lambda-level hypotheses, K in Lambda** and R:Lambda integrally closed.
+The record is the one place these are computed; the catalog's conjuncts
+only read them.  What involves E is in E's translation record or on the
+pair.  _blowup_record builds a record whole and runs Lambda's own checks before
 the lengths only the catalog reads.  _Translates calls it on a miss, once
 both routes to Lambda agree, and stores what it returns, so a Lambda whose
 build raises is never cached and raises again on every pair with it; a
@@ -257,6 +263,7 @@ class Analysis:
             self.rho = rho
             self.lam = lam
             self.ideal_colon = tr.ideal_colon  # E:E
+            self.class_verdicts = tr.verdicts
 
             # notation
             self.e = a
@@ -282,6 +289,7 @@ class Analysis:
             self.r = rg.ts.cm_type
             self.ideal_bidual = tr.bidual.shift(d) if d else tr.bidual
             self.ideal_reflexive = tr.reflexive
+            self.ideal_omega_is_bidual = tr.omega_is_bidual
             self.r_colon_is_power = self.r_colon_lambda == p_nu
             # the lengths that involve nuE, validated for nesting by length_between
             self.len_rcolon_over_power_nu = length_between(self.r_colon_lambda, p_nu)
@@ -355,10 +363,12 @@ class _Translates:
     k_e = K + E and bidual = E** moved by d, and k_nu = K + nuE moved by
     nu*d: + and colon read only masks, so on a translate they would repeat
     the same integer operations.  The stages nE:nE, Lambda and E:E, the
-    record of Lambda, nu, A5, A6 and whether E or nuE is reflexive are the
-    same for the whole class.  hilbert is E's own H; every other pair of
-    the class takes its own, as it does its A4 and the lengths that depend
-    on where it sits against S.
+    record of Lambda, nu, A5, A6, whether E or nuE is reflexive and whether
+    K + E = E** (omega_is_bidual) are the same for the whole class, and so
+    is every class-level verdict: verdicts is the class's store of them,
+    keyed by statements.Statement record and filled by verify_many.
+    hilbert is E's own H; every other pair of the class takes its own, as
+    it does its A4 and the lengths that depend on where it sits against S.
     """
 
     def __init__(self, rg: Ring, e: ValueIdeal):
@@ -424,11 +434,13 @@ class _Translates:
         self.a6 = (k_e == e or self.a5
                    or any((k + powers[n]) == powers[n] for n in range(2, nu)))
         # E** is the ring's M** when E = M
-        self.bidual = rg.m_bidual if is_max_ideal else bidual(e)
-        self.reflexive = self.bidual == e
+        self.bidual = e_bidual = rg.m_bidual if is_max_ideal else bidual(e)
+        self.reflexive = e_bidual == e
+        self.omega_is_bidual = k_e == e_bidual
         self.base, self.powers, self.hilbert, self.nu = a, powers, tuple(hseq), nu
         self.lam, self.ideal_colon, self.blowup = lam, stages[0], blowup
         self.k_e, self.k_nu = k_e, k_nu
+        self.verdicts = {}
 
     @_lazy
     def power_nu_reflexive(self) -> bool:
@@ -485,6 +497,8 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     if r_colon_integrally_closed != (r_colon == r_filter_i0):
         raise InvariantViolation("integral closedness of the colon must mean "
                                  "it is a full value filter")
+    # A1 and B1, which Rmk4.5, Thm5.9.1 and Thm5.9.2 read as fields
+    k_in_lambda, lambda_reflexive = lam.contains(k), lam == lam_bidual
     r_star_i0 = dual(r_filter_i0)
     len_rbar_over_bidual = length_between(norm, lam_bidual)
     sum_gamma = sum(rg.ts.entries[i - 1] for i in gamma_set)
@@ -505,10 +519,10 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
         sum_not_gamma_excess=s.genus - sum_gamma - len(outside_gamma),
         d=len_rbar_over_bidual - sum_gamma, lam_contains_dual_m=lam.contains(rg.dual_m),
         k_in_lam_bidual=k_in_lam_bidual, r_colon_integrally_closed=r_colon_integrally_closed,
-        lambda_verdicts={})
+        k_in_lambda=k_in_lambda, lambda_reflexive=lambda_reflexive, lambda_verdicts={})
     # A1-A3, B1, B2 and the bridge R:Lambda inside R:omega
     return fields, dict(
-        a1=lam.contains(k), a2=omega == lam, a3=k_colon == r_colon, b1=lam == lam_bidual,
+        a1=k_in_lambda, a2=omega == lam, a3=k_colon == r_colon, b1=lambda_reflexive,
         b2=k_colon == (k + r_colon), colon_inside_omega_dual=bridge)
 
 

@@ -30,8 +30,9 @@ routine.  In the benchmark's traced pass (times at the nominal speed of its
 reference slice; 2-core VM, Python 3.11.7) the median sum or colon takes
 about 3 us and a length about 1.6 us on the windows of a few dozen bits of
 the wide-all workload, and about 12 us and 3 us on the windows of up to a
-few hundred bits of large-conductor.  `sgblow analyze` on m over <300,301>
-(windows of about 90,000 bits) takes about 3 s.
+few hundred bits of large-conductor.  On that VM a whole `sgblow analyze`
+process on m over <300,301> (windows of about 90,000 bits) takes 1.7 to
+2.2 s.
 
 Lengths of quotients of monomial modules equal gap counts between value
 sets, which is why plain counting on windows computes true module lengths.

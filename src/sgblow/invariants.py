@@ -102,7 +102,9 @@ class Ring:
     translates holds one blowup._Translates per translation class of the
     ideals E met over S, keyed by (E.bits, E.frontier - min E): the powers,
     stages and blow-up routes of the class's first pair, which every
-    translate reads moved, built whole by Analysis on a miss.
+    translate reads moved, built whole by Analysis on a miss.  Each also
+    holds the class-level verdicts verify_many fills, keyed by statement
+    record, so every translate of E shares them.
     """
 
     def __init__(self, s: NumericalSemigroup):

@@ -33,12 +33,21 @@ directly.  verify_many walks the requested ids once per pair, and
 STATEMENTS[sid] walks sid alone, so both give the same verdicts and
 raise the same first error.
 
-A statement is "pair"-level unless it reads only what is one per
-(S, Lambda): the blow-up record's quantities, rho (checked against
-l(Lambda/R) when the pair is built), r, a.ring and the notation of S.
-Those eight, Prop4.2, Prop4.3.1-4.3.4, Thm4.4.1, Thm4.4.2 and Cor5.2, are
-"lambda"-level, and verify_many makes each of their verdicts once per
-blow-up record and hands it to every later pair with that Lambda.  The
+A statement's level says what it reads.  It is "lambda"-level when it
+reads only what is one per (S, Lambda): the blow-up record's quantities
+(A1 and B1 among them), rho (checked against l(Lambda/R) when the pair is
+built), r, a.ring and the notation of S.  Those nine, Prop4.2,
+Prop4.3.1-4.3.4, Thm4.4.1, Thm4.4.2, Rmk4.5 and Cor5.2, are
+"lambda"-level.  It is "class"-level when it reads, besides those, only
+facts fixed by the record of E's translation class E - min E: E:E,
+whether E is reflexive, whether K + E = E**, whether nuE is reflexive,
+and nu.  Those four, Prop5.1, Rmk5.8, Thm5.9.1 and Thm5.9.2, are
+"class"-level.  Every other statement is "pair"-level: it reads A4, e, the
+powers of E or a length against nuE, which a translation changes, even
+where its verdict happens to be the same across a class.  verify_many
+makes each Lambda-level verdict once per blow-up record and hands it to
+every later pair with that Lambda, and each class-level verdict once per
+translation record and hands it to every later translate of E.  Each
 record's verdict store is keyed by the Statement record itself, so a
 replaced record misses it and is walked, on a warm ring too, and the
 original, put back, finds its own verdicts again.  STATEMENTS[sid](a)
@@ -129,7 +138,7 @@ class Statement:
     vacuous: TheoremVerdict
 
     def __call__(self, a: Analysis) -> TheoremVerdict:
-        return _walk((self.sid,), a, {})[0]
+        return _walk((self.sid,), a, {}, {})[0]
 
 
 STATEMENTS: dict[str, Statement] = {}
@@ -147,7 +156,9 @@ def _statement(sid: str, hypothesis: tuple[str, ...] = (),
     be a function of a.  "lambda" as the level declares that conjuncts,
     conclusion and notes read only the blow-up record's quantities, rho, r,
     a.ring and the notation of S, so that the verdict is one per
-    (S, Lambda); "pair" is every other statement.
+    (S, Lambda); "class" that they read only those and E:E, E reflexive,
+    K + E = E**, nuE reflexive and nu, so that the verdict is one per
+    translation class of E; "pair" is every other statement.
     """
     def register(conclusion):
         STATEMENTS[sid] = Statement(sid, hypothesis, conclusion, notes, level,
@@ -157,31 +168,34 @@ def _statement(sid: str, hypothesis: tuple[str, ...] = (),
     return register
 
 
-def _walk(ids, a: Analysis, store: dict) -> list[TheoremVerdict]:
+def _walk(ids, a: Analysis, lambda_store: dict, class_store: dict) -> list[TheoremVerdict]:
     """The verdicts of ids on a, in order: the one routine that makes a
     verdict, reading nothing of a statement but its record in STATEMENTS.
-    verify_many walks the requested ids with the pair's verdict store; a
-    record called alone walks its id with an empty one.
+    verify_many walks the requested ids with the pair's two verdict stores,
+    its blow-up record's and its translation class's; a record called alone
+    walks its id with empty ones.
 
     A hypothesis is met when its conjuncts, read in order with the
     short-circuit of "and", all hold; a statement whose hypothesis fails
     gets its vacuous verdict with no call, any other calls its conclusion.
     The walk keeps the value of each conjunct it reads, so it evaluates
     each conjunct at most once, where "and" would first read it.  A
-    Lambda-level verdict is read from the store, keyed by the statement's
-    record, when present and put into it when made.  A SgblowError from a
-    conjunct, a conclusion or the notes is a bug on the pair, since it
-    passed its input check, and leaves as an InvariantViolation that names
-    the statement being walked; an InvariantViolation, or any error outside
-    SgblowError, passes unchanged.
+    Lambda-level verdict is read from lambda_store and a class-level one
+    from class_store, keyed by the statement's record, when present, and
+    put there when made; a pair-level statement costs one test of its
+    level.  A SgblowError from a conjunct, a conclusion or the notes is a
+    bug on the pair, since it passed its input check, and leaves as an
+    InvariantViolation that names the statement being walked; an
+    InvariantViolation, or any error outside SgblowError, passes unchanged.
     """
     values: dict[str, bool] = {}
     out = []
     try:
         for sid in ids:
             st = STATEMENTS[sid]
-            shared = st.level == "lambda"
+            shared = st.level != "pair"
             if shared:
+                store = lambda_store if st.level == "lambda" else class_store
                 hit = store.get(st)
                 if hit is not None:
                     out.append(hit)
@@ -339,11 +353,11 @@ def _(a):
     return a.rho == rhs, a.rho, rhs
 
 
-@_statement("Rmk4.5")
+@_statement("Rmk4.5", level="lambda")
 def _(a):
     extremal = a.rho == a.r * a.len_r_over_rcolon
     flat = all(a.ring.ts.entries[i - 1] == a.r for i in a.outside_gamma)
-    rhs = flat and a.conditions.b1 and a.d == 0
+    rhs = flat and a.lambda_reflexive and a.d == 0
     return extremal == rhs, extremal, rhs
 
 
@@ -380,9 +394,9 @@ def _(a):
 
 
 @_statement("Prop5.1", notes="probed on the tested ideal and the maximal ideal; "
-                             "the maximal ideal alone decides the converse")
+                             "the maximal ideal alone decides the converse", level="class")
 def _(a):
-    matches = a.ideal_omega == a.ideal_bidual and a.ring.maximal_probe
+    matches = a.ideal_omega_is_bidual and a.ring.maximal_probe
     almost = a.ring.ring_class.almost_gorenstein
     return almost == matches, almost, matches
 
@@ -437,7 +451,7 @@ def _(a):
     return conductor_is_power == rhs, conductor_is_power, rhs
 
 
-@_statement("Rmk5.8", hypothesis=("almost Gorenstein",))
+@_statement("Rmk5.8", hypothesis=("almost Gorenstein",), level="class")
 def _(a):
     refl = a.ideal_reflexive
     rhs = a.ideal_colon.contains(a.ring.dual_m)
@@ -446,21 +460,22 @@ def _(a):
 
 @_statement("Thm5.9.1", hypothesis=("almost Gorenstein",),
             notes="reflexivity of the powers; equivalent to both "
-                  "closure-condition groups")
+                  "closure-condition groups", level="class")
 def _(a):
     c1 = a.lam_contains_dual_m
     # every power past nu is nuE translated and (E+z)** = E** + z, so the
     # powers from nu on are all reflexive or none is: one test, kept once
     # per translation class of E, reads all three
     c2 = a.power_nu_reflexive
-    ok = c1 == c2 == a.conditions.a1 == a.conditions.b1
+    # A1 and B1 are the blow-up record's, the same for every pair with Lambda
+    ok = c1 == c2 == a.k_in_lambda == a.lambda_reflexive
     return ok, (c1, c2, c2, c2), None
 
 
 @_statement("Thm5.9.2",
-            hypothesis=("almost Gorenstein", "E reflexive"))
+            hypothesis=("almost Gorenstein", "E reflexive"), level="class")
 def _(a):
-    ok = a.conditions.a1 and a.conditions.b1 and a.lam_contains_dual_m
+    ok = a.k_in_lambda and a.lambda_reflexive and a.lam_contains_dual_m
     return ok, ok, None
 
 
@@ -652,12 +667,15 @@ def verify_many(e: ValueIdeal | Analysis, statement_ids=None) -> list[TheoremVer
     A Lambda-level verdict is one per (S, Lambda): it is read from the
     verdict store the pair's analysis hands on from its blow-up record
     (lambda_verdicts) when an earlier pair with that Lambda has made it, and
-    otherwise made and stored.  The store is keyed by the Statement record,
-    so a record replaced in STATEMENTS is walked afresh and its verdicts
-    are kept apart from the original's.  Only the requested ids are
-    evaluated, a pair's analysis has passed cross_check before any verdict
-    is stored, and an evaluation that raises stores nothing.
+    otherwise made and stored.  A class-level verdict is one per
+    translation class of E, and is read from, or put into, the store of
+    the class's record (class_verdicts) the same way.  Each store is keyed
+    by the Statement record, so a record replaced in STATEMENTS is walked
+    afresh and its verdicts are kept apart from the original's.  Only the
+    requested ids are evaluated, a pair's analysis has passed cross_check
+    before any verdict is stored, and an evaluation that raises stores
+    nothing.
     """
     names = catalog_ids() if statement_ids is None else _resolved_ids(tuple(statement_ids))
     a = e if isinstance(e, Analysis) else Analysis(e)
-    return _walk(names, a, a.lambda_verdicts)
+    return _walk(names, a, a.lambda_verdicts, a.class_verdicts)

@@ -251,7 +251,43 @@ def blowup_record(small: tuple[int, ...], conductor: int,
         "lam_contains_dual_m": _contains(lam, _colon(s, m)),
         "k_in_lam_bidual": _contains(bidual, k),
         "r_colon_integrally_closed": r_colon == r_colon_closure,
+        "k_in_lambda": _contains(lam, k), "lambda_reflexive": lam == bidual,
         "a1": _contains(lam, k), "a2": omega == lam, "a3": k_colon == r_colon,
         "b1": lam == bidual, "b2": k_colon == _sum(k, r_colon),
         "colon_inside_omega_dual": _contains(_colon(s, k), r_colon),
+    }
+
+
+def translation_class(small: tuple[int, ...], conductor: int,
+                      e_members: tuple[int, ...], e_frontier: int) -> dict:
+    """The facts about an ideal E of S that a translation of E leaves as they
+    are, or only moves, computed from their definitions.
+
+    small lists S's members below the conductor c; E is given by its members
+    below its frontier.  The keys: E** = S:(S:E) as (members, frontier);
+    whether E is reflexive, K + E = E**, E:E contains S:M and nuE is
+    reflexive; and nu, the first n with l(nE/(n+1)E) = min E.
+    """
+    c = conductor
+    elems = sorted(x for x in small if x < c)
+    s = _cofinite(elems, c)
+    k = _cofinite([j for j in range(c) if not _member(c - 1 - j, s)], c)
+    m = _cofinite(elems[1:], c)
+    e = _cofinite(e_members, e_frontier)
+    bidual = _colon(s, _colon(s, e))
+    # H(n) = l(nE/(n+1)E) with 0E = S; it reaches min E at nu and stays there
+    a = _least(e)
+    powers = [s, e]
+    while _length(powers[-2], powers[-1]) != a:
+        assert len(powers) <= a + 2, "nu is at most min E"
+        powers.append(_sum(powers[-1], e))
+    nu = len(powers) - 2
+    p_nu = powers[nu]
+    return {
+        "bidual": bidual,
+        "reflexive": bidual == e,
+        "omega_is_bidual": _sum(k, e) == bidual,
+        "colon_contains_dual_m": _contains(_colon(e, e), _colon(s, m)),
+        "nu": nu,
+        "power_nu_reflexive": _colon(s, _colon(s, p_nu)) == p_nu,
     }

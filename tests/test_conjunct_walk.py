@@ -80,7 +80,7 @@ def test_verify_many_equals_the_per_statement_route(temperature):
             # verify_many drops repeated ids; the walk itself takes them as given
             resolved = expand_statement_ids(ids)
             _assert_same(verify_many(e, ids), [STATEMENTS[sid](a) for sid in resolved], e)
-            _assert_same(_walk(ids, a, {}),
+            _assert_same(_walk(ids, a, {}, {}),
                          [STATEMENTS[sid](a) for sid in ids], e)
     ring.cache_clear()
 
@@ -99,6 +99,10 @@ def test_the_registry_lists_every_statement_in_catalog_order():
     assert {name for st in STATEMENTS.values() if st.level == "lambda"
             for name in st.requires} == {"K in Lambda**", "R:Lambda integrally closed",
                                          "almost Gorenstein"}
+    # class-level ones read almost Gorenstein and E reflexive, a field of the
+    # record of E's translation class
+    assert {name for st in STATEMENTS.values() if st.level == "class"
+            for name in st.requires} == {"almost Gorenstein", "E reflexive"}
 
 
 def test_a_hypothesis_is_the_conjunction_of_its_conjuncts():
@@ -190,16 +194,19 @@ def test_a_replaced_record_reaches_every_route(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [v["status"] for v in doc["verdicts"]] == ["failed"]
 
-    # a level is read from the record too: Rmk4.5 declared Lambda-level is
-    # stored, on the ring already warmed with the record as registered
+    # a level is read from the record too: Rmk4.5 declared pair-level is
+    # neither read from the store nor put into it, on the ring already warmed
+    # with the record as registered, and Cor4.6.1 declared Lambda-level is
     ring.cache_clear()
     verify_many(e)
     store = Analysis.of(e).lambda_verdicts
-    assert STATEMENTS["Rmk4.5"] not in store
-    monkeypatch.setitem(STATEMENTS, "Rmk4.5",
-                        dataclasses.replace(STATEMENTS["Rmk4.5"], level="lambda"))
+    registered = STATEMENTS["Rmk4.5"]
+    assert registered in store and STATEMENTS["Cor4.6.1"] not in store
+    monkeypatch.setitem(STATEMENTS, "Rmk4.5", dataclasses.replace(registered, level="pair"))
+    monkeypatch.setitem(STATEMENTS, "Cor4.6.1",
+                        dataclasses.replace(STATEMENTS["Cor4.6.1"], level="lambda"))
     verify_many(e)
-    assert STATEMENTS["Rmk4.5"] in store
+    assert STATEMENTS["Rmk4.5"] not in store and STATEMENTS["Cor4.6.1"] in store
     ring.cache_clear()
 
 
