@@ -15,20 +15,22 @@ closes S's own mask under the shifted minimal generators on the window
 [0, c).  Both routes must agree; disagreement raises InvariantViolation.
 
 Analysis is the one object per (semigroup, ideal) pair.  A translate
-E + d of E has the same stages, Lambda and E - E, and its powers, K + E
-and E** are E's moved by multiples of d: + and colon read only masks, so
+E + d of E has the same stages, Lambda and E - E, and its powers and
+K + nuE are E's moved by multiples of d: + and colon read only masks, so
 building them again would repeat the same integer operations.  So what a
 translation only moves is one record per translation class E - min E
 over S, kept in a.ring.translates and built whole by _Translates from the
 first pair of the class: the powers S, E, ..., (nu+1)E by sums, nu, the
 check that (nu+1)E = e + nuE, the stages with Lambda, both scans that
 must reach Lambda at nu, the generated route, the lookup of Lambda's
-record, K + E, K + nuE, A5, A6, E**, whether E is reflexive and whether
-K + E = E**.  The stages nE - nE are one scan, and its first, E - E, is
-what Rmk5.8 and Rmk6.2 read; K + E serves A6 and, once compared with E**,
-Prop5.1, and K + nuE serves A4, A5 and A6, which sums the K + nE between
-only while it scans; when nu = 1 the three are one.  For E = M the record
-reads the ring's M + K and M** instead of summing and dualizing itself.
+record, K + nuE, A5, A6, whether E is reflexive and whether K + E = E**.
+The stages nE - nE are one scan, and its first, E - E, is what Rmk5.8
+and Rmk6.2 read.  K + E and E** are taken by the build and not kept:
+K + E serves A6 and, compared with E**, Prop5.1, and E** decides whether
+E is reflexive.  K + nuE serves A4, A5 and A6, which sums the K + nE
+between only while it scans; when nu = 1, K + nuE is K + E.  For E = M
+the build reads the ring's M + K and M** instead of summing and
+dualizing itself.
 Whether nuE is reflexive, which only Thm5.9.1 reads, is a lazy field of
 the record: one bidual per class, taken on first read.  The record also
 holds the class's verdict store, a.class_verdicts, keyed by
@@ -39,9 +41,9 @@ the verdict and puts it there, so every translate of E shares it.
 The constructor reads E's record, building and storing it on a miss, then
 computes what depends on where E sits against S once, as a plain
 attribute, running the pair's cross-checks as soon as what they read is
-in place: the powers moved onto E, H with its checks (on a translate H(n)
-moves by d, and it is taken anew), rho against l(Lambda/R), A4, which
-meets nE + K with S, whether E is M, R:Lambda is nuE and the conductor
+in place: the powers moved onto E, H with its checks (on a translate H
+is taken anew and must be E's moved by d), rho against l(Lambda/R), A4,
+which meets nE + K with S, whether E is M, R:Lambda is nuE and the conductor
 lies in nuE, and the lengths against nuE.  The ring-level quantities
 (K, the type sequence, the class, S:M, S:K, M + K, M**) are read from the
 semigroup's one Ring, a.ring, which all pairs over S share.  Ring stays
@@ -51,14 +53,14 @@ fields, and need not pay for the type sequence.
 Many ideals of S share one blow-up, so the quantities that depend on
 Lambda alone are one record per (S, Lambda), kept in a.ring.blowups:
 R:Lambda, Lambda**, omega_Lambda = K + Lambda, K:Lambda, delta(Lambda),
-Gamma and its complement, i0 with R_i0 and R_i0*, the Lambda-level
-lengths, the Gamma sums, d, the condition members A1-A3, B1, B2 and the
-bridge (A1 and B1 also as the fields k_in_lambda and lambda_reflexive,
-which the catalog reads), whether Lambda contains S:M, and the catalog's
-two Lambda-level hypotheses, K in Lambda** and R:Lambda integrally closed.
-The record is the one place these are computed; the catalog's conjuncts
-only read them.  What involves E is in E's translation record or on the
-pair.  _blowup_record builds a record whole and runs Lambda's own checks before
+Gamma and its complement, i0, the Lambda-level lengths, the Gamma sums,
+d, the condition members A1-A3, B1, B2 and the bridge (A1 and B1 also as
+the fields k_in_lambda and lambda_reflexive, which the catalog reads),
+whether Lambda contains S:M, and the catalog's two Lambda-level
+hypotheses, K in Lambda** and R:Lambda integrally closed.  The record is
+the one place these are computed; the catalog's conjuncts only read them.
+What involves E is in E's translation record or on the pair.
+_blowup_record builds a record whole and runs Lambda's own checks before
 the lengths only the catalog reads.  _Translates calls it on a miss, once
 both routes to Lambda agree, and stores what it returns, so a Lambda whose
 build raises is never cached and raises again on every pair with it; a
@@ -243,12 +245,12 @@ class Analysis:
                     [p.shift(k * d) for k, p in enumerate(tr.powers[2:], 2)] if d
                     else tr.powers[2:])
                 hseq = tuple(map(length_between, powers, powers[1:]))
-                if max(hseq) > a:
-                    raise InvariantViolation("Hilbert value exceeded the multiplicity")
-                if a in hseq[:-1] or hseq[-1] != a:
+                # l(I + d) = l(I) - d, so H_(E+d)(n) = H_E(n) + d for every n;
+                # E's H reaches min E at nu alone, so this one reaches e there
+                moved = tuple(h + d for h in tr.hilbert)
+                if hseq != moved:
                     raise InvariantViolation(
-                        f"Hilbert function of a translate reached the multiplicity "
-                        f"at {hseq.index(a) if a in hseq else None}, expected {tr.nu}")
+                        f"Hilbert function of a translate is {hseq}, expected {moved}")
             nu, lam = tr.nu, tr.lam
             rho = sum(a - h for h in hseq)
 
@@ -278,7 +280,6 @@ class Analysis:
 
             # A4 intersects with S, so it is the one member of either group
             # a translation can change
-            self.ideal_omega = tr.k_e.shift(d) if d else tr.k_e
             k_nu = tr.k_nu.shift(nu * d) if d else tr.k_nu
             # one update of the instance dict, as in HPolynomial.of
             self.conditions = report = ConditionsReport.__new__(ConditionsReport)
@@ -287,7 +288,6 @@ class Analysis:
 
             # what only the catalog and the document read
             self.r = rg.ts.cm_type
-            self.ideal_bidual = tr.bidual.shift(d) if d else tr.bidual
             self.ideal_reflexive = tr.reflexive
             self.ideal_omega_is_bidual = tr.omega_is_bidual
             self.r_colon_is_power = self.r_colon_lambda == p_nu
@@ -359,16 +359,17 @@ class _Translates:
     """What a translation of E only moves: one record per class E - min E
     over S, built whole and checked by the first pair met, E itself.
 
-    base is min E.  A translate E + d reads powers[k] (k >= 1) moved by k*d,
-    k_e = K + E and bidual = E** moved by d, and k_nu = K + nuE moved by
-    nu*d: + and colon read only masks, so on a translate they would repeat
-    the same integer operations.  The stages nE:nE, Lambda and E:E, the
-    record of Lambda, nu, A5, A6, whether E or nuE is reflexive and whether
-    K + E = E** (omega_is_bidual) are the same for the whole class, and so
-    is every class-level verdict: verdicts is the class's store of them,
-    keyed by statements.Statement record and filled by verify_many.
-    hilbert is E's own H; every other pair of the class takes its own, as
-    it does its A4 and the lengths that depend on where it sits against S.
+    base is min E.  A translate E + d reads powers[k] (k >= 1) moved by k*d
+    and k_nu = K + nuE moved by nu*d: + and colon read only masks, so on a
+    translate they would repeat the same integer operations.  The stages
+    nE:nE, Lambda and E:E, the record of Lambda, nu, A5, A6, whether E or
+    nuE is reflexive and whether K + E = E** (omega_is_bidual) are the same
+    for the whole class, and so is every class-level verdict: verdicts is
+    the class's store of them, keyed by statements.Statement record and
+    filled by verify_many.  K + E and E** are locals of the build, which
+    nothing reads past it.  hilbert is E's own H; every other pair of the
+    class takes its own and checks it against hilbert moved by d, as it
+    takes its own A4 and the lengths that depend on where it sits against S.
     """
 
     def __init__(self, rg: Ring, e: ValueIdeal):
@@ -434,12 +435,11 @@ class _Translates:
         self.a6 = (k_e == e or self.a5
                    or any((k + powers[n]) == powers[n] for n in range(2, nu)))
         # E** is the ring's M** when E = M
-        self.bidual = e_bidual = rg.m_bidual if is_max_ideal else bidual(e)
+        e_bidual = rg.m_bidual if is_max_ideal else bidual(e)
         self.reflexive = e_bidual == e
         self.omega_is_bidual = k_e == e_bidual
         self.base, self.powers, self.hilbert, self.nu = a, powers, tuple(hseq), nu
-        self.lam, self.ideal_colon, self.blowup = lam, stages[0], blowup
-        self.k_e, self.k_nu = k_e, k_nu
+        self.lam, self.ideal_colon, self.blowup, self.k_nu = lam, stages[0], blowup, k_nu
         self.verdicts = {}
 
     @_lazy
@@ -461,8 +461,10 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     its second form: K in Lambda** against the bridge R:omega containing
     R:Lambda ("the two hypothesis forms must agree"), and R:Lambda
     integrally closed against R:Lambda = R_i0 ("integral closedness of the
-    colon must mean it is a full value filter").  It runs inside Analysis's
-    pair boundary, which reports any failure here as an InvariantViolation.
+    colon must mean it is a full value filter").  R_i0, S from min R:Lambda
+    on, and its dual R_i0* feed that check and l(Lambda**/R_i0*) only, so
+    neither is a field.  It runs inside Analysis's pair boundary, which
+    reports any failure here as an InvariantViolation.
     """
     s, s_ideal, k, norm = rg.s, rg.s_ideal, rg.k, rg.normalization
     r_colon = s_ideal.colon(lam)
@@ -487,33 +489,32 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
 
     # R_i0 is S from s_i0 = min R:Lambda on
     lo = r_colon.min_element
-    r_filter_i0 = ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
+    r_i0 = ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
     # the catalog's two Lambda-level hypotheses, each against its second form
     bridge = rg.r_colon_omega.contains(r_colon)
     k_in_lam_bidual = lam_bidual.contains(k)
     if k_in_lam_bidual != bridge:
         raise InvariantViolation("the two hypothesis forms must agree")
     r_colon_integrally_closed = integral_closure(r_colon) == r_colon
-    if r_colon_integrally_closed != (r_colon == r_filter_i0):
+    if r_colon_integrally_closed != (r_colon == r_i0):
         raise InvariantViolation("integral closedness of the colon must mean "
                                  "it is a full value filter")
     # A1 and B1, which Rmk4.5, Thm5.9.1 and Thm5.9.2 read as fields
     k_in_lambda, lambda_reflexive = lam.contains(k), lam == lam_bidual
-    r_star_i0 = dual(r_filter_i0)
     len_rbar_over_bidual = length_between(norm, lam_bidual)
     sum_gamma = sum(rg.ts.entries[i - 1] for i in gamma_set)
     fields = dict(
         r_colon_lambda=r_colon, lam_bidual=lam_bidual, omega_lambda=omega, k_colon_lambda=k_colon,
         delta_lambda=delta_lambda, gamma_set=gamma_set, outside_gamma=outside_gamma,
         len_r_over_rcolon=len_r_over_rcolon, i0=rg.small_elements.index(lo),
-        r_filter_i0=r_filter_i0, r_star_i0=r_star_i0, n_lambda=lam.frontier - delta_lambda,
+        n_lambda=lam.frontier - delta_lambda,
         # a semigroup ring is Gorenstein exactly when gaps and non-gaps balance
         lambda_gorenstein=2 * delta_lambda == lam.frontier, lam_is_normalization=lam == norm,
         len_bidual_over_lambda=length_between(lam_bidual, lam),
         len_omega_over_lambda=length_between(omega, lam),
         len_omega_over_bidual=length_between(omega, lam_bidual),
         len_rbar_over_omega=length_between(norm, omega), len_rbar_over_bidual=len_rbar_over_bidual,
-        len_bidual_over_rstar=length_between(lam_bidual, r_star_i0),
+        len_bidual_over_rstar=length_between(lam_bidual, dual(r_i0)),
         # the Gamma sums, and the sum of r_i - 1 over the indices outside Gamma
         sum_gamma=sum_gamma, sum_not_gamma=s.genus - sum_gamma,
         sum_not_gamma_excess=s.genus - sum_gamma - len(outside_gamma),

@@ -100,11 +100,12 @@ class Ring:
     holds at most one record per distinct Lambda and is freed with the ring.
 
     translates holds one blowup._Translates per translation class of the
-    ideals E met over S, keyed by (E.bits, E.frontier - min E): the powers,
-    stages and blow-up routes of the class's first pair, which every
-    translate reads moved, built whole by Analysis on a miss.  Each also
-    holds the class-level verdicts verify_many fills, keyed by statement
-    record, so every translate of E shares them.
+    ideals E met over S, keyed by (E.bits, E.frontier - min E), built whole
+    by Analysis on a miss: the powers and K + nuE of the class's first
+    pair, which every translate reads moved, and what a translation leaves
+    as it is (nu, Lambda, E:E, A5, A6, whether E is reflexive and whether
+    K + E = E**).  Each also holds the class-level verdicts verify_many
+    fills, keyed by statement record, so every translate of E shares them.
     """
 
     def __init__(self, s: NumericalSemigroup):

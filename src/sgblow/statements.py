@@ -51,7 +51,9 @@ translation record and hands it to every later translate of E.  Each
 record's verdict store is keyed by the Statement record itself, so a
 replaced record misses it and is walked, on a warm ring too, and the
 original, put back, finds its own verdicts again.  STATEMENTS[sid](a)
-itself always evaluates afresh.
+itself always evaluates afresh.  The levels are declared, not derived at
+import; a test derives each from the attribute names its statement's code
+reads and pins the declared level to it.
 
 Statement ids follow the external naming contract (Thm4.7.1, Prop6.9.2, ...).
 A bare group id like "Thm4.7" expands to all of its parts.

@@ -233,7 +233,7 @@ def blowup_record(small: tuple[int, ...], conductor: int,
         "r_colon_lambda": r_colon, "lam_bidual": bidual, "omega_lambda": omega,
         "k_colon_lambda": k_colon, "delta_lambda": delta, "gamma_set": gamma,
         "outside_gamma": outside, "len_r_over_rcolon": _length(s, r_colon), "i0": i0,
-        "r_filter_i0": r_filter, "r_star_i0": r_star, "n_lambda": c_lam - delta,
+        "n_lambda": c_lam - delta,
         # symmetric: x in Lambda exactly when c_Lambda - 1 - x is not
         "lambda_gorenstein": all(_member(x, lam) != _member(c_lam - 1 - x, lam)
                                  for x in range(c_lam)),

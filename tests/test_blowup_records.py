@@ -27,7 +27,7 @@ HONEST_BUILD = sgblow.blowup._blowup_record
 # the pair-level quantities only the catalog and the document read,
 # assigned after cross_check
 CATALOG_ONLY = {
-    "r", "ideal_bidual", "ideal_reflexive", "ideal_omega_is_bidual", "r_colon_is_power",
+    "r", "ideal_reflexive", "ideal_omega_is_bidual", "r_colon_is_power",
     "len_rcolon_over_power_nu", "len_r_over_power_nu", "len_gammar_over_conductor_power",
 }
 
@@ -95,7 +95,7 @@ def test_pairs_with_one_blowup_share_one_record():
     assert list(blowups) == [_key(a)]
     fields, conditions = blowups[_key(a)]
     assert a.r_colon_lambda is b.r_colon_lambda is fields["r_colon_lambda"]
-    assert a.r_star_i0 is b.r_star_i0 is fields["r_star_i0"]
+    assert a.lam_bidual is b.lam_bidual is fields["lam_bidual"]
     assert a.gamma_set is b.gamma_set is fields["gamma_set"]
     assert a.lambda_verdicts is b.lambda_verdicts is fields["lambda_verdicts"]
     assert a.conditions.b1 == b.conditions.b1 == conditions["b1"]

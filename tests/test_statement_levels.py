@@ -5,7 +5,10 @@ A statement registered with level="lambda" reads only what is one per
 (S, Lambda): the blow-up record's quantities, rho, r, the ring and the
 notation of S.  One registered with level="class" reads only those and
 what the record of E's translation class fixes: E:E, whether E is
-reflexive, whether K + E = E**, whether nuE is reflexive, and nu.
+reflexive, whether K + E = E**, whether nuE is reflexive, and nu.  The
+views of both levels are tests/read_sets.py's, which
+tests/test_read_sets.py also derives each level from; here each shared
+statement runs on a view and must give the verdict it gives on the pair.
 verify_many makes each such verdict once per record and hands it to every
 later pair with that Lambda, or every later translate of E;
 STATEMENTS[sid](a) itself always evaluates afresh.
@@ -24,6 +27,7 @@ from sgblow.invariants import ring
 from sgblow.parsing import parse_ideal, parse_semigroup
 from sgblow.statements import CONJUNCTS, STATEMENTS, catalog_ids, verify_many
 
+from read_sets import VIEWS
 from test_blowup import IDEAL_ZOO, pair
 from test_blowup_records import _key, _pairs_sharing_a_blowup
 from test_translation_records import _translates_of_m
@@ -31,19 +35,6 @@ from test_translation_records import _translates_of_m
 LAMBDA_IDS = ("Prop4.2", "Prop4.3.1", "Prop4.3.2", "Prop4.3.3", "Prop4.3.4",
               "Thm4.4.1", "Thm4.4.2", "Rmk4.5", "Cor5.2")
 CLASS_IDS = ("Prop5.1", "Rmk5.8", "Thm5.9.1", "Thm5.9.2")
-
-# what a Lambda-level statement may read: the blow-up record's fields but the
-# verdict store, Lambda itself, rho (checked against l(Lambda/R) when the pair
-# is built), r, the ring and S's notation
-_SOME_PAIR = Analysis.of(_pairs_sharing_a_blowup()[1])
-_RECORD_FIELDS, _ = _SOME_PAIR.ring.blowups[_key(_SOME_PAIR)]
-LAMBDA_LEVEL = tuple(name for name in _RECORD_FIELDS if name != "lambda_verdicts") + (
-    "lam", "c_lambda", "rho", "r", "ring", "s", "c", "delta", "mu")
-# what a class-level statement may read besides: the facts the record of E's
-# translation class fixes, E:E, E reflexive, K + E = E**, nuE reflexive and nu
-CLASS_LEVEL = LAMBDA_LEVEL + (
-    "ideal_colon", "ideal_reflexive", "ideal_omega_is_bidual", "power_nu_reflexive", "nu")
-VIEWS = {"lambda": LAMBDA_LEVEL, "class": CLASS_LEVEL}
 
 
 def _zoo_and_fixture_pairs():

@@ -9,7 +9,7 @@ import sgblow.blowup
 import sgblow.statements
 from sgblow.blowup import Analysis, ConditionsReport, analyze
 from sgblow.cli import main
-from sgblow.core import NumericalSemigroup
+from sgblow.core import NumericalSemigroup, ValueIdeal
 from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
 from sgblow.errors import InvariantViolation, NotIntegral, NotNested, UnknownStatement
 from sgblow.invariants import integral_closure, ring
@@ -285,7 +285,9 @@ def test_prop4_3_4_requires_a_closed_colon_to_be_a_value_filter(monkeypatch, gen
     s, ideals = _ideals_sharing_the_blowup_of_m(gens)
     honest = Analysis(ideals[0])
     closed = STATEMENTS["Prop4.3.4"](honest).hypotheses_met
-    is_filter = honest.r_colon_lambda == honest.r_filter_i0
+    # R_i0: S from s_i0 = min R:Lambda on
+    lo = honest.r_colon_lambda.min_element
+    is_filter = honest.r_colon_lambda == ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
     assert closed == honest.r_colon_integrally_closed == is_filter
     ring.cache_clear()
 
