@@ -98,8 +98,10 @@ class NumericalSemigroup:
     bits holds the members below the conductor c; everything from c on is a
     member.  small_elements lists S up to and including c, and multiplicity
     is the least positive member (1 for N).  Instances are
-    immutable and hashable, and built by from_generators, from_explicit or
-    natural_numbers, which all end in _of_mask.
+    immutable and hashable.  from_generators, from_explicit and
+    natural_numbers end in _of_mask, which finds the minimal generators from
+    scratch; enumeration.genus_tree_children grows most of its children's
+    fields from their parent's instead.
     """
 
     __slots__ = ("bits", "conductor", "genus", "multiplicity", "min_generators")

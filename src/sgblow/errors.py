@@ -11,6 +11,18 @@ that carry a witness expose it as attributes.
 class SgblowError(Exception):
     """Base class for all library errors."""
 
+    def __reduce__(self):
+        # a worker process sends its error back pickled; rebuilding it from the
+        # message and the witness attributes works whatever __init__ takes
+        return _rebuilt, (type(self), self.args, self.__dict__)
+
+
+def _rebuilt(cls: type, args: tuple, state: dict) -> SgblowError:
+    e = cls.__new__(cls, *args)
+    e.args = args
+    e.__dict__.update(state)
+    return e
+
 
 class EmptyGenerators(SgblowError):
     """A generating set was empty where at least one value is required."""

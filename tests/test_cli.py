@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -14,7 +15,14 @@ import sgblow.fixtures as fixtures
 from sgblow.blowup import Analysis
 from sgblow.cli import main
 from sgblow.core import NumericalSemigroup
-from sgblow.errors import EquivalenceViolation, InvariantViolation
+from sgblow.errors import (
+    EquivalenceViolation,
+    GrammarError,
+    InvariantViolation,
+    NotClosed,
+    NotNested,
+    WindowTooLarge,
+)
 from sgblow.report import loads_document
 from sgblow.statements import STATEMENTS
 
@@ -25,6 +33,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """(exit code, stdout, stderr) of `python -m sgblow.cli` in a new process."""
+    src = os.path.dirname(os.path.dirname(sgblow.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "sgblow.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_analyze_json_document(capsys):
@@ -274,6 +292,26 @@ def test_domain_errors_exit_two(capsys):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_a_huge_bound_offset_is_a_domain_error(capsys):
+    # the first semigroup, N, has default bound 2
+    message = ("error: WindowTooLarge: the window of ideal generators up to "
+               "100000000000000000002 spans 100000000000000000003 bits, too many to represent\n")
+    argv = ["verify", "--max-genus", "1", "--bound-offset", str(10 ** 20)]
+    for strategy in ("all", "random"):
+        assert run(capsys, *argv, "--ideals", strategy) == (2, "", message)
+    # a worker's error crosses the pool pickled and is rebuilt in the parent; a
+    # separate process, so that a result the parent cannot rebuild fails on the
+    # timeout instead of hanging the suite
+    assert run_module(*argv, "--ideals", "all", "--jobs", "2") == (2, "", message)
+
+
+def test_errors_survive_a_pickle_round_trip():
+    for exc in (WindowTooLarge(5, "a window"), NotClosed(2, 3), NotNested(4),
+                GrammarError("bad token", 7), InvariantViolation("a bug")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), back.args, vars(back)) == (type(exc), exc.args, vars(exc))
+
+
 def test_negative_jobs_is_a_domain_error(capsys):
     assert run(capsys, "verify", "--max-genus", "3", "--jobs", "-1") \
         == (2, "", "error: SgblowError: jobs must be >= 0, got -1\n")
@@ -347,9 +385,4 @@ def test_internal_check_failure_on_analyze_exits_three(capsys, monkeypatch):
 
 
 def test_the_module_runs_as_a_script():
-    src = os.path.dirname(os.path.dirname(sgblow.cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "sgblow.cli", "enumerate", "--max-genus", "-1"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "total = 0\n", "")
+    assert run_module("enumerate", "--max-genus", "-1") == (0, "total = 0\n", "")

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from sgblow.core import NumericalSemigroup, ValueIdeal
 from sgblow.enumeration import (
     count_by_genus,
@@ -12,6 +14,7 @@ from sgblow.enumeration import (
     sample_ideals,
     semigroups_of_genus,
 )
+from sgblow.errors import WindowTooLarge
 
 from oracles import all_nonprincipal_ideals, count_semigroups_of_genus
 
@@ -51,6 +54,27 @@ def test_tree_children_remove_one_generator_past_frobenius():
         .small_elements == (0, 2)
 
 
+def _fields(s):
+    return (s.bits, s.conductor, s.genus, s.multiplicity, s.min_generators)
+
+
+@pytest.mark.parametrize("parent, removed, child", [
+    # g + m = 7 becomes a generator: 7 - 3 = 4 and 7 - 5 = 2 are not in <3,5,7>
+    ((3, 4, 5), 4, (3, 5, 7)),
+    # nothing is added: 5 + 3 - 4 = 4 is a nonzero member of <3,4>
+    ((3, 4, 5), 5, (3, 4)),
+    # the multiplicity moves, so the child finds its generators from scratch
+    ((3, 4, 5), 3, (4, 5, 6, 7)),
+    ((1,), 1, (2, 3)),
+])
+def test_each_branch_of_the_child_generator_rule(parent, removed, child):
+    s = NumericalSemigroup.from_generators(parent)
+    kids = {g: k for g, k in _children_by_explicit_members(s)}
+    grown = dict(zip(kids, genus_tree_children(s)))
+    assert grown[removed].min_generators == child
+    assert _fields(grown[removed]) == _fields(kids[removed])
+
+
 def _children_by_explicit_members(s):
     """(g, S minus g) for each minimal generator g > F, each child built
     through the validating from_explicit route."""
@@ -68,7 +92,7 @@ def test_tree_children_match_the_validating_route_to_genus_11():
             kids = [k for _, k in want]
             assert genus_tree_children(s) == kids, s
             for (g, k), child in zip(want, genus_tree_children(s)):
-                assert child.min_generators == k.min_generators, (s, g)
+                assert _fields(child) == _fields(k), (s, g)
                 assert child.genus == s.genus + 1
                 assert child.conductor == g + 1
                 # the removed generator is the child's Frobenius number
@@ -120,22 +144,38 @@ def test_enumerated_ideals_carry_their_minimal_generators():
 
 
 def test_the_full_stream_adds_one_principal_ideal_per_window_value():
+    streamed = 0
     for s in enumerate_semigroups(5):
-        window = [x for x in range(1, default_generator_bound(s) + 1) if x in s]
-        stream = list(enumerate_ideals(s, non_principal_only=False))
-        for e in stream:
-            fresh = ValueIdeal._of(s, e.min_element, e.bits, e.frontier)
-            assert e._mingens == fresh.minimal_generators(), e
-        principal = [e for e in stream if len(e._mingens) == 1]
-        # x + S through the validating constructor, its window cut at x + c
-        assert principal == [
-            ValueIdeal(s, [x + y for y in s.elements_up_to(s.conductor)],
-                       x + s.conductor)
-            for x in window]
-        rest = [e for e in stream if len(e._mingens) > 1]
-        non_principal = list(enumerate_ideals(s))
-        assert rest == non_principal
-        assert [e._mingens for e in rest] == [e._mingens for e in non_principal]
+        for offset in (-2, 0, 3):
+            bound = default_generator_bound(s) + offset
+            window = [x for x in range(1, bound + 1) if x in s]
+            stream = list(enumerate_ideals(s, bound=bound, non_principal_only=False))
+            for e in stream:
+                # the ideal its antichain generates, through the validating
+                # constructor: each x + S cut at min + c
+                gens = e._mingens
+                assert e == ValueIdeal(s, [x + y for x in gens
+                                          for y in s.elements_up_to(s.conductor)],
+                                       gens[0] + s.conductor), e
+                fresh = ValueIdeal._of(s, e.min_element, e.bits, e.frontier)
+                assert gens == fresh.minimal_generators(), e
+            streamed += len(stream)
+            principal = [e for e in stream if len(e._mingens) == 1]
+            assert [e._mingens for e in principal] == [(x,) for x in window]
+            rest = [e for e in stream if len(e._mingens) > 1]
+            non_principal = list(enumerate_ideals(s, bound=bound))
+            assert rest == non_principal
+            assert [e._mingens for e in rest] == [e._mingens for e in non_principal]
+    assert streamed == 6595
+
+
+def test_a_generator_window_past_any_shift_is_a_domain_error():
+    s = NumericalSemigroup.from_generators([3, 5])
+    with pytest.raises(WindowTooLarge) as err:
+        next(enumerate_ideals(s, bound=10 ** 20))
+    assert err.value.width == 10 ** 20 + 1
+    # a bound below the multiplicity leaves an empty window
+    assert list(enumerate_ideals(s, bound=2, non_principal_only=False)) == []
 
 
 def test_sampling_is_deterministic_and_inside_the_pool():
