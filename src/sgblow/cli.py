@@ -2,9 +2,10 @@
 
 Verbs: analyze one (semigroup, ideal) pair, verify the statement catalog
 over an enumerated universe, enumerate semigroups by genus, or replay the
-stored worked examples.  Output is text or canonical JSON; both carry the
-same numbers.  Exit codes: 0 clean, 1 input grammar, 2 domain precondition,
-3 at least one failed check or internal cross-check.
+stored worked examples.  Each verb builds its canonical document once and
+writes it as canonical JSON or as text rendered from that document, so
+both forms carry the same numbers.  Exit codes: 0 clean, 1 input grammar,
+2 domain precondition, 3 at least one failed check or internal cross-check.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ def _enumerate_rows(max_genus: int) -> list[dict]:
     return rows
 
 
-def _render_enumerate_text(rows: list[dict]) -> str:
+def _render_enumerate_text(doc: dict) -> str:
+    rows = doc["semigroups"]
     lines = []
     for r in rows:
         gens = "<" + ",".join(map(str, r["generators"])) + ">"
@@ -114,13 +116,12 @@ def _render_enumerate_text(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _examples_rows() -> tuple[list[dict], int, int]:
+def _examples_document() -> dict:
     rows = []
     fixtures_passed = 0
     for f in FIXTURES:
         results = evaluate_fixture(f)
-        fid_ok = all(r.ok for r in results)
-        fixtures_passed += fid_ok
+        fixtures_passed += all(r.ok for r in results)
         for r in results:
             rows.append({
                 "fixture": r.fid,
@@ -130,28 +131,33 @@ def _examples_rows() -> tuple[list[dict], int, int]:
                 "actual": jsonable(r.actual),
                 "ok": r.ok,
             })
-    return rows, fixtures_passed, len(FIXTURES)
+    return {"checks": rows,
+            "fixtures_passed": fixtures_passed,
+            "fixtures_total": len(FIXTURES)}
 
 
-def _render_examples_text(rows: list[dict], passed: int, total: int) -> str:
+def _render_examples_text(doc: dict) -> str:
     lines = []
-    for r in rows:
+    for r in doc["checks"]:
         mark = "ok " if r["ok"] else "FAIL"
         lines.append(f"{mark} {r['fixture']} {r['ideal']:<15}"
                      f" {r['check']:<28} expected={r['expected']}"
                      + ("" if r["ok"] else f" actual={r['actual']}"))
-    lines.append(f"{passed}/{total} fixtures pass")
+    lines.append(f"{doc['fixtures_passed']}/{doc['fixtures_total']} fixtures pass")
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(args, doc: dict, render_text) -> None:
+    """Write doc as canonical JSON, or as render_text(doc), by --format, to
+    --out or stdout."""
+    text = dumps_document(doc) if args.format == "json" else render_text(doc)
+    if args.out:
         try:
-            with open(out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
             # a path that cannot be written is bad input, not a crash
-            raise SgblowError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+            raise SgblowError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -169,10 +175,7 @@ def _cmd_analyze(args) -> int:
     verdicts = verify_many(a, _statement_list(args.statements))
     doc = analysis_document(a, verdicts, semigroup_text=args.semigroup,
                             ideal_text=args.ideal)
-    if args.format == "json":
-        _emit(dumps_document(doc), args.out)
-    else:
-        _emit(_render_analysis_text(doc), args.out)
+    _emit(args, doc, _render_analysis_text)
     return 3 if any(v.status == "failed" for v in verdicts) else 0
 
 
@@ -187,33 +190,21 @@ def _cmd_verify(args) -> int:
         jobs=args.jobs,
     )
     report = run_suite(config)
-    doc = report.to_document()
-    if args.format == "json":
-        _emit(dumps_document(doc), args.out)
-    else:
-        _emit(_render_suite_text(doc), args.out)
+    _emit(args, report.to_document(), _render_suite_text)
     return 0 if report.ok else 3
 
 
 def _cmd_enumerate(args) -> int:
-    rows = _enumerate_rows(args.max_genus)
-    if args.format == "json":
-        _emit(dumps_document({"semigroups": rows}), args.out)
-    else:
-        _emit(_render_enumerate_text(rows), args.out)
+    if args.max_genus < 0:
+        raise SgblowError(f"max genus must be >= 0, got {args.max_genus}")
+    _emit(args, {"semigroups": _enumerate_rows(args.max_genus)}, _render_enumerate_text)
     return 0
 
 
 def _cmd_examples(args) -> int:
-    rows, passed, total = _examples_rows()
-    if args.format == "json":
-        doc = {"checks": rows,
-               "fixtures_passed": passed,
-               "fixtures_total": total}
-        _emit(dumps_document(doc), args.out)
-    else:
-        _emit(_render_examples_text(rows, passed, total), args.out)
-    return 0 if passed == total else 3
+    doc = _examples_document()
+    _emit(args, doc, _render_examples_text)
+    return 0 if doc["fixtures_passed"] == doc["fixtures_total"] else 3
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,9 +7,9 @@ by semigroup: each task receives the semigroup object itself, and texts
 are made only for failure records and the random strategy's seed.  Tasks
 are made lazily from the genus-tree walk and their results are folded in
 enumeration order as they arrive, so the suite holds no list of the
-universe or of its results (the walk itself holds one genus level), and
-the report is deterministic for a fixed config regardless of the worker
-count.
+universe or of its results (the walk itself holds two genus levels, the
+one it grows from and the one it is yielding), and the report is
+deterministic for a fixed config regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ def _suite_task(args: tuple[NumericalSemigroup, SuiteConfig, tuple[str, ...]]) -
 def run_suite(config: SuiteConfig) -> SuiteReport:
     if config.ideal_strategy not in STRATEGIES:
         raise ValueError(f"unknown ideal strategy {config.ideal_strategy!r}")
+    if config.max_genus < 0:
+        raise SgblowError(f"max genus must be >= 0, got {config.max_genus}")
     if config.sample_size < 0:
         raise SgblowError(f"sample size must be >= 0, got {config.sample_size}")
     if config.jobs < 0:

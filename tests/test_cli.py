@@ -79,6 +79,23 @@ def test_analyze_text_agrees_with_json(capsys):
         match = re.search(rf"\b{key} = (-?\d+)", text)
         assert match, key
         assert int(match.group(1)) == value, key
+    # enumerate: one line per row, in order, then the total
+    code, text, _ = run(capsys, "enumerate", "--max-genus", "4")
+    assert code == 0
+    code, raw, _ = run(capsys, "enumerate", "--max-genus", "4", "--format", "json")
+    rows = loads_document(raw)["semigroups"]
+    *lines, total = text.splitlines()
+    assert total == f"total = {len(rows)}"
+    assert [tuple(map(int, re.match(r"g=(\d+)  c=(\d+)  e=(\d+)  ", line).groups()))
+            for line in lines] == [(r["genus"], r["c"], r["e"]) for r in rows]
+    # examples: one line per check, then the fixture counts
+    code, text, _ = run(capsys, "examples")
+    assert code == 0
+    code, raw, _ = run(capsys, "examples", "--format", "json")
+    doc = loads_document(raw)
+    *lines, passed = text.splitlines()
+    assert len(lines) == len(doc["checks"])
+    assert passed == f"{doc['fixtures_passed']}/{doc['fixtures_total']} fixtures pass"
 
 
 def test_analyze_runs_requested_statements(capsys):
@@ -194,7 +211,6 @@ def test_enumerate_totals(capsys):
     rows = json.loads(out)["semigroups"]
     assert len(rows) == 8
     assert {row["genus"] for row in rows} == {0, 1, 2, 3}
-    assert run(capsys, "enumerate", "--max-genus", "-1") == (0, "total = 0\n", "")
 
 
 def test_grammar_errors_exit_one(capsys):
@@ -317,14 +333,30 @@ def test_negative_jobs_is_a_domain_error(capsys):
         == (2, "", "error: SgblowError: jobs must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("verb", ["verify", "enumerate"])
+def test_negative_max_genus_is_a_domain_error(capsys, verb):
+    for fmt in ("text", "json"):
+        assert run(capsys, verb, "--max-genus", "-1", "--format", fmt) \
+            == (2, "", "error: SgblowError: max genus must be >= 0, got -1\n")
+    # genus 0 is the universe {N}
+    code, out, err = run(capsys, verb, "--max-genus", "0", "--format", "json")
+    assert code == 0 and err == ""
+
+
+# one argv per verb, each run in both formats
+VERBS = [("analyze", GENS), ("verify", "--max-genus", "3"),
+         ("enumerate", "--max-genus", "3"), ("examples",)]
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
-    code, out, _ = run(capsys, "analyze", GENS, "--format", "json")
-    target = tmp_path / "report.json"
-    code2, out2, _ = run(capsys, "analyze", GENS, "--format", "json",
-                         "--out", str(target))
-    assert code == code2 == 0
-    assert out2 == ""
-    assert target.read_text() == out
+    target = tmp_path / "report"
+    for argv in VERBS:
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            code2, out2, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
+            assert code == code2 == 0, (argv, fmt)
+            assert out2 == "", (argv, fmt)
+            assert target.read_text() == out, (argv, fmt)
     # a path that cannot be opened is a domain error that names it
     for path, reason in ((tmp_path, "Is a directory"),
                          (tmp_path / "missing" / "report.json", "No such file or directory")):
@@ -385,4 +417,7 @@ def test_internal_check_failure_on_analyze_exits_three(capsys, monkeypatch):
 
 
 def test_the_module_runs_as_a_script():
-    assert run_module("enumerate", "--max-genus", "-1") == (0, "total = 0\n", "")
+    assert run_module("enumerate", "--max-genus", "0") \
+        == (0, "g=0  c=0  e=1  mu=1  type=1  gorenstein        <1>  {0->}\ntotal = 1\n", "")
+    assert run_module("enumerate", "--max-genus", "-1") \
+        == (2, "", "error: SgblowError: max genus must be >= 0, got -1\n")

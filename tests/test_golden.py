@@ -43,6 +43,8 @@ GOLDEN = [
      "011f24c15ba08a27757e14b9a8dde478f20f735c0cc36601fa448cb4e771da80"),
     (["examples"],
      "3766972feb14a5c3435f228921854613fb2a8a078b08609d2faeea83145a498c"),
+    (["enumerate", "--max-genus", "7"],
+     "b01e60b923a7b1b4fb63411821c50c806b3c5d1d9cfe40c4653f4135812c4c4a"),
     # the wide universe, where most pairs read a blow-up record built for an
     # earlier pair with the same Lambda
     (["verify", "--max-genus", "6", "--ideals", "all", "--format", "json"],

@@ -6,15 +6,16 @@ one pass over a fixed universe takes is pinned: a change that adds a
 repeated sum moves the pin, and must say why.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
-from sgblow.blowup import HPolynomial
+from sgblow.blowup import Analysis, HPolynomial
 from sgblow.core import ValueIdeal
 from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
 from sgblow.invariants import Ring, ring
-from sgblow.statements import verify_many
+from sgblow.statements import CONJUNCTS, STATEMENTS, verify_many
 
 FIELDS = sorted(name for name, field in vars(Ring).items() if hasattr(field, "func"))
 
@@ -91,3 +92,42 @@ def test_one_verify_pass_takes_a_pinned_number_of_sums_and_colons(fresh_rings, m
     for e in ideals:
         verify_many(e)
     assert (calls["add"], calls["colon"]) == (adds, colons)
+
+
+# (universe, pairs, translation classes, blow-up records, conclusion calls
+# per level, conjunct evaluations) of one verify pass with fresh rings: each
+# Lambda-level verdict is made once per record and each class-level one
+# once per class, and each conjunct at most once per pair
+TRAFFIC = [
+    ("all-genus-5", _all_ideals, 5, 1833, 274, 148,
+     {"pair": 23631, "lambda": 1282, "class": 821}, 9840),
+    ("m-genus-10", _maximal_ideals, 10, 477, 477, 477,
+     {"pair": 9967, "lambda": 3894, "class": 1185}, 6240),
+]
+
+
+@pytest.mark.parametrize("name,pairs,genus,n_pairs,n_classes,n_records,conclusions,conjuncts",
+                         TRAFFIC, ids=[t[0] for t in TRAFFIC])
+def test_one_verify_pass_makes_a_pinned_number_of_verdicts(fresh_rings, monkeypatch, name, pairs,
+                                                           genus, n_pairs, n_classes, n_records,
+                                                           conclusions, conjuncts):
+    calls = Counter()
+
+    def counted(key, honest):
+        def call(a):
+            calls[key] += 1
+            return honest(a)
+        return call
+    for sid, st in list(STATEMENTS.items()):
+        monkeypatch.setitem(STATEMENTS, sid, dataclasses.replace(
+            st, conclusion=counted(st.level, st.conclusion)))
+    for conjunct, honest in list(CONJUNCTS.items()):
+        monkeypatch.setitem(CONJUNCTS, conjunct, counted("conjunct", honest))
+    analyses = [Analysis(e) for e in pairs(genus)]
+    for a in analyses:
+        verify_many(a)
+    # the stores stay alive in analyses, so no id is reused
+    classes = {id(a.class_verdicts) for a in analyses}
+    records = {id(a.lambda_verdicts) for a in analyses}
+    assert (len(analyses), len(classes), len(records)) == (n_pairs, n_classes, n_records)
+    assert dict(calls) == {**conclusions, "conjunct": conjuncts}
