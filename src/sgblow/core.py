@@ -25,8 +25,11 @@ Every ValueIdeal is, so validating an unchecked window must not run through
 On small windows the fixed cost of each call dominates, so the hot
 operations are written to keep it to a few int operations: intersection,
 containment and lengths build both windows in one expression; a carrier
-check tests identity before equality; and _of is the one canonicalization
-routine.  In the benchmark's traced pass (times at the nominal speed of its
+check tests identity before equality; and _of canonicalizes every window an
+operation builds.  The ideal walk in enumeration skips it, as the genus
+tree skips _of_mask: it builds each ideal in canonical form from its
+antichain's mask, whose least member is the antichain's least value.  In
+the benchmark's traced pass (times at the nominal speed of its
 reference slice; 2-core VM, Python 3.11.7) the median sum or colon takes
 about 3 us and a length about 1.6 us on the windows of a few dozen bits of
 the wide-all workload, and about 12 us and 3 us on the windows of up to a
@@ -101,7 +104,9 @@ class NumericalSemigroup:
     immutable and hashable.  from_generators, from_explicit and
     natural_numbers end in _of_mask, which finds the minimal generators from
     scratch; enumeration.genus_tree_children grows most of its children's
-    fields from their parent's instead.
+    fields from their parent's instead, and enumeration.enumerate_ideals
+    builds each ideal over S in canonical form from its antichain, without
+    ValueIdeal._of.
     """
 
     __slots__ = ("bits", "conductor", "genus", "multiplicity", "min_generators")
@@ -266,8 +271,8 @@ class ValueIdeal:
     def _of(cls, carrier: NumericalSemigroup, base: int, bits: int, frontier: int) -> "ValueIdeal":
         """The ideal with members base + i (i a set bit) below frontier, in
         canonical form: the run of members just below the frontier joins the
-        tail, and the zeros below the least member are dropped.  This is the
-        one canonicalization routine.
+        tail, and the zeros below the least member are dropped.  Every
+        operation that builds a window ends here.
         """
         e = cls.__new__(cls)
         e.carrier = carrier

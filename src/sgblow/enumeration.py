@@ -23,12 +23,18 @@ generating set of a monomial ideal is unique (the elements not reachable by
 adding a nonzero semigroup element), and a finite set is a minimal
 generating set precisely when no member minus another lands in S.  The walk
 extends an antichain by y exactly when y lies outside the ideal the antichain
-generates, since y - x in S for a chosen x says y is in x + S.
+generates, since y - x in S for a chosen x says y is in x + S.  It runs on
+one explicit stack of (antichain, mask) nodes, and an ideal is built only
+for a node that is kept: once, in canonical form, straight from the mask,
+as a genus-tree child is built straight from its parent's.  Its least
+member is the antichain's least value y0, so canonical form only moves the
+run of members just below y0 + c into the tail.  A sample indexes the
+stream of nodes and builds only the ideals it draws.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .core import NumericalSemigroup, ValueIdeal, _ones, _positions
 from .errors import WindowTooLarge
@@ -96,49 +102,80 @@ def default_generator_bound(s: NumericalSemigroup) -> int:
     return s.conductor + 2 * s.multiplicity
 
 
-def enumerate_ideals(s: NumericalSemigroup, *, bound: int | None = None,
-                     non_principal_only: bool = True) -> Iterator[ValueIdeal]:
-    """Ideals inside the maximal ideal whose minimal generators are <= bound.
+def _antichains(s: NumericalSemigroup, bound: int | None, minimum_size: int) -> Iterator[tuple]:
+    """(antichain, mask) for each antichain of at least minimum_size values
+    of the window up to bound (default_generator_bound(s) if None),
+    depth-first in lexicographic order.  The mask is the antichain's whole
+    ideal from its least value y0: a negative int, every bit from c on set.
 
-    Walks antichains of the divisibility order (x below y when y - x is in S)
-    over the maximal-ideal window, depth-first in lexicographic order.  Each
-    node carries its ideal's mask from base, its least value, and a child
-    ORs in S's mask shifted to its new value.  y sits above a chosen x
-    exactly when y is in that ideal, and all from base + c on is, so the
-    children are the later window values below base + c whose bit is clear.
+    y sits above a chosen x (y - x in S) exactly when y is in x + S, so an
+    antichain extends by y exactly when y's bit is clear in its mask, the OR
+    of S's mask shifted to each chosen value; so the children are the later
+    window values whose bit is clear, all below y0 + c.  One explicit stack
+    holds the unwalked nodes of each y0; children are pushed from the
+    largest down, so the least pops first.
     """
+    c, below = s.conductor, s.bits
     if bound is None:
         bound = default_generator_bound(s)
-    c, below = s.conductor, s.bits
     try:
         # bit v for each window value v: the members of M up to bound
         window = _ones(bound + 1) & ~(_ones(c) & ~below | 1)
     except (OverflowError, MemoryError):
         raise WindowTooLarge(bound + 1, f"the window of ideal generators up to {bound}") from None
-    minimum_size = 2 if non_principal_only else 1
+    for y0 in _positions(window):
+        near = window >> y0
+        stack = [((y0,), below | -1 << c)]
+        while stack:
+            chain, mask = node = stack.pop()
+            if len(chain) >= minimum_size:
+                yield node
+            # the later window values outside the ideal, from y0
+            free = near & ~mask & -(1 << (chain[-1] - y0 + 1))
+            while free:
+                d = free.bit_length() - 1
+                stack.append((chain + (y0 + d,), mask | below << d))
+                free ^= 1 << d
 
-    def walk(chosen: list[int], mask: int, near: int) -> Iterator[ValueIdeal]:
-        # near holds the window values in [base, base + c), from base
-        base, last = chosen[0], chosen[-1]
-        if len(chosen) >= minimum_size:
-            ideal = ValueIdeal._of(s, base, mask, base + c)
-            ideal._mingens = tuple(chosen)  # an antichain is its ideal's minimal generators
-            yield ideal
-        free = (near & ~mask) >> (last - base + 1)
-        if free:
-            for y in _positions(free, last + 1):
-                chosen.append(y)
-                yield from walk(chosen, mask | below << (y - base), near)
-                chosen.pop()
 
-    for y in _positions(window):
-        yield from walk([y], below, window >> y & _ones(c))
+def _ideals_of(s: NumericalSemigroup, antichains: Iterable[tuple]) -> Iterator[ValueIdeal]:
+    """The ideal each (antichain, mask) generates, built once in canonical
+    form and carrying the antichain as its minimal generators.
+
+    Its least member is the antichain's least value y0, so only the run of
+    members just below y0 + c joins the tail: the frontier is y0 plus the
+    bit length of the gaps.
+    """
+    for chain, mask in antichains:
+        width = (~mask).bit_length()
+        e = ValueIdeal.__new__(ValueIdeal)
+        e.carrier, e.min_element, e.bits, e.frontier, e._mingens = (
+            s, chain[0], mask & ((1 << width) - 1), chain[0] + width, chain)
+        yield e
+
+
+def enumerate_ideals(s: NumericalSemigroup, *, bound: int | None = None,
+                     non_principal_only: bool = True) -> Iterator[ValueIdeal]:
+    """Ideals inside the maximal ideal whose minimal generators are <= bound.
+
+    One ideal per antichain of the divisibility order (x below y when y - x
+    is in S) over the maximal-ideal window, depth-first in lexicographic
+    order, each built once in canonical form with its antichain as its
+    minimal generators.  Principal ideals are left out unless
+    non_principal_only is false.  The stream is lazy: a window too wide to
+    represent raises WindowTooLarge on the first next().
+    """
+    return _ideals_of(s, _antichains(s, bound, 2 if non_principal_only else 1))
 
 
 def sample_ideals(s: NumericalSemigroup, count: int, rng, *,
                   bound: int | None = None) -> list[ValueIdeal]:
-    """Deterministic sample (given the rng) of non-principal ideals."""
-    pool = list(enumerate_ideals(s, bound=bound))
-    if len(pool) <= count:
-        return pool
-    return [pool[i] for i in sorted(rng.sample(range(len(pool)), count))]
+    """Deterministic sample (given the rng) of non-principal ideals.
+
+    The draw indexes the whole antichain stream, as a list of every ideal
+    would be indexed, but only the drawn antichains are built.
+    """
+    pool = list(_antichains(s, bound, 2))
+    if len(pool) > count:
+        pool = [pool[i] for i in sorted(rng.sample(range(len(pool)), count))]
+    return list(_ideals_of(s, pool))

@@ -160,5 +160,14 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             failures.extend(part["failures"])
             for name in TOTALS:
                 totals[name] += part[name]
+    # an S other than N has a non-principal ideal with generators <= bound
+    # exactly when its second minimal generator g2 is <= bound: {e, g2} is an
+    # antichain, and below g2 M holds only multiples of e.  So a walk that met
+    # no ideal at all was cut short by the offset.
+    walks = config.ideal_strategy == "all" or (
+        config.ideal_strategy == "random" and config.sample_size > 0)
+    if walks and config.max_genus >= 1 and not totals["pairs"] and not failures:
+        raise SgblowError(f"bound offset {config.bound_offset} leaves no ideal to walk "
+                          f"up to genus {config.max_genus}")
     return SuiteReport(config=config, statement_ids=ids, **totals,
                        degenerate=(), failures=tuple(failures))

@@ -117,6 +117,29 @@ def all_nonprincipal_ideals(small: tuple[int, ...], conductor: int,
     return out
 
 
+def antichains_in_order(small: tuple[int, ...], conductor: int, bound: int,
+                        minimum_size: int) -> list[tuple[int, ...]]:
+    """Every antichain of at least minimum_size nonzero members up to bound,
+    x below y when y - x is a member, as ascending tuples in lexicographic
+    order: each tuple before its extensions, extensions by smaller values
+    first."""
+    members = semigroup_members(small, conductor, bound + 1)
+    window = sorted(x for x in members if x > 0)
+    out = []
+
+    def grow(chain: tuple[int, ...]) -> None:
+        if len(chain) >= minimum_size:
+            out.append(chain)
+        for y in window:
+            # y - x <= bound, so the windowed member set decides it
+            if y > chain[-1] and all(y - x not in members for x in chain):
+                grow(chain + (y,))
+
+    for y in window:
+        grow((y,))
+    return sorted(out)
+
+
 def iterated_blowup(small: tuple[int, ...], conductor: int,
                     gens: list[int]) -> tuple[set[int], int]:
     """The stable quotient of high powers, plus the first stage reaching it.

@@ -270,6 +270,19 @@ def test_negative_sample_size_is_a_domain_error(capsys):
     assert totals["semigroups"] == 8 and totals["pairs"] == 0
 
 
+def test_a_bound_offset_that_empties_the_universe_is_a_domain_error(capsys):
+    argv = ("verify", "--max-genus", "3", "--bound-offset", "-100")
+    message = ("error: SgblowError: bound offset -100 leaves no ideal to walk"
+               " up to genus 3\n")
+    for strategy in ("all", "random"):
+        assert run(capsys, *argv, "--ideals", strategy) == (2, "", message)
+    # an offset that still leaves <2,3> its ideal (2, 3) runs
+    code, out, err = run(capsys, "verify", "--max-genus", "3", "--ideals", "all",
+                         "--bound-offset", "-1", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["totals"]["pairs"] > 0
+
+
 def test_domain_errors_exit_two(capsys):
     code, _, err = run(capsys, "analyze", "<4,6>")
     assert code == 2

@@ -16,7 +16,11 @@ from sgblow.enumeration import (
 )
 from sgblow.errors import WindowTooLarge
 
-from oracles import all_nonprincipal_ideals, count_semigroups_of_genus
+from oracles import (
+    all_nonprincipal_ideals,
+    antichains_in_order,
+    count_semigroups_of_genus,
+)
 
 
 def test_counts_by_genus_match_brute_force():
@@ -131,6 +135,21 @@ def test_ideal_stream_matches_subset_oracle():
             assert all(g <= bound for g in e.minimal_generators())
 
 
+def test_the_walk_order_is_the_oracle_lexicographic_order():
+    walked = 0
+    for s in enumerate_semigroups(6):
+        for offset in range(-2, 4):
+            bound = default_generator_bound(s) + offset
+            for non_principal_only in (True, False):
+                got = [e._mingens for e in enumerate_ideals(
+                    s, bound=bound, non_principal_only=non_principal_only)]
+                want = antichains_in_order(s.small_elements, s.conductor, bound,
+                                           2 if non_principal_only else 1)
+                assert got == want, (s, bound, non_principal_only)
+                walked += len(got)
+    assert walked == 85898
+
+
 def test_enumerated_ideals_carry_their_minimal_generators():
     ideals = 0
     for s in enumerate_semigroups(6):
@@ -176,6 +195,34 @@ def test_a_generator_window_past_any_shift_is_a_domain_error():
     assert err.value.width == 10 ** 20 + 1
     # a bound below the multiplicity leaves an empty window
     assert list(enumerate_ideals(s, bound=2, non_principal_only=False)) == []
+
+
+def _reference_sample(s, count, rng):
+    """Every ideal built, then count of them drawn by index."""
+    pool = list(enumerate_ideals(s))
+    if len(pool) <= count:
+        return pool
+    return [pool[i] for i in sorted(rng.sample(range(len(pool)), count))]
+
+
+def _key(e):
+    return (e.min_element, e.bits, e.frontier, e._mingens)
+
+
+def test_sampling_builds_the_draw_of_the_full_pool():
+    drawn = 0
+    for s in enumerate_semigroups(6):
+        pool = sum(1 for _ in enumerate_ideals(s))
+        for seed in range(5):
+            for count in (0, 1, 3, pool + 1):
+                got = sample_ideals(s, count, random.Random(seed))
+                want = _reference_sample(s, count, random.Random(seed))
+                assert [_key(e) for e in got] == [_key(e) for e in want], (s, seed, count)
+                drawn += len(got)
+    assert drawn == 33095
+    with pytest.raises(WindowTooLarge):
+        sample_ideals(NumericalSemigroup.from_generators([3, 5]), 3,
+                      random.Random(0), bound=10 ** 20)
 
 
 def test_sampling_is_deterministic_and_inside_the_pool():

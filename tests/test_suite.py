@@ -6,6 +6,7 @@ import os
 import pytest
 
 import sgblow.suite
+from sgblow.errors import SgblowError
 from sgblow.suite import STRATEGIES, SuiteConfig, SuiteReport, run_suite
 
 
@@ -95,6 +96,19 @@ def test_trivial_universe():
     assert report.semigroups == 1
     assert report.pairs == 0 and report.checked == 0
     assert report.ok
+
+
+def test_an_empty_walk_is_an_error_only_where_ideals_were_asked_for():
+    low = dict(max_genus=2, bound_offset=-100)
+    for strategy in ("all", "random"):
+        with pytest.raises(SgblowError, match="bound offset -100"):
+            run_suite(SuiteConfig(ideal_strategy=strategy, **low))
+    # no walked ideal is asked for: a zero sample, or N alone
+    for cfg in (dict(ideal_strategy="random", sample_size=0, **low),
+                dict(max_genus=0, ideal_strategy="all", bound_offset=-100)):
+        assert run_suite(SuiteConfig(**cfg)).pairs == 0
+    # the maximal strategy reads no bound
+    assert run_suite(SuiteConfig(ideal_strategy="maximal", **low)).pairs == 3
 
 
 def test_document_round_trip():
