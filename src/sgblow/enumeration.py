@@ -73,15 +73,20 @@ def genus_tree_children(s: NumericalSemigroup) -> list[NumericalSemigroup]:
 
 
 def enumerate_semigroups(max_genus: int) -> Iterator[NumericalSemigroup]:
-    """All semigroups of genus <= max_genus, breadth-first, deterministic."""
+    """All semigroups of genus <= max_genus, breadth-first, deterministic.
+
+    Each parent is popped as its children are made, so the walk holds the
+    level it yields and what is left of the level it grows from.
+    """
     if max_genus < 0:
         return
     level = [NumericalSemigroup.natural_numbers()]
     yield level[0]
     for _ in range(max_genus):
         nxt = []
-        for s in level:
-            nxt.extend(genus_tree_children(s))
+        level.reverse()
+        while level:
+            nxt.extend(genus_tree_children(level.pop()))
         yield from nxt
         level = nxt
 

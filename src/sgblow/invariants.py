@@ -5,14 +5,14 @@ ideals: l(E/F) = l((K-F)/(K-E)) whenever F lies in E.  The type sequence
 refines the Cohen-Macaulay type r = l((S-M)/S); its entries are computed by
 two independent routes (colon duals and K-products) and must agree.
 
-Every ring-level quantity lives on one Ring per semigroup, behind the cached
-ring(s), and is computed at most once: each is a _lazy field, computed on
-its first read and kept in the instance dict with no lock.  Among them are
-M + K and M** = S:(S:M), which the ring class, the probe of Prop5.1 and
-every pair with E = M read instead of summing or dualizing again.  The ring
-also keeps the record of each blow-up met over S and of each translation
-class of the ideals met over S (see Ring and blowup.Analysis).  K is the
-gap mask read backwards.
+Every ring-level quantity lives on one Ring per semigroup, which ring(s)
+caches for the semigroup at hand only, and is computed at most once: each
+is a _lazy field, computed on its first read and kept in the instance dict
+with no lock.  Among them are M + K and M** = S:(S:M), which the ring
+class, the probe of Prop5.1 and every pair with E = M read instead of
+summing or dualizing again.  The ring also keeps the record of each blow-up
+met over S and of each translation class of the ideals met over S (see
+Ring and blowup.Analysis).  K is the gap mask read backwards.
 Both type-sequence routes walk the filtration R_i = {x in S : x >= s_i} from
 R_n = c + N down to R_0 = S over the window [0, c), one small element per
 step: the dual route ANDs in a shifted copy of S's mask, the product route
@@ -97,7 +97,7 @@ class Ring:
     by Analysis.  The fields hold the catalog's two Lambda-level
     hypotheses and the Lambda-level verdicts verify_many fills, keyed by
     statement record, so every pair with that blow-up shares them.  It
-    holds at most one record per distinct Lambda and is freed with the ring.
+    holds at most one record per distinct Lambda.
 
     translates holds one blowup._Translates per translation class of the
     ideals E met over S, keyed by (E.bits, E.frontier - min E), built whole
@@ -106,6 +106,10 @@ class Ring:
     as it is (nu, Lambda, E:E, A5, A6, whether E is reflexive and whether
     K + E = E**).  Each also holds the class-level verdicts verify_many
     fills, keyed by statement record, so every translate of E shares them.
+
+    Both grow with the ideals met over S, and both are freed with the ring:
+    ring(s) keeps one ring, so a run over many semigroups holds the records
+    of the semigroup at hand and of no other (each Analysis holds its own).
     """
 
     def __init__(self, s: NumericalSemigroup):
@@ -227,14 +231,16 @@ class Ring:
         return self.m_plus_k == self.m_bidual
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def ring(s: NumericalSemigroup) -> Ring:
-    """The one Ring of s.
+    """The Ring of s, cached for the semigroup at hand only.
 
-    Runs take the pairs of one semigroup together, so a small cache catches
-    every repeat without holding a whole universe of rings.  A ring holds
-    the records of every blow-up and translation class met over S, so this
-    bound is also what bounds their memory on a run over many semigroups.
+    Every run takes the pairs of one semigroup together, so one slot
+    catches every repeat, and a ring with every record it holds is freed
+    as soon as the run moves on to the next semigroup.  Returning to an
+    earlier semigroup builds its ring afresh; the records are rebuilt on
+    demand and verdicts are the same.  An Analysis keeps its own ring, so
+    code that holds analyses across semigroups still reads their records.
     """
     return Ring(s)
 

@@ -7,9 +7,11 @@ by semigroup: each task receives the semigroup object itself, and texts
 are made only for failure records and the random strategy's seed.  Tasks
 are made lazily from the genus-tree walk and their results are folded in
 enumeration order as they arrive, so the suite holds no list of the
-universe or of its results (the walk itself holds two genus levels, the
-one it grows from and the one it is yielding), and the report is
-deterministic for a fixed config regardless of the worker count.
+universe or of its results (the walk itself holds the genus level it is
+yielding and drops each parent once its children are made), and the
+report is deterministic for a fixed config regardless of the worker count.
+A task's pairs share one ring (invariants.ring), which with its records
+is freed when the next task's semigroup takes the cache's one slot.
 """
 
 from __future__ import annotations

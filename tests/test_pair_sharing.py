@@ -8,6 +8,7 @@ repeated sum moves the pin, and must say why.
 
 import dataclasses
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
@@ -61,6 +62,29 @@ def test_ring_fields_and_h_symmetry_are_computed_once(fresh_rings, monkeypatch):
     # the pass reads every field, and on more than one ring
     assert {name for _, name, _ in calls} == set(FIELDS) | {"symmetric"}
     assert len({key for key, name, _ in calls if name == "ts"}) > 1
+
+
+def test_interleaved_semigroups_get_the_verdicts_of_the_grouped_walk(fresh_rings, monkeypatch):
+    # ring(s) keeps the ring of one semigroup, so taking the pairs round-robin
+    # over the semigroups builds a new ring, with empty records, at every switch
+    groups = [list(enumerate_ideals(s)) for s in enumerate_semigroups(4)]
+    grouped = [[verify_many(e) for e in group] for group in groups]
+    ring.cache_clear()
+    built = []
+    init = Ring.__init__
+
+    def counting_init(self, s):
+        built.append(s)
+        init(self, s)
+    monkeypatch.setattr(Ring, "__init__", counting_init)
+    # round j takes the j-th ideal of every semigroup that has one
+    order = [(i, j) for j in range(max(map(len, groups)))
+             for i, group in enumerate(groups) if j < len(group)]
+    for i, j in order:
+        assert verify_many(groups[i][j]) == grouped[i][j], groups[i][j]
+    switches = [i for i, _ in groupby(i for i, _ in order)]
+    assert len(switches) > len(groups)
+    assert built == [groups[i][0].carrier for i in switches]
 
 
 # (universe, sums, colon quotients) of one verify pass with fresh rings;

@@ -2,11 +2,13 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
 import sgblow.suite
 from sgblow.errors import SgblowError
+from sgblow.invariants import ring
 from sgblow.suite import STRATEGIES, SuiteConfig, SuiteReport, run_suite
 
 
@@ -79,6 +81,20 @@ def test_the_suite_streams_one_semigroup_at_a_time(monkeypatch):
     report = run_suite(SuiteConfig(max_genus=5, jobs=1))
     assert report.semigroups == 27
     assert log == ["made", "task"] * 27
+
+
+def test_a_run_holds_the_records_of_one_semigroup_at_a_time():
+    # each semigroup's ring, with its blow-up and translation records, is
+    # freed when the run moves on: the peak is about 0.6 MB, and the bound
+    # fails for a cache that keeps the last 32 rings alive (about 2.7 MB)
+    ring.cache_clear()
+    tracemalloc.start()
+    try:
+        run_suite(SuiteConfig(max_genus=6, ideal_strategy="all"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
 
 
 def test_random_strategy_is_seed_deterministic():
