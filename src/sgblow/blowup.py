@@ -295,7 +295,7 @@ class Analysis:
             self.len_rcolon_over_power_nu = length_between(self.r_colon_lambda, p_nu)
             self.len_r_over_power_nu = length_between(s_ideal, p_nu)
             self.len_gammar_over_conductor_power = length_between(
-                rg.conductor_ideal, ValueIdeal._of(s, 0, 0, nu * a + self.c_lambda))
+                rg.conductor_ideal, rg.normalization.shift(nu * a + self.c_lambda))
         except InvariantViolation:
             raise
         except SgblowError as exc:
@@ -487,9 +487,11 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     if len_r_over_rcolon != rg.n - len(gamma_set):
         raise InvariantViolation("l(R/R:Lambda) must count small elements outside Gamma")
 
-    # R_i0 is S from s_i0 = min R:Lambda on
+    # R_i0 is S from s_i0 = min R:Lambda on, in closed canonical form: lo
+    # is a member of S (R:Lambda lies in S), at most c (c + N lies in
+    # R:Lambda), and c - 1 is a gap
     lo = r_colon.min_element
-    r_i0 = ValueIdeal._of(s, lo, s.bits >> lo, s.conductor)
+    r_i0 = ValueIdeal._closed(s, lo, s.bits >> lo, s.conductor)
     # the catalog's two Lambda-level hypotheses, each against its second form
     bridge = rg.r_colon_omega.contains(r_colon)
     k_in_lam_bidual = lam_bidual.contains(k)

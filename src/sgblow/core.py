@@ -26,9 +26,19 @@ On small windows the fixed cost of each call dominates, so the hot
 operations are written to keep it to a few int operations: intersection,
 containment and lengths build both windows in one expression; a carrier
 check tests identity before equality; and _of canonicalizes every window an
-operation builds.  The ideal walk in enumeration skips it, as the genus
-tree skips _of_mask: it builds each ideal in canonical form from its
-antichain's mask, whose least member is the antichain's least value.  In
+operation builds: sums, colons, intersections, parsed windows, generated_by
+and Lambda's generated route.  The fixed ideals over S skip it, since their
+canonical forms read straight off S's mask: S is (0, bits, c), M is (m,
+bits >> m, max(c, m)), N is (0, 0, 0), x + N is N shifted, K is the gap
+mask of [0, c) read backwards, and R_i0 = S from s_i0 on is (s_i0, bits >>
+s_i0, c).  Each is canonical because c - 1 is a gap and its least member
+(0, m, or s_i0 <= c) lies in S; M of N and of {0, m->} has an empty window.
+maximal_ideal builds M inline, as the setup's hot path, and _closed the
+rest.  An ideal finds its minimal generators from S's: E + M is the union
+of E + g over them, one shift each.  The ideal walk in enumeration skips
+_of too, as the genus tree skips _of_mask: it builds each ideal in
+canonical form from its antichain's mask, whose least member is the
+antichain's least value.  In
 the benchmark's traced pass (times at the nominal speed of its
 reference slice; 2-core VM, Python 3.11.7) the median sum or colon takes
 about 3 us and a length about 1.6 us on the windows of a few dozen bits of
@@ -123,7 +133,12 @@ class NumericalSemigroup:
         # + and colon read the multiplicity, so it comes before the generators
         positive = bits & ~1
         s.multiplicity = (positive & -positive).bit_length() - 1 if positive else max(conductor, 1)
-        s.min_generators = s._maximal().minimal_generators()
+        # S's generators are not known yet, so they are M minus (M + M), on
+        # the closed form of M that maximal_ideal builds
+        e = s.multiplicity
+        m = ValueIdeal._closed(s, e, bits >> e, max(conductor, e))
+        base, _, own, reached = m._common(m + m)
+        s.min_generators = _positions(own & ~reached, base)
         return s
 
     @classmethod
@@ -207,25 +222,33 @@ class NumericalSemigroup:
     # -- ideals ------------------------------------------------------------
 
     def as_ideal(self) -> "ValueIdeal":
-        return ValueIdeal._of(self, 0, self.bits, self.conductor)
+        """S as a relative ideal over itself, in closed canonical form (0,
+        bits, c): 0 is a member and c - 1 a gap, and for N the window is
+        empty (0, 0, 0)."""
+        return ValueIdeal._closed(self, 0, self.bits, self.conductor)
 
     def maximal_ideal(self) -> "ValueIdeal":
-        """M, handed its minimal generators, which are those of S."""
-        m = self._maximal()
-        m._mingens = self.min_generators
-        return m
+        """M = S minus {0}, handed its minimal generators, which are those
+        of S.
 
-    def _maximal(self) -> "ValueIdeal":
-        """M, left to find its own minimal generators."""
-        return ValueIdeal._of(self, 0, self.bits & ~1, max(self.conductor, 1))
+        Closed canonical form (m, bits >> m, max(c, m)): the multiplicity m
+        is a member and c - 1 a gap.  For {0, m->} (c = m) and for N (c = 0,
+        m = 1) the window is empty, M = m + N.  Built inline, as the
+        setup's hot path.
+        """
+        m = self.multiplicity
+        e = ValueIdeal.__new__(ValueIdeal)
+        e.carrier, e.min_element, e.bits, e.frontier, e._mingens = (
+            self, m, self.bits >> m, max(self.conductor, m), self.min_generators)
+        return e
 
     def normalization(self) -> "ValueIdeal":
-        """All of N, viewed as a relative ideal over S."""
-        return ValueIdeal._of(self, 0, 0, 0)
+        """All of N, viewed as a relative ideal over S: the empty window (0, 0, 0)."""
+        return ValueIdeal._closed(self, 0, 0, 0)
 
     def conductor_ideal(self) -> "ValueIdeal":
-        """The largest translate of N inside S: conductor + N."""
-        return ValueIdeal._of(self, 0, 0, self.conductor)
+        """The largest translate of N inside S: conductor + N, N shifted."""
+        return self.normalization().shift(self.conductor)
 
     # -- identity ----------------------------------------------------------
 
@@ -272,7 +295,11 @@ class ValueIdeal:
         """The ideal with members base + i (i a set bit) below frontier, in
         canonical form: the run of members just below the frontier joins the
         tail, and the zeros below the least member are dropped.  Every
-        operation that builds a window ends here.
+        operation that builds a window ends here: sums, colons,
+        intersections, parsed windows, generated_by and Lambda's generated
+        route.  The fixed ideals over S, whose canonical forms are known in
+        closed form (see the module docstring), go through _closed or
+        maximal_ideal instead, and shift moves a canonical form whole.
         """
         e = cls.__new__(cls)
         e.carrier = carrier
@@ -290,6 +317,19 @@ class ValueIdeal:
             e.min_element, e.bits = base + low, bits >> low
         else:
             e.min_element, e.bits = base + width, 0
+        return e
+
+    @classmethod
+    def _closed(cls, carrier: NumericalSemigroup, min_element: int, bits: int,
+                frontier: int) -> "ValueIdeal":
+        """The ideal of a window already in canonical form, read off S's
+        mask in closed form: bit 0 of bits is set (or bits is 0 and
+        min_element = frontier), bit frontier - min_element - 1 is clear,
+        and no bit lies past the window.  Each caller says why its form is.
+        """
+        e = cls.__new__(cls)
+        e.carrier, e.min_element, e.bits, e.frontier, e._mingens = (
+            carrier, min_element, bits, frontier, None)
         return e
 
     # -- canonical-form bookkeeping ----------------------------------------
@@ -424,10 +464,20 @@ class ValueIdeal:
     # -- derived data --------------------------------------------------------
 
     def minimal_generators(self) -> tuple[int, ...]:
-        """The unique minimal generating set E minus (E + M)."""
+        """The unique minimal generating set E minus (E + M).
+
+        M is the union of g + S over S's minimal generators g, so E + M is
+        the union of E + g: one shift each.  E + M, like E, is full from
+        frontier E + m on, so the window runs from min E to there, which
+        holds E's window and that of E + M.
+        """
         if self._mingens is None:
-            base, _, own, reached = self._common(self + self.carrier._maximal())
-            self._mingens = _positions(own & ~reached, base)
+            width = self.frontier - self.min_element
+            own = self.bits | _ones(self.carrier.multiplicity) << width
+            reached = 0
+            for g in self.carrier.min_generators:
+                reached |= own << g
+            self._mingens = _positions(own & ~reached, self.min_element)
         return self._mingens
 
     def is_principal(self) -> bool:

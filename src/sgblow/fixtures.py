@@ -21,7 +21,7 @@ from .parsing import format_cofinite_set, parse_ideal, parse_semigroup
 
 
 def _gamma_lambda_ideal(a: Analysis) -> ValueIdeal:
-    return ValueIdeal._of(a.s, a.c_lambda, 0, a.c_lambda)
+    return a.ring.normalization.shift(a.c_lambda)
 
 
 def _fmt(e: ValueIdeal) -> str:

@@ -145,10 +145,14 @@ class Ring:
 
     @_lazy
     def k(self) -> ValueIdeal:
-        """K = {j : c-1-j is a gap}: min K = 0 and K is full from c on."""
+        """K = {j : c-1-j is a gap}: min K = 0 and K is full from c on.
+
+        The reversed gap mask is K's canonical window: c - 1 is a gap, so 0
+        is a member, and 0 is not a gap, so c - 1 is not; for N it is empty.
+        """
         c = self.s.conductor
         gaps = ((1 << c) - 1) & ~self.s.bits
-        return ValueIdeal._of(self.s, 0, int(format(gaps, f"0{c}b")[::-1], 2), c)
+        return ValueIdeal._closed(self.s, 0, int(format(gaps, f"0{c}b")[::-1], 2), c)
 
     @_lazy
     def ts(self) -> TypeSequence:

@@ -186,6 +186,48 @@ def test_large_windows_against_oracles(sgens):
         assert set(x.colon(y).minimal_generators()) == mingens(quotient, hi)
 
 
+# the semigroups of the benchmark's large-conductor workload: conductors 90 to
+# 142, and 400 for <17,26>
+LARGE_CONDUCTOR = [[13, 20, 22], [14, 19, 25], [13, 16, 24], [14, 22, 23], [13, 21, 23],
+                   [15, 19, 23, 31], [11, 13], [12, 19, 29], [12, 29, 37], [17, 26]]
+
+
+def test_minimal_generators_shift_once_per_generator_of_s():
+    # an ideal built without its generators finds them as E minus the union
+    # of E + g over S's minimal generators g; the oracle takes E minus
+    # (E + M) over all of M instead.  N, {0, 7->} and the translates of N
+    # have generators at or past their frontier.
+    rng = random.Random(36)
+    shapes = [random_semigroup(rng)[0] for _ in range(12)] + LARGE_CONDUCTOR + [
+        [1], list(range(7, 14))]
+    negative = 0
+    for sgens in shapes:
+        s = NumericalSemigroup.from_generators(sgens)
+        small, c, e = s.small_elements, s.conductor, s.multiplicity
+        # M below c + e: every sum x + y with y in E that lands below
+        # min E + c + e, where E's generators all lie
+        nonzero = cut(ideal_set(small, c, [0], c + e), 1, c + e)
+        cases = [(s.normalization(), set(range(c + e))),
+                 (s.conductor_ideal(), set(range(c, 2 * c + e)))]
+        tail = -c - e - 1
+        cases.append((s.normalization().shift(tail), set(range(tail, tail + c + e))))
+        for _ in range(2):
+            gens = rng.sample(range(c + 2 * e), rng.randint(1, min(4, c + 2 * e)))
+            for shift in (0, -rng.randint(max(gens) + 1, max(gens) + c + e)):
+                moved = [g + shift for g in gens]
+                m = min(moved)
+                cases.append((ValueIdeal.generated_by(s, moved),
+                              ideal_set(small, c, moved, m + c + e)))
+        for ideal, members in cases:
+            negative += ideal.min_element < 0
+            assert ideal.minimal_generators() == tuple(
+                sorted(minimal_generators_of_ideal(members, nonzero))), (sgens, ideal)
+        # M built from the window of S minus 0, without S's generators
+        bare = ValueIdeal._of(s, 0, s.bits & ~1, max(c, 1))
+        assert bare.minimal_generators() == s.min_generators
+    assert negative == 3 * len(shapes)
+
+
 def test_set_bit_positions_match_a_plain_bit_loop():
     rng = random.Random(2006)
     masks = [0, 1, 2, 3, 255, 256, (1 << 600) - 1, 1 << 599]

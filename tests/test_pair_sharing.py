@@ -1,9 +1,10 @@
 """Each quantity of the verify path is computed once and shared by its readers.
 
 Every lazy field of a Ring, and the symmetry flag of each h-polynomial, is
-computed at most once per instance.  The number of sums and colon quotients
-one pass over a fixed universe takes is pinned: a change that adds a
-repeated sum moves the pin, and must say why.
+computed at most once per instance.  The number of sums, colon quotients
+and ValueIdeal._of builds one pass over a fixed universe takes is pinned: a
+change that adds a repeated sum, or sends through _of a window known in
+closed form, moves the pin, and must say why.
 """
 
 import dataclasses
@@ -87,22 +88,24 @@ def test_interleaved_semigroups_get_the_verdicts_of_the_grouped_walk(fresh_rings
     assert built == [groups[i][0].carrier for i in switches]
 
 
-# (universe, sums, colon quotients) of one verify pass with fresh rings;
-# enumerate_ideals hands each ideal its minimal generators, so no pass sums
-# E + M to find them
+# (universe, sums, colon quotients, _of builds) of one verify pass with
+# fresh rings; enumerate_ideals hands each ideal its minimal generators, so
+# no pass sums E + M to find them, and S, M, N, c + N, K and each R_i0 are
+# built in closed form, so _of builds only what an operation produced
 COUNTS = [
-    ("m-genus-8", _maximal_ideals, 8, 1098, 1470),
-    ("all-genus-4", _all_ideals, 4, 476, 585),
+    ("m-genus-8", _maximal_ideals, 8, 1098, 1470, 2878),
+    ("all-genus-4", _all_ideals, 4, 476, 585, 1201),
 ]
 
 
-@pytest.mark.parametrize("name,pairs,genus,adds,colons", COUNTS, ids=[c[0] for c in COUNTS])
+@pytest.mark.parametrize("name,pairs,genus,adds,colons,ofs", COUNTS, ids=[c[0] for c in COUNTS])
 def test_one_verify_pass_takes_a_pinned_number_of_sums_and_colons(fresh_rings, monkeypatch,
                                                                   name, pairs, genus, adds,
-                                                                  colons):
+                                                                  colons, ofs):
     ideals = pairs(genus)
     calls = Counter()
     honest_add, honest_colon = ValueIdeal.__add__, ValueIdeal.colon
+    honest_of = ValueIdeal._of.__func__
 
     def add(x, y):
         calls["add"] += 1
@@ -111,11 +114,26 @@ def test_one_verify_pass_takes_a_pinned_number_of_sums_and_colons(fresh_rings, m
     def colon(x, y):
         calls["colon"] += 1
         return honest_colon(x, y)
+
+    def of(cls, *window):
+        calls["of"] += 1
+        return honest_of(cls, *window)
     monkeypatch.setattr(ValueIdeal, "__add__", add)
     monkeypatch.setattr(ValueIdeal, "colon", colon)
+    monkeypatch.setattr(ValueIdeal, "_of", classmethod(of))
     for e in ideals:
         verify_many(e)
-    assert (calls["add"], calls["colon"]) == (adds, colons)
+    assert (calls["add"], calls["colon"], calls["of"]) == (adds, colons, ofs)
+
+
+def test_the_maximal_ideal_is_built_without_of(monkeypatch):
+    semigroups = list(enumerate_semigroups(8))
+
+    def of(cls, *window):
+        raise AssertionError(f"_of{window}")
+    monkeypatch.setattr(ValueIdeal, "_of", classmethod(of))
+    ideals = [s.maximal_ideal() for s in semigroups]
+    assert [m._mingens for m in ideals] == [s.min_generators for s in semigroups]
 
 
 # (universe, pairs, translation classes, blow-up records, conclusion calls
