@@ -38,17 +38,27 @@ statements.Statement record: statements.verify_many reads each
 class-level verdict (Prop5.1, Rmk5.8, Thm5.9.1, Thm5.9.2) from it or makes
 the verdict and puts it there, so every translate of E shares it.
 
+The record prepares what a pair reads of it.  Its mapping, fixed, holds
+every Analysis attribute the class fixes: the fields of Lambda's record,
+nu, Lambda, E - E, the verdict store and S's notation c, delta, mu and
+c_Lambda.  Its report template holds the ConditionsReport fields but A4,
+and its coefficients are the h-polynomial's past h_0, which a translation
+leaves as they are.  A pair starts its instance dict as a copy of the
+mapping, and nothing writes to the mapping after the build, so one pair's
+attributes are its own.
+
 The constructor reads E's record, building and storing it on a miss, then
 computes what depends on where E sits against S once, as a plain
 attribute, running the pair's cross-checks as soon as what they read is
 in place: the powers moved onto E, H with its checks (on a translate H
-is taken anew and must be E's moved by d), rho against l(Lambda/R), A4,
-which meets nE + K with S, whether E is M, R:Lambda is nuE and the conductor
-lies in nuE, and the lengths against nuE.  The ring-level quantities
-(K, the type sequence, the class, S:M, S:K, M + K, M**) are read from the
-semigroup's one Ring, a.ring, which all pairs over S share.  Ring stays
-lazy: dual, canonical_ideal and integral_closure each read one of its
-fields, and need not pay for the type sequence.
+is taken anew and must be E's moved by d), rho against l(Lambda/R), h
+from the coefficients, A4, which meets nE + K with S, whether E is M,
+R:Lambda is nuE and the conductor lies in nuE, and the lengths against
+nuE.  The ring-level quantities (K, the type sequence, the class, S:M,
+S:K, M + K, M**) are read from the semigroup's one Ring, a.ring, which
+all pairs over S share.  Ring stays lazy: dual, canonical_ideal and
+integral_closure each read one of its fields, and need not pay for the
+type sequence.
 
 Many ideals of S share one blow-up, so the quantities that depend on
 Lambda alone are one record per (S, Lambda), kept in a.ring.blowups:
@@ -208,14 +218,16 @@ class Analysis:
     record of E's translation class (built whole by _Translates on a miss:
     the powers S, E, ..., (nu+1)E by sums, nu and Lambda = nuE - nuE, each
     checked against an independent route), moves the powers onto E, and
-    takes the Hilbert function and rho with their checks.  It then takes
-    the fields of the ring's record of Lambda in one update, computes the
-    pair-level quantities cross_check reads, runs cross_check, and assigns
-    the rest, which only the catalog and the document read; every timed
-    path reads them all, so each is a plain attribute.  Past nu+1 a power
-    is nuE shifted (power); self.powers never grows.  An Analysis passed in
-    place of the ideal is rebuilt from its ideal.  Ring-level quantities
-    live on self.ring.
+    takes the Hilbert function and rho with their checks.  It then starts
+    its instance dict as a copy of the record's mapping of what the class
+    fixes (Lambda's record, nu, Lambda, E:E, the class's verdict store and
+    S's notation), builds h and the condition report from the record's
+    templates, computes the pair-level quantities cross_check reads, runs
+    cross_check, and assigns the rest, which only the catalog and the
+    document read; every timed path reads them all, so each is a plain
+    attribute.  Past nu+1 a power is nuE shifted (power); self.powers never
+    grows.  An Analysis passed in place of the ideal is rebuilt from its
+    ideal.  Ring-level quantities live on self.ring.
     """
 
     def __init__(self, e: ValueIdeal):
@@ -226,7 +238,6 @@ class Analysis:
         rg = ring(s)
         s_ideal = rg.s_ideal
         _check_proper(e, s_ideal)
-        self.ideal, self.s, self.ring = e, s, rg
 
         # past the input check every failure is a bug on this pair
         try:
@@ -251,51 +262,47 @@ class Analysis:
                 if hseq != moved:
                     raise InvariantViolation(
                         f"Hilbert function of a translate is {hseq}, expected {moved}")
-            nu, lam = tr.nu, tr.lam
+            fixed = tr.fixed
             rho = sum(a - h for h in hseq)
-
-            fields, conditions = tr.blowup
-            vars(self).update(fields)
-            if rho != s.genus - self.delta_lambda:
+            if rho != s.genus - fixed["delta_lambda"]:
                 raise InvariantViolation("rho disagrees with l(Lambda/R)")
 
+            # every attribute the class fixes, in one copy of its mapping;
+            # the stores below are what the pair decides, and past
+            # cross_check the three class values it must not see
+            self.__dict__ = fixed.copy()
+            self.ideal, self.s, self.ring = e, s, rg
             self.powers = powers
             self.hilbert = hseq
-            self.nu = nu
             self.rho = rho
-            self.lam = lam
-            self.ideal_colon = tr.ideal_colon  # E:E
-            self.class_verdicts = tr.verdicts
-
-            # notation
             self.e = a
-            self.c = c = s.conductor
-            self.delta = s.genus
-            self.mu = s.embedding_dimension
-            self.c_lambda = lam.frontier
-            self.h = HPolynomial.of(self)
+            nu = fixed["nu"]
+            # h_0 = H(0) moves with E, the coefficients past it do not
+            self.h = h = HPolynomial.__new__(HPolynomial)
+            vars(h).update(coefficients=(hseq[0],) + tr.coefficients, hilbert=hseq, e=a, nu=nu,
+                           rho=rho)
             self.is_max_ideal = e == rg.m_ideal
             self.power_nu = p_nu = powers[nu]
-            self.conductor_in_power = p_nu.frontier <= c
+            self.conductor_in_power = p_nu.frontier <= s.conductor
 
             # A4 intersects with S, so it is the one member of either group
             # a translation can change
             k_nu = tr.k_nu.shift(nu * d) if d else tr.k_nu
-            # one update of the instance dict, as in HPolynomial.of
             self.conditions = report = ConditionsReport.__new__(ConditionsReport)
-            vars(report).update(conditions, a4=self._holds_a4(k_nu), a5=tr.a5, a6=tr.a6)
+            vars(report).update(tr.conditions, a4=self._holds_a4(k_nu))
             self.cross_check()
 
             # what only the catalog and the document read
             self.r = rg.ts.cm_type
             self.ideal_reflexive = tr.reflexive
             self.ideal_omega_is_bidual = tr.omega_is_bidual
-            self.r_colon_is_power = self.r_colon_lambda == p_nu
+            r_colon = fixed["r_colon_lambda"]
+            self.r_colon_is_power = r_colon == p_nu
             # the lengths that involve nuE, validated for nesting by length_between
-            self.len_rcolon_over_power_nu = length_between(self.r_colon_lambda, p_nu)
+            self.len_rcolon_over_power_nu = length_between(r_colon, p_nu)
             self.len_r_over_power_nu = length_between(s_ideal, p_nu)
             self.len_gammar_over_conductor_power = length_between(
-                rg.conductor_ideal, rg.normalization.shift(nu * a + self.c_lambda))
+                rg.conductor_ideal, rg.normalization.shift(nu * a + fixed["c_lambda"]))
         except InvariantViolation:
             raise
         except SgblowError as exc:
@@ -364,12 +371,23 @@ class _Translates:
     translate they would repeat the same integer operations.  The stages
     nE:nE, Lambda and E:E, the record of Lambda, nu, A5, A6, whether E or
     nuE is reflexive and whether K + E = E** (omega_is_bidual) are the same
-    for the whole class, and so is every class-level verdict: verdicts is
-    the class's store of them, keyed by statements.Statement record and
-    filled by verify_many.  K + E and E** are locals of the build, which
-    nothing reads past it.  hilbert is E's own H; every other pair of the
-    class takes its own and checks it against hilbert moved by d, as it
-    takes its own A4 and the lengths that depend on where it sits against S.
+    for the whole class, and so is every class-level verdict.
+
+    fixed is the prepared mapping of every Analysis attribute the class
+    fixes: the fields of Lambda's record, nu, lam, ideal_colon (E:E),
+    class_verdicts (the class's store of verdicts, keyed by
+    statements.Statement record and filled by verify_many), and S's
+    notation c, delta, mu and c_lambda.  Each pair copies it as its
+    instance dict, and nothing writes to it after the build.  conditions
+    is the template of the ConditionsReport fields but A4 (Lambda's A1-A3,
+    B1, B2 and the bridge, and the class's A5 and A6), and coefficients
+    holds the h-polynomial's coefficients past h_0, which a translation
+    leaves as they are.  reflexive and omega_is_bidual are the class values
+    a pair sets after cross_check, which must not see them.  K + E and E**
+    are locals of the build, which nothing reads past it.  hilbert is E's
+    own H; every other pair of the class takes its own and checks it
+    against hilbert moved by d, as it takes its own A4 and the lengths that
+    depend on where it sits against S.
     """
 
     def __init__(self, rg: Ring, e: ValueIdeal):
@@ -431,24 +449,28 @@ class _Translates:
         is_max_ideal = e == rg.m_ideal
         k_e = rg.m_plus_k if is_max_ideal else e + k
         k_nu = k_e if nu == 1 else k + p_nu
-        self.a5 = k_nu == p_nu
-        self.a6 = (k_e == e or self.a5
-                   or any((k + powers[n]) == powers[n] for n in range(2, nu)))
+        a5 = k_nu == p_nu
+        a6 = k_e == e or a5 or any((k + powers[n]) == powers[n] for n in range(2, nu))
         # E** is the ring's M** when E = M
         e_bidual = rg.m_bidual if is_max_ideal else bidual(e)
         self.reflexive = e_bidual == e
         self.omega_is_bidual = k_e == e_bidual
-        self.base, self.powers, self.hilbert, self.nu = a, powers, tuple(hseq), nu
-        self.lam, self.ideal_colon, self.blowup, self.k_nu = lam, stages[0], blowup, k_nu
-        self.verdicts = {}
+        self.base, self.powers, self.hilbert, self.k_nu = a, powers, tuple(hseq), k_nu
+        fields, conditions = blowup
+        self.fixed = {**fields, "nu": nu, "lam": lam, "ideal_colon": stages[0],
+                      "class_verdicts": {}, "c": c, "delta": s.genus,
+                      "mu": s.embedding_dimension, "c_lambda": lam.frontier}
+        self.conditions = {**conditions, "a5": a5, "a6": a6}
+        self.coefficients = tuple(map(sub, hseq[1:], hseq))
 
     @_lazy
     def power_nu_reflexive(self) -> bool:
         """nuE** = nuE, tested on the first read: (E+z)** = E** + z, so it
         holds for the whole class or for none of it, and when nu = 1 it is
         whether E is reflexive."""
-        p_nu = self.powers[self.nu]
-        return self.reflexive if self.nu == 1 else bidual(p_nu) == p_nu
+        nu = self.fixed["nu"]
+        p_nu = self.powers[nu]
+        return self.reflexive if nu == 1 else bidual(p_nu) == p_nu
 
 
 def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:

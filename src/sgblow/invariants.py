@@ -104,8 +104,9 @@ class Ring:
     by Analysis on a miss: the powers and K + nuE of the class's first
     pair, which every translate reads moved, and what a translation leaves
     as it is (nu, Lambda, E:E, A5, A6, whether E is reflexive and whether
-    K + E = E**).  Each also holds the class-level verdicts verify_many
-    fills, keyed by statement record, so every translate of E shares them.
+    K + E = E**), prepared as one mapping each pair copies.  Each also
+    holds the class-level verdicts verify_many fills, keyed by statement
+    record, so every translate of E shares them.
 
     Both grow with the ideals met over S, and both are freed with the ring:
     ring(s) keeps one ring, so a run over many semigroups holds the records

@@ -115,6 +115,10 @@ def test_cross_check_sees_no_catalog_quantity_cold_or_warm(monkeypatch):
             <= seen.keys(), temperature
         assert not CATALOG_ONLY & seen.keys(), temperature
         assert CATALOG_ONLY | seen.keys() == vars(a).keys(), temperature
+        # the class's prepared mapping, copied in whole before cross_check,
+        # holds no catalog quantity
+        fixed = ring(m.carrier).translates[m.bits, m.frontier - m.min_element].fixed
+        assert fixed.keys() <= seen.keys() and not CATALOG_ONLY & fixed.keys(), temperature
 
 
 def _fault_in_checked_half(monkeypatch, s):

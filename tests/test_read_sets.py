@@ -8,9 +8,10 @@ one declared less shareable would lose the sharing without a word.  A
 field that nothing reads costs its computation on every pair or record
 that keeps it, so each must be read: a pair attribute by a conjunct, a
 conclusion, a notes function or the code that checks, walks, documents or
-replays a pair; an attribute of a translation record, or a field of a
-blow-up record, by blowup.py itself or by a pair's reader.  A name
-nothing reads stays only as public API, on PUBLIC_API with its reason.
+replays a pair; an attribute of a translation record, a key of its
+prepared mapping or of its report template, or a field of a blow-up
+record, by blowup.py itself or by a pair's reader.  A name nothing reads
+stays only as public API, on PUBLIC_API with its reason.
 """
 
 import ast
@@ -116,7 +117,9 @@ def _unread():
     return {
         "pair": (pair_attributes(first) | pair_attributes(translate))
         - pair_reads - PUBLIC_API.keys(),
-        "translation record": set(vars(tr)) - own_reads,
+        # the mapping's keys become pair attributes, the template's report fields
+        "translation record": set(vars(tr)) - own_reads
+        | (tr.fixed.keys() | tr.conditions.keys()) - own_reads - pair_reads,
         "blowup record": (fields.keys() | conditions.keys()) - own_reads - pair_reads,
     }
 
@@ -150,6 +153,24 @@ def _plant_on_the_translation_record(monkeypatch):
     monkeypatch.setattr(sgblow.blowup._Translates, "__init__", init)
 
 
+def _plant_in_the_class_mapping(monkeypatch):
+    honest = sgblow.blowup._Translates.__init__
+
+    def init(self, rg, e):
+        honest(self, rg, e)
+        self.fixed["unread"] = 0
+    monkeypatch.setattr(sgblow.blowup._Translates, "__init__", init)
+
+
+def _plant_in_the_report_template(monkeypatch):
+    honest = sgblow.blowup._Translates.__init__
+
+    def init(self, rg, e):
+        honest(self, rg, e)
+        self.conditions["unread"] = 0
+    monkeypatch.setattr(sgblow.blowup._Translates, "__init__", init)
+
+
 def _plant_in_the_blowup_record(monkeypatch):
     honest = sgblow.blowup._blowup_record
 
@@ -162,8 +183,12 @@ def _plant_in_the_blowup_record(monkeypatch):
 @pytest.mark.parametrize("plant,kinds", [
     (_plant_on_the_pair, {"pair"}),
     (_plant_on_the_translation_record, {"translation record"}),
-    # a blow-up record's field becomes a pair attribute too
-    (_plant_in_the_blowup_record, {"blowup record", "pair"})])
+    # a blow-up record's field becomes a key of the class's mapping and a
+    # pair attribute too
+    (_plant_in_the_blowup_record, {"blowup record", "translation record", "pair"}),
+    # a key of the class's mapping becomes a pair attribute too
+    (_plant_in_the_class_mapping, {"translation record", "pair"}),
+    (_plant_in_the_report_template, {"translation record"})])
 def test_a_field_nothing_reads_is_flagged(monkeypatch, plant, kinds):
     plant(monkeypatch)
     assert {kind: names for kind, names in _unread().items() if names} == dict.fromkeys(

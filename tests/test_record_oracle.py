@@ -89,8 +89,8 @@ def _check_classes(ideals):
         base = tr.powers[1]
         record = {"bidual": _plain(bidual(base)), "reflexive": tr.reflexive,
                   "omega_is_bidual": tr.omega_is_bidual,
-                  "colon_contains_dual_m": tr.ideal_colon.contains(rg.dual_m),
-                  "nu": tr.nu, "power_nu_reflexive": tr.power_nu_reflexive}
+                  "colon_contains_dual_m": tr.fixed["ideal_colon"].contains(rg.dual_m),
+                  "nu": tr.fixed["nu"], "power_nu_reflexive": tr.power_nu_reflexive}
         assert record == translation_class(a.s.small_elements, a.s.conductor,
                                            base.members, base.frontier), base
     return len(classes)

@@ -82,29 +82,35 @@ def test_the_registry_lists_each_statement_with_its_hypothesis_and_level():
 
 
 def test_lambda_level_record_fields_are_the_record(monkeypatch):
-    # the names a pair assigns itself, one by one; the record's fields arrive
-    # in one update of the instance dict, which bypasses __setattr__
-    own = set()
+    # the names a pair assigns itself, one by one; the class's prepared
+    # mapping, which holds the blow-up record's fields, arrives as one copy
+    # assigned to __dict__, ahead of every other store
+    own = []
 
     def setattr_(self, name, value):
-        own.add(name)
+        own.append(name)
         object.__setattr__(self, name, value)
     monkeypatch.setattr(Analysis, "__setattr__", setattr_)
-    # A4-A6 involve the powers of E, so the pair evaluates them
+    # A4-A6 involve the powers of E, so the class or the pair evaluates them
     pair_conditions = {"a4", "a5", "a6"}
     report_fields = {f.name for f in dataclasses.fields(ConditionsReport)}
     for e in _zoo_and_fixture_pairs():
         own.clear()
         a = Analysis.of(e)
         fields, conditions = a.ring.blowups[_key(a)]
+        fixed = a.ring.translates[e.bits, e.frontier - e.min_element].fixed
         for name, value in fields.items():
-            assert getattr(a, name) is value, (name, e)
+            assert getattr(a, name) is fixed[name] is value, (name, e)
         for name, value in conditions.items():
             assert getattr(a.conditions, name) == value, (name, e)
-        # no record key is also set by the pair, which would clobber the
-        # record's value or be clobbered by it without a word
-        assert not own & fields.keys(), e
-        assert own | fields.keys() == vars(a).keys(), e
+        assert own[0] == "__dict__" and "__dict__" not in own[1:], e
+        # no mapping key is also set by the pair, which would clobber the
+        # class's value or be clobbered by it without a word
+        assert not set(own) & fixed.keys(), e
+        assert set(own[1:]) | fixed.keys() == vars(a).keys(), e
+        # past the record's fields the mapping holds only what the views of
+        # the shared levels read, and the class's verdict store
+        assert fixed.keys() - fields.keys() <= set(VIEWS["class"]) | {"class_verdicts"}, e
         assert not pair_conditions & conditions.keys()
         assert pair_conditions | conditions.keys() == report_fields
 

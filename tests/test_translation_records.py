@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 import sgblow.blowup
-from sgblow.blowup import Analysis
+from sgblow.blowup import Analysis, HPolynomial
 from sgblow.core import NumericalSemigroup, ValueIdeal
 from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
 from sgblow.errors import InvariantViolation
@@ -38,16 +38,35 @@ def _same_as_cold(e, warm):
             and cold.power_nu_reflexive == warm.power_nu_reflexive)
 
 
+def _prepared(record):
+    """A record's prepared state: its mapping, report template and
+    coefficients, each as it stands now."""
+    return dict(record.fixed), dict(record.conditions), record.coefficients
+
+
+def _unchanged(record, snapshot):
+    """The record's prepared state equals snapshot, and its mapping holds
+    the very objects it held then."""
+    now = _prepared(record)
+    return now == snapshot and all(now[0][name] is value for name, value in snapshot[0].items())
+
+
 def _check_translates(semigroups):
     """Every ideal of each semigroup read warm, through the record of its
-    translation class, equals its cold build; returns (pairs, classes)."""
+    translation class, equals its cold build, and no record's prepared
+    state changes from its class's first pair on; returns (pairs, classes)."""
     pairs = classes = 0
     for s in semigroups:
         ideals = list(enumerate_ideals(s))
         ring.cache_clear()
-        warm = [Analysis(e) for e in ideals]
         translates = ring(s).translates
-        assert set(translates) == {_key(e) for e in ideals}, s
+        warm, first = [], {}
+        for e in ideals:
+            warm.append(Analysis(e))
+            first.setdefault(_key(e), _prepared(translates[_key(e)]))
+        assert set(translates) == first.keys(), s
+        for key, record in translates.items():
+            assert _unchanged(record, first[key]), (s, key)
         classes += len(translates)
         for e, a in zip(ideals, warm):
             assert _same_as_cold(e, a), e
@@ -76,25 +95,38 @@ def test_reading_a_translation_record_equals_building_it_over_genus_5(fresh_ring
     assert (pairs, classes) == (1833, 274)
 
 
+# the calls one translate of m over <gens> makes: shift moves the class's
+# powers past E and K + nuE onto the translate and places c_Lambda + nu*e + N;
+# _common serves its input check, its Hilbert lengths, A4 and its three
+# lengths past cross_check
+PAID = {(3, 4): {"shift": 4, "_common": 8}, (3, 5, 7): {"shift": 3, "_common": 7}}
+
+
 @pytest.mark.parametrize("gens,shifts", [((3, 4), (3, 6)), ((3, 5, 7), (2, 3))])
 def test_translates_share_one_record(fresh_rings, monkeypatch, gens, shifts):
     s, m, moved = _translates_of_m(gens, shifts)
     a = Analysis(m)
     calls = Counter()
-    honest_add, honest_colon = ValueIdeal.__add__, ValueIdeal.colon
-    monkeypatch.setattr(ValueIdeal, "__add__",
-                        lambda x, y: calls.update(["add"]) or honest_add(x, y))
-    monkeypatch.setattr(ValueIdeal, "colon",
-                        lambda x, y: calls.update(["colon"]) or honest_colon(x, y))
-    translates = [Analysis(f) for f in moved]
-    # a translate takes no sum and no colon quotient of its own
-    assert calls == Counter()
+    for name in ("__add__", "colon", "shift", "_common"):
+        honest = getattr(ValueIdeal, name)
+        monkeypatch.setattr(ValueIdeal, name, lambda *args, name=name, honest=honest:
+                            calls.update([name]) or honest(*args))
+    honest_of = ValueIdeal._of.__func__
+    monkeypatch.setattr(ValueIdeal, "_of", classmethod(
+        lambda cls, *window: calls.update(["_of"]) or honest_of(cls, *window)))
+    translates = []
+    for f in moved:
+        calls.clear()
+        translates.append(Analysis(f))
+        # a translate takes no sum, no colon quotient and no _of build of
+        # its own: it pays only for what a translation moves
+        assert calls == PAID[gens], f
     monkeypatch.undo()
     record = ring(s).translates[_key(m)]
     assert list(ring(s).translates) == [_key(m)] and record.base == m.min_element
     for z, b in zip(shifts, translates):
-        assert b.lam is a.lam is record.lam
-        assert b.ideal_colon is a.ideal_colon
+        assert b.lam is a.lam is record.fixed["lam"]
+        assert b.ideal_colon is a.ideal_colon is record.fixed["ideal_colon"]
         assert b.nu == a.nu and b.rho == a.rho
         assert b.powers == [a.powers[0]] + [p.shift(k * z) for k, p in enumerate(a.powers[1:], 1)]
         assert b.hilbert == tuple(h + z for h in a.hilbert)
@@ -103,6 +135,47 @@ def test_translates_share_one_record(fresh_rings, monkeypatch, gens, shifts):
         assert bidual(b.ideal) == bidual(a.ideal).shift(z)
         assert b.power_nu_reflexive == a.power_nu_reflexive
         assert _same_as_cold(b.ideal, b)
+
+
+def test_a_translate_holds_its_own_copy_of_the_class_state(fresh_rings):
+    s, m, moved = _translates_of_m((3, 5, 7), (2, 3))
+    first = Analysis(m)
+    record = ring(s).translates[_key(m)]
+    snapshot = _prepared(record)
+    pairs = [first, *(Analysis(f) for f in moved), Analysis(m)]
+    # reading the class leaves its prepared state as the first pair left it
+    assert _unchanged(record, snapshot)
+    for i, a in enumerate(pairs):
+        # a pair's instance dict and report are its own, not the record's
+        assert vars(a) is not record.fixed and vars(a.conditions) is not record.conditions
+        for b in pairs[i + 1:]:
+            assert vars(a) is not vars(b) and vars(a.conditions) is not vars(b.conditions)
+    # an attribute set on one translate, or on its report, shows on no
+    # sibling, no later translate and not on the record
+    planted = pairs[1]
+    planted.nu = planted.c = "planted"
+    vars(planted.conditions)["a5"] = "planted"
+    later = Analysis(moved[1])
+    for a in [first, *pairs[2:], later]:
+        assert (a.nu, a.c) == (record.fixed["nu"], s.conductor)
+        assert a.conditions.a5 == record.conditions["a5"] != "planted"
+    assert _unchanged(record, snapshot)
+    assert _same_as_cold(later.ideal, later)
+
+
+def test_the_h_polynomial_of_every_pair_is_the_public_constructors_over_genus_5(fresh_rings):
+    # a pair builds h from its class's coefficients past h_0; the first pass
+    # meets each class cold once and reads it warm after, the second reads
+    # every pair warm
+    pairs = 0
+    for s in enumerate_semigroups(5):
+        ideals = list(enumerate_ideals(s))
+        ring.cache_clear()
+        for a in [Analysis(e) for e in ideals] + [Analysis(e) for e in ideals]:
+            h = HPolynomial.of(a)
+            assert (h, h.symmetric) == (a.h, a.h.symmetric), a.ideal
+            pairs += 1
+    assert pairs == 2 * 1833
 
 
 @pytest.mark.parametrize("gens,shifts", [((3, 4), (3, 6)), ((3, 5, 7), (2, 3))])
