@@ -31,34 +31,39 @@ E is reflexive.  K + nuE serves A4, A5 and A6, which sums the K + nE
 between only while it scans; when nu = 1, K + nuE is K + E.  For E = M
 the build reads the ring's M + K and M** instead of summing and
 dualizing itself.
-Whether nuE is reflexive, which only Thm5.9.1 reads, is a lazy field of
-the record: one bidual per class, taken on first read.  The record also
-holds the class's verdict store, a.class_verdicts, keyed by
-statements.Statement record: statements.verify_many reads each
-class-level verdict (Prop5.1, Rmk5.8, Thm5.9.1, Thm5.9.2) from it or makes
-the verdict and puts it there, so every translate of E shares it.
 
-The record prepares what a pair reads of it.  Its mapping, fixed, holds
-every Analysis attribute the class fixes: the fields of Lambda's record,
-nu, Lambda, E - E, the verdict store and S's notation c, delta, mu and
-c_Lambda.  Its report template holds the ConditionsReport fields but A4,
-and its coefficients are the h-polynomial's past h_0, which a translation
-leaves as they are.  A pair starts its instance dict as a copy of the
-mapping, and nothing writes to the mapping after the build, so one pair's
-attributes are its own.
+The record protocol.  A translation record is plain prepared data,
+written by its build and never after: base (min E), powers and hilbert
+(E's own H), k_nu (K + nuE), and what a pair takes as it is.  Its
+mapping, fixed, holds every Analysis attribute the class fixes: the
+fields of Lambda's record, nu, Lambda, E - E, r, whether E is reflexive
+(ideal_reflexive), whether K + E = E** (ideal_omega_is_bidual), the
+class's verdict store class_verdicts and S's notation c, delta, mu and
+c_Lambda.  Its report template, conditions, holds the ConditionsReport
+fields but A4, and its coefficients are the h-polynomial's past h_0,
+which a translation leaves as they are.  A pair starts its instance dict
+as one copy of the mapping, so an attribute set on one pair shows on no
+other, while the values are shared.  Among them is the class's verdict
+store, keyed by statements.Statement record: statements.verify_many reads each class-level verdict (Prop5.1, Rmk5.8,
+Thm5.9.1, Thm5.9.2) from it or makes the verdict and puts it there, so
+every translate of E shares it.  Whether nuE is reflexive, which only
+Thm5.9.1 reads, is not on the record: it is a lazy field of the pair,
+taken on the pair's own ring, and as the verdict that reads it is made
+once per class, the verify path takes nuE's bidual once per class.
 
 The constructor reads E's record, building and storing it on a miss, then
 computes what depends on where E sits against S once, as a plain
-attribute, running the pair's cross-checks as soon as what they read is
-in place: the powers moved onto E, H with its checks (on a translate H
+attribute: the powers moved onto E, H with its checks (on a translate H
 is taken anew and must be E's moved by d), rho against l(Lambda/R), h
-from the coefficients, A4, which meets nE + K with S, whether E is M,
-R:Lambda is nuE and the conductor lies in nuE, and the lengths against
-nuE.  The ring-level quantities (K, the type sequence, the class, S:M,
-S:K, M + K, M**) are read from the semigroup's one Ring, a.ring, which
-all pairs over S share.  Ring stays lazy: dual, canonical_ideal and
-integral_closure each read one of its fields, and need not pay for the
-type sequence.
+from the coefficients, A4, which meets nE + K with S, and whether E is M
+and the conductor lies in nuE.  It runs the pair's cross_check as soon as
+what it reads is in place, and only then takes the four quantities the
+pair computes for the catalog alone: whether R:Lambda is nuE and the
+three lengths against nuE.  The ring-level quantities (K, the type
+sequence, the class, S:M, S:K, M + K, M**) are read from the semigroup's
+one Ring, a.ring, which all pairs over S share.  Ring stays lazy: dual,
+canonical_ideal and integral_closure each read one of its fields, and
+need not pay for the type sequence.
 
 Many ideals of S share one blow-up, so the quantities that depend on
 Lambda alone are one record per (S, Lambda), kept in a.ring.blowups:
@@ -214,20 +219,14 @@ class ConditionsReport:
 class Analysis:
     """Every quantity of one (semigroup, ideal) pair, each computed once.
 
-    The constructor builds the pair in dependency order.  It reads the
-    record of E's translation class (built whole by _Translates on a miss:
-    the powers S, E, ..., (nu+1)E by sums, nu and Lambda = nuE - nuE, each
-    checked against an independent route), moves the powers onto E, and
-    takes the Hilbert function and rho with their checks.  It then starts
-    its instance dict as a copy of the record's mapping of what the class
-    fixes (Lambda's record, nu, Lambda, E:E, the class's verdict store and
-    S's notation), builds h and the condition report from the record's
-    templates, computes the pair-level quantities cross_check reads, runs
-    cross_check, and assigns the rest, which only the catalog and the
-    document read; every timed path reads them all, so each is a plain
-    attribute.  Past nu+1 a power is nuE shifted (power); self.powers never
-    grows.  An Analysis passed in place of the ideal is rebuilt from its
-    ideal.  Ring-level quantities live on self.ring.
+    The constructor builds the pair in dependency order from the record of
+    E's translation class, as the module docstring sets out, and runs
+    cross_check before the quantities only the catalog reads.  Every timed
+    path reads them all, so each is a plain attribute; power_nu_reflexive,
+    which one statement reads, is a lazy one.  Past nu+1 a power is nuE
+    shifted (power); self.powers never grows.  An Analysis passed in place
+    of the ideal is rebuilt from its ideal.  Ring-level quantities live on
+    self.ring.
     """
 
     def __init__(self, e: ValueIdeal):
@@ -267,9 +266,8 @@ class Analysis:
             if rho != s.genus - fixed["delta_lambda"]:
                 raise InvariantViolation("rho disagrees with l(Lambda/R)")
 
-            # every attribute the class fixes, in one copy of its mapping;
-            # the stores below are what the pair decides, and past
-            # cross_check the three class values it must not see
+            # every attribute the class fixes, in one copy of its mapping
+            # (see the module docstring); the stores below are the pair's
             self.__dict__ = fixed.copy()
             self.ideal, self.s, self.ring = e, s, rg
             self.powers = powers
@@ -293,9 +291,6 @@ class Analysis:
             self.cross_check()
 
             # what only the catalog and the document read
-            self.r = rg.ts.cm_type
-            self.ideal_reflexive = tr.reflexive
-            self.ideal_omega_is_bidual = tr.omega_is_bidual
             r_colon = fixed["r_colon_lambda"]
             self.r_colon_is_power = r_colon == p_nu
             # the lengths that involve nuE, validated for nesting by length_between
@@ -330,11 +325,15 @@ class Analysis:
         if not self.conditions.coherent:
             raise EquivalenceViolation(f"condition groups do not cohere: {self.conditions}")
 
-    @property
+    @_lazy
     def power_nu_reflexive(self) -> bool:
-        """nuE** = nuE, read off the record of E's translation class."""
-        e = self.ideal
-        return self.ring.translates[e.bits, e.frontier - e.min_element].power_nu_reflexive
+        """nuE** = nuE, taken on the pair's own ring on the first read:
+        (E+z)** = E** + z, so it holds for the whole class or for none of
+        it, and when nu = 1 it is whether E is reflexive."""
+        if self.nu == 1:
+            return self.ideal_reflexive
+        s_ideal, p_nu = self.ring.s_ideal, self.power_nu
+        return s_ideal.colon(s_ideal.colon(p_nu)) == p_nu
 
     def power(self, k: int) -> ValueIdeal:
         """kE: a kept sum up to nu+1, and nuE shifted by (k - nu)e past that."""
@@ -366,28 +365,11 @@ class _Translates:
     """What a translation of E only moves: one record per class E - min E
     over S, built whole and checked by the first pair met, E itself.
 
-    base is min E.  A translate E + d reads powers[k] (k >= 1) moved by k*d
-    and k_nu = K + nuE moved by nu*d: + and colon read only masks, so on a
-    translate they would repeat the same integer operations.  The stages
-    nE:nE, Lambda and E:E, the record of Lambda, nu, A5, A6, whether E or
-    nuE is reflexive and whether K + E = E** (omega_is_bidual) are the same
-    for the whole class, and so is every class-level verdict.
-
-    fixed is the prepared mapping of every Analysis attribute the class
-    fixes: the fields of Lambda's record, nu, lam, ideal_colon (E:E),
-    class_verdicts (the class's store of verdicts, keyed by
-    statements.Statement record and filled by verify_many), and S's
-    notation c, delta, mu and c_lambda.  Each pair copies it as its
-    instance dict, and nothing writes to it after the build.  conditions
-    is the template of the ConditionsReport fields but A4 (Lambda's A1-A3,
-    B1, B2 and the bridge, and the class's A5 and A6), and coefficients
-    holds the h-polynomial's coefficients past h_0, which a translation
-    leaves as they are.  reflexive and omega_is_bidual are the class values
-    a pair sets after cross_check, which must not see them.  K + E and E**
-    are locals of the build, which nothing reads past it.  hilbert is E's
-    own H; every other pair of the class takes its own and checks it
-    against hilbert moved by d, as it takes its own A4 and the lengths that
-    depend on where it sits against S.
+    Its fields and how a pair reads them are the record protocol of the
+    module docstring.  A translate E + d reads powers[k] (k >= 1) moved by
+    k*d and k_nu moved by nu*d, and checks its own H against hilbert moved
+    by d.  K + E and E** are locals of the build, which nothing reads past
+    it.
     """
 
     def __init__(self, rg: Ring, e: ValueIdeal):
@@ -453,24 +435,15 @@ class _Translates:
         a6 = k_e == e or a5 or any((k + powers[n]) == powers[n] for n in range(2, nu))
         # E** is the ring's M** when E = M
         e_bidual = rg.m_bidual if is_max_ideal else bidual(e)
-        self.reflexive = e_bidual == e
-        self.omega_is_bidual = k_e == e_bidual
         self.base, self.powers, self.hilbert, self.k_nu = a, powers, tuple(hseq), k_nu
         fields, conditions = blowup
         self.fixed = {**fields, "nu": nu, "lam": lam, "ideal_colon": stages[0],
+                      "r": rg.ts.cm_type, "ideal_reflexive": e_bidual == e,
+                      "ideal_omega_is_bidual": k_e == e_bidual,
                       "class_verdicts": {}, "c": c, "delta": s.genus,
                       "mu": s.embedding_dimension, "c_lambda": lam.frontier}
         self.conditions = {**conditions, "a5": a5, "a6": a6}
         self.coefficients = tuple(map(sub, hseq[1:], hseq))
-
-    @_lazy
-    def power_nu_reflexive(self) -> bool:
-        """nuE** = nuE, tested on the first read: (E+z)** = E** + z, so it
-        holds for the whole class or for none of it, and when nu = 1 it is
-        whether E is reflexive."""
-        nu = self.fixed["nu"]
-        p_nu = self.powers[nu]
-        return self.reflexive if nu == 1 else bidual(p_nu) == p_nu
 
 
 def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:

@@ -171,7 +171,7 @@ class NumericalSemigroup:
         """Explicit finite member list plus a full tail from arrow_from on."""
         mem = {int(x) for x in members}
         arrow = int(arrow_from)
-        if any(x < 0 for x in mem):
+        if arrow < 0 or any(x < 0 for x in mem):
             raise ZeroMissing("members must be natural numbers")
         if 0 not in mem and arrow > 0:
             raise ZeroMissing("0 must be a member")

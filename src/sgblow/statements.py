@@ -39,7 +39,7 @@ reads only what is one per (S, Lambda): the blow-up record's quantities
 built), r, a.ring and the notation of S.  Those nine, Prop4.2,
 Prop4.3.1-4.3.4, Thm4.4.1, Thm4.4.2, Rmk4.5 and Cor5.2, are
 "lambda"-level.  It is "class"-level when it reads, besides those, only
-facts fixed by the record of E's translation class E - min E: E:E,
+facts fixed by E's translation class E - min E: E:E,
 whether E is reflexive, whether K + E = E**, whether nuE is reflexive,
 and nu.  Those four, Prop5.1, Rmk5.8, Thm5.9.1 and Thm5.9.2, are
 "class"-level.  Every other statement is "pair"-level: it reads A4, e, the
@@ -466,8 +466,8 @@ def _(a):
 def _(a):
     c1 = a.lam_contains_dual_m
     # every power past nu is nuE translated and (E+z)** = E** + z, so the
-    # powers from nu on are all reflexive or none is: one test, kept once
-    # per translation class of E, reads all three
+    # powers from nu on are all reflexive or none is: one test of nuE
+    # reads all three
     c2 = a.power_nu_reflexive
     # A1 and B1 are the blow-up record's, the same for every pair with Lambda
     ok = c1 == c2 == a.k_in_lambda == a.lambda_reflexive

@@ -11,8 +11,8 @@ or are inlined into the enclosing one (3.12, PEP 709).
 A level's view is what a statement of that level may read.  LAMBDA_LEVEL
 is what is one per (S, Lambda): the blow-up record's fields but its
 verdict store, Lambda itself, rho (checked against l(Lambda/R) when the
-pair is built), r, the ring and S's notation.  CLASS_LEVEL adds what the
-record of E's translation class fixes: E:E, whether E is reflexive,
+pair is built), r, the ring and S's notation.  CLASS_LEVEL adds what
+E's translation class fixes: E:E, whether E is reflexive,
 whether K + E = E**, whether nuE is reflexive, and nu.  The derived level
 of a read set is the first view that holds it, "lambda" then "class", and
 "pair" when neither does.  tests/test_read_sets.py pins it to every

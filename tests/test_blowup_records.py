@@ -24,11 +24,11 @@ from sgblow.parsing import format_ideal
 
 HONEST_BUILD = sgblow.blowup._blowup_record
 
-# the pair-level quantities only the catalog and the document read,
-# assigned after cross_check
+# the four quantities a pair computes for the catalog alone, assigned
+# after cross_check
 CATALOG_ONLY = {
-    "r", "ideal_reflexive", "ideal_omega_is_bidual", "r_colon_is_power",
-    "len_rcolon_over_power_nu", "len_r_over_power_nu", "len_gammar_over_conductor_power",
+    "r_colon_is_power", "len_rcolon_over_power_nu", "len_r_over_power_nu",
+    "len_gammar_over_conductor_power",
 }
 
 

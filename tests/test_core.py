@@ -142,6 +142,11 @@ def test_construction_errors():
              "generators must be positive, got 0"),
             (lambda: NumericalSemigroup.from_explicit((-1, 0), 3), ZeroMissing,
              "members must be natural numbers"),
+            # a tail from a negative start holds negatives, whatever the members
+            (lambda: NumericalSemigroup.from_explicit((), -3), ZeroMissing,
+             "members must be natural numbers"),
+            (lambda: NumericalSemigroup.from_explicit((0,), -1), ZeroMissing,
+             "members must be natural numbers"),
             (lambda: NumericalSemigroup.from_explicit((0, 5), 3), NotCofinite,
              "member 5 lies beyond the tail start 3"),
             (lambda: ValueIdeal.generated_by(NumericalSemigroup.from_generators([3, 4]), []),

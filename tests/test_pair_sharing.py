@@ -14,7 +14,7 @@ from itertools import groupby
 import pytest
 
 from sgblow.blowup import Analysis, HPolynomial
-from sgblow.core import ValueIdeal
+from sgblow.core import NumericalSemigroup, ValueIdeal
 from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
 from sgblow.invariants import Ring, ring
 from sgblow.statements import CONJUNCTS, STATEMENTS, verify_many
@@ -65,12 +65,8 @@ def test_ring_fields_and_h_symmetry_are_computed_once(fresh_rings, monkeypatch):
     assert len({key for key, name, _ in calls if name == "ts"}) > 1
 
 
-def test_interleaved_semigroups_get_the_verdicts_of_the_grouped_walk(fresh_rings, monkeypatch):
-    # ring(s) keeps the ring of one semigroup, so taking the pairs round-robin
-    # over the semigroups builds a new ring, with empty records, at every switch
-    groups = [list(enumerate_ideals(s)) for s in enumerate_semigroups(4)]
-    grouped = [[verify_many(e) for e in group] for group in groups]
-    ring.cache_clear()
+def _count_rings(monkeypatch):
+    """The list of semigroups each Ring built from now on is built for."""
     built = []
     init = Ring.__init__
 
@@ -78,6 +74,16 @@ def test_interleaved_semigroups_get_the_verdicts_of_the_grouped_walk(fresh_rings
         built.append(s)
         init(self, s)
     monkeypatch.setattr(Ring, "__init__", counting_init)
+    return built
+
+
+def test_interleaved_semigroups_get_the_verdicts_of_the_grouped_walk(fresh_rings, monkeypatch):
+    # ring(s) keeps the ring of one semigroup, so taking the pairs round-robin
+    # over the semigroups builds a new ring, with empty records, at every switch
+    groups = [list(enumerate_ideals(s)) for s in enumerate_semigroups(4)]
+    grouped = [[verify_many(e) for e in group] for group in groups]
+    ring.cache_clear()
+    built = _count_rings(monkeypatch)
     # round j takes the j-th ideal of every semigroup that has one
     order = [(i, j) for j in range(max(map(len, groups)))
              for i, group in enumerate(groups) if j < len(group)]
@@ -86,6 +92,20 @@ def test_interleaved_semigroups_get_the_verdicts_of_the_grouped_walk(fresh_rings
     switches = [i for i, _ in groupby(i for i, _ in order)]
     assert len(switches) > len(groups)
     assert built == [groups[i][0].carrier for i in switches]
+
+
+def test_a_pair_kept_past_a_semigroup_switch_reads_nu_e_reflexive_on_its_own_ring(
+        fresh_rings, monkeypatch):
+    # nu = 2 for m over <5,21,32,48>, so the read takes nuE's bidual
+    kept = Analysis(NumericalSemigroup.from_generators([5, 21, 32, 48]).maximal_ideal())
+    assert kept.nu == 2
+    s = NumericalSemigroup.from_generators([3, 5, 7])
+    current = Analysis(s.maximal_ideal())
+    built = _count_rings(monkeypatch)
+    kept.power_nu_reflexive
+    # the read builds no ring, so the ring at hand is still the current pair's
+    assert built == []
+    assert ring(s) is current.ring
 
 
 # (universe, sums, colon quotients, _of builds) of one verify pass with
@@ -134,6 +154,24 @@ def test_the_maximal_ideal_is_built_without_of(monkeypatch):
     monkeypatch.setattr(ValueIdeal, "_of", classmethod(of))
     ideals = [s.maximal_ideal() for s in semigroups]
     assert [m._mingens for m in ideals] == [s.min_generators for s in semigroups]
+
+
+def test_nu_e_reflexive_is_taken_once_per_translation_class(fresh_rings, monkeypatch):
+    # Thm5.9.1, its one reader, is class-level: its verdict, made on the
+    # first pair of a class that meets its hypothesis, serves every translate
+    calls = Counter()
+    field = vars(Analysis)["power_nu_reflexive"]
+    honest = field.func
+
+    def counted(a):
+        e = a.ideal
+        calls[a.s, e.bits, e.frontier - e.min_element] += 1
+        return honest(a)
+    monkeypatch.setattr(field, "func", counted)
+    for e in _all_ideals(5):
+        verify_many(e)
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) == 226
 
 
 # (universe, pairs, translation classes, blow-up records, conclusion calls

@@ -60,7 +60,7 @@ def test_every_declared_level_is_the_derived_one():
 
 def test_read_sets_see_through_nested_code():
     # Prop4.3.3 reads i0 inside a generator expression, and Thm5.9.1 reads
-    # nuE reflexive off the record through a property
+    # nuE reflexive through a lazy field
     assert {"d", "i0", "outside_gamma", "ring", "len_bidual_over_rstar"} \
         == read_set(STATEMENTS["Prop4.3.3"])
     assert "power_nu_reflexive" in read_set(STATEMENTS["Thm5.9.1"])
@@ -108,7 +108,8 @@ def _unread():
     ring.cache_clear()
     _, m, (moved,) = _translates_of_m((3, 5, 7), (2,))
     first, translate = Analysis(m), Analysis(moved)
-    # nuE reflexive is a lazy field of the class record, kept on first read
+    # nuE reflexive is a lazy field of the pair (see blowup's module
+    # docstring): read, it stands in the translate's instance dict
     translate.power_nu_reflexive
     tr = first.ring.translates[_key(m)]
     fields, conditions = first.ring.blowups[first.lam.bits, first.lam.frontier]

@@ -4,7 +4,7 @@ translation class.
 A statement registered with level="lambda" reads only what is one per
 (S, Lambda): the blow-up record's quantities, rho, r, the ring and the
 notation of S.  One registered with level="class" reads only those and
-what the record of E's translation class fixes: E:E, whether E is
+what E's translation class fixes: E:E, whether E is
 reflexive, whether K + E = E**, whether nuE is reflexive, and nu.  The
 views of both levels are tests/read_sets.py's, which
 tests/test_read_sets.py also derives each level from; here each shared

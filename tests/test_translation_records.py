@@ -33,9 +33,10 @@ def _key(e):
 def _same_as_cold(e, warm):
     ring.cache_clear()
     cold = Analysis(e)
-    # power_nu_reflexive is read off the record, outside the instance dict
-    return (_quantities(cold) == _quantities(warm)
-            and cold.power_nu_reflexive == warm.power_nu_reflexive)
+    # power_nu_reflexive is a lazy field of the pair (see blowup's module
+    # docstring): read first on both sides, it is in both instance dicts
+    return (cold.power_nu_reflexive == warm.power_nu_reflexive
+            and _quantities(cold) == _quantities(warm))
 
 
 def _prepared(record):
