@@ -74,6 +74,12 @@ the fields k_in_lambda and lambda_reflexive, which the catalog reads),
 whether Lambda contains S:M, and the catalog's two Lambda-level
 hypotheses, K in Lambda** and R:Lambda integrally closed.  The record is
 the one place these are computed; the catalog's conjuncts only read them.
+Gamma, the i in 1..n with s_(i-1) in R:Lambda, is read in one pass: as
+R:Lambda lies in S and holds c + N, its membership flags on [0, c), picked
+at S's members by the ring's flags of S (Ring.member_flags, taken once per
+semigroup), are one flag per small element s_0..s_(n-1), and Gamma, its
+complement and the sum of r_i over Gamma are what those flags select from
+1..n and from the type sequence.
 What involves E is in E's translation record or on the pair.
 _blowup_record builds a record whole and runs Lambda's own checks before
 the lengths only the catalog reads.  _Translates calls it on a miss, once
@@ -97,9 +103,10 @@ of which EquivalenceViolation is one kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import sub
 
-from .core import ValueIdeal, _closure, length_between
+from .core import ValueIdeal, _closure, _flags, length_between
 from .errors import (
     EquivalenceViolation,
     InvariantViolation,
@@ -446,6 +453,10 @@ class _Translates:
         self.coefficients = tuple(map(sub, hseq[1:], hseq))
 
 
+# swaps the flags 0 and 1
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     """Every quantity of Lambda over S: fields, keyed by the Analysis
     attribute each becomes (the empty verdict store lambda_verdicts among
@@ -471,10 +482,15 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     len_lam_over_r = length_between(lam, s_ideal)
     if len_lam_over_r != s.genus - delta_lambda:
         raise InvariantViolation("rho must equal genus minus the blow-up genus")
-    # Gamma holds the i in 1..n with s_(i-1) in R:Lambda; outside_gamma the rest
-    inside = [x in r_colon for x in rg.small_elements[:-1]]
-    gamma_set = tuple(i for i, hit in enumerate(inside, 1) if hit)
-    outside_gamma = tuple(i for i, hit in enumerate(inside, 1) if not hit)
+    # Gamma holds the i in 1..n with s_(i-1) in R:Lambda; outside_gamma the
+    # rest.  R:Lambda lies in S and holds c + N, so its flags on [0, c),
+    # picked at S's members, are one flag per small element s_0..s_(n-1)
+    c, lo = s.conductor, r_colon.min_element
+    r_mask = (r_colon.bits << lo) | ((1 << c) - (1 << r_colon.frontier))
+    inside = bytes(compress(_flags(r_mask, c), rg.member_flags))
+    indices = range(1, len(inside) + 1)
+    gamma_set = tuple(compress(indices, inside))
+    outside_gamma = tuple(compress(indices, inside.translate(_FLIP)))
     # window bookkeeping: R:Lambda below the conductor is exactly {s_(i-1) : i in Gamma}
     if len(gamma_set) != length_between(r_colon, rg.conductor_ideal):
         raise InvariantViolation("Gamma size disagrees with l(R:Lambda/gamma_R)")
@@ -485,8 +501,7 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     # R_i0 is S from s_i0 = min R:Lambda on, in closed canonical form: lo
     # is a member of S (R:Lambda lies in S), at most c (c + N lies in
     # R:Lambda), and c - 1 is a gap
-    lo = r_colon.min_element
-    r_i0 = ValueIdeal._closed(s, lo, s.bits >> lo, s.conductor)
+    r_i0 = ValueIdeal._closed(s, lo, s.bits >> lo, c)
     # the catalog's two Lambda-level hypotheses, each against its second form
     bridge = rg.r_colon_omega.contains(r_colon)
     k_in_lam_bidual = lam_bidual.contains(k)
@@ -499,7 +514,7 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     # A1 and B1, which Rmk4.5, Thm5.9.1 and Thm5.9.2 read as fields
     k_in_lambda, lambda_reflexive = lam.contains(k), lam == lam_bidual
     len_rbar_over_bidual = length_between(norm, lam_bidual)
-    sum_gamma = sum(rg.ts.entries[i - 1] for i in gamma_set)
+    sum_gamma = sum(compress(rg.ts.entries, inside))
     fields = dict(
         r_colon_lambda=r_colon, lam_bidual=lam_bidual, omega_lambda=omega, k_colon_lambda=k_colon,
         delta_lambda=delta_lambda, gamma_set=gamma_set, outside_gamma=outside_gamma,

@@ -77,6 +77,13 @@ def _ones(n: int) -> int:
     return (1 << n) - 1 if n > 0 else 0
 
 
+def _flags(bits: int, width: int) -> bytes:
+    """Byte i is bit i of a mask below 1 << width, as 0 or 1, for i in [0, width)."""
+    # the marker bit at width keeps the leading zeros; bin() reversed and cut
+    # before "0b1" lists bit 0 first
+    return bin(bits | 1 << width)[:2:-1].encode().translate(_DIGIT_FLAGS)
+
+
 def _positions(bits: int, base: int = 0) -> tuple[int, ...]:
     """base + i for every set bit i of a non-negative mask, ascending."""
     # bin() reversed and cut before its "0b" prefix lists bit 0 first

@@ -16,7 +16,6 @@ from typing import Callable
 
 from .blowup import Analysis
 from .core import ValueIdeal
-from .invariants import dual
 from .parsing import format_cofinite_set, parse_ideal, parse_semigroup
 
 
@@ -52,7 +51,7 @@ CHECKS: dict[str, Callable[[Analysis], object]] = {
     "ideal_reflexive": lambda a: a.ideal_reflexive,
     "blowup_is_normalization": lambda a: a.lam_is_normalization,
     "power_nu_set": lambda a: _fmt(a.power_nu),
-    "power_colon_set": lambda a: _fmt(dual(a.power_nu)),
+    "power_colon_set": lambda a: _fmt(a.ring.s_ideal.colon(a.power_nu)),
     "colon_lambda_set": lambda a: _fmt(a.r_colon_lambda),
     "colon_is_conductor": lambda a: a.r_colon_lambda == a.ring.conductor_ideal,
     "colon_equals_power": lambda a: a.r_colon_is_power,
@@ -285,7 +284,7 @@ class NonImplication:
 NON_IMPLICATIONS: tuple[NonImplication, ...] = (
     NonImplication(
         "normalization_bound_without_extremal_gap", "f02", 0,
-        lambda a: dual(a.power_nu).min_element >= 0,
+        lambda a: a.ring.s_ideal.colon(a.power_nu).min_element >= 0,
         lambda a: a.c - a.c_lambda != a.e * a.nu),
     NonImplication(
         "conductor_transitivity_without_extremal_gap", "f03", 0,

@@ -82,16 +82,16 @@ def analysis_document(a: Analysis,
                       *,
                       semigroup_text: str = "",
                       ideal_text: str = "") -> dict:
-    s = a.s
-    rc = a.ring.ring_class
+    s, rg = a.s, a.ring
+    rc = rg.ring_class
     doc = {
         "input": {"semigroup": semigroup_text, "ideal": ideal_text},
         "semigroup": {
-            "small_elements": list(s.small_elements),
+            "small_elements": list(rg.small_elements),
             "c": s.conductor,
             "delta": s.genus,
             "generators": list(s.min_generators),
-            "type_sequence": list(a.ring.ts.entries),
+            "type_sequence": list(rg.ts.entries),
             "class": {
                 "label": rc.label,
                 "gorenstein": rc.gorenstein,

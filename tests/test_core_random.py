@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from sgblow.core import NumericalSemigroup, ValueIdeal, _positions, length_between
+from sgblow.core import NumericalSemigroup, ValueIdeal, _flags, _positions, length_between
 from sgblow.errors import NotClosed, NotNested
 from sgblow.invariants import bidual
 
@@ -237,6 +237,17 @@ def test_set_bit_positions_match_a_plain_bit_loop():
             expected = tuple(base + i for i in range(bits.bit_length()) if bits >> i & 1)
             assert _positions(bits, base) == expected
     assert _positions(0) == ()
+
+
+def test_bit_flags_match_a_plain_bit_loop():
+    rng = random.Random(2007)
+    masks = [0, 1, 2, 3, 255, 256, (1 << 600) - 1, 1 << 599]
+    masks += [rng.getrandbits(rng.randrange(601)) for _ in range(500)]
+    for bits in masks:
+        # leading zeros up to the width are flags too
+        for width in (bits.bit_length(), bits.bit_length() + rng.randrange(1, 70)):
+            assert _flags(bits, width) == bytes(bits >> i & 1 for i in range(width))
+    assert _flags(0, 0) == b""
 
 
 def test_validation_accepts_exactly_the_closed_windows():

@@ -2,7 +2,10 @@
 
 import pytest
 
+from sgblow.blowup import Analysis
+from sgblow.core import NumericalSemigroup
 from sgblow.fixtures import (
+    CHECKS,
     FIXTURES,
     NON_IMPLICATIONS,
     analysis_for,
@@ -11,6 +14,7 @@ from sgblow.fixtures import (
     fixture_by_id,
     non_implication_rows,
 )
+from sgblow.invariants import ring
 
 
 def test_fixture_inventory():
@@ -67,3 +71,20 @@ def test_colon_gap_premises_carry_their_ring_class():
     assert not gorenstein(analysis_for("f07"))
     assert not almost(analysis_for("f02"))
     assert all(row.confirmed for row in non_implication_rows())
+
+
+def test_checks_on_a_kept_analysis_read_its_own_ring():
+    # S:nuE on a pair kept past a switch of semigroup is taken on the pair's
+    # own ring: no ring is rebuilt, and the current pair's ring stays cached
+    first = Analysis.of(NumericalSemigroup.from_generators([5, 21, 32, 48]).maximal_ideal())
+    text = CHECKS["power_colon_set"](first)
+    premise = {n.name: n.premise for n in NON_IMPLICATIONS}[
+        "normalization_bound_without_extremal_gap"]
+    holds = premise(first)
+    s = NumericalSemigroup.from_generators([3, 5, 7])
+    second = Analysis.of(s.maximal_ideal())
+    misses = ring.cache_info().misses
+    assert CHECKS["power_colon_set"](first) == text
+    assert premise(first) == holds
+    assert ring.cache_info().misses == misses
+    assert ring(s) is second.ring

@@ -5,7 +5,7 @@ The library builds each (S, Lambda) record with bitmask windows and checks
 its members against each other; tests/oracles.py rebuilds them from their
 definitions on exact cofinite sets, with no code shared with the library.
 The two must agree on every record met over every ideal of genus <= 5 and
-over seeded ideals of two semigroups with large conductors.  So must the
+over seeded ideals of ten semigroups with large conductors.  So must the
 facts the class-level statements read off the record of E's translation
 class (E reflexive, K + E = E**, E:E containing S:M, nu and nuE
 reflexive), on every class of genus <= 5 and on every pair, and so must
@@ -58,7 +58,11 @@ def test_every_record_over_genus_5_is_its_definition():
     assert _check_records(ideals) == 148
 
 
-@pytest.mark.parametrize("gens,seed", [((13, 20, 22), 1), ((17, 26), 2)])
+# the ten semigroups of the benchmark's large-conductor workload: n = 42 to 200
+@pytest.mark.parametrize("gens,seed", [
+    ((13, 20, 22), 1), ((17, 26), 2), ((14, 19, 25), 3), ((13, 16, 24), 4),
+    ((14, 22, 23), 5), ((13, 21, 23), 6), ((15, 19, 23, 31), 7), ((11, 13), 8),
+    ((12, 19, 29), 9), ((12, 29, 37), 10)])
 def test_records_at_large_windows_are_their_definition(gens, seed):
     s = NumericalSemigroup.from_generators(gens)
     # m and the two seeded ideals each blow up to a Lambda of their own

@@ -62,6 +62,7 @@ def test_document_schema_fields():
                                   "gamma_set", "d"}
     assert len(doc["verdicts"]) == 50
     assert doc["semigroup"]["c"] == a.c
+    assert doc["semigroup"]["small_elements"] == list(a.s.small_elements)
     assert doc["hilbert"]["H"][-1] == doc["hilbert"]["e"]
 
     def only_document_scalars(value):
