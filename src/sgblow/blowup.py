@@ -76,10 +76,9 @@ hypotheses, K in Lambda** and R:Lambda integrally closed.  The record is
 the one place these are computed; the catalog's conjuncts only read them.
 Gamma, the i in 1..n with s_(i-1) in R:Lambda, is read in one pass: as
 R:Lambda lies in S and holds c + N, its membership flags on [0, c), picked
-at S's members by the ring's flags of S (Ring.member_flags, taken once per
-semigroup), are one flag per small element s_0..s_(n-1), and Gamma, its
-complement and the sum of r_i over Gamma are what those flags select from
-1..n and from the type sequence.
+at S's members by S's own flags on [0, c), are one flag per small element
+s_0..s_(n-1), and Gamma, its complement and the sum of r_i over Gamma are
+what those flags select from 1..n and from the type sequence.
 What involves E is in E's translation record or on the pair.
 _blowup_record builds a record whole and runs Lambda's own checks before
 the lengths only the catalog reads.  _Translates calls it on a miss, once
@@ -487,7 +486,7 @@ def _blowup_record(rg: Ring, lam: ValueIdeal) -> tuple[dict, dict]:
     # picked at S's members, are one flag per small element s_0..s_(n-1)
     c, lo = s.conductor, r_colon.min_element
     r_mask = (r_colon.bits << lo) | ((1 << c) - (1 << r_colon.frontier))
-    inside = bytes(compress(_flags(r_mask, c), rg.member_flags))
+    inside = bytes(compress(_flags(r_mask, c), _flags(s.bits, c)))
     indices = range(1, len(inside) + 1)
     gamma_set = tuple(compress(indices, inside))
     outside_gamma = tuple(compress(indices, inside.translate(_FLIP)))

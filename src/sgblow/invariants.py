@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import NumericalSemigroup, ValueIdeal, _flags
+from .core import NumericalSemigroup, ValueIdeal
 from .errors import InvariantViolation, NotIntegral, RegularRing
 
 
@@ -135,11 +135,6 @@ class Ring:
     def small_elements(self) -> tuple[int, ...]:
         """s_0 = 0 < s_1 < ... < s_n = c."""
         return self.s.small_elements
-
-    @_lazy
-    def member_flags(self) -> bytes:
-        """Byte x is 1 when x is in S, else 0, for x in [0, c)."""
-        return _flags(self.s.bits, self.s.conductor)
 
     @property
     def n(self) -> int:

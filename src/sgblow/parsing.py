@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from functools import lru_cache
 
 from .blowup import power
 from .core import NumericalSemigroup, ValueIdeal, _mask
@@ -169,14 +168,8 @@ def _cofinite_text(bits: int, base: int, tail_from: int) -> str:
     return "{" + ",".join(items) + "}"
 
 
-@lru_cache(maxsize=1)
 def format_semigroup(s: NumericalSemigroup) -> str:
-    """Canonical braces form: members below the conductor, then 'c->'.
-
-    Kept for the semigroup at hand only, as invariants.ring keeps one
-    ring: every run formats one semigroup for each of its pairs, so one
-    slot catches every repeat, and equal semigroups share their text.
-    """
+    """Canonical braces form: members below the conductor, then 'c->'."""
     return _cofinite_text(s.bits, 0, s.conductor)
 
 

@@ -204,21 +204,3 @@ def test_format_semigroup_matches_a_walk_over_the_small_elements():
         items = _items_by_walk(s.small_elements[:-1]) + [f"{s.conductor}->"]
         assert format_semigroup(s) == "{" + ",".join(items) + "}"
 
-
-def test_format_semigroup_keeps_one_text_and_reads_it_only_for_its_semigroup():
-    small = NumericalSemigroup.from_generators([3, 5, 7])
-    large = NumericalSemigroup.from_generators([13, 20, 22])
-    # an equal semigroup built through the other constructor
-    explicit = NumericalSemigroup.from_explicit([0, 3], 5)
-
-    def by_walk(s):
-        return "{" + ",".join(_items_by_walk(s.small_elements[:-1]) + [f"{s.conductor}->"]) + "}"
-
-    assert format_semigroup.cache_info().maxsize == 1
-    for s in [small, large, small, explicit, large, explicit, small]:
-        assert format_semigroup(s) == by_walk(s)
-    assert format_semigroup(explicit) == "{0,3,5->}"
-    # a repeat of the semigroup at hand reads the kept text
-    format_semigroup.cache_clear()
-    assert format_semigroup(large) is format_semigroup(large)
-    assert format_semigroup.cache_info().hits == 1
