@@ -50,6 +50,9 @@ every translate of E shares it.  Whether nuE is reflexive, which only
 Thm5.9.1 reads, is not on the record: it is a lazy field of the pair,
 taken on the pair's own ring, and as the verdict that reads it is made
 once per class, the verify path takes nuE's bidual once per class.
+The length l((S:M + e)/(R:Lambda)), which Rmk6.1 and Prop6.5.2 read
+when E = M, is a lazy field of the pair too, so a pair that meets both
+hypotheses takes it once.
 
 The constructor reads E's record, building and storing it on a miss, then
 computes what depends on where E sits against S once, as a plain
@@ -228,11 +231,11 @@ class Analysis:
     The constructor builds the pair in dependency order from the record of
     E's translation class, as the module docstring sets out, and runs
     cross_check before the quantities only the catalog reads.  Every timed
-    path reads them all, so each is a plain attribute; power_nu_reflexive,
-    which one statement reads, is a lazy one.  Past nu+1 a power is nuE
-    shifted (power); self.powers never grows.  An Analysis passed in place
-    of the ideal is rebuilt from its ideal.  Ring-level quantities live on
-    self.ring.
+    path reads them all, so each is a plain attribute; power_nu_reflexive
+    and len_shifted_dual_m_over_rcolon, which only a few statements read,
+    are lazy ones.  Past nu+1 a power is nuE shifted (power); self.powers
+    never grows.  An Analysis passed in place of the ideal is rebuilt from
+    its ideal.  Ring-level quantities live on self.ring.
     """
 
     def __init__(self, e: ValueIdeal):
@@ -340,6 +343,12 @@ class Analysis:
             return self.ideal_reflexive
         s_ideal, p_nu = self.ring.s_ideal, self.power_nu
         return s_ideal.colon(s_ideal.colon(p_nu)) == p_nu
+
+    @_lazy
+    def len_shifted_dual_m_over_rcolon(self) -> int:
+        """l((S:M + e)/(R:Lambda)), which Rmk6.1 and Prop6.5.2 both read
+        when E = M, taken once on the first read."""
+        return length_between(self.ring.dual_m.shift(self.e), self.r_colon_lambda)
 
     def power(self, k: int) -> ValueIdeal:
         """kE: a kept sum up to nu+1, and nuE shifted by (k - nu)e past that."""

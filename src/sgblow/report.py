@@ -13,8 +13,14 @@ written from a layout cached per key tuple and indent: its sorted key order
 (or none, when the keys were inserted sorted) and a %-template holding the
 encoded keys, separators and indents, filled once with the texts of its
 values, of which only containers recurse.  Layouts are keyed by shape
-alone, never by values, so one analyze document already reuses the layout
-of its 50 verdict records.
+alone, never by values.  A run, a list of dicts that all have one non-empty
+key list in one insertion order, is written in one fill: its layout is
+looked up once, the texts of every record's values are taken in one pass,
+and the template, repeated once per record and joined by the list's
+separator, takes them all with a single %.  The 50 verdict records of an
+analyze document, the rows of `enumerate` and `examples` and the failure
+records of `verify` are runs; any other list, and a run that has a key
+that is not a str, is written item by item.
 A value outside the document domain, and any dict with a key that is not a
 str, is handed to `json.dumps` itself and its text re-indented in place, so
 the output (or the exception) is that of
@@ -148,12 +154,29 @@ def _layout(keys: tuple, nl: str) -> tuple[tuple | None, str]:
 _BOOL_TEXT = {False: "false", True: "true"}
 
 
+def _fill(records, keys: tuple, nl: str) -> str:
+    """A run of dicts that all have these keys, in this insertion order,
+    written at nl and joined by "," + nl: their layout's template once per
+    record, filled with one % from the texts of all their values, which are
+    written as in a single dict."""
+    order, template = _layout(keys, nl)
+    inner = nl + "  "
+    return ("," + nl).join([template] * len(records)) % tuple([
+        "null" if v is None else "true" if v is True
+        else "false" if v is False
+        else _string(v) if (tv := type(v)) is str
+        else int.__repr__(v) if tv is int
+        else _encode(v, inner)
+        for d in records
+        for v in (d.values() if order is None else map(d.__getitem__, order))])
+
+
 def _encode(o, nl: str) -> str:
     """JSON text of `o`, whose own lines start with `nl` (newline + indent).
 
     A dict is its shape's cached layout filled with its values' texts, the
     None, bool, str and int ones written in place; a list whose items are
-    all int or all bool is one join.
+    all int or all bool is one join, and a run of dicts one _fill.
     """
     t = type(o)
     if t is str:
@@ -166,6 +189,12 @@ def _encode(o, nl: str) -> str:
         inner = nl + "  "
         if t is not dict:
             types = set(map(type, o))
+            if types == {dict} and (keys := tuple(o[0])) and all(
+                    tuple(d) == keys for d in o):
+                try:
+                    return "[" + inner + _fill(o, keys, inner) + nl + "]"
+                except TypeError:  # a key that is not a str, or a bad value below
+                    pass
             if types == {int}:
                 body = map(int.__repr__, o)
             elif types == {bool}:

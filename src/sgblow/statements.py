@@ -66,7 +66,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .blowup import Analysis
-from .core import ValueIdeal, length_between
+from .core import ValueIdeal
 from .errors import InvariantViolation, SgblowError, UnknownStatement
 
 
@@ -486,7 +486,7 @@ def _(a):
 
 @_statement("Rmk6.1", hypothesis=("E = m",))
 def _(a):
-    rhs = length_between(a.ring.dual_m.shift(a.e), a.r_colon_lambda) + (a.e - a.r)
+    rhs = a.len_shifted_dual_m_over_rcolon + (a.e - a.r)
     ok = a.len_r_over_rcolon == rhs
     if a.ring.ring_class.almost_gorenstein:
         ok = ok and a.conditions.b1
@@ -521,7 +521,7 @@ def _(a):
 
 @_statement("Prop6.5.2", hypothesis=("E = m", "e = mu + 1"))
 def _(a):
-    gap = length_between(a.ring.dual_m.shift(a.e), a.r_colon_lambda)
+    gap = a.len_shifted_dual_m_over_rcolon
     return gap == 1, gap, 1
 
 

@@ -4,7 +4,7 @@ A statement's read set is the attribute names its code can read off the
 pair: the names (co_names) of its conclusion, of its notes function and
 of each conjunct its hypothesis names, and of every code object nested in
 them, kept where an Analysis carries an attribute of that name (its
-instance dict, power and power_nu_reflexive).  Comprehensions count
+instance dict, power and its lazy fields).  Comprehensions count
 whether they compile to code objects of their own (Python 3.10 and 3.11)
 or are inlined into the enclosing one (3.12, PEP 709).
 
@@ -49,8 +49,8 @@ def code_names(code: CodeType) -> set[str]:
 
 def pair_attributes(a: Analysis = SOME_PAIR) -> set[str]:
     """Every attribute an Analysis carries: its instance dict, power and
-    power_nu_reflexive."""
-    return set(vars(a)) | {"power", "power_nu_reflexive"}
+    its lazy fields power_nu_reflexive and len_shifted_dual_m_over_rcolon."""
+    return set(vars(a)) | {"power", "power_nu_reflexive", "len_shifted_dual_m_over_rcolon"}
 
 
 def read_set(st: Statement) -> set[str]:

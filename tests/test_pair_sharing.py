@@ -211,3 +211,20 @@ def test_one_verify_pass_makes_a_pinned_number_of_verdicts(fresh_rings, monkeypa
     records = {id(a.lambda_verdicts) for a in analyses}
     assert (len(analyses), len(classes), len(records)) == (n_pairs, n_classes, n_records)
     assert dict(calls) == {**conclusions, "conjunct": conjuncts}
+
+
+def test_the_shifted_dual_length_is_taken_once_per_pair(monkeypatch):
+    # Rmk6.1 and Prop6.5.2 both read l((S:M + e)/(R:Lambda)); m over <3,4>
+    # (e = 3 = mu + 1) meets both hypotheses
+    calls = []
+    field = vars(Analysis)["len_shifted_dual_m_over_rcolon"]
+    honest = field.func
+
+    def counted(a):
+        calls.append(a.ideal)
+        return honest(a)
+    monkeypatch.setattr(field, "func", counted)
+    a = Analysis(NumericalSemigroup.from_generators([3, 4]).maximal_ideal())
+    verdicts = verify_many(a, ["Rmk6.1", "Prop6.5.2"])
+    assert [v.status for v in verdicts] == ["held", "held"]
+    assert calls == [a.ideal]

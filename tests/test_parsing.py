@@ -1,13 +1,14 @@
 """Grammar round-trips and error positions."""
 
 import random
+import re
 import sys
 
 import pytest
 
 from sgblow.core import NumericalSemigroup
 from sgblow.enumeration import enumerate_ideals, enumerate_semigroups
-from sgblow.errors import GrammarError, NotClosed, NotCofinite
+from sgblow.errors import GrammarError, NotClosed, NotCofinite, SgblowError
 from sgblow.parsing import (
     format_cofinite_set,
     format_generators,
@@ -204,3 +205,61 @@ def test_format_semigroup_matches_a_walk_over_the_small_elements():
         items = _items_by_walk(s.small_elements[:-1]) + [f"{s.conductor}->"]
         assert format_semigroup(s) == "{" + ",".join(items) + "}"
 
+
+# the grammar's tokens; integers have at most two digits, which keeps every
+# window and power small (a conductor below 10,000, m^k with k < 100)
+TOKENS = ["<", ">", "{", "}", "(", ")", ",", "-", "->", "^", "m", "ideal", " "]
+SHAPES = ["<{n},{n}>", "<{n},{n},{n}>", "{{0,{n}-{n},{n}->}}", "{{{n},{n}->}}",
+          "m", "m^{n}", "ideal({n},{n})", "ideal(-{n}, {n})"]
+
+
+def _fuzz_text(rng):
+    """A string of grammar tokens, or a well-formed shape with a few tokens
+    dropped, inserted or swapped; never two integers without a token between."""
+    if rng.random() < 0.5:
+        tokens = [rng.choice(TOKENS + ["{n}"] * 4) for _ in range(rng.randrange(12))]
+    else:
+        shape = rng.choice(SHAPES)
+        tokens = re.findall(r"\{n\}|->|ideal|\{\{|\}\}|.", shape)
+        tokens = [t[0] if t in ("{{", "}}") else t for t in tokens]
+        for _ in range(rng.randrange(3)):
+            i = rng.randrange(len(tokens) + 1)
+            roll = rng.randrange(3)
+            if roll == 0 and i < len(tokens):
+                del tokens[i]
+            elif roll == 1:
+                tokens.insert(i, rng.choice(TOKENS + ["{n}"]))
+            elif i + 1 < len(tokens):
+                tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    text, last_digit = "", False
+    for t in tokens:
+        if t == "{n}":
+            t = str(rng.randrange(100 if rng.random() < 0.3 else 12))
+        if last_digit and t[0].isdigit():
+            text += rng.choice(" ,-")
+        text += t
+        last_digit = t[-1].isdigit()
+    return text
+
+
+def test_fuzzed_texts_parse_or_raise_a_positioned_grammar_error():
+    rng = random.Random(20064)
+    carrier = NumericalSemigroup.from_generators([3, 5])
+    parsers = [parse_semigroup, lambda t: parse_ideal(t, carrier), parse_cofinite_set]
+    outcomes = set()
+    for _ in range(20000):
+        text = _fuzz_text(rng)
+        assert not re.search(r"\d{3}", text), text
+        for i, parse in enumerate(parsers):
+            try:
+                parse(text)
+                outcomes.add((i, "parsed"))
+            except GrammarError as exc:
+                assert 0 <= exc.position <= len(text), (text, exc)
+                outcomes.add((i, "grammar"))
+            except SgblowError:
+                outcomes.add((i, "domain"))
+    # every parser both accepts and rejects some texts, and some semigroup
+    # texts parse but describe no semigroup
+    assert {(i, kind) for i in range(3) for kind in ("parsed", "grammar")} | {(0, "domain")} \
+        <= outcomes

@@ -213,6 +213,82 @@ class Small(enum.IntEnum):
     TWO = 2
 
 
+def _run(keys, n, value=lambda k, i: i):
+    return [{k: value(k, i) for k in keys} for i in range(n)]
+
+
+def _with(run, i, record):
+    return run[:i] + [record] + run[i + 1:]
+
+
+def _runs():
+    """Lists of dicts: runs of one key list and lists that only look like one."""
+    rec = _run(["statement_id", "holds", "lhs", "notes"], 5)
+    srt = _run(["a", "b", "c"], 4, lambda k, i: f"{k}{i}")
+    moved = dict(reversed(list(rec[0].items())))
+    return {
+        "empty records": [{}, {}, {}],
+        "one empty record": [{}],
+        "one record": [{"b": 1, "a": None}],
+        "sorted": srt,
+        "unsorted": rec,
+        "reordered keys in the middle": _with(rec, 2, moved),
+        "extra key in the middle": _with(srt, 2, {**srt[2], "d": 0}),
+        "missing key in the middle": _with(srt, 1, {"a": 0, "b": 1}),
+        "percent keys": _run(["%", "%s", "%(x)s", "a%%d"], 3, lambda k, i: k * i),
+        "int keys": _run([10, 2, -1], 3),
+        "bool and float keys": _run([True, 1.5], 2),
+        "str run then int keys": _with(srt, 3, {0: "x"}),
+        "values of every kind": _run(
+            ["t", "n", "f", "e", "l", "s", "b", "z"], 4,
+            lambda k, i: {"t": (i, (i, None)), "n": {"y": [i], "x": {}},
+                          "f": [1.5 * i, -0.0, 1e300], "e": Small.TWO,
+                          "l": [i, True], "s": "\u20ac%s", "b": i % 2 == 0,
+                          "z": None}[k]),
+        "a tuple of records": tuple(_run(["b", "a"], 3)),
+        "runs inside a run": _run(["rows", "id"], 3, lambda k, i: _run(["y", "x"], i)
+                                  if k == "rows" else i),
+    }
+
+
+RUNS = _runs()
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_record_runs_are_written_as_json_dumps_writes_them(name):
+    run = RUNS[name]
+    docs = [run, {"a": {"b": {"c": run}}}, [[[[run]]]], {"v": [{"w": [run]}]}]
+    for doc in docs:
+        assert dumps_document(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("value", [
+    _run(["a", "s"], 3, lambda k, i: {1, 2} if k == "s" else i),
+    _run(["b", 1], 2),
+    [{"a": 0}, {"a": object()}],
+], ids=["set value", "mixed keys", "object in a later record"])
+def test_a_run_outside_the_domain_raises_as_json_dumps_does(value):
+    for doc in (value, {"a": [{"b": value}]}):
+        with pytest.raises(TypeError):
+            reference(doc)
+        with pytest.raises(TypeError):
+            dumps_document(doc)
+
+
+def test_runs_match_json_dumps_on_random_records():
+    rng = random.Random(4061)
+    for _ in range(300):
+        keys = list(dict.fromkeys(random_string(rng) for _ in range(rng.randrange(1, 6))))
+        run = [{k: random_value(rng, 2) for k in keys}
+               for _ in range(rng.randrange(1, 8))]
+        if rng.random() < 0.3:  # one record out of line
+            i = rng.randrange(len(run))
+            run[i] = dict(reversed(list(run[i].items()))) if rng.random() < 0.5 \
+                else {**run[i], "extra": 1}
+        doc = {"rows": run, "deep": [{"x": [run]}]}
+        assert dumps_document(doc) == reference(doc)
+
+
 OUTSIDE_THE_DOMAIN = [
     ("set", {"a": {1, 2}}, TypeError),
     ("ideal", {"a": NumericalSemigroup.from_generators([3, 5]).maximal_ideal()},

@@ -300,16 +300,17 @@ def test_prop4_3_4_requires_a_closed_colon_to_be_a_value_filter(monkeypatch, gen
     ring.cache_clear()
 
 
-HONEST_STATEMENT_LENGTH = sgblow.statements.length_between
-
-
 def _statement_length_not_nested(monkeypatch, target):
-    # every length a statement takes over the target raises
-    def length(x, y):
-        if x.carrier == target:
+    # over the target, the length that Rmk6.1 and Prop6.5.2 read (a lazy
+    # field of the pair, taken on the first read) raises
+    field = vars(Analysis)["len_shifted_dual_m_over_rcolon"]
+    honest = field.func
+
+    def length(a):
+        if a.s == target:
             raise NotNested(0)
-        return HONEST_STATEMENT_LENGTH(x, y)
-    monkeypatch.setattr(sgblow.statements, "length_between", length)
+        return honest(a)
+    monkeypatch.setattr(field, "func", length)
 
 
 def _closure_of_the_normalization(monkeypatch, target):
