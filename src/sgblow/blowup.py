@@ -40,10 +40,9 @@ fields of Lambda's record, nu, Lambda, E - E, r, whether E is reflexive
 (ideal_reflexive), whether K + E = E** (ideal_omega_is_bidual), the
 class's verdict store class_verdicts and S's notation c, delta, mu and
 c_Lambda.  Its report template, conditions, holds the ConditionsReport
-fields but A4, and its coefficients are the h-polynomial's past h_0,
-which a translation leaves as they are.  A pair starts its instance dict
-as one copy of the mapping, so an attribute set on one pair shows on no
-other, while the values are shared.  Among them is the class's verdict
+fields but A4.  A pair starts its instance dict as one copy of the
+mapping, so an attribute set on one pair shows on no other, while the
+values are shared.  Among them is the class's verdict
 store, keyed by statements.Statement record: statements.verify_many reads each class-level verdict (Prop5.1, Rmk5.8,
 Thm5.9.1, Thm5.9.2) from it or makes the verdict and puts it there, so
 every translate of E shares it.  Whether nuE is reflexive, which only
@@ -58,13 +57,13 @@ The constructor reads E's record, building and storing it on a miss, then
 computes what depends on where E sits against S once, as a plain
 attribute: the powers moved onto E, H with its checks (on a translate H
 is taken anew and must be E's moved by d), rho against l(Lambda/R), h
-from the coefficients, A4, which meets nE + K with S, and whether E is M
-and the conductor lies in nuE.  It runs the pair's cross_check as soon as
-what it reads is in place, and only then takes the four quantities the
-pair computes for the catalog alone: whether R:Lambda is nuE and the
-three lengths against nuE.  The ring-level quantities (K, the type
-sequence, the class, S:M, S:K, M + K, M**) are read from the semigroup's
-one Ring, a.ring, which all pairs over S share.  Ring stays lazy: dual,
+(HPolynomial.of, from H, nu and rho), A4, which meets nE + K with S,
+and whether E is M and the conductor lies in nuE.  It runs the pair's
+cross_check as soon as what it reads is in place, and only then takes the
+four quantities the pair computes for the catalog alone: whether R:Lambda
+is nuE and the three lengths against nuE.  The ring-level quantities (K,
+the type sequence, the class, S:M, S:K, M + K, M**) are read from the
+semigroup's one Ring, a.ring, which all pairs over S share.  Ring stays lazy: dual,
 canonical_ideal and integral_closure each read one of its fields, and
 need not pay for the type sequence.
 
@@ -151,7 +150,7 @@ class HPolynomial:
     def of(cls, a: "Analysis") -> "HPolynomial":
         """From the Hilbert function, nu and rho of a pair's analysis."""
         hs = a.hilbert
-        coeffs = (hs[0],) + tuple(map(sub, hs[1:], hs))
+        coeffs = tuple(map(sub, hs, (0,) + hs))  # H(i) - H(i-1), with H(-1) = 0
         # one update of the instance dict, where the frozen __init__ would set
         # each field through object.__setattr__
         h = cls.__new__(cls)
@@ -284,10 +283,7 @@ class Analysis:
             self.rho = rho
             self.e = a
             nu = fixed["nu"]
-            # h_0 = H(0) moves with E, the coefficients past it do not
-            self.h = h = HPolynomial.__new__(HPolynomial)
-            vars(h).update(coefficients=(hseq[0],) + tr.coefficients, hilbert=hseq, e=a, nu=nu,
-                           rho=rho)
+            self.h = HPolynomial.of(self)
             self.is_max_ideal = e == rg.m_ideal
             self.power_nu = p_nu = powers[nu]
             self.conductor_in_power = p_nu.frontier <= s.conductor
@@ -458,7 +454,6 @@ class _Translates:
                       "class_verdicts": {}, "c": c, "delta": s.genus,
                       "mu": s.embedding_dimension, "c_lambda": lam.frontier}
         self.conditions = {**conditions, "a5": a5, "a6": a6}
-        self.coefficients = tuple(map(sub, hseq[1:], hseq))
 
 
 # swaps the flags 0 and 1

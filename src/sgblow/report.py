@@ -157,8 +157,8 @@ _BOOL_TEXT = {False: "false", True: "true"}
 def _fill(records, keys: tuple, nl: str) -> str:
     """A run of dicts that all have these keys, in this insertion order,
     written at nl and joined by "," + nl: their layout's template once per
-    record, filled with one % from the texts of all their values, which are
-    written as in a single dict."""
+    record, filled with one % from the texts of all their values, the None,
+    bool, str and int ones written in place.  A single dict is a run of one."""
     order, template = _layout(keys, nl)
     inner = nl + "  "
     return ("," + nl).join([template] * len(records)) % tuple([
@@ -174,9 +174,8 @@ def _fill(records, keys: tuple, nl: str) -> str:
 def _encode(o, nl: str) -> str:
     """JSON text of `o`, whose own lines start with `nl` (newline + indent).
 
-    A dict is its shape's cached layout filled with its values' texts, the
-    None, bool, str and int ones written in place; a list whose items are
-    all int or all bool is one join, and a run of dicts one _fill.
+    A dict is a run of one _fill; a list whose items are all int or all
+    bool is one join, and a run of dicts one _fill.
     """
     t = type(o)
     if t is str:
@@ -186,8 +185,8 @@ def _encode(o, nl: str) -> str:
     if t is dict or t is list or t is tuple:
         if not o:
             return "{}" if t is dict else "[]"
-        inner = nl + "  "
         if t is not dict:
+            inner = nl + "  "
             types = set(map(type, o))
             if types == {dict} and (keys := tuple(o[0])) and all(
                     tuple(d) == keys for d in o):
@@ -203,14 +202,7 @@ def _encode(o, nl: str) -> str:
                 body = [_encode(x, inner) for x in o]
             return "[" + inner + ("," + inner).join(body) + nl + "]"
         try:
-            order, template = _layout(tuple(o), nl)
-            return template % tuple([
-                "null" if v is None else "true" if v is True
-                else "false" if v is False
-                else _string(v) if (tv := type(v)) is str
-                else int.__repr__(v) if tv is int
-                else _encode(v, inner)
-                for v in (o.values() if order is None else map(o.__getitem__, order))])
+            return _fill((o,), tuple(o), nl)
         except TypeError:  # a key that is not a str, or a bad value below
             pass
     elif o is None:

@@ -1,8 +1,10 @@
 """Closed forms for families of (semigroup, ideal) pairs.
 
-The plain-set oracles in oracles.py cost O(c^2) and stop at conductors of a
-few hundred.  A closed form costs O(1), or O(c) to list a set, at any size,
-so the engine can be checked against these at windows of thousands of bits.
+The plain-set oracles in oracles.py are exact at any conductor, but a sum
+or a colon there costs O(c^2), and their forms for m over <a, b> take a - 1
+sums: about 4 s for <37, 101>, c = 3600, on one core of a 2-core Xeon VM.
+A closed form costs O(1), or O(c) to list a set, at any size, so the
+engine can be checked against these at windows of thousands of bits.
 Nothing here imports sgblow.
 
 Family: the maximal ideal m over S = <a, b>, for 1 < a < b, gcd(a, b) = 1.

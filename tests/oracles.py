@@ -1,82 +1,147 @@
 """Brute-force reference computations used to pin expected values.
 
-Everything here works on plain integer sets over explicit windows, with no
-shared code paths into the library, so a bug cannot hide on both sides.
+One set model: a set of integers bounded below and cofinite above is the
+exact pair (members below the frontier, frontier), with everything from the
+frontier on a member, in canonical form: the run of members just below the
+frontier joins it, so frontier - 1 is no member.  A library ideal e is the
+same pair as (e.members, e.frontier), so a test compares whole sets.  Sums,
+colons, lengths and containment take the pairs whole: no window is guessed,
+and a colon or a length reaches as far below 0 as it needs.  Nothing here
+imports sgblow, so a bug cannot hide on both sides.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 
-def closure_from_generators(gens: list[int], hi: int) -> set[int]:
-    """All sums of the generators that land below hi, by dynamic programming."""
+def cofinite(members, frontier: int) -> tuple[tuple[int, ...], int]:
+    """The canonical pair: the run of members just below the frontier joins it."""
+    below = {x for x in members if x < frontier}
+    while frontier - 1 in below:
+        below.discard(frontier - 1)
+        frontier -= 1
+    return tuple(sorted(below)), frontier
+
+
+def least(a) -> int:
+    return a[0][0] if a[0] else a[1]
+
+
+def member(x: int, a) -> bool:
+    return x >= a[1] or x in a[0]
+
+
+def _up_to(a, hi: int) -> set[int]:
+    """The members of A below hi, for hi at or past A's frontier."""
+    return set(a[0]).union(range(a[1], hi))
+
+
+def sumset(a, b):
+    """{x + y}: every sum from min A + frontier B and from frontier A + min B on."""
+    frontier = min(least(a) + b[1], a[1] + least(b))
+    return cofinite({x + y for x in a[0] for y in b[0]}, frontier)
+
+
+def colon(a, b):
+    """{z : z + B inside A}.  z + (frontier B ->) lies in A iff z >= fA - fB,
+    and every z >= fA - min B passes."""
+    members, frontier = set(a[0]), a[1]
+    top = frontier - least(b)
+    held = {z for z in range(frontier - b[1], top)
+            if all(z + y >= frontier or z + y in members for y in b[0])}
+    return cofinite(held, top)
+
+
+def intersect(a, b):
+    """A and B meet in a set full from the later frontier on."""
+    frontier = max(a[1], b[1])
+    return cofinite(_up_to(a, frontier) & _up_to(b, frontier), frontier)
+
+
+def contains(a, b) -> bool:
+    """B inside A."""
+    members = set(a[0])
+    return b[1] >= a[1] and all(y >= a[1] or y in members for y in b[0])
+
+
+def length(larger, smaller) -> int:
+    """l(E/F) = #(E minus F); asserts F inside E.  Both are full from F's
+    frontier on, so it is the count of E's members below it less F's."""
+    assert contains(larger, smaller)
+    return len(larger[0]) + smaller[1] - larger[1] - len(smaller[0])
+
+
+def closure_from_generators(gens) -> tuple[tuple[int, ...], int]:
+    """The semigroup the generators span, as (members below its conductor,
+    conductor).  gcd(gens) = 1, so by Schur's bound every integer from
+    min(gens) * max(gens) on is a sum; the sums below it are sieved."""
+    assert gcd(*gens) == 1
+    bound = min(gens) * max(gens)
     reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x + g
-                if y < hi and y not in reached:
-                    reached.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return reached
+    for x in range(bound):
+        if x in reached:
+            reached.update(x + g for g in gens)
+    return cofinite(reached, bound)
 
 
-def semigroup_members(small: tuple[int, ...], conductor: int, hi: int) -> set[int]:
-    return {x for x in small if x < hi} | set(range(conductor, hi))
+def maximal_ideal(s):
+    """M = S minus 0."""
+    return cofinite([x for x in s[0] if x], max(s[1], 1))
 
 
-def ideal_members(small: tuple[int, ...], conductor: int,
-                  gens: list[int], hi: int) -> set[int]:
-    """Union of generator translates of the semigroup, windowed."""
-    s = semigroup_members(small, conductor, hi)
-    out: set[int] = set()
-    for g in gens:
-        out |= {g + x for x in s if g + x < hi}
+def ideal(small: tuple[int, ...], conductor: int, gens):
+    """The ideal of S spanned by gens: the union of g + S, full from
+    min(gens) + c on.  small lists S's members below c (more are ignored)."""
+    return cofinite({g + x for g in gens for x in small if x < conductor},
+                    min(gens) + conductor)
+
+
+def canonical_ideal(small: tuple[int, ...], conductor: int):
+    """K = {j : c - 1 - j not in S}: 0 is in K, and all from c on."""
+    inside = set(small)
+    return cofinite([j for j in range(conductor) if conductor - 1 - j not in inside], conductor)
+
+
+def minimal_generators(e, s) -> tuple[int, ...]:
+    """The minimal generators of an ideal E of S: E minus (E + M)."""
+    reached = sumset(e, maximal_ideal(s))
+    return tuple(sorted(_up_to(e, reached[1]) - set(reached[0])))
+
+
+def powers(s, e) -> list:
+    """[S, E, 2E, ..., (nu+1)E] for an ideal E inside S, where nu is the
+    first n with H(n) = l(nE/(n+1)E) = min E.  nu is at most min E, which
+    bounds the loop."""
+    a = least(e)
+    out = [s, e]
+    while length(out[-2], out[-1]) != a:
+        assert len(out) <= a + 2, "nu is at most min E"
+        out.append(sumset(out[-1], e))
     return out
 
 
-def sumset(a: set[int], b: set[int], hi: int) -> set[int]:
-    return {x + y for x in a for y in b if x + y < hi}
-
-
-def colon(a: set[int], b: set[int], lo: int, hi: int, guard: int) -> set[int]:
-    """{z in [lo, hi) : z + b inside a}, testing b only below guard."""
-    bb = [y for y in b if y < guard]
-    return {z for z in range(lo, hi) if all((z + y) in a for y in bb)}
-
-
-def gap_length(larger: set[int], smaller: set[int], hi: int) -> int:
-    """#(larger minus smaller) below hi; asserts containment on the window."""
-    assert smaller <= larger
-    return len(larger - smaller)
-
-
-def minimal_generators_of_ideal(members: set[int], nonzero_s: set[int]) -> set[int]:
-    reachable = {x + s for x in members for s in nonzero_s}
-    return {x for x in members if x not in reachable}
-
-
-def canonical_members(small: tuple[int, ...], conductor: int, hi: int) -> set[int]:
-    """{j : c - 1 - j not in S}, windowed from 0."""
-    s = semigroup_members(small, conductor, conductor + hi + 1)
-    out = set()
-    for j in range(hi):
-        t = conductor - 1 - j
-        if t < 0 or t not in s:
-            out.add(j)
-    return out
+def iterated_blowup(small: tuple[int, ...], conductor: int,
+                    gens: list[int]) -> tuple[tuple[tuple[int, ...], int], int]:
+    """The blow-up Lambda of the ideal gens spans, plus the first stage n
+    with nE:nE = Lambda.  The quotient chain nE:nE only grows and is
+    constant from nu on, so Lambda is its stage nu + 1, asserted to be its
+    stage nu as well."""
+    chain = powers(cofinite(small, conductor), ideal(small, conductor, gens))
+    quotients = [colon(p, p) for p in chain[1:]]
+    lam = quotients[-1]
+    assert quotients[-2] == lam, "nE:nE is constant from nu on"
+    return lam, quotients.index(lam) + 1
 
 
 def is_semigroup_gap_set(gaps: frozenset[int]) -> bool:
-    """Whether N minus gaps is closed under addition (gaps finite, 0 absent)."""
+    """Whether N minus gaps is closed under addition (gaps finite, 0 absent).
+    A sum that lands on a gap has both terms below the largest gap."""
     if 0 in gaps:
         return False
     top = max(gaps) if gaps else 0
-    members = [x for x in range(1, 2 * top + 2) if x not in gaps]
+    members = [x for x in range(1, top) if x not in gaps]
     for i, a in enumerate(members):
         for b in members[i:]:
             if a + b <= top and (a + b) in gaps:
@@ -85,10 +150,11 @@ def is_semigroup_gap_set(gaps: frozenset[int]) -> bool:
 
 
 def count_semigroups_of_genus(genus: int) -> int:
-    """Filter all genus-sized gap candidate sets inside [1, 2*genus]."""
+    """Filter all genus-sized gap candidate sets inside [1, 2*genus): the
+    Frobenius number of a semigroup is below twice its genus."""
     if genus == 0:
         return 1
-    candidates = range(1, 2 * genus)  # the Frobenius number is < 2*genus
+    candidates = range(1, 2 * genus)
     total = 0
     for gaps in combinations(candidates, genus):
         if is_semigroup_gap_set(frozenset(gaps)):
@@ -98,23 +164,15 @@ def count_semigroups_of_genus(genus: int) -> int:
 
 def all_nonprincipal_ideals(small: tuple[int, ...], conductor: int,
                             bound: int) -> set[frozenset[int]]:
-    """Distinct non-principal ideals from all generator subsets, by window."""
-    mult = min((x for x in small if x > 0), default=conductor)
-    window = [x for x in range(mult, bound + 1)
-              if x in semigroup_members(small, conductor, bound + 1) and x > 0]
-    hi = bound + 2 * conductor + 2
-    nonzero_s = {x for x in semigroup_members(small, conductor, hi) if x > 0}
-    seen: dict[frozenset[int], set[int]] = {}
-    for size in range(1, len(window) + 1):
-        for gens in combinations(window, size):
-            mem = frozenset(ideal_members(small, conductor, list(gens), hi))
-            seen.setdefault(mem, set()).update(gens)
-    out = set()
-    for mem in seen:
-        mins = minimal_generators_of_ideal(set(mem), nonzero_s)
-        if len(mins) >= 2:
-            out.add(frozenset(sorted(mins)))
-    return out
+    """The minimal generating sets, of two or more, of the ideals spanned by
+    nonzero members of S up to bound, every subset of them tried.  bound is
+    the generator bound of the ideal walk: part of what is enumerated."""
+    s = cofinite(small, conductor)
+    window = [x for x in range(1, bound + 1) if member(x, s)]
+    spans = {ideal(small, conductor, gens)
+             for size in range(1, len(window) + 1) for gens in combinations(window, size)}
+    found = (minimal_generators(e, s) for e in spans)
+    return {frozenset(gens) for gens in found if len(gens) >= 2}
 
 
 def antichains_in_order(small: tuple[int, ...], conductor: int, bound: int,
@@ -122,17 +180,16 @@ def antichains_in_order(small: tuple[int, ...], conductor: int, bound: int,
     """Every antichain of at least minimum_size nonzero members up to bound,
     x below y when y - x is a member, as ascending tuples in lexicographic
     order: each tuple before its extensions, extensions by smaller values
-    first."""
-    members = semigroup_members(small, conductor, bound + 1)
-    window = sorted(x for x in members if x > 0)
+    first.  bound is the generator bound of the ideal walk."""
+    s = cofinite(small, conductor)
+    window = [x for x in range(1, bound + 1) if member(x, s)]
     out = []
 
     def grow(chain: tuple[int, ...]) -> None:
         if len(chain) >= minimum_size:
             out.append(chain)
         for y in window:
-            # y - x <= bound, so the windowed member set decides it
-            if y > chain[-1] and all(y - x not in members for x in chain):
+            if y > chain[-1] and all(not member(y - x, s) for x in chain):
                 grow(chain + (y,))
 
     for y in window:
@@ -140,80 +197,14 @@ def antichains_in_order(small: tuple[int, ...], conductor: int, bound: int,
     return sorted(out)
 
 
-def iterated_blowup(small: tuple[int, ...], conductor: int,
-                    gens: list[int]) -> tuple[set[int], int]:
-    """The stable quotient of high powers, plus the first stage reaching it.
-
-    The quotient chain nE:nE only grows and is constant from the reduction
-    exponent on, which is below min(gens); evaluating at cap = min(gens) + 2
-    is therefore past stabilization with room to spare.
-    """
-    cap = min(gens) + 2
-    hi = cap * (max(gens) + 1) + 4 * conductor + 8
-    guard = hi // 2
-    e = ideal_members(small, conductor, gens, hi)
-    quotients = []
-    power = e
-    for _ in range(cap):
-        quotients.append(colon(power, power, 0, guard, guard))
-        power = sumset(power, e, hi)
-    lam = quotients[-1]
-    for n, quot in enumerate(quotients, start=1):
-        if quot == lam:
-            return lam, n
-    raise AssertionError("unreachable: the last stage equals itself")
+# -- the blow-up record and the translation class ---------------------------
 
 
-# -- the blow-up record, on exact cofinite sets ----------------------------
-#
-# A set bounded below and cofinite above is a pair (members below frontier,
-# frontier) with everything from the frontier on a member: no window to
-# guess, so a colon or a length may reach as far below 0 as it needs.
-
-
-def _cofinite(members, frontier: int) -> tuple[tuple[int, ...], int]:
-    """The canonical pair: the run of members just below the frontier joins it."""
-    below = {x for x in members if x < frontier}
-    while frontier - 1 in below:
-        below.discard(frontier - 1)
-        frontier -= 1
-    return tuple(sorted(below)), frontier
-
-
-def _least(a) -> int:
-    return a[0][0] if a[0] else a[1]
-
-
-def _member(x: int, a) -> bool:
-    return x >= a[1] or x in a[0]
-
-
-def _sum(a, b):
-    """{x + y}: every sum from min A + frontier B and from frontier A + min B on."""
-    frontier = min(_least(a) + b[1], a[1] + _least(b))
-    return _cofinite({x + y for x in a[0] for y in b[0]}, frontier)
-
-
-def _colon(a, b):
-    """{z : z + B inside A}.  z + (frontier B ->) lies in A iff z >= fA - fB,
-    and every z >= fA - min B passes."""
-    members, frontier = set(a[0]), a[1]
-    top = frontier - _least(b)
-    held = {z for z in range(frontier - b[1], top)
-            if all(z + y >= frontier or z + y in members for y in b[0])}
-    return _cofinite(held, top)
-
-
-def _contains(a, b) -> bool:
-    """B inside A."""
-    return b[1] >= a[1] and all(_member(y, a) for y in b[0])
-
-
-def _length(larger, smaller) -> int:
-    """l(E/F) = #(E minus F); asserts F inside E."""
-    assert _contains(larger, smaller)
-    return sum(1 for x in range(_least(larger), smaller[1])
-               if _member(x, larger) and not _member(x, smaller))
+def _ring(small: tuple[int, ...], conductor: int):
+    """S's members below c, ascending, and S, K and M."""
+    elems = sorted(x for x in small if x < conductor)
+    s = cofinite(elems, conductor)
+    return elems, s, canonical_ideal(elems, conductor), maximal_ideal(s)
 
 
 def blowup_record(small: tuple[int, ...], conductor: int,
@@ -227,57 +218,54 @@ def blowup_record(small: tuple[int, ...], conductor: int,
     the bridge.
     """
     c = conductor
-    elems = sorted(x for x in small if x < c)  # s_0 = 0 < ... < s_(n-1); s_n = c
-    s = _cofinite(elems, c)
+    elems, s, k, m = _ring(small, c)  # s_0 = 0 < ... < s_(n-1); s_n = c
     norm = ((), 0)
-    k = _cofinite([j for j in range(c) if not _member(c - 1 - j, s)], c)
-    m = _cofinite(elems[1:], c)
-    lam = _cofinite(lam_members, lam_frontier)
-    r_colon = _colon(s, lam)
-    bidual = _colon(s, r_colon)
-    omega = _sum(k, lam)
-    k_colon = _colon(k, lam)
+    lam = cofinite(lam_members, lam_frontier)
+    r_colon = colon(s, lam)
+    bidual = colon(s, r_colon)
+    omega = sumset(k, lam)
+    k_colon = colon(k, lam)
     # R_i = {x in S : x >= s_i}; r_i = l((S:R_i)/(S:R_(i-1))) for i = 1..n
     smalls = elems + [c]
-    duals = [_colon(s, _cofinite([x for x in elems if x >= si], c)) for si in smalls]
-    r = [_length(duals[i], duals[i - 1]) for i in range(1, len(smalls))]
-    gamma = tuple(i for i in range(1, len(smalls)) if _member(elems[i - 1], r_colon))
+    duals = [colon(s, cofinite([x for x in elems if x >= si], c)) for si in smalls]
+    r = [length(duals[i], duals[i - 1]) for i in range(1, len(smalls))]
+    gamma = tuple(i for i in range(1, len(smalls)) if member(elems[i - 1], r_colon))
     outside = tuple(i for i in range(1, len(smalls)) if i not in gamma)
-    i0 = smalls.index(_least(r_colon))
-    r_filter = _cofinite([x for x in elems if x >= smalls[i0]], c)
-    r_star = _colon(s, r_filter)
+    i0 = smalls.index(least(r_colon))
+    r_filter = cofinite([x for x in elems if x >= smalls[i0]], c)
+    r_star = colon(s, r_filter)
     # the integral closure of an ideal inside S is S from its least member on
-    lo = _least(r_colon)
-    r_colon_closure = _cofinite([x for x in elems if x >= lo], max(lo, c))
-    delta = _length(norm, lam)
+    lo = least(r_colon)
+    r_colon_closure = cofinite([x for x in elems if x >= lo], max(lo, c))
+    delta = length(norm, lam)
     c_lam = lam[1]
     sum_gamma = sum(r[i - 1] for i in gamma)
     return {
         "r_colon_lambda": r_colon, "lam_bidual": bidual, "omega_lambda": omega,
         "k_colon_lambda": k_colon, "delta_lambda": delta, "gamma_set": gamma,
-        "outside_gamma": outside, "len_r_over_rcolon": _length(s, r_colon), "i0": i0,
+        "outside_gamma": outside, "len_r_over_rcolon": length(s, r_colon), "i0": i0,
         "n_lambda": c_lam - delta,
         # symmetric: x in Lambda exactly when c_Lambda - 1 - x is not
-        "lambda_gorenstein": all(_member(x, lam) != _member(c_lam - 1 - x, lam)
+        "lambda_gorenstein": all(member(x, lam) != member(c_lam - 1 - x, lam)
                                  for x in range(c_lam)),
         "lam_is_normalization": lam == norm,
-        "len_bidual_over_lambda": _length(bidual, lam),
-        "len_omega_over_lambda": _length(omega, lam),
-        "len_omega_over_bidual": _length(omega, bidual),
-        "len_rbar_over_omega": _length(norm, omega),
-        "len_rbar_over_bidual": _length(norm, bidual),
-        "len_bidual_over_rstar": _length(bidual, r_star),
+        "len_bidual_over_lambda": length(bidual, lam),
+        "len_omega_over_lambda": length(omega, lam),
+        "len_omega_over_bidual": length(omega, bidual),
+        "len_rbar_over_omega": length(norm, omega),
+        "len_rbar_over_bidual": length(norm, bidual),
+        "len_bidual_over_rstar": length(bidual, r_star),
         "sum_gamma": sum_gamma,
         "sum_not_gamma": sum(r[i - 1] for i in outside),
         "sum_not_gamma_excess": sum(r[i - 1] - 1 for i in outside),
-        "d": _length(norm, bidual) - sum_gamma,
-        "lam_contains_dual_m": _contains(lam, _colon(s, m)),
-        "k_in_lam_bidual": _contains(bidual, k),
+        "d": length(norm, bidual) - sum_gamma,
+        "lam_contains_dual_m": contains(lam, colon(s, m)),
+        "k_in_lam_bidual": contains(bidual, k),
         "r_colon_integrally_closed": r_colon == r_colon_closure,
-        "k_in_lambda": _contains(lam, k), "lambda_reflexive": lam == bidual,
-        "a1": _contains(lam, k), "a2": omega == lam, "a3": k_colon == r_colon,
-        "b1": lam == bidual, "b2": k_colon == _sum(k, r_colon),
-        "colon_inside_omega_dual": _contains(_colon(s, k), r_colon),
+        "k_in_lambda": contains(lam, k), "lambda_reflexive": lam == bidual,
+        "a1": contains(lam, k), "a2": omega == lam, "a3": k_colon == r_colon,
+        "b1": lam == bidual, "b2": k_colon == sumset(k, r_colon),
+        "colon_inside_omega_dual": contains(colon(s, k), r_colon),
     }
 
 
@@ -291,26 +279,17 @@ def translation_class(small: tuple[int, ...], conductor: int,
     whether E is reflexive, K + E = E**, E:E contains S:M and nuE is
     reflexive; and nu, the first n with l(nE/(n+1)E) = min E.
     """
-    c = conductor
-    elems = sorted(x for x in small if x < c)
-    s = _cofinite(elems, c)
-    k = _cofinite([j for j in range(c) if not _member(c - 1 - j, s)], c)
-    m = _cofinite(elems[1:], c)
-    e = _cofinite(e_members, e_frontier)
-    bidual = _colon(s, _colon(s, e))
-    # H(n) = l(nE/(n+1)E) with 0E = S; it reaches min E at nu and stays there
-    a = _least(e)
-    powers = [s, e]
-    while _length(powers[-2], powers[-1]) != a:
-        assert len(powers) <= a + 2, "nu is at most min E"
-        powers.append(_sum(powers[-1], e))
-    nu = len(powers) - 2
-    p_nu = powers[nu]
+    _, s, k, m = _ring(small, conductor)
+    e = cofinite(e_members, e_frontier)
+    bidual = colon(s, colon(s, e))
+    chain = powers(s, e)
+    nu = len(chain) - 2
+    p_nu = chain[nu]
     return {
         "bidual": bidual,
         "reflexive": bidual == e,
-        "omega_is_bidual": _sum(k, e) == bidual,
-        "colon_contains_dual_m": _contains(_colon(e, e), _colon(s, m)),
+        "omega_is_bidual": sumset(k, e) == bidual,
+        "colon_contains_dual_m": contains(colon(e, e), colon(s, m)),
         "nu": nu,
-        "power_nu_reflexive": _colon(s, _colon(s, p_nu)) == p_nu,
+        "power_nu_reflexive": colon(s, colon(s, p_nu)) == p_nu,
     }

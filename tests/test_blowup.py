@@ -5,7 +5,6 @@ from dataclasses import fields
 import pytest
 
 from sgblow.blowup import (
-    Analysis,
     ConditionsReport,
     HPolynomial,
     analyze,
@@ -32,7 +31,7 @@ from sgblow.invariants import (
 )
 from sgblow.statements import STATEMENTS, verify_many
 
-from oracles import gap_length, ideal_members, iterated_blowup, sumset
+from oracles import cofinite, ideal, iterated_blowup, length, sumset
 
 IDEAL_ZOO = [
     ((3, 4), [3, 4]),
@@ -51,18 +50,22 @@ def pair(gens, ideal_gens):
     return s, ValueIdeal.generated_by(s, ideal_gens)
 
 
+def brute_powers(s, ideal_gens, count):
+    """S, E, 2E, ... up to (count - 1)E, as the oracle's exact sets."""
+    e = ideal(s.small_elements, s.conductor, ideal_gens)
+    out = [cofinite(s.small_elements, s.conductor)]
+    while len(out) < count:
+        out.append(sumset(out[-1], e))
+    return out
+
+
 @pytest.mark.parametrize("gens,ideal_gens", IDEAL_ZOO)
 def test_hilbert_function_matches_brute_force(gens, ideal_gens):
     s, e = pair(gens, ideal_gens)
     rep = analyze(e)
     hs = hilbert_function(e, rep.nu + 3)
-    hi = (rep.nu + 5) * (max(ideal_gens) + 1) + 2 * s.conductor
-    p = {0} | ideal_members(s.small_elements, s.conductor, [0], hi)
-    q = ideal_members(s.small_elements, s.conductor, ideal_gens, hi)
-    for n, h in enumerate(hs):
-        assert h == gap_length(p, q, hi)
-        p, q = q, sumset(q, ideal_members(s.small_elements, s.conductor,
-                                          ideal_gens, hi), hi)
+    p = brute_powers(s, ideal_gens, len(hs) + 1)
+    assert hs == tuple(map(length, p, p[1:]))
 
 
 @pytest.mark.parametrize("gens,ideal_gens", IDEAL_ZOO)
@@ -92,13 +95,8 @@ def test_powers_match_brute_sums(gens, ideal_gens):
     s, e = pair(gens, ideal_gens)
     rep = analyze(e)
     # past nu + 1 the powers are shifts of nuE; the oracle sums them
-    hi = (rep.nu + 4) * (max(ideal_gens) + 1) + 2 * s.conductor
-    brute = {0} | ideal_members(s.small_elements, s.conductor, [0], hi)
-    single = ideal_members(s.small_elements, s.conductor, ideal_gens, hi)
-    for k in range(rep.nu + 4):
-        got = set(rep.power(k).elements_below(hi))
-        assert got == brute
-        brute = sumset(brute, single, hi)
+    for k, brute in enumerate(brute_powers(s, ideal_gens, rep.nu + 4)):
+        assert (rep.power(k).members, rep.power(k).frontier) == brute
     assert power(e, 0) == s.as_ideal()
     with pytest.raises(ValueError):
         power(e, -1)
@@ -110,9 +108,7 @@ def test_blowup_matches_iterated_quotients(gens, ideal_gens):
     rep = analyze(e)
     lam_oracle, stage = iterated_blowup(s.small_elements, s.conductor,
                                         ideal_gens)
-    window = (4 * s.conductor + 8 + 2 * max(ideal_gens)) // 2
-    got = set(rep.lam.elements_below(window))
-    assert got == {x for x in lam_oracle if x < window}
+    assert (rep.lam.members, rep.lam.frontier) == lam_oracle
     assert stage == rep.nu
     assert blowup_lambda(e) == rep.lam
 

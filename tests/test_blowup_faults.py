@@ -163,14 +163,6 @@ IDS = ["routes-disagree", "stages-reached", "never-absorbed", "absorbed-early",
        "r-over-power-not-nested", "conductor-over-power-not-nested"]
 
 
-@pytest.fixture
-def fresh_rings():
-    # a planted pair must not leave a record behind, nor an honest one leak into it
-    ring.cache_clear()
-    yield
-    ring.cache_clear()
-
-
 def _message(message, target):
     return message if isinstance(message, str) else message(target)
 

@@ -153,13 +153,6 @@ def test_a_fault_in_a_record_raises_on_every_pair_and_stores_nothing(monkeypatch
     assert len(ring(s).blowups) == 1
 
 
-@pytest.fixture
-def fresh_rings():
-    ring.cache_clear()
-    yield
-    ring.cache_clear()
-
-
 def test_each_record_and_its_checks_are_built_once_per_blowup_over_genus_5(fresh_rings,
                                                                            monkeypatch):
     builds, reads = Counter(), Counter()

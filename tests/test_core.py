@@ -1,4 +1,4 @@
-"""Core set arithmetic against windowed brute-force references."""
+"""Core set arithmetic against the exact plain-set references."""
 
 import math
 import random
@@ -19,12 +19,16 @@ from sgblow.errors import (
 from oracles import (
     closure_from_generators,
     colon,
-    gap_length,
-    ideal_members,
-    minimal_generators_of_ideal,
-    semigroup_members,
+    contains,
+    ideal,
+    intersect,
+    length,
+    maximal_ideal,
+    member,
+    minimal_generators,
     sumset,
 )
+from test_core_random import pair
 
 ZOO = [
     (3, 4),
@@ -39,19 +43,10 @@ ZOO = [
 ]
 
 
-def members_of(s: NumericalSemigroup, hi: int) -> set[int]:
-    return {x for x in range(hi) if x in s}
-
-
-def ideal_set(e: ValueIdeal, lo: int, hi: int) -> set[int]:
-    return {x for x in range(lo, hi) if x in e}
-
-
 @pytest.mark.parametrize("gens", ZOO)
 def test_from_generators_matches_closure_oracle(gens):
     s = NumericalSemigroup.from_generators(gens)
-    hi = s.conductor + 2 * max(gens) + 5
-    assert members_of(s, hi) == closure_from_generators(list(gens), hi)
+    assert pair(s.as_ideal()) == closure_from_generators(gens)
 
 
 @pytest.mark.parametrize("gens", ZOO)
@@ -78,11 +73,8 @@ def test_explicit_and_generated_agree():
 def test_minimal_generators_are_minimal():
     for gens in ZOO:
         s = NumericalSemigroup.from_generators(gens)
-        hi = 3 * (s.conductor + s.multiplicity) + 5
-        mem = members_of(s, hi)
-        nonzero = {x for x in mem if x > 0}
-        expected = minimal_generators_of_ideal(nonzero, nonzero)
-        assert set(s.min_generators) == expected
+        closure = closure_from_generators(gens)
+        assert s.min_generators == minimal_generators(maximal_ideal(closure), closure)
         # redundant generators collapse
         bigger = NumericalSemigroup.from_generators(
             list(gens) + [gens[0] + gens[-1]])
@@ -210,7 +202,7 @@ def test_every_non_closure_witness_is_a_missing_sum():
         if math.gcd(*gens) != 1:
             continue
         s = NumericalSemigroup.from_generators(gens)
-        in_s = closure_from_generators(gens, 100)
+        in_s = closure_from_generators(gens)
         if case % 2:
             listed = set(rng.sample(range(-6, 24), rng.randint(1, 8)))
             frontier = rng.randint(max(listed) + 1, 30)
@@ -227,7 +219,7 @@ def test_every_non_closure_witness_is_a_missing_sum():
         except NotClosed as err:
             raised += 1
             x, y = err.a, err.b
-            assert in_e(x) and y in in_s and not in_e(x + y), (gens, listed, frontier)
+            assert in_e(x) and member(y, in_s) and not in_e(x + y), (gens, listed, frontier)
     assert raised > 100
 
 
@@ -244,76 +236,54 @@ IDEAL_ZOO = [
 
 
 def brute_pair(sgens, igens):
+    """E and M, each with the oracle's pair for it."""
     s = NumericalSemigroup.from_generators(sgens)
-    hi = 4 * (s.conductor + max(igens) + max(sgens)) + 9
-    small = s.small_elements
-    return s, ideal_members(small, s.conductor, list(igens), hi), hi
+    small, c = s.small_elements, s.conductor
+    return ((ValueIdeal.generated_by(s, igens), ideal(small, c, igens)),
+            (s.maximal_ideal(), ideal(small, c, s.min_generators)))
 
 
 @pytest.mark.parametrize("sgens,igens", IDEAL_ZOO)
 def test_generated_by_matches_union_oracle(sgens, igens):
-    s, expected, hi = brute_pair(sgens, igens)
-    e = ValueIdeal.generated_by(s, igens)
-    window = hi // 2
-    assert ideal_set(e, 0, window) == {x for x in expected if x < window}
+    (e, expected), _ = brute_pair(sgens, igens)
+    assert pair(e) == expected
 
 
 @pytest.mark.parametrize("sgens,igens", IDEAL_ZOO)
 def test_sumset_matches_oracle(sgens, igens):
-    s, emem, hi = brute_pair(sgens, igens)
-    e = ValueIdeal.generated_by(s, igens)
-    m = s.maximal_ideal()
-    mmem = ideal_members(s.small_elements, s.conductor,
-                         list(s.min_generators), hi)
-    window = hi // 3
-    expected = {x for x in sumset(emem, mmem, hi) if x < window}
-    assert ideal_set(e + m, 0, window) == expected
+    (e, emem), (m, mmem) = brute_pair(sgens, igens)
+    assert pair(e + m) == sumset(emem, mmem)
 
 
 @pytest.mark.parametrize("sgens,igens", IDEAL_ZOO)
 def test_colon_matches_oracle(sgens, igens):
-    s, emem, hi = brute_pair(sgens, igens)
-    e = ValueIdeal.generated_by(s, igens)
-    m = s.maximal_ideal()
-    mmem = ideal_members(s.small_elements, s.conductor,
-                         list(s.min_generators), hi)
-    window = hi // 4
-    guard = hi // 2
+    (e, emem), (m, mmem) = brute_pair(sgens, igens)
     for a_set, a_obj, b_set, b_obj in [
         (emem, e, mmem, m), (mmem, m, emem, e), (emem, e, emem, e),
     ]:
-        expected = colon(a_set, b_set, -window, window, guard)
-        got = a_obj.colon(b_obj)
-        assert ideal_set(got, -window, window) == expected
+        assert pair(a_obj.colon(b_obj)) == colon(a_set, b_set)
 
 
 @pytest.mark.parametrize("sgens,igens", IDEAL_ZOO)
 def test_intersect_shift_contains(sgens, igens):
-    s, emem, hi = brute_pair(sgens, igens)
-    e = ValueIdeal.generated_by(s, igens)
-    m = s.maximal_ideal()
-    window = hi // 2
-    mset = ideal_set(m, 0, window)
-    eset = {x for x in emem if x < window}
-    assert ideal_set(e.intersect(m), 0, window) == eset & mset
-    assert ideal_set(e.shift(7), 0, window) == {x + 7 for x in eset
-                                                if x + 7 < window}
+    (e, emem), (m, mmem) = brute_pair(sgens, igens)
+    assert pair(e.intersect(m)) == intersect(emem, mmem)
+    assert pair(e.shift(7)) == (tuple(x + 7 for x in emem[0]), emem[1] + 7)
     assert m.contains(e)
     assert e.contains(e)
-    assert e.contains(m) == (eset >= mset)
+    assert e.contains(m) == contains(emem, mmem)
 
 
 def test_length_between_is_gap_count():
     s = NumericalSemigroup.from_generators([5, 21, 32, 48])
     m = s.maximal_ideal()
     mm = m + m
-    hi = 3 * s.conductor
-    big = ideal_set(m, 0, hi)
-    small = ideal_set(mm, 0, hi)
-    assert length_between(m, mm) == gap_length(big, small, hi)
+    big = ideal(s.small_elements, s.conductor, s.min_generators)
+    small = sumset(big, big)
+    assert length_between(m, mm) == length(big, small)
     with pytest.raises(NotNested) as err:
         length_between(mm, m)
-    assert err.value.witness in big - small
+    assert member(err.value.witness, big) and not member(err.value.witness, small)
 
 
 def test_length_between_across_carriers_rejected():

@@ -66,14 +66,6 @@ FAULTS = [
 IDS = ["routes-disagree", "routes-end", "almost-gorenstein-criteria", "gorenstein-implies-almost"]
 
 
-@pytest.fixture
-def fresh_rings():
-    # a planted ring must not outlive its test, nor an honest one leak into it
-    ring.cache_clear()
-    yield
-    ring.cache_clear()
-
-
 def _plant(monkeypatch, attr, fault):
     monkeypatch.setattr(Ring, attr, property(fault))
 

@@ -1,11 +1,11 @@
 """Randomized differential test of the ring invariants against plain-set oracles.
 
 Seeded semigroups with conductors up to about 300 give windows many machine
-words wide.  K is checked member by member against the oracle, and every
-entry r_i of the type sequence against lengths of colons S:R_i and of sums
-K + R_i taken on plain sets, where R_i is the filter of S from its i-th
-small element on.  The classification is checked against c = 2g (Gorenstein)
-and r - 1 = 2g - c (almost Gorenstein).
+words wide.  K, S:M and S:K are checked whole against the oracle's exact
+sets, and every entry r_i of the type sequence against lengths of colons
+S:R_i and of sums K + R_i taken on them, where R_i is the filter of S from
+its i-th small element on.  The classification is checked against c = 2g
+(Gorenstein) and r - 1 = 2g - c (almost Gorenstein).
 """
 
 import random
@@ -18,8 +18,8 @@ from sgblow.enumeration import enumerate_ideals
 from sgblow.invariants import canonical_ideal, classify, ring, type_sequence
 from sgblow.statements import verify_many
 
-from oracles import canonical_members, colon, gap_length, semigroup_members, sumset
-from test_core_random import random_semigroup
+from oracles import canonical_ideal as oracle_k, cofinite, colon, length, maximal_ideal, sumset
+from test_core_random import pair, random_semigroup
 
 CASES = 60
 BLOCK = 10
@@ -33,27 +33,18 @@ def make_cases():
 CASE_LIST = make_cases()
 
 
-def members(e, lo, hi) -> set[int]:
-    return {x for x in range(lo, hi) if x in e}
-
-
 def oracle_type_sequence(small, c) -> list[int]:
-    """r_i = l((S:R_i)/(S:R_(i-1))), checked against l((K+R_(i-1))/(K+R_i)).
-
-    Everything from c on lies in S:R_i and in K + R_i, and no negative
-    integer lies in S:R_i, so both are compared on [-1, c).
-    """
-    s_set = semigroup_members(small, c, 2 * c + 2)
-    k_set = canonical_members(small, c, c)
-    filters = [{x for x in small if x >= small[i]} for i in range(len(small))]
-    duals = [colon(s_set, f, -1, c, c + 1) for f in filters]
-    products = [sumset(k_set, f, c) for f in filters]
+    """r_i = l((S:R_i)/(S:R_(i-1))), checked against l((K+R_(i-1))/(K+R_i))."""
+    s_set, k_set = cofinite(small, c), oracle_k(small, c)
+    filters = [cofinite(small[i:], c) for i in range(len(small))]
+    duals = [colon(s_set, f) for f in filters]
+    products = [sumset(k_set, f) for f in filters]
     entries = []
     for i in range(1, len(small)):
-        by_duals = gap_length(duals[i], duals[i - 1], c)
-        assert by_duals == gap_length(products[i - 1], products[i], c)
+        by_duals = length(duals[i], duals[i - 1])
+        assert by_duals == length(products[i - 1], products[i])
         entries.append(by_duals)
-    assert duals[0] == {x for x in s_set if x < c}
+    assert duals[0] == s_set
     return entries
 
 
@@ -64,9 +55,8 @@ def test_ring_invariants_against_oracles(case):
         assert s.small_elements == small
         genus = c - (len(small) - 1)
 
-        k = canonical_ideal(s)
-        assert members(k, -1, 2 * c + 2) == canonical_members(small, c, 2 * c + 2)
-        assert k.frontier <= c
+        k_set = oracle_k(small, c)
+        assert pair(canonical_ideal(s)) == k_set
 
         entries = oracle_type_sequence(small, c)
         assert type_sequence(s).entries == tuple(entries)
@@ -78,13 +68,10 @@ def test_ring_invariants_against_oracles(case):
         assert flags.almost_gorenstein == (r - 1 == 2 * genus - c)
         assert flags.kunz == (flags.almost_gorenstein and r == 2)
 
-        s_set = semigroup_members(small, c, 3 * c + 2)
-        m_set = s_set - {0}
-        k_set = canonical_members(small, c, 2 * c + 2)
+        s_set = cofinite(small, c)
         rg = ring(s)
-        assert members(rg.dual_m, -c - 1, c + 1) == colon(s_set, m_set, -c - 1, c + 1, 2 * c + 1)
-        assert members(rg.r_colon_omega, -c - 1, c + 1) == colon(s_set, k_set, -c - 1, c + 1,
-                                                                 2 * c + 1)
+        assert pair(rg.dual_m) == colon(s_set, maximal_ideal(s_set))
+        assert pair(rg.r_colon_omega) == colon(s_set, k_set)
 
 
 def test_verify_many_over_every_ideal_builds_one_ring(monkeypatch):

@@ -22,13 +22,6 @@ from sgblow.statements import CONJUNCTS, STATEMENTS, verify_many
 FIELDS = sorted(name for name, field in vars(Ring).items() if hasattr(field, "func"))
 
 
-@pytest.fixture
-def fresh_rings():
-    ring.cache_clear()
-    yield
-    ring.cache_clear()
-
-
 def _maximal_ideals(max_genus):
     return [s.maximal_ideal() for s in enumerate_semigroups(max_genus)
             if not s.is_natural_numbers]
